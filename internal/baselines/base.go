@@ -125,7 +125,7 @@ func (b *htmBase) OnOwnerReread(core int, addr uint64, line *cache.Line, _ uint6
 		return
 	}
 	if b.overflowed[core].Contains(b.h.Align(addr)) {
-		line.W = true
+		b.h.L1(core).MarkWrite(line)
 	}
 }
 
@@ -139,7 +139,7 @@ func (b *htmBase) abort(core int, reason stats.AbortReason, at uint64) {
 	}
 	c.Doom(reason)
 	c.State = htm.Aborted
-	b.h.L1(core).ForEach(func(l *cache.Line) {
+	b.h.L1(core).ForEachTx(func(l *cache.Line) {
 		if l.W {
 			addr := l.Addr
 			l.Reset()
@@ -226,7 +226,7 @@ func (b *htmBase) write(core int, c txn.Clock, addr uint64, val uint64) {
 // non-speculative, and any sticky LLC state is released.
 func (b *htmBase) commitVisibility(core int) {
 	ctx := b.ctxs[core]
-	b.h.L1(core).ForEach(func(l *cache.Line) {
+	b.h.L1(core).ForEachTx(func(l *cache.Line) {
 		l.R = false
 		l.W = false
 	})

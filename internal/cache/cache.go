@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dhtm/internal/memdev"
 )
@@ -54,8 +55,8 @@ type Line struct {
 
 	// gen is the cache generation the line was installed in. A line whose gen
 	// trails the cache's current generation is stale — logically invalid —
-	// which lets Clear be O(1) (bump the generation) instead of sweeping
-	// every way. The field packs into existing padding, so Line does not grow.
+	// which lets Clear bump the generation instead of sweeping every way.
+	// The field packs into existing padding, so Line does not grow.
 	gen uint32
 
 	// Directory metadata (meaningful in the LLC).
@@ -87,41 +88,49 @@ func (l *Line) RemoveSharer(core int) { l.Sharers &^= 1 << uint(core) }
 
 // Cache is a set-associative array of Lines with LRU replacement.
 type Cache struct {
-	sets     [][]Line
-	numSets  int
-	ways     int
-	lineSize uint64
-	tick     uint64
+	// slab holds every way, set-major: set s is slab[s*ways : (s+1)*ways].
+	slab      []Line
+	numSets   int
+	ways      int
+	lineSize  uint64
+	lineShift uint   // log2(lineSize)
+	setMask   uint64 // numSets - 1
+	tick      uint64
 	// gen is the current generation; lines with an older gen are stale (see
 	// Line.gen). Stale ways are lazily reset the next time Victim considers
 	// them, so no caller ever observes pre-Clear contents.
 	gen uint32
+	// txSets has one bit per set, set by MarkRead/MarkWrite: a superset of
+	// the sets holding a line with R or W, so ForEachTx visits only those.
+	txSets []uint64
 }
 
 // New builds a cache of sizeBytes capacity with the given associativity and
-// line size. sizeBytes must be an exact multiple of ways*lineSize.
+// line size. sizeBytes must be an exact multiple of ways*lineSize, and both
+// lineSize and the resulting number of sets must be powers of two.
 func New(sizeBytes, ways, lineSize int) *Cache {
-	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 || sizeBytes%(ways*lineSize) != 0 {
+	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 || sizeBytes%(ways*lineSize) != 0 ||
+		!isPow2(lineSize) || !isPow2(sizeBytes/(ways*lineSize)) {
 		panic(fmt.Sprintf("cache: invalid geometry size=%d ways=%d line=%d", sizeBytes, ways, lineSize))
 	}
 	numSets := sizeBytes / (ways * lineSize)
 	c := &Cache{
-		sets:     make([][]Line, numSets),
-		numSets:  numSets,
-		ways:     ways,
-		lineSize: uint64(lineSize),
+		slab:      make([]Line, numSets*ways),
+		numSets:   numSets,
+		ways:      ways,
+		lineSize:  uint64(lineSize),
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		setMask:   uint64(numSets - 1),
+		txSets:    make([]uint64, (numSets+63)/64),
 	}
-	// All ways live in one contiguous slab; each set is a sub-slice. This
-	// keeps construction at two allocations regardless of geometry.
-	slab := make([]Line, numSets*ways)
-	for i := range slab {
-		slab[i].Owner = NoOwner
-	}
-	for i := range c.sets {
-		c.sets[i] = slab[i*ways : (i+1)*ways : (i+1)*ways]
+	for i := range c.slab {
+		c.slab[i].Owner = NoOwner
 	}
 	return c
 }
+
+// isPow2 reports whether n is a positive power of two.
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.numSets }
@@ -137,7 +146,12 @@ func (c *Cache) Lines() int { return c.numSets * c.ways }
 
 // setIndex maps a line address to its set.
 func (c *Cache) setIndex(lineAddr uint64) int {
-	return int((lineAddr / c.lineSize) % uint64(c.numSets))
+	return int((lineAddr >> c.lineShift) & c.setMask)
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s int) []Line {
+	return c.slab[s*c.ways : (s+1)*c.ways : (s+1)*c.ways]
 }
 
 // Align returns the line-aligned address containing addr.
@@ -154,7 +168,7 @@ func (c *Cache) Lookup(addr uint64) *Line {
 }
 
 // live reports whether the way holds a current-generation line: valid and
-// not invalidated by an O(1) Clear.
+// not invalidated by a later Clear.
 func (c *Cache) live(l *Line) bool {
 	return l.State != Invalid && l.gen == c.gen
 }
@@ -162,7 +176,7 @@ func (c *Cache) live(l *Line) bool {
 // Peek returns the line holding addr without disturbing LRU state.
 func (c *Cache) Peek(addr uint64) *Line {
 	la := c.Align(addr)
-	set := c.sets[c.setIndex(la)]
+	set := c.set(c.setIndex(la))
 	for i := range set {
 		if c.live(&set[i]) && set[i].Addr == la {
 			return &set[i]
@@ -177,7 +191,7 @@ func (c *Cache) Peek(addr uint64) *Line {
 // (write-back, overflow, abort) and may then reuse the way via PlaceAt.
 func (c *Cache) Victim(addr uint64) *Line {
 	la := c.Align(addr)
-	set := c.sets[c.setIndex(la)]
+	set := c.set(c.setIndex(la))
 	var victim *Line
 	for i := range set {
 		if !c.live(&set[i]) {
@@ -217,10 +231,58 @@ func (c *Cache) Invalidate(addr uint64) {
 // ForEach visits every valid line. The callback may mutate the line but must
 // not invalidate other lines.
 func (c *Cache) ForEach(f func(*Line)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.live(&c.sets[s][w]) {
-				f(&c.sets[s][w])
+	for i := range c.slab {
+		if c.live(&c.slab[i]) {
+			f(&c.slab[i])
+		}
+	}
+}
+
+// MarkRead sets l's transactional read bit. l must be a way of c.
+func (c *Cache) MarkRead(l *Line) {
+	l.R = true
+	c.markSet(l)
+}
+
+// MarkWrite sets l's transactional write bit. l must be a way of c.
+func (c *Cache) MarkWrite(l *Line) {
+	l.W = true
+	c.markSet(l)
+}
+
+// markSet records that l's set holds a transactional line.
+func (c *Cache) markSet(l *Line) {
+	s := c.setIndex(l.Addr)
+	c.txSets[s/64] |= 1 << (uint(s) % 64)
+}
+
+// txLine reports whether l is a live line carrying a transactional bit.
+func (c *Cache) txLine(l *Line) bool {
+	return (l.R || l.W) && c.live(l)
+}
+
+// ForEachTx visits every valid line with R or W set, in exactly ForEach's
+// order (set-major, way-minor), but touches only the sets MarkRead/MarkWrite
+// marked: the hardware flash-clears these bits in one step, so the sweep
+// should not cost a pass over every way. A set whose lines no longer carry
+// either bit after the visit is unmarked. The callback may mutate or reset
+// the line but must not mark or invalidate other lines.
+func (c *Cache) ForEachTx(f func(*Line)) {
+	for wi, word := range c.txSets {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			set := c.set(wi*64 + b)
+			keep := false
+			for i := range set {
+				if !c.txLine(&set[i]) {
+					continue
+				}
+				f(&set[i])
+				keep = keep || c.txLine(&set[i])
+			}
+			if !keep {
+				c.txSets[wi] &^= 1 << uint(b)
 			}
 		}
 	}
@@ -238,20 +300,20 @@ func (c *Cache) CountIf(pred func(*Line) bool) int {
 }
 
 // Clear invalidates every line (used to model a crash: caches are volatile,
-// and pooled caches are cleared before reuse). It is O(1): the generation
-// counter is bumped and stale ways are lazily reset as Victim reuses them.
+// and pooled caches are cleared before reuse). It does not sweep the ways:
+// the generation counter is bumped and stale ways are lazily reset as Victim
+// reuses them. Only the one-bit-per-set transactional index is zeroed.
 func (c *Cache) Clear() {
 	c.gen++
 	if c.gen == 0 {
 		// Generation counter wrapped (after 2^32 clears): sweep so ancient
 		// gen-0 lines cannot alias the fresh generation, then restart at 1.
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				c.sets[s][w].Reset()
-			}
+		for i := range c.slab {
+			c.slab[i].Reset()
 		}
 		c.gen = 1
 	}
+	clear(c.txSets)
 }
 
 // ReadWord returns the word at addr from a line already present; it panics if

@@ -163,3 +163,248 @@ func TestGenerationClear(t *testing.T) {
 		}
 	}
 }
+
+// checkTxIndex fails if a live line carries R or W while its set is not
+// marked: the index must stay a superset of the transactional sets.
+func checkTxIndex(t *testing.T, c *Cache, step int) {
+	t.Helper()
+	for i := range c.slab {
+		l := &c.slab[i]
+		s := i / c.ways
+		if c.txLine(l) && c.txSets[s/64]&(1<<(uint(s)%64)) == 0 {
+			t.Fatalf("step %d: line %#x (set %d) has R=%v W=%v but its set is unmarked", step, l.Addr, s, l.R, l.W)
+		}
+	}
+}
+
+// wayOf returns l's index in c's slab.
+func wayOf(c *Cache, l *Line) int {
+	for i := range c.slab {
+		if &c.slab[i] == l {
+			return i
+		}
+	}
+	panic("line is not a way of the cache")
+}
+
+// sweeps are the callbacks the designs pass to the transactional sweep: a
+// plain visit, DHTM's commit (clear R, collect W), the abort (reset W lines,
+// clear R) and the HTM baselines' commit (clear both bits).
+var sweeps = []func(*Line){
+	func(*Line) {},
+	func(l *Line) { l.R = false },
+	func(l *Line) {
+		if l.W {
+			l.Reset()
+			return
+		}
+		l.R = false
+	},
+	func(l *Line) { l.R, l.W = false, false },
+}
+
+// TestForEachTxMatchesForEach drives two identical caches through random
+// operation sequences: placements, marks, the direct write-bit clears that
+// completion and forwarding perform, resets, invalidations and Clear. At every
+// sweep, one cache runs ForEachTx and the other ForEach filtered to lines with
+// R or W; both must visit the same lines in the same order and end in the
+// same state.
+func TestForEachTxMatchesForEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 20; round++ {
+		idx := New(128*2*64, 2, 64) // 128 sets (two bitmap words), 2 ways
+		ref := New(128*2*64, 2, 64)
+		addr := func() uint64 { return uint64(rng.Intn(1024)) * 64 }
+		for step := 0; step < 3000; step++ {
+			a := addr()
+			op := rng.Intn(100)
+			switch {
+			case op < 30:
+				for _, c := range []*Cache{idx, ref} {
+					c.PlaceAt(c.Victim(a), a, Modified, memdev.Line{a})
+				}
+			case op < 55:
+				if idx.Peek(a) != nil {
+					idx.MarkRead(idx.Peek(a))
+					ref.MarkRead(ref.Peek(a))
+				}
+			case op < 75:
+				if idx.Peek(a) != nil {
+					idx.MarkWrite(idx.Peek(a))
+					ref.MarkWrite(ref.Peek(a))
+				}
+			case op < 82:
+				// CompleteL1Line and a forwarded downgrade clear W in place.
+				if idx.Peek(a) != nil {
+					idx.Peek(a).W = false
+					ref.Peek(a).W = false
+				}
+			case op < 86:
+				if idx.Peek(a) != nil {
+					idx.Peek(a).Reset()
+					ref.Peek(a).Reset()
+				}
+			case op < 89:
+				idx.Invalidate(a)
+				ref.Invalidate(a)
+			case op < 90:
+				idx.Clear()
+				ref.Clear()
+			default:
+				f := sweeps[rng.Intn(len(sweeps))]
+				var got, want []int
+				idx.ForEachTx(func(l *Line) {
+					got = append(got, wayOf(idx, l))
+					f(l)
+				})
+				ref.ForEach(func(l *Line) {
+					if l.R || l.W {
+						want = append(want, wayOf(ref, l))
+						f(l)
+					}
+				})
+				if len(got) != len(want) {
+					t.Fatalf("round %d step %d: ForEachTx visited %d lines, ForEach %d", round, step, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("round %d step %d: visit %d is way %d, want way %d", round, step, i, got[i], want[i])
+					}
+				}
+			}
+			for i := range idx.slab {
+				if idx.slab[i] != ref.slab[i] {
+					t.Fatalf("round %d step %d: way %d differs: %+v vs %+v", round, step, i, idx.slab[i], ref.slab[i])
+				}
+			}
+			checkTxIndex(t, idx, step)
+		}
+	}
+}
+
+// TestForEachTxUnmarksCleanSets checks that a sweep drops the marks of sets
+// left without transactional lines, keeps the others, and that Clear empties
+// the index.
+func TestForEachTxUnmarksCleanSets(t *testing.T) {
+	c := newSmall()
+	r := c.PlaceAt(c.Victim(0x40), 0x40, Shared, memdev.Line{})
+	w := c.PlaceAt(c.Victim(0x80), 0x80, Modified, memdev.Line{})
+	c.MarkRead(r)
+	c.MarkWrite(w)
+	c.ForEachTx(func(l *Line) { l.R = false }) // DHTM commit: W survives
+	if c.txSets[0] != 1<<c.setIndex(0x80) {
+		t.Fatalf("index after commit sweep = %b, want only the write line's set", c.txSets[0])
+	}
+	c.MarkRead(r)
+	c.Clear()
+	if c.txSets[0] != 0 {
+		t.Fatalf("index after Clear = %b, want empty", c.txSets[0])
+	}
+	n := 0
+	c.ForEachTx(func(*Line) { n++ })
+	if n != 0 {
+		t.Fatalf("ForEachTx visited %d lines after Clear", n)
+	}
+}
+
+// TestTxIndexZeroAlloc pins the marking and sweeping hot path at zero
+// allocations, with a capturing callback shaped like DHTM's commit.
+func TestTxIndexZeroAlloc(t *testing.T) {
+	c := New(32*1024, 4, 64)
+	var lines []*Line
+	for i := 0; i < 8; i++ {
+		a := uint64(i) * 4096
+		lines = append(lines, c.PlaceAt(c.Victim(a), a, Modified, memdev.Line{}))
+	}
+	pending := make([]uint64, 0, len(lines))
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, l := range lines {
+			c.MarkWrite(l)
+		}
+		pending = pending[:0]
+		c.ForEachTx(func(l *Line) {
+			if l.W {
+				pending = append(pending, l.Addr)
+			}
+			l.W = false
+		})
+	})
+	if allocs != 0 || len(pending) != len(lines) {
+		t.Fatalf("MarkWrite+ForEachTx: %v allocs, %d lines collected; want 0 allocs, %d lines", allocs, len(pending), len(lines))
+	}
+}
+
+// TestNewRejectsNonPowerOfTwo checks the geometry precondition setIndex
+// relies on.
+func TestNewRejectsNonPowerOfTwo(t *testing.T) {
+	for _, g := range [][3]int{
+		{3 * 4 * 64, 4, 64}, // 3 sets
+		{4 * 4 * 96, 4, 96}, // 96-byte lines
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d, %d) did not panic", g[0], g[1], g[2])
+				}
+			}()
+			New(g[0], g[1], g[2])
+		}()
+	}
+}
+
+// BenchmarkL1AbortSweep measures an abort's L1 cleanup on the paper's L1
+// geometry (32 KB, 4 ways) with a few marked lines: "index" is the
+// transactional sweep, "full" the all-ways sweep it replaced.
+func BenchmarkL1AbortSweep(b *testing.B) {
+	c := New(32*1024, 4, 64)
+	var lines []*Line
+	for i := 0; i < 16; i++ {
+		a := uint64(i) * 64 * 7
+		lines = append(lines, c.PlaceAt(c.Victim(a), a, Modified, memdev.Line{}))
+	}
+	mark := func() {
+		for i, l := range lines {
+			if i%2 == 0 {
+				c.MarkRead(l)
+			} else {
+				c.MarkWrite(l)
+			}
+		}
+	}
+	// The lines stay resident so every iteration sweeps the same state.
+	clearBits := func(l *Line) { l.R, l.W = false, false }
+	b.Run("index", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mark()
+			c.ForEachTx(clearBits)
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mark()
+			c.ForEach(clearBits)
+		}
+	})
+}
+
+// BenchmarkCachePeek measures lookups on the paper's LLC geometry (8 MB,
+// 16 ways), half hits and half misses.
+func BenchmarkCachePeek(b *testing.B) {
+	c := New(8*1024*1024, 16, 64)
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		a := uint64(rng.Intn(1<<20)) * 64
+		if i%2 == 0 {
+			c.PlaceAt(c.Victim(a), a, Shared, memdev.Line{})
+		}
+		addrs[i] = a
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		peekSink = c.Peek(addrs[i%len(addrs)])
+	}
+}
+
+// peekSink keeps BenchmarkCachePeek's lookups from being optimised away.
+var peekSink *Line

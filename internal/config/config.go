@@ -119,23 +119,27 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: NumCores must be positive, got %d", c.NumCores)
 	case c.CPUFreqGHz <= 0:
 		return fmt.Errorf("config: CPUFreqGHz must be positive, got %g", c.CPUFreqGHz)
-	case c.LineSize <= 0 || c.LineSize%8 != 0:
-		return fmt.Errorf("config: LineSize must be a positive multiple of 8, got %d", c.LineSize)
+	case !isPow2(c.LineSize) || c.LineSize < 8:
+		return fmt.Errorf("config: LineSize must be a power of two and a multiple of 8, got %d", c.LineSize)
 	case c.L1Size <= 0 || c.L1Ways <= 0:
 		return fmt.Errorf("config: invalid L1 geometry %d bytes / %d ways", c.L1Size, c.L1Ways)
 	case c.L1Size%(c.LineSize*c.L1Ways) != 0:
 		return fmt.Errorf("config: L1Size %d not divisible by LineSize*Ways", c.L1Size)
+	case !isPow2(c.L1Sets()):
+		return fmt.Errorf("config: L1 set count must be a power of two, got %d", c.L1Sets())
 	case c.LLCSize <= 0 || c.LLCWays <= 0:
 		return fmt.Errorf("config: invalid LLC geometry %d bytes / %d ways", c.LLCSize, c.LLCWays)
 	case c.LLCSize%(c.LineSize*c.LLCWays) != 0:
 		return fmt.Errorf("config: LLCSize %d not divisible by LineSize*Ways", c.LLCSize)
+	case !isPow2(c.LLCSets()):
+		return fmt.Errorf("config: LLC set count must be a power of two, got %d", c.LLCSets())
 	case c.MemBandwidthGBs <= 0:
 		return fmt.Errorf("config: MemBandwidthGBs must be positive, got %g", c.MemBandwidthGBs)
 	case c.BandwidthScale <= 0:
 		return fmt.Errorf("config: BandwidthScale must be positive, got %g", c.BandwidthScale)
 	case c.LogBufferEntries <= 0:
 		return fmt.Errorf("config: LogBufferEntries must be positive, got %d", c.LogBufferEntries)
-	case c.ReadSignatureBits <= 0 || c.ReadSignatureBits&(c.ReadSignatureBits-1) != 0:
+	case !isPow2(c.ReadSignatureBits):
 		return fmt.Errorf("config: ReadSignatureBits must be a positive power of two, got %d", c.ReadSignatureBits)
 	case c.LogBytesPerThread <= 0:
 		return fmt.Errorf("config: LogBytesPerThread must be positive, got %d", c.LogBytesPerThread)
@@ -149,6 +153,10 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// isPow2 reports whether n is a positive power of two. The caches index sets
+// with a shift and a mask, so line size and set counts must qualify.
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // WordsPerLine returns the number of 8-byte words per cache line.
 func (c Config) WordsPerLine() int { return c.LineSize / 8 }

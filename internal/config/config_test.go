@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestDefaultIsValid checks the paper's configuration validates.
 func TestDefaultIsValid(t *testing.T) {
@@ -26,6 +29,29 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid configuration accepted", i)
 		}
+	}
+}
+
+// TestValidateRequiresPowerOfTwoGeometry checks that the line size and both
+// set counts must be powers of two (the caches index sets with a shift and a
+// mask), while the associativity need not be.
+func TestValidateRequiresPowerOfTwoGeometry(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"96-byte lines":    func(c *Config) { c.LineSize, c.L1Size, c.LLCSize = 96, 96*4*128, 96*16*8192 },
+		"96 L1 sets":       func(c *Config) { c.L1Size = 96 * 64 * 4 },
+		"12288 LLC sets":   func(c *Config) { c.LLCSize = 12 * 1024 * 1024 },
+		"6-way, 3 L1 sets": func(c *Config) { c.L1Size, c.L1Ways = 3*64*6, 6 },
+	} {
+		cfg := Default()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("%s: Validate() = %v, want a power-of-two error", name, err)
+		}
+	}
+	cfg := Default()
+	cfg.L1Size, cfg.L1Ways = 3*64*128, 3 // 3 ways, 128 sets
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("3-way L1 with 128 sets rejected: %v", err)
 	}
 }
 

@@ -356,22 +356,24 @@ func (d *DHTM) commit(core int, c txn.Clock) bool {
 	}
 
 	// Flash-clear the read bits and the read-set overflow signature; write
-	// bits are cleared lazily as the completion phase writes lines back.
-	d.h.L1(core).ForEach(func(l *cache.Line) { l.R = false })
-	cs.ctx.Sig.Clear()
-	cs.ctx.State = htm.Committed
-
-	// Record which lines the completion phase must write back in place and
-	// reserve their memory-channel time now: the hardware starts issuing the
-	// write-backs at the commit point, in the background, so they overlap with
-	// the non-transactional code that follows the transaction. The functional
-	// effect is applied when the completion phase ends (completePrevious).
+	// bits are cleared lazily as the completion phase writes lines back. The
+	// same pass records which lines the completion phase must write back in
+	// place.
 	cs.pendingWB = cs.pendingWB[:0]
-	d.h.L1(core).ForEach(func(l *cache.Line) {
+	d.h.L1(core).ForEachTx(func(l *cache.Line) {
+		l.R = false
 		if l.W {
 			cs.pendingWB = append(cs.pendingWB, l.Addr)
 		}
 	})
+	cs.ctx.Sig.Clear()
+	cs.ctx.State = htm.Committed
+
+	// Reserve the write-backs' memory-channel time now: the hardware starts
+	// issuing them at the commit point, in the background, so they overlap
+	// with the non-transactional code that follows the transaction. The
+	// functional effect is applied when the completion phase ends
+	// (completePrevious).
 	cs.pendingWB = append(cs.pendingWB, cs.overflowed.Keys()...)
 	completionAt := commitAt
 	if !d.opt.InstantPersist {
@@ -543,7 +545,7 @@ func (d *DHTM) abortCleanup(core int, reason stats.AbortReason, at uint64) {
 	}
 
 	// Invalidate the speculative write set in the L1 and clear read bits.
-	d.h.L1(core).ForEach(func(l *cache.Line) {
+	d.h.L1(core).ForEachTx(func(l *cache.Line) {
 		if l.W {
 			addr := l.Addr
 			l.Reset()
@@ -726,7 +728,7 @@ func (d *DHTM) OnOwnerReread(core int, addr uint64, line *cache.Line, _ uint64) 
 		return
 	}
 	if cs.overflowed.Contains(la) {
-		line.W = true
+		d.h.L1(core).MarkWrite(line)
 	}
 }
 

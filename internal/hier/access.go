@@ -18,7 +18,7 @@ func (h *Hierarchy) Load(core int, addr uint64, at uint64, tx bool) (uint64, Res
 	if line := l1.Lookup(la); line != nil {
 		cs.L1Hits++
 		if tx {
-			line.R = true
+			l1.MarkRead(line)
 		}
 		return line.Data[h.wordIdx(addr)], Result{Done: at + h.cfg.L1Latency, Level: 1}
 	}
@@ -29,7 +29,7 @@ func (h *Hierarchy) Load(core int, addr uint64, at uint64, tx bool) (uint64, Res
 		return 0, res
 	}
 	if tx {
-		line.R = true
+		l1.MarkRead(line)
 	}
 	return line.Data[h.wordIdx(addr)], res
 }
@@ -55,7 +55,7 @@ func (h *Hierarchy) Store(core int, addr uint64, val uint64, at uint64, tx bool)
 			line.Data[h.wordIdx(addr)] = val
 			line.Dirty = true
 			if tx {
-				line.W = true
+				l1.MarkWrite(line)
 			}
 			return Result{Done: at + h.cfg.L1Latency, Level: 1}
 		}
@@ -81,7 +81,7 @@ func (h *Hierarchy) Store(core int, addr uint64, val uint64, at uint64, tx bool)
 		line.Data[h.wordIdx(addr)] = val
 		line.Dirty = true
 		if tx {
-			line.W = true
+			l1.MarkWrite(line)
 		}
 		return Result{Done: invDone, Level: 2}
 	}
@@ -100,7 +100,7 @@ func (h *Hierarchy) storeMiss(core int, addr uint64, val uint64, at uint64, tx b
 	line.Data[h.wordIdx(addr)] = val
 	line.Dirty = true
 	if tx {
-		line.W = true
+		h.l1s[core].MarkWrite(line)
 	}
 	return res
 }

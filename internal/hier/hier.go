@@ -191,8 +191,9 @@ func (h *Hierarchy) Config() config.Config { return h.cfg }
 // Controller returns the persistent-memory controller.
 func (h *Hierarchy) Controller() *memdev.Controller { return h.ctl }
 
-// L1 returns core's private L1 cache (designs iterate it during commit and
-// abort processing, exactly as the L1 cache controller does in hardware).
+// L1 returns core's private L1 cache. Designs flash-clear its transactional
+// bits at commit and abort with ForEachTx, and mark a re-read overflowed line
+// with MarkWrite; the hierarchy sets the bits on transactional accesses.
 func (h *Hierarchy) L1(core int) *cache.Cache { return h.l1s[core] }
 
 // LLC returns the shared last-level cache.
@@ -216,8 +217,7 @@ func (h *Hierarchy) Crash() {
 // work.
 func (h *Hierarchy) DrainClean() {
 	// L1 dirty lines propagate to the LLC first, then the LLC flushes.
-	for core, l1 := range h.l1s {
-		_ = core
+	for _, l1 := range h.l1s {
 		l1.ForEach(func(l *cache.Line) {
 			if l.Dirty {
 				h.copyToLLC(l)
