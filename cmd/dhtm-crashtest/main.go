@@ -174,7 +174,7 @@ func main() {
 		}
 	}
 
-	// The fleet-level half of the differential oracle: designs that explored
+	// The cross-design half of the differential oracle: designs that explored
 	// the same committed sequences must agree on the recovered heap.
 	if err := crashtest.CrossCheck(reports); err != nil {
 		failed = true

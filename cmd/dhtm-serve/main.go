@@ -26,21 +26,8 @@
 // cells simulated (watch "cached" climb in /api/v1/jobs/{id} and the store
 // hit counters in /api/v1/store).
 //
-// # Distributed campaigns
-//
-// One campaign can shard across many machines (see the README's
-// "Distributed campaigns" section):
-//
-//	dhtm-serve -fleet -addr :8080 -store results/     # coordinator
-//	dhtm-serve -worker -coordinator http://host:8080  # as many workers as you like
-//
-// A -fleet coordinator accepts the same jobs on the same API, but dispatches
-// their cells in batches to registered workers instead of simulating
-// locally; workers read and write cell results through the coordinator's
-// store, so re-dispatched batches never re-simulate. SIGTERM drains both
-// sides gracefully: a worker finishes its in-flight cells, returns the rest
-// and deregisters; the coordinator stops accepting jobs and lets the running
-// ones finish (a second signal forces immediate shutdown).
+// SIGTERM drains gracefully: the server stops accepting jobs and lets the
+// running ones finish (a second signal forces immediate shutdown).
 package main
 
 import (
@@ -55,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"dhtm/internal/fleet"
 	"dhtm/internal/obs"
 	"dhtm/internal/resultstore"
 	"dhtm/internal/serve"
@@ -65,20 +51,11 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	storeDir := flag.String("store", "", "result-store directory (empty = in-memory only; results do not survive a restart)")
 	workers := flag.Int("workers", 2, "jobs executing concurrently; queued jobs wait in submission order")
-	parallel := flag.Int("parallel", 0, "per-job cell worker-pool cap (0 = GOMAXPROCS); in -worker mode, the batch cell pool size")
+	parallel := flag.Int("parallel", 0, "per-job cell worker-pool cap (0 = GOMAXPROCS)")
 	memEntries := flag.Int("mem", 0, "in-memory LRU capacity in results (0 = default 4096, negative = disabled)")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of logfmt-style text")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes heap contents; trusted listeners only)")
 	traceInterval := flag.Uint64("trace-interval", 0, "record cycle-domain probes for every simulated cell, sampling every N simulated cycles (0 = tracing off); traces are served from /api/v1/jobs/{id}/cells/{key}/trace")
-
-	fleetMode := flag.Bool("fleet", false, "coordinate a worker fleet: dispatch job cells to -worker processes instead of simulating locally")
-	workerMode := flag.Bool("worker", false, "join a fleet as a worker: pull cell batches from -coordinator and simulate them")
-	coordinator := flag.String("coordinator", "", "coordinator base URL for -worker mode (e.g. http://host:8080)")
-	name := flag.String("name", "", "worker name shown in fleet status and per-worker metrics (default: the assigned worker ID)")
-	batch := flag.Int("batch", 8, "cells per dispatched batch in -fleet mode")
-	leaseTTL := flag.Duration("lease-ttl", 60*time.Second, "batch deadline in -fleet mode; incomplete batches are re-dispatched after it")
-	heartbeat := flag.Duration("heartbeat", 5*time.Second, "worker heartbeat interval in -fleet mode; a worker silent for three intervals is declared dead")
-	poll := flag.Duration("poll", 500*time.Millisecond, "idle poll interval between leases in -worker mode")
 	flag.Parse()
 
 	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
@@ -87,17 +64,6 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	if *workerMode {
-		if *fleetMode {
-			fail("-worker and -fleet are mutually exclusive")
-		}
-		if *coordinator == "" {
-			fail("-worker needs -coordinator URL")
-		}
-		runWorker(logger, *coordinator, *name, *parallel, *memEntries, *poll)
-		return
-	}
-
 	// Everything reports into the process-wide obs.Default plane — the store
 	// opened here, the runner/snapshot/crashtest layers at package init, and
 	// the server's own families — so GET /metrics is one coherent view.
@@ -105,21 +71,10 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	var coord *fleet.Coordinator
-	if *fleetMode {
-		coord, err = fleet.NewCoordinator(fleet.CoordinatorConfig{
-			Store: store, BatchSize: *batch, LeaseTTL: *leaseTTL, Heartbeat: *heartbeat,
-			Registry: obs.Default, Logger: logger,
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		defer coord.Close()
-	}
 	srv, err := serve.New(serve.Config{
 		Store: store, Workers: *workers, CellParallel: *parallel,
 		Registry: obs.Default, Logger: logger, Pprof: *withPprof,
-		TraceInterval: *traceInterval, Fleet: coord,
+		TraceInterval: *traceInterval,
 	})
 	if err != nil {
 		fail("%v", err)
@@ -133,12 +88,8 @@ func main() {
 	if where == "" {
 		where = "(memory only)"
 	}
-	mode := ""
-	if *fleetMode {
-		mode = ", coordinating a fleet"
-	}
-	fmt.Fprintf(os.Stderr, "dhtm-serve: listening on %s, store %s, %d job workers%s; dashboard at /, metrics at /metrics\n",
-		*addr, where, *workers, mode)
+	fmt.Fprintf(os.Stderr, "dhtm-serve: listening on %s, store %s, %d job workers; dashboard at /, metrics at /metrics\n",
+		*addr, where, *workers)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -173,28 +124,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dhtm-serve: store served %d hits (%d mem, %d disk), simulated %d cells, shared %d in-flight\n",
 			m.Hits(), m.MemHits, m.DiskHits, m.Computes, m.Shared)
 	}
-}
-
-// runWorker is -worker mode: one process pulling batches from a coordinator
-// until SIGTERM, which finishes in-flight cells, returns the rest of the
-// batch, and deregisters before exiting.
-func runWorker(logger *slog.Logger, coordinator, name string, parallel, memEntries int, poll time.Duration) {
-	w, err := fleet.NewWorker(fleet.WorkerConfig{
-		Coordinator: coordinator, Name: name, Parallel: parallel,
-		MemEntries: memEntries, Poll: poll,
-		Registry: obs.Default, Logger: logger,
-	})
-	if err != nil {
-		fail("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "dhtm-serve: worker pulling from %s\n", coordinator)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := w.Run(ctx); err != nil {
-		fail("%v", err)
-	}
-	m := w.Store().Metrics()
-	fmt.Fprintf(os.Stderr, "dhtm-serve: worker done; simulated %d cells, %d remote hits\n", m.Computes, m.DiskHits)
 }
 
 func fail(format string, args ...any) {

@@ -160,7 +160,7 @@ func heapDigest(st *memdev.Store) uint64 {
 
 // CrossCheck compares differential reports across designs: runs that share a
 // workload shape and run seed must produce the same recovered heap digest for
-// every committed sequence they both observed. It is the fleet-level half of
+// every committed sequence they both observed. It is the cross-design half of
 // the differential oracle — the per-point replay check catches a design
 // diverging from ground truth; this catches two designs diverging from each
 // other even if both sweeps were sampled at different points.

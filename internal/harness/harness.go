@@ -125,11 +125,6 @@ type Options struct {
 	// probe.Config); computed cells carry their Timeline in the result set,
 	// cache hits never do. The zero value keeps tracing off.
 	Trace probe.Config
-	// Dispatch, when non-nil, replaces the local cell runner: the grid's
-	// plan is handed to it whole instead of runner.Run. The fleet
-	// coordinator plugs in here to shard experiment grids across workers;
-	// Store and Trace are then the dispatcher's concern and ignored locally.
-	Dispatch func(ctx context.Context, plan runner.Plan, opts runner.Options) (*runner.ResultSet, error)
 }
 
 // runnerOptions translates experiment options into sweep options.
@@ -275,16 +270,8 @@ func (e Experiment) Run(ctx context.Context, o Options) (*Table, error) {
 // returned error covers plan-level problems only.
 func (e Experiment) RunGrid(ctx context.Context, o Options) (*runner.ResultSet, error) {
 	plan := e.Plan(o)
-	var (
-		rs  *runner.ResultSet
-		err error
-	)
-	if o.Dispatch != nil {
-		rs, err = o.Dispatch(ctx, plan, o.runnerOptions())
-	} else {
-		plan.Store = o.Store
-		rs, err = runner.Run(ctx, plan, ExecuteWith(o.Trace), o.runnerOptions())
-	}
+	plan.Store = o.Store
+	rs, err := runner.Run(ctx, plan, ExecuteWith(o.Trace), o.runnerOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}

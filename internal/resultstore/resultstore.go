@@ -7,26 +7,27 @@
 // The store has three layers:
 //
 //   - an in-memory LRU front that answers repeated lookups within a process
-//     without touching the durable tier;
-//   - a pluggable durable Backend — by default a sharded directory tree of
-//     versioned JSON records, written via temp-file + atomic rename so a
-//     crashed writer can never leave a half-record under a live name, and
-//     read corruption-tolerantly: an unparsable, version-skewed or
-//     key-mismatched record is a miss, never an error. An HTTPBackend
-//     substitutes a remote store served by a fleet coordinator with exactly
-//     the same semantics (see backend.go and remote.go);
+//     without touching disk;
+//   - a sharded directory tree of versioned JSON records, written via
+//     temp-file + atomic rename so a crashed writer can never leave a
+//     half-record under a live name, and read corruption-tolerantly — an
+//     unparsable, version-skewed or key-mismatched record is a miss, never an
+//     error;
 //   - an in-flight table (singleflight) so concurrent requests for the same
 //     key compute it exactly once and share the result.
 //
-// A Store with an empty directory (and no backend) is memory-only: the LRU
-// and singleflight still work, nothing persists.
+// A Store with an empty directory is memory-only: the LRU and singleflight
+// still work, nothing persists.
 package resultstore
 
 import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -70,9 +71,7 @@ type record struct {
 // Metrics are the store's monotone counters. All counters are totals since
 // Open; Lookups = MemHits + DiskHits + Misses.
 type Metrics struct {
-	// MemHits answered from the LRU; DiskHits from a valid record of the
-	// durable backend (the JSON field name predates the pluggable backend —
-	// for a remote-backed store these are remote hits).
+	// MemHits answered from the LRU; DiskHits from a valid on-disk record.
 	MemHits  uint64 `json:"mem_hits"`
 	DiskHits uint64 `json:"disk_hits"`
 	// Misses found nothing usable (first-time keys and corrupt records).
@@ -117,7 +116,7 @@ const DefaultMemEntries = 4096
 
 // Store is safe for concurrent use by any number of goroutines.
 type Store struct {
-	backend Backend // nil for memory-only stores
+	dir string // "" for memory-only stores
 
 	mu     sync.Mutex
 	lru    *lruCache
@@ -126,11 +125,10 @@ type Store struct {
 	// Counters live in an obs registry (private unless Options.Registry was
 	// set); Metrics() and the JSON store endpoint read the same handles the
 	// hot path increments, so there is exactly one set of numbers. The
-	// backend-facing series (hits, misses, read/write latency) carry a
-	// tier label naming the backend — "disk" or "remote" — so a process
-	// fronting a remote store is distinguishable on /metrics.
+	// tier-facing series (hits, misses, read/write latency) carry a tier
+	// label: "disk", or "mem" for the misses of a memory-only store.
 	memHits      *obs.Counter
-	backendHits  *obs.Counter
+	diskHits     *obs.Counter
 	misses       *obs.Counter
 	corrupt      *obs.Counter
 	computes     *obs.Counter
@@ -153,42 +151,23 @@ type call struct {
 // eagerly so permission problems surface at startup, not mid-campaign. An
 // empty dir opens a memory-only store.
 func Open(dir string, opts Options) (*Store, error) {
-	if dir == "" {
-		return OpenWith(nil, opts)
-	}
-	b, err := NewDirBackend(dir)
-	if err != nil {
-		return nil, err
-	}
-	return OpenWith(b, opts)
-}
-
-// OpenWith returns a store layered over an explicit durable backend — a
-// DirBackend, an HTTPBackend fronting a fleet coordinator, or nil for a
-// memory-only store. The LRU front, the singleflight table and the metrics
-// behave identically for every backend.
-func OpenWith(backend Backend, opts Options) (*Store, error) {
-	s := &Store{backend: backend, flight: make(map[string]*call)}
+	s := &Store{dir: dir, flight: make(map[string]*call)}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	// The durable-tier label: "disk" / "remote" from the backend, "mem" for
-	// memory-only stores (every miss of those stops at the LRU).
-	tier := "mem"
-	if backend != nil {
-		tier = backend.Tier()
+	// The deepest tier a lookup consults: "disk", or "mem" for memory-only
+	// stores (every miss of those stops at the LRU).
+	tier := "disk"
+	if dir == "" {
+		tier = "mem"
 	}
 	s.memHits = reg.Counter("dhtm_resultstore_hits_total",
 		"Result-store lookups answered without computing, by cache tier.", obs.L("tier", "mem"))
-	backendTier := tier
-	if backend == nil {
-		// Keep the historical "disk" series alive for memory-only stores so
-		// Metrics() and dashboards read zeros rather than a missing family.
-		backendTier = "disk"
-	}
-	s.backendHits = reg.Counter("dhtm_resultstore_hits_total",
-		"Result-store lookups answered without computing, by cache tier.", obs.L("tier", backendTier))
+	// The "disk" hit series stays alive for memory-only stores so Metrics()
+	// and dashboards read zeros rather than a missing family.
+	s.diskHits = reg.Counter("dhtm_resultstore_hits_total",
+		"Result-store lookups answered without computing, by cache tier.", obs.L("tier", "disk"))
 	s.misses = reg.Counter("dhtm_resultstore_misses_total",
 		"Result-store lookups that found nothing usable, by the deepest tier consulted.", obs.L("tier", tier))
 	s.corrupt = reg.Counter("dhtm_resultstore_corrupt_total",
@@ -201,7 +180,7 @@ func OpenWith(backend Backend, opts Options) (*Store, error) {
 		"Result records durably persisted.")
 	s.writeErrs = reg.Counter("dhtm_resultstore_write_errors_total",
 		"Result records that computed fine but failed to persist.")
-	if backend != nil {
+	if dir != "" {
 		s.readSeconds = reg.Histogram("dhtm_resultstore_read_seconds",
 			"Latency of reading and validating one backend result record, by tier.", obs.IOBuckets, obs.L("tier", tier))
 		s.writeSeconds = reg.Histogram("dhtm_resultstore_write_seconds",
@@ -213,17 +192,23 @@ func OpenWith(backend Backend, opts Options) (*Store, error) {
 	case opts.MemEntries > 0:
 		s.lru = newLRU(opts.MemEntries)
 	}
+	if dir != "" {
+		if err := os.MkdirAll(filepath.Join(dir, versionDir()), 0o755); err != nil {
+			return nil, fmt.Errorf("resultstore: opening %s: %w", dir, err)
+		}
+	}
 	return s, nil
 }
 
-// Dir returns the durable backend's location — the root directory of a
-// directory-backed store, the coordinator URL of a remote-backed one, "" for
-// memory-only stores.
-func (s *Store) Dir() string {
-	if s.backend == nil {
-		return ""
-	}
-	return s.backend.Location()
+// Dir returns the store's root directory ("" for memory-only stores).
+func (s *Store) Dir() string { return s.dir }
+
+func versionDir() string { return fmt.Sprintf("v%d", FormatVersion) }
+
+// path shards records two hex digits deep, keeping directories small even
+// for millions of records.
+func (s *Store) path(hash string) string {
+	return filepath.Join(s.dir, versionDir(), hash[:2], hash+".json")
 }
 
 // Metrics returns a snapshot of the counters. The values are read from the
@@ -231,7 +216,7 @@ func (s *Store) Dir() string {
 func (s *Store) Metrics() Metrics {
 	return Metrics{
 		MemHits:     s.memHits.Value(),
-		DiskHits:    s.backendHits.Value(),
+		DiskHits:    s.diskHits.Value(),
 		Misses:      s.misses.Value(),
 		Corrupt:     s.corrupt.Value(),
 		Computes:    s.computes.Value(),
@@ -250,8 +235,8 @@ func (s *Store) Get(k Key) (workloads.RunResult, bool) {
 		s.memHits.Add(1)
 		return res, true
 	}
-	if res, ok := s.backendGet(k); ok {
-		s.backendHits.Add(1)
+	if res, ok := s.diskGet(h, k); ok {
+		s.diskHits.Add(1)
 		s.memPut(h, res)
 		return detach(res), true
 	}
@@ -260,15 +245,15 @@ func (s *Store) Get(k Key) (workloads.RunResult, bool) {
 }
 
 // Put persists the result for k: into the LRU immediately, and — when the
-// store has a durable backend — as a backend record.
+// store is disk-backed — as an atomically renamed record.
 func (s *Store) Put(k Key, res workloads.RunResult) error {
 	res = detach(res)
 	h := k.hash()
 	s.memPut(h, res)
-	if s.backend == nil {
+	if s.dir == "" {
 		return nil
 	}
-	return s.backendPut(k, res)
+	return s.diskPut(h, k, res)
 }
 
 // GetOrCompute returns the result for k, computing and persisting it on a
@@ -322,15 +307,14 @@ func (s *Store) GetOrCompute(k Key, compute func() (workloads.RunResult, error))
 }
 
 // fill resolves a flight-leader's lookup: re-check memory (a Put may have
-// raced ahead of the flight entry), then the backend, then compute and
-// persist.
+// raced ahead of the flight entry), then disk, then compute and persist.
 func (s *Store) fill(h string, k Key, compute func() (workloads.RunResult, error)) (workloads.RunResult, bool, error) {
 	if res, ok := s.memGet(h); ok {
 		s.memHits.Add(1)
 		return res, true, nil
 	}
-	if res, ok := s.backendGet(k); ok {
-		s.backendHits.Add(1)
+	if res, ok := s.diskGet(h, k); ok {
+		s.diskHits.Add(1)
 		s.memPut(h, res)
 		return res, true, nil
 	}
@@ -342,50 +326,82 @@ func (s *Store) fill(h string, k Key, compute func() (workloads.RunResult, error
 	}
 	res = detach(res)
 	s.memPut(h, res)
-	if s.backend != nil {
-		// A persist failure (disk full, coordinator unreachable mid-campaign)
-		// must not discard a simulation that succeeded: serve the result, keep
-		// it in memory, and surface the sick tier through WriteErrors.
+	if s.dir != "" {
+		// A persist failure (disk full, permissions yanked mid-campaign) must
+		// not discard a simulation that succeeded: serve the result, keep it
+		// in memory, and surface the sick disk through WriteErrors.
 		wstart := time.Now()
-		s.backendPut(k, res)
+		s.diskPut(h, k, res)
 		res.Phases.Add(obs.PhaseStoreWrite, time.Since(wstart))
 	}
 	return res, false, nil
 }
 
-// backendGet reads through the durable backend, folding its outcome into the
-// store's tiered metrics. A corrupt record counts as a miss, never an error.
-func (s *Store) backendGet(k Key) (workloads.RunResult, bool) {
-	if s.backend == nil {
+// diskGet reads and validates the record for hash h. Every failure mode —
+// unreadable file, bad JSON, version skew, key mismatch — is a miss counted
+// as corrupt, never an error; only a missing file is a silent miss.
+func (s *Store) diskGet(h string, k Key) (workloads.RunResult, bool) {
+	if s.dir == "" {
 		return workloads.RunResult{}, false
 	}
 	start := time.Now()
-	res, out := s.backend.Get(k)
-	switch out {
-	case OutcomeHit:
-		s.readSeconds.ObserveSince(start)
-		return res, true
-	case OutcomeCorrupt:
-		// Rejected records are observed too — a tier serving garbage slowly is
-		// two problems, and both should show. Clean misses are not record
-		// reads; don't let cold-sweep lookups dominate the latency histogram.
-		s.readSeconds.ObserveSince(start)
-		s.corrupt.Add(1)
+	raw, err := os.ReadFile(s.path(h))
+	if os.IsNotExist(err) {
+		// A missing file is not a record read; don't let cold-sweep lookups
+		// dominate the read-latency histogram.
+		return workloads.RunResult{}, false
 	}
-	return workloads.RunResult{}, false
+	// Rejected records are observed too — a disk serving garbage slowly is
+	// two problems, and both should show.
+	defer s.readSeconds.ObserveSince(start)
+	var rec record
+	if err != nil || json.Unmarshal(raw, &rec) != nil || rec.Version != FormatVersion || rec.Key != k {
+		s.corrupt.Add(1)
+		return workloads.RunResult{}, false
+	}
+	return rec.Result, true
 }
 
-// backendPut persists one record through the backend, keeping the write
-// counters and latency histogram in the store so every backend is accounted
-// identically.
-func (s *Store) backendPut(k Key, res workloads.RunResult) error {
+// diskPut persists one record, counting the write or its failure.
+func (s *Store) diskPut(h string, k Key, res workloads.RunResult) error {
 	start := time.Now()
-	if err := s.backend.Put(k, res); err != nil {
+	if err := writeRecord(s.path(h), k, res); err != nil {
 		s.writeErrs.Add(1)
 		return err
 	}
 	s.writes.Add(1)
 	s.writeSeconds.ObserveSince(start)
+	return nil
+}
+
+// writeRecord writes the record under a temporary name in its final
+// directory and renames it into place, so readers only ever observe complete
+// records.
+func writeRecord(path string, k Key, res workloads.RunResult) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("resultstore: %w", err)
+	}
+	raw, err := json.MarshalIndent(record{Version: FormatVersion, Key: k, Result: res}, "", "  ")
+	if err != nil {
+		return fmt.Errorf("resultstore: encoding record: %w", err)
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return fmt.Errorf("resultstore: %w", err)
+	}
+	if _, err := tmp.Write(append(raw, '\n')); err == nil {
+		err = tmp.Close()
+	} else {
+		tmp.Close()
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("resultstore: writing record: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("resultstore: %w", err)
+	}
 	return nil
 }
 

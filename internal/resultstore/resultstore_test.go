@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dhtm/internal/obs"
 	"dhtm/internal/stats"
 	"dhtm/internal/workloads"
 )
@@ -320,4 +322,68 @@ func TestPersistFailureStillServesResult(t *testing.T) {
 	if got, ok := s.Get(k); !ok || got.Committed != 13 {
 		t.Fatalf("unpersisted result lost from memory: ok=%v %+v", ok, got)
 	}
+}
+
+// TestTierMetricLabels pins the dhtm_resultstore_* series each kind of store
+// exposes: a directory store reports its hits, misses and record latencies
+// under tier="disk"; a memory-only store reports its misses under
+// tier="mem", keeps a zero disk-hit series, and has no latency histograms.
+func TestTierMetricLabels(t *testing.T) {
+	k := Key{Cell: "cell", Seed: 1}
+	exposition := func(t *testing.T, reg *obs.Registry) string {
+		t.Helper()
+		var buf strings.Builder
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	t.Run("disk", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		dir := t.TempDir()
+		s := open(t, dir, Options{Registry: reg})
+		if _, ok := s.Get(k); ok { // miss
+			t.Fatal("unexpected hit on empty store")
+		}
+		if err := s.Put(k, result(7)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := open(t, dir, Options{Registry: reg}).Get(k); !ok { // disk hit
+			t.Fatal("expected disk hit")
+		}
+		text := exposition(t, reg)
+		for _, want := range []string{
+			`dhtm_resultstore_hits_total{tier="disk"} 1`,
+			`dhtm_resultstore_misses_total{tier="disk"} 1`,
+			`dhtm_resultstore_read_seconds_count{tier="disk"} 1`,
+			`dhtm_resultstore_write_seconds_count{tier="disk"} 1`,
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("exposition missing %q\n%s", want, text)
+			}
+		}
+	})
+
+	t.Run("mem", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		s := open(t, "", Options{Registry: reg})
+		if _, ok := s.Get(k); ok {
+			t.Fatal("unexpected hit on empty store")
+		}
+		text := exposition(t, reg)
+		for _, want := range []string{
+			`dhtm_resultstore_misses_total{tier="mem"} 1`,
+			`dhtm_resultstore_hits_total{tier="disk"} 0`,
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("exposition missing %q\n%s", want, text)
+			}
+		}
+		for _, absent := range []string{"dhtm_resultstore_read_seconds", "dhtm_resultstore_write_seconds"} {
+			if strings.Contains(text, absent) {
+				t.Errorf("memory-only store exposes %s\n%s", absent, text)
+			}
+		}
+	})
 }

@@ -442,34 +442,6 @@ func seeded(c Cell, base int64) Cell {
 	return c
 }
 
-// Seeded returns the cell with its derived seed filled in, exactly as Run
-// would fill it. Distributed dispatchers (internal/fleet) seed cells before
-// sending them over the wire so every worker agrees on each cell's identity
-// without knowing the sweep's base seed.
-func Seeded(c Cell, base int64) Cell { return seeded(c, base) }
-
-// NewResultSet assembles a ResultSet from results already in plan order —
-// the merge step of a distributed sweep, where cells were executed elsewhere
-// and the dispatcher re-collates them. len(results) must equal
-// len(plan.Cells); results[i] is taken to be the outcome of plan.Cells[i].
-func NewResultSet(plan Plan, results []Result) (*ResultSet, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if len(results) != len(plan.Cells) {
-		return nil, fmt.Errorf("runner: plan %q has %d cells but %d results", plan.Name, len(plan.Cells), len(results))
-	}
-	rs := &ResultSet{
-		Plan:    plan,
-		Results: results,
-		byID:    make(map[string]int, len(plan.Cells)),
-	}
-	for i, c := range plan.Cells {
-		rs.byID[c.ID] = i
-	}
-	return rs, nil
-}
-
 // execute runs one seeded cell, through the store when one is configured.
 // The result's Stats are always a private snapshot.
 func execute(cell Cell, store *resultstore.Store, exec ExecFunc) (workloads.RunResult, bool, error) {

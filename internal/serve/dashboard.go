@@ -39,8 +39,6 @@ const dashboardHTML = `<!doctype html>
 
 <div class="stats" id="stats"></div>
 
-<div id="fleet"></div>
-
 <h2 style="font-size:1rem">Jobs</h2>
 <table>
   <thead><tr>
@@ -90,35 +88,7 @@ function watch(job) {
   es.onerror = () => { es.close(); streams.delete(job.id); };
 }
 
-let jobs = [], store = null, fleet = null;
-// renderFleet fills the fleet panel; only coordinators (-fleet) serve
-// /api/v1/fleet/status, so the panel stays absent on single-node servers.
-function renderFleet() {
-  const el = document.getElementById("fleet");
-  if (!fleet) { el.innerHTML = ""; return; }
-  const ws = fleet.workers || [];
-  let html = '<h2 style="font-size:1rem">Fleet</h2><div class="stats">' +
-    "<div><b>" + ws.length + "</b>workers</div>" +
-    "<div><b>" + fleet.queue_depth + "</b>queued tasks</div>" +
-    "<div><b>" + fleet.leases + "</b>leased batches</div>" +
-    "<div><b>" + fleet.tasks_done + "</b>tasks done</div>" +
-    "<div><b>" + fleet.tasks_failed + "</b>tasks failed</div>" +
-    "<div><b>" + fleet.requeues + "</b>requeues/steals</div></div>";
-  if (ws.length) {
-    html += "<table><thead><tr><th>worker</th><th>name</th>" +
-      '<th class="num">parallel</th><th class="num">cells</th>' +
-      '<th class="num">batches</th><th class="num">last seen</th></tr></thead><tbody>' +
-      ws.map(w => "<tr><td>" + w.id + "</td><td>" + w.name + "</td>" +
-        '<td class="num">' + w.parallel + '</td><td class="num">' + w.cells + "</td>" +
-        '<td class="num">' + w.batches + '</td><td class="num">' + (w.last_seen_ms / 1000).toFixed(1) + "s ago</td></tr>").join("") +
-      "</tbody></table>";
-  } else {
-    html += '<p class="muted">no workers registered — start some with: dhtm-serve -worker -coordinator ' +
-      location.origin + "</p>";
-  }
-  el.innerHTML = html;
-}
-
+let jobs = [], store = null;
 function render() {
   const tbody = document.getElementById("jobs");
   if (!jobs.length) {
@@ -227,14 +197,11 @@ async function showTraces(id) {
 
 async function refresh() {
   try {
-    const [jr, sr, fr] = await Promise.all([
-      fetch("/api/v1/jobs"), fetch("/api/v1/store"), fetch("/api/v1/fleet/status")]);
+    const [jr, sr] = await Promise.all([fetch("/api/v1/jobs"), fetch("/api/v1/store")]);
     jobs = await jr.json() || [];
     store = await sr.json();
-    fleet = fr.ok ? await fr.json() : null;
   } catch (e) { /* server restarting; keep the last view */ }
   for (const j of jobs) if (j.state === "running" || j.state === "queued") watch(j);
-  renderFleet();
   render();
 }
 refresh();

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"dhtm/internal/crashtest"
-	"dhtm/internal/fleet"
 	"dhtm/internal/harness"
 	"dhtm/internal/obs"
 	"dhtm/internal/probe"
@@ -82,13 +81,6 @@ type Config struct {
 	// cycles. Traces are served per cell from
 	// GET /api/v1/jobs/{id}/cells/{key}/trace; cache hits carry none.
 	TraceInterval uint64
-	// Fleet, when non-nil, turns the server into a campaign coordinator:
-	// jobs dispatch their cell grids and crashtest configs across registered
-	// fleet workers instead of the local runner pool, and the fleet protocol
-	// mounts under /api/v1/fleet. The coordinator must share this server's
-	// Store. Cycle tracing does not cross the wire, so TraceInterval is
-	// ignored for fleet-dispatched cells.
-	Fleet *fleet.Coordinator
 }
 
 // serveMetrics bundles the server's registry handles. All methods are
@@ -251,9 +243,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/tables", s.handleTables)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/cells/{key}/trace", s.handleTrace)
-	if s.cfg.Fleet != nil {
-		mux.Handle(fleet.APIBase+"/", s.cfg.Fleet.Handler())
-	}
 	if s.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -380,7 +369,6 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		"workers":                 s.cfg.Workers,
 		"cell_parallel_cap":       s.cfg.CellParallel,
 		"result_store_dir":        s.cfg.Store.Dir(),
-		"fleet":                   s.cfg.Fleet != nil,
 	})
 }
 
@@ -553,9 +541,6 @@ func (s *Server) runExperiments(job *Job) error {
 		Seed: job.spec.Seed, Parallel: s.parallel(job.spec.Parallel),
 		Store: s.cfg.Store, Trace: s.traceConfig(),
 	}
-	if s.cfg.Fleet != nil {
-		opts.Dispatch = s.cfg.Fleet.RunPlan
-	}
 
 	// Pre-size the cell counter so progress fractions are stable from the
 	// first event.
@@ -600,29 +585,19 @@ func (s *Server) runExperiments(job *Job) error {
 	return nil
 }
 
-// runSweep executes a literal cell plan through the store — locally, or
-// sharded across the fleet when the server coordinates one.
+// runSweep executes a literal cell plan through the store.
 func (s *Server) runSweep(job *Job) error {
 	plan := *job.spec.Plan
+	plan.Store = s.cfg.Store
 	job.mu.Lock()
 	job.cells.Total = len(plan.Cells)
 	job.mu.Unlock()
 
-	opts := runner.Options{
+	rs, err := runner.Run(job.ctx, plan, harness.ExecuteWith(s.traceConfig()), runner.Options{
 		Parallel: s.parallel(job.spec.Parallel),
 		Seed:     job.spec.Seed,
 		Progress: func(ev runner.ProgressEvent) { job.cellDone(plan.Name, ev) },
-	}
-	var (
-		rs  *runner.ResultSet
-		err error
-	)
-	if s.cfg.Fleet != nil {
-		rs, err = s.cfg.Fleet.RunPlan(job.ctx, plan, opts)
-	} else {
-		plan.Store = s.cfg.Store
-		rs, err = runner.Run(job.ctx, plan, harness.ExecuteWith(s.traceConfig()), opts)
-	}
+	})
 	if err != nil {
 		return err
 	}
@@ -650,23 +625,12 @@ func (s *Server) runCrashtest(job *Job) error {
 		// streams on exhaustive explorations; batch like the CLI's progress
 		// log.
 		name := cfg.Design + "/" + cfg.Workload
-		var rep *crashtest.Report
-		var err error
-		if s.cfg.Fleet != nil {
-			// Point-level progress stays on the worker; the job still gets
-			// one event per settled exploration.
-			rep, err = s.cfg.Fleet.Explore(job.ctx, cfg)
-			if rep != nil {
-				job.publish(Event{Type: "point", Experiment: name, Done: rep.Explored, Total: rep.TotalPoints})
+		cfg.Progress = func(done, total int) {
+			if done%64 == 0 || done == total {
+				job.publish(Event{Type: "point", Experiment: name, Done: done, Total: total})
 			}
-		} else {
-			cfg.Progress = func(done, total int) {
-				if done%64 == 0 || done == total {
-					job.publish(Event{Type: "point", Experiment: name, Done: done, Total: total})
-				}
-			}
-			rep, err = crashtest.Explore(job.ctx, cfg)
 		}
+		rep, err := crashtest.Explore(job.ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -678,7 +642,7 @@ func (s *Server) runCrashtest(job *Job) error {
 				name, rep.Failed, rep.Explored, rep.Repro))
 		}
 	}
-	// The fleet-level half of the differential oracle: every design in the
+	// The cross-design half of the differential oracle: every design in the
 	// grid that explored the same committed sequences must have recovered
 	// the same heap.
 	job.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -404,7 +405,7 @@ func TestCrashtestGridJob(t *testing.T) {
 
 // TestCrashtestDifferentialJob runs a reordering-adversary grid with the
 // differential oracle over two designs and checks the job passes the
-// fleet-level cross-check (recovered heaps agree across designs).
+// cross-design half of the oracle (recovered heaps agree across designs).
 func TestCrashtestDifferentialJob(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), 1)
 	adv := crashtest.AdversaryConfig{Window: 1, Mode: "exhaustive"}
@@ -507,5 +508,33 @@ func TestHealthAndStoreEndpoints(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestDrainRejectsNewJobs: a draining server refuses submissions with 503
+// while finishing what it already accepted.
+func TestDrainRejectsNewJobs(t *testing.T) {
+	srv, ts := newTestServer(t, "", 1)
+
+	st := submit(t, ts, quickSweep())
+	srv.Drain() // blocks until the accepted job ran to completion
+
+	body, _ := json.Marshal(quickSweep())
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit while draining: status %d: %s", resp.StatusCode, b)
+	}
+	if !strings.Contains(string(b), "draining") {
+		t.Fatalf("drain rejection body: %s", b)
+	}
+
+	// The job accepted before the drain still finished.
+	if got := getStatus(t, ts, st.ID); got.State != StateDone {
+		t.Fatalf("pre-drain job state = %s (%s)", got.State, got.Error)
 	}
 }

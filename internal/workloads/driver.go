@@ -56,17 +56,6 @@ func (r RunResult) Throughput() float64 {
 // without draining completion work or write-backs — the state crash-recovery
 // tests want to exercise.
 func Run(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, finish bool) (RunResult, error) {
-	return RunInstrumented(env, rt, w, p, txPerCore, finish, nil, nil)
-}
-
-// RunInstrumented is Run with instrumentation hooks: arm runs after workload
-// setup and before the measured run begins (the crash-point explorer installs
-// its persist observer there, so setup writes are not numbered), and stop is
-// polled before each transaction so an instrument that has captured what it
-// needs can end the run early. Either may be nil. Sharing this drive loop
-// with Run is what guarantees instrumented runs replay the exact event
-// sequence of plain runs at equal seeds.
-func RunInstrumented(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, finish bool, arm func(), stop func() bool) (RunResult, error) {
 	p = p.Defaults()
 	if p.Cores != env.Cfg.NumCores {
 		p.Cores = env.Cfg.NumCores
@@ -75,17 +64,25 @@ func RunInstrumented(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCo
 	if err := w.Setup(heap, p); err != nil {
 		return RunResult{}, fmt.Errorf("workloads: setting up %s: %w", w.Name(), err)
 	}
-	return RunPrepared(env, rt, w, p, txPerCore, finish, arm, stop)
+	return RunPrepared(env, rt, w, p, txPerCore, finish, nil, nil)
 }
 
-// RunPrepared is RunInstrumented for an environment whose store already
-// contains the workload's post-Setup image (a copy-on-write clone of a
-// cached setup snapshot): it skips Setup and goes straight to the measured
-// run. w must be the workload object that performed that Setup — workloads
-// are read-only after Setup, so a snapshot-cache entry shares one object
-// across cells. p must carry the same values the image was set up with;
-// RunPrepared re-defaults it, so passing the pre-default parameter set of an
-// equal key is fine.
+// RunPrepared is Run for an environment whose store already contains the
+// workload's post-Setup image (a copy-on-write clone of a cached setup
+// snapshot): it skips Setup and goes straight to the measured run. w must be
+// the workload object that performed that Setup — workloads are read-only
+// after Setup, so a snapshot-cache entry shares one object across cells. p
+// must carry the same values the image was set up with; RunPrepared
+// re-defaults it, so passing the pre-default parameter set of an equal key is
+// fine.
+//
+// arm and stop are instrumentation hooks: arm runs before the measured run
+// begins (the crash-point explorer installs its persist observer there, so
+// setup writes are not numbered), and stop is polled before each transaction
+// so an instrument that has captured what it needs can end the run early.
+// Either may be nil. Sharing this drive loop with Run is what guarantees
+// instrumented runs replay the exact event sequence of plain runs at equal
+// seeds.
 func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, finish bool, arm func(), stop func() bool) (RunResult, error) {
 	p = p.Defaults()
 	if p.Cores != env.Cfg.NumCores {
