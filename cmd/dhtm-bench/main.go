@@ -21,14 +21,16 @@
 //	dhtm-bench -metrics run.prom   # dump the metrics registry (Prometheus text) at exit
 //	dhtm-bench -scenario examples/scenarios/table4-quick.json
 //
-// A failing experiment no longer aborts the run: every selected experiment
+// A failing experiment does not abort the run: every selected experiment
 // executes, successful tables render, failures are reported together at the
 // end, and the exit status is non-zero if anything failed.
 //
-// With -scenario the selection and scaling knobs come from a declarative
-// scenario file (experiment or sweep mode) instead of flags, and the output
-// is exactly the rendered tables — byte-identical to what dhtm-serve's
-// /api/v1/jobs/{id}/tables endpoint returns for the same file.
+// The -exp/-quick/-tx/-cores flags build an experiment-mode scenario
+// document in process; -scenario loads one (experiment, sweep or crashtest
+// mode) from a file instead. Either way the document compiles and runs
+// through scenario.Run, and stdout carries exactly the rendered tables —
+// byte-identical to what dhtm-serve's /api/v1/jobs/{id}/tables endpoint
+// returns for the same document. Wall-clock timings go to stderr and -json.
 package main
 
 import (
@@ -91,21 +93,6 @@ func telemetrySummary(store *resultstore.Store) snapshot.Metrics {
 	return sm
 }
 
-// dumpMetrics writes the process-wide obs registry in Prometheus text
-// exposition format — every dhtm_runner_*, dhtm_resultstore_*,
-// dhtm_snapshot_* and dhtm_cell_phase_seconds series the run touched.
-func dumpMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.Default.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() { os.Exit(run()) }
 
 // run holds main's body so deferred profile writers execute before the
@@ -116,13 +103,13 @@ func run() int {
 	tx := flag.Int("tx", 0, "transactions per core (0 = per-experiment default)")
 	cores := flag.Int("cores", 0, "number of simulated cores (0 = 8, as in the paper)")
 	parallel := flag.Int("parallel", 0, "simulation cells to run concurrently (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 0, "base seed for per-cell deterministic seeding (0 = default 42)")
+	seed := flag.Int64("seed", 0, "base seed for per-cell deterministic seeding (0 = the document's seed, default 42)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON result document on stdout")
 	csvOut := flag.Bool("csv", false, "emit CSV rows on stdout instead of aligned tables")
 	progress := flag.Bool("progress", false, "report per-cell completion on stderr")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	storeDir := flag.String("store", "", "read/write cell results through a content-addressed result store rooted at this directory (makes interrupted campaigns resumable)")
-	scenarioPath := flag.String("scenario", "", "run an experiment- or sweep-mode scenario file; output is the rendered tables, byte-identical to dhtm-serve's /tables for the same file")
+	scenarioPath := flag.String("scenario", "", "run a scenario file (experiment, sweep or crashtest mode); output is the rendered tables, byte-identical to dhtm-serve's /tables for the same file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	metricsOut := flag.String("metrics", "", "write the run's metrics registry in Prometheus text format to this file at exit")
@@ -130,23 +117,15 @@ func run() int {
 	traceInterval := flag.Uint64("trace-interval", 0, "probe sampling interval in simulated cycles (0 = default "+fmt.Sprint(probe.DefaultInterval)+"; needs -trace)")
 	flag.Parse()
 
-	var tc probe.Config
-	if *tracePath != "" {
-		tc = probe.Config{Interval: *traceInterval}
-		if tc.Interval == 0 {
-			tc.Interval = probe.DefaultInterval
-		}
-	}
-
 	if *metricsOut != "" {
 		defer func() {
-			if err := dumpMetrics(*metricsOut); err != nil {
+			if err := obs.Default.WriteFile(*metricsOut); err != nil {
 				fmt.Fprintf(os.Stderr, "dhtm-bench: writing metrics: %v\n", err)
 			}
 		}()
 	}
 
-	// Ctrl-C cancels the sweep cleanly: in-flight cells finish (and, with
+	// Ctrl-C cancels the campaign cleanly: in-flight cells finish (and, with
 	// -store, persist), skipped cells report runner.ErrCancelled.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -191,6 +170,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dhtm-bench: -json and -csv are mutually exclusive")
 		return 2
 	}
+
+	var doc *scenario.Document
 	if *scenarioPath != "" {
 		// The scenario file owns the selection and scaling knobs; flags that
 		// would silently fight it are rejected rather than ignored.
@@ -198,105 +179,94 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "dhtm-bench: -%s cannot be combined with -scenario (the scenario file pins it)\n", conflict)
 			return 2
 		}
-		return runScenario(ctx, *scenarioPath, *parallel, *seed, *storeDir, *progress, tc, *tracePath)
-	}
-
-	opts := harness.Options{
-		Quick: *quick, TxPerCore: *tx, Cores: *cores, Out: os.Stdout,
-		Parallel: *parallel, Seed: *seed, Trace: tc,
-	}
-	var store *resultstore.Store
-	if *storeDir != "" {
 		var err error
-		if store, err = resultstore.Open(*storeDir, resultstore.Options{Registry: obs.Default}); err != nil {
+		if doc, err = scenario.Load(*scenarioPath); err != nil {
 			fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", err)
-			return 1
+			return 2
 		}
-		opts.Store = store
-	}
-	if *progress {
-		opts.Progress = progressLine
-	}
-
-	var selected []harness.Experiment
-	if *exp == "all" {
-		selected = harness.Experiments()
 	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			e, ok := harness.Find(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "dhtm-bench: unknown experiment %q (valid: all, %s)\n",
-					id, strings.Join(harness.ExperimentIDs(), ", "))
-				return 2
-			}
-			selected = append(selected, e)
+		ids := strings.FieldsFunc(*exp, func(r rune) bool { return r == ',' || r == ' ' })
+		if len(ids) == 0 {
+			// e.g. -exp "" — reject loudly instead of silently running nothing.
+			fmt.Fprintf(os.Stderr, "dhtm-bench: -exp selects no experiments (valid: all, %s)\n",
+				strings.Join(harness.ExperimentIDs(), ", "))
+			return 2
+		}
+		doc = &scenario.Document{
+			FormatVersion: scenario.FormatVersion, Mode: scenario.ModeExperiment,
+			Experiments: ids, Quick: *quick,
+			Axes: scenario.Axes{Cores: scenario.FlagAxis(*cores), TxPerCore: scenario.FlagAxis(*tx)},
 		}
 	}
-	if len(selected) == 0 {
-		// e.g. -exp "" — reject loudly instead of silently running nothing.
-		fmt.Fprintf(os.Stderr, "dhtm-bench: -exp selects no experiments (valid: all, %s)\n",
-			strings.Join(harness.ExperimentIDs(), ", "))
+	if *seed != 0 {
+		doc.Seed = *seed
+	}
+	compiled, err := doc.Compile()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", err)
 		return 2
 	}
 
-	doc := document{Seed: *seed, Parallel: *parallel, Quick: *quick}
-	var failures []string
-	var timelines []*probe.Timeline
-	for _, e := range selected {
-		start := time.Now()
-		er := experimentResult{ID: e.ID, Title: e.Title}
-		rs, err := e.RunGrid(ctx, opts)
-		var table *harness.Table
-		if err == nil {
-			// Cells (with their derived seeds) are reported even when some
-			// of them failed, so any cell can be re-run individually.
-			er.Cells = cellsOf(rs)
-			timelines = append(timelines, timelinesOf(rs)...)
-			if err = rs.Err(); err == nil {
-				table, err = e.Reduce(opts, rs)
-			}
-		}
-		er.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-		if err != nil {
-			er.Error = err.Error()
-			failures = append(failures, fmt.Sprintf("%s: %v", e.ID, err))
-			fmt.Fprintf(os.Stderr, "dhtm-bench: %s failed: %v\n", e.ID, err)
-		} else {
-			er.Table = table
-			switch {
-			case *jsonOut:
-				// accumulated into doc below
-			case *csvOut:
-				if err := table.WriteCSV(os.Stdout); err != nil {
-					fmt.Fprintf(os.Stderr, "dhtm-bench: writing CSV: %v\n", err)
-					return 1
-				}
-			default:
-				table.Render(os.Stdout)
-				fmt.Printf("  (%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-			}
-		}
-		doc.Experiments = append(doc.Experiments, er)
+	opts := scenario.RunOptions{Parallel: *parallel, Trace: probe.FlagConfig(*tracePath, *traceInterval)}
+	if *storeDir == "" {
+		*storeDir = doc.Store
 	}
-
-	if *tracePath != "" {
-		if err := writeTrace(*tracePath, timelines); err != nil {
-			fmt.Fprintf(os.Stderr, "dhtm-bench: writing trace: %v\n", err)
+	if *storeDir != "" {
+		if opts.Store, err = resultstore.Open(*storeDir, resultstore.Options{Registry: obs.Default}); err != nil {
+			fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", err)
 			return 1
 		}
 	}
-	if store != nil {
-		m := store.Metrics()
-		doc.Store = &m
+	if *progress {
+		opts.OnCell = func(_ string, ev runner.ProgressEvent) { progressLine(ev) }
+		opts.OnPoint = func(label string, done, total int) {
+			fmt.Fprintf(os.Stderr, "  %s: %d/%d points\n", label, done, total)
+		}
 	}
-	sm := telemetrySummary(store)
-	doc.Snapshots = &sm
+	if !*jsonOut && !*csvOut {
+		opts.Out = os.Stdout
+	}
+	res, runErr := scenario.Run(ctx, compiled, opts)
+
+	for _, o := range res.Experiments {
+		fmt.Fprintf(os.Stderr, "dhtm-bench: %s completed in %v\n", o.ID, o.Elapsed.Round(time.Millisecond))
+	}
+	for _, rep := range res.Crashtests {
+		fmt.Fprintf(os.Stderr, "dhtm-bench: %s/%s explored in %v\n", rep.Design, rep.Workload,
+			time.Duration(rep.ElapsedNS).Round(time.Millisecond))
+	}
+	if *csvOut {
+		for _, o := range res.Experiments {
+			if o.Table == nil {
+				continue
+			}
+			if err := o.Table.WriteCSV(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "dhtm-bench: writing CSV: %v\n", err)
+				return 1
+			}
+		}
+	}
+	if *tracePath != "" {
+		if err := probe.WriteChromeTraceFile(*tracePath, res.Timelines); err != nil {
+			fmt.Fprintf(os.Stderr, "dhtm-bench: writing trace: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "dhtm-bench: trace for %d cell(s) written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", len(res.Timelines), *tracePath)
+	}
+	sm := telemetrySummary(opts.Store)
 	if *jsonOut {
-		if err := writeJSON(os.Stdout, doc); err != nil {
+		jd := document{Seed: *seed, Parallel: *parallel, Quick: *quick, Snapshots: &sm}
+		for _, o := range res.Experiments {
+			jd.Experiments = append(jd.Experiments, experimentResult{
+				ID: o.ID, Title: o.Title, Table: o.Table, Cells: o.Cells,
+				ElapsedMs: float64(o.Elapsed) / float64(time.Millisecond), Error: o.Error,
+			})
+		}
+		if opts.Store != nil {
+			m := opts.Store.Metrics()
+			jd.Store = &m
+		}
+		if err := writeJSON(os.Stdout, jd); err != nil {
 			fmt.Fprintf(os.Stderr, "dhtm-bench: encoding JSON: %v\n", err)
 			return 1
 		}
@@ -305,113 +275,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dhtm-bench: interrupted; partial results above, re-run with the same -store to resume")
 		return 1
 	}
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "dhtm-bench: %d of %d experiments failed:\n", len(failures), len(selected))
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "  %s\n", f)
-		}
+	if runErr != nil {
+		fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", runErr)
 		return 1
 	}
 	return 0
-}
-
-// runScenario loads, compiles and executes a scenario file. Stdout carries
-// exactly the rendered tables — the same bytes dhtm-serve's /tables endpoint
-// returns for the same document — so CLI and service runs are diffable.
-// Operational knobs (-parallel, -progress, -store, -seed) still apply; the
-// scenario pins everything semantic.
-func runScenario(ctx context.Context, path string, parallel int, seed int64, storeDir string, progress bool, tc probe.Config, tracePath string) int {
-	doc, err := scenario.Load(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", err)
-		return 2
-	}
-	if doc.Mode == scenario.ModeCrashtest {
-		fmt.Fprintf(os.Stderr, "dhtm-bench: %s: crashtest scenarios run under dhtm-crashtest -scenario\n", path)
-		return 2
-	}
-	compiled, err := doc.Compile()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", err)
-		return 2
-	}
-	if seed == 0 {
-		seed = compiled.Seed
-	}
-	if storeDir == "" {
-		storeDir = doc.Store
-	}
-	var store *resultstore.Store
-	if storeDir != "" {
-		if store, err = resultstore.Open(storeDir, resultstore.Options{Registry: obs.Default}); err != nil {
-			fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", err)
-			return 1
-		}
-	}
-	var onProgress func(runner.ProgressEvent)
-	if progress {
-		onProgress = progressLine
-	}
-
-	code := 0
-	var timelines []*probe.Timeline
-	switch doc.Mode {
-	case scenario.ModeExperiment:
-		opts := compiled.Options
-		opts.Out = os.Stdout
-		opts.Parallel = parallel
-		opts.Seed = seed
-		opts.Progress = onProgress
-		opts.Store = store
-		opts.Trace = tc
-		for _, e := range compiled.Experiments {
-			rs, err := e.RunGrid(ctx, opts)
-			var table *harness.Table
-			if err == nil {
-				timelines = append(timelines, timelinesOf(rs)...)
-				if err = rs.Err(); err == nil {
-					table, err = e.Reduce(opts, rs)
-				}
-			}
-			if err != nil {
-				// The same failure line /tables renders, so even failing runs
-				// stay diffable against the service.
-				harness.RenderFailure(os.Stdout, e.ID, err.Error())
-				fmt.Fprintf(os.Stderr, "dhtm-bench: %s failed: %v\n", e.ID, err)
-				code = 1
-				continue
-			}
-			table.Render(os.Stdout)
-		}
-	case scenario.ModeSweep:
-		plan := compiled.Plan
-		plan.Store = store
-		rs, err := runner.Run(ctx, plan, harness.ExecuteWith(tc), runner.Options{
-			Parallel: parallel, Seed: seed, Progress: onProgress,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", err)
-			return 1
-		}
-		timelines = append(timelines, timelinesOf(rs)...)
-		scenario.SweepTable(plan.Name, scenario.SweepOutcomes(rs)).Render(os.Stdout)
-		if rs.Err() != nil {
-			code = 1
-		}
-	}
-
-	if tracePath != "" {
-		if err := writeTrace(tracePath, timelines); err != nil {
-			fmt.Fprintf(os.Stderr, "dhtm-bench: writing trace: %v\n", err)
-			return 1
-		}
-	}
-	telemetrySummary(store)
-	if err := ctx.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "dhtm-bench: interrupted; partial results above, re-run with the same -store to resume")
-		return 1
-	}
-	return code
 }
 
 // progressLine is the -progress per-cell report.
@@ -426,46 +294,6 @@ func progressLine(ev runner.ProgressEvent) {
 	fmt.Fprintf(os.Stderr, "  [%d/%d] %-32s %8v  %s\n",
 		ev.Done, ev.Total, ev.Result.Cell.ID,
 		ev.Result.Elapsed.Round(time.Millisecond), status)
-}
-
-// cellsOf extracts the executed cells (with derived seeds) for the JSON
-// document, so any cell can be re-run individually with dhtm-sim.
-func cellsOf(rs *runner.ResultSet) []runner.Cell {
-	cells := make([]runner.Cell, len(rs.Results))
-	for i, r := range rs.Results {
-		cells[i] = r.Cell
-	}
-	return cells
-}
-
-// timelinesOf collects the probe timelines of a grid's computed cells in
-// plan order (cache hits carry none), keeping the -trace process layout
-// deterministic at any parallelism.
-func timelinesOf(rs *runner.ResultSet) []*probe.Timeline {
-	var out []*probe.Timeline
-	for _, r := range rs.Results {
-		if r.Run.Timeline != nil {
-			out = append(out, r.Run.Timeline)
-		}
-	}
-	return out
-}
-
-// writeTrace writes the collected timelines as one Chrome trace-event file.
-func writeTrace(path string, timelines []*probe.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := probe.WriteChromeTrace(f, timelines); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dhtm-bench: trace for %d cell(s) written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", len(timelines), path)
-	return nil
 }
 
 // writeJSON encodes the document with stable indentation.

@@ -1,8 +1,8 @@
 // Command dhtm-serve runs the campaign service: an HTTP API that accepts
-// experiment, sweep and crash-test campaigns as JSON jobs, executes them on
-// a bounded worker pool, streams per-cell progress, and serves every
-// previously computed cell from the content-addressed result store without
-// simulating it again.
+// experiment, sweep and crash-test campaigns as scenario documents (the
+// files dhtm-bench -scenario runs), executes them on a bounded worker pool,
+// streams per-cell progress, and serves every previously computed cell from
+// the content-addressed result store without simulating it again.
 //
 // Usage:
 //
@@ -10,8 +10,8 @@
 //
 // Submit a campaign, watch it, fetch its tables:
 //
-//	curl -s localhost:8080/api/v1/jobs -d '{"kind":"experiment","experiments":["table4"],"quick":true}'
-//	curl -s localhost:8080/api/v1/jobs -d @examples/scenarios/table4-quick.json   # same endpoint, scenario file
+//	curl -s localhost:8080/api/v1/jobs -d '{"format_version":1,"mode":"experiment","experiments":["table4"],"quick":true}'
+//	curl -s localhost:8080/api/v1/jobs -d @examples/scenarios/table4-quick.json
 //	curl -s localhost:8080/api/v1/jobs/job-000001            # poll
 //	curl -N localhost:8080/api/v1/jobs/job-000001/events     # SSE stream
 //	curl -s localhost:8080/api/v1/jobs/job-000001/tables     # rendered tables
@@ -51,7 +51,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	storeDir := flag.String("store", "", "result-store directory (empty = in-memory only; results do not survive a restart)")
 	workers := flag.Int("workers", 2, "jobs executing concurrently; queued jobs wait in submission order")
-	parallel := flag.Int("parallel", 0, "per-job cell worker-pool cap (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "per-job cell worker-pool size (0 = GOMAXPROCS)")
 	memEntries := flag.Int("mem", 0, "in-memory LRU capacity in results (0 = default 4096, negative = disabled)")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of logfmt-style text")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes heap contents; trusted listeners only)")

@@ -1,32 +1,24 @@
-// Command dhtm-sim runs (design, workload) pairs on the simulated machine
-// and prints detailed statistics. With a single pair it supports crash
-// injection: -crash stops the run at the last transaction's commit point,
-// simulates a power failure and writes the persistent-memory image to a file
-// that cmd/dhtm-recover can replay. With comma-separated designs or
-// workloads it becomes a sweep driver: the grid of cells fans out across
-// -parallel workers and a compact result line (or -json document) is emitted
-// per cell.
+// Command dhtm-sim runs one design on one workload on the simulated machine
+// and prints detailed statistics. It supports crash injection: -crash stops
+// the run at the last transaction's commit point, simulates a power failure
+// and writes the persistent-memory image to a file that cmd/dhtm-recover can
+// replay. Grids of cells are scenario documents: run them with
+// dhtm-bench -scenario or POST them to dhtm-serve.
 //
 // Examples:
 //
 //	dhtm-sim -design DHTM -workload hash -tx 24
 //	dhtm-sim -design DHTM -workload queue -crash -image crash.img
 //	dhtm-sim -design ATOM -workload tpcc -cores 4 -tx 4
-//	dhtm-sim -design SO,ATOM,DHTM -workload hash,queue -parallel 4 -json
 //	dhtm-sim -design DHTM -workload hash -trace trace.json -trace-interval 128
-//	dhtm-sim -scenario examples/scenarios/micro-quick.json
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 
 	"dhtm/internal/config"
 	"dhtm/internal/harness"
@@ -34,39 +26,22 @@ import (
 	"dhtm/internal/probe"
 	"dhtm/internal/recovery"
 	"dhtm/internal/registry"
-	"dhtm/internal/resultstore"
 	"dhtm/internal/runner"
-	"dhtm/internal/scenario"
 	"dhtm/internal/txn"
 	"dhtm/internal/workloads"
 )
 
-// cellReport is one cell's entry in the -json output.
-type cellReport struct {
-	Cell       runner.Cell `json:"cell"`
-	Committed  uint64      `json:"committed"`
-	Cycles     uint64      `json:"cycles"`
-	Throughput float64     `json:"throughput_tx_per_mcycle"`
-	AbortRate  float64     `json:"abort_rate"`
-	LogBytes   uint64      `json:"log_bytes"`
-	DataWrites uint64      `json:"data_write_bytes"`
-	Error      string      `json:"error,omitempty"`
-}
-
 func main() {
-	design := flag.String("design", registry.DesignDHTM, "design(s) to run, comma separated ("+strings.Join(registry.DesignNames(), ", ")+")")
-	workload := flag.String("workload", "hash", "workload(s) to run, comma separated ("+strings.Join(registry.WorkloadNames(), ", ")+")")
+	design := flag.String("design", registry.DesignDHTM, "design to run ("+strings.Join(registry.DesignNames(), ", ")+")")
+	workload := flag.String("workload", "hash", "workload to run ("+strings.Join(registry.WorkloadNames(), ", ")+")")
 	tx := flag.Int("tx", 16, "transactions per core")
 	cores := flag.Int("cores", 0, "number of cores (0 = 8)")
 	logBuf := flag.Int("logbuf", 0, "DHTM log-buffer entries (0 = configured default of 64)")
 	bw := flag.Float64("bw", 1.0, "memory bandwidth scale factor")
-	seed := flag.Int64("seed", 0, "workload generation seed (0 = derive deterministically per cell)")
-	parallel := flag.Int("parallel", 0, "cells to simulate concurrently in sweep mode (0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results on stdout")
+	seed := flag.Int64("seed", 0, "workload generation seed (0 = the default, 42)")
 	crash := flag.Bool("crash", false, "crash at the last commit point instead of finishing cleanly")
 	image := flag.String("image", "", "write the persistent-memory image to this file (with -crash)")
 	recoverFlag := flag.Bool("recover", false, "run the recovery manager in-process after a crash and verify the workload")
-	scenarioPath := flag.String("scenario", "", "run a sweep-mode scenario file instead of -design/-workload (see examples/scenarios)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	tracePath := flag.String("trace", "", "record cycle-domain probes and write a Chrome trace-event / Perfetto JSON file (load it at https://ui.perfetto.dev or chrome://tracing)")
 	traceInterval := flag.Uint64("trace-interval", 0, "probe sampling interval in simulated cycles (0 = default "+fmt.Sprint(probe.DefaultInterval)+"; needs -trace)")
@@ -75,12 +50,11 @@ func main() {
 
 	if *metricsOut != "" {
 		defer func() {
-			if err := dumpMetrics(*metricsOut); err != nil {
+			if err := obs.Default.WriteFile(*metricsOut); err != nil {
 				fmt.Fprintf(os.Stderr, "dhtm-sim: writing metrics: %v\n", err)
 			}
 		}()
 	}
-	tc := traceConfig(*tracePath, *traceInterval)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -102,36 +76,11 @@ func main() {
 		defer stopProfile()
 	}
 
-	if *scenarioPath != "" {
-		// The scenario file owns the semantic knobs; flags that would
-		// silently fight it are rejected rather than ignored.
-		if conflict := scenario.FlagConflict("design", "workload", "tx", "cores",
-			"logbuf", "bw", "crash", "image", "recover"); conflict != "" {
-			fail("-%s cannot be combined with -scenario (the scenario file pins it)", conflict)
-		}
-		runScenario(*scenarioPath, *seed, *parallel, *jsonOut, tc, *tracePath)
-		return
+	if err := registry.CheckDesign(*design); err != nil {
+		fail("%v", err)
 	}
-
-	designs := splitList(*design)
-	wls := splitList(*workload)
-	if len(designs) == 0 {
-		fail("-design names no designs")
-	}
-	if len(wls) == 0 {
-		fail("-workload names no workloads")
-	}
-	// Validate every name up front against the registry, so a typo dies with
-	// the full listing instead of surfacing later as a per-cell failure.
-	for _, d := range designs {
-		if err := registry.CheckDesign(d); err != nil {
-			fail("%v", err)
-		}
-	}
-	for _, w := range wls {
-		if err := registry.CheckWorkload(w); err != nil {
-			fail("%v", err)
-		}
+	if err := registry.CheckWorkload(*workload); err != nil {
+		fail("%v", err)
 	}
 	if *bw <= 0 {
 		fail("bandwidth scale must be positive, got %g", *bw)
@@ -140,175 +89,12 @@ func main() {
 	if *bw != 1.0 {
 		ov.BandwidthScale = *bw
 	}
-
-	if len(designs) == 1 && len(wls) == 1 && !*jsonOut {
-		runSingle(designs[0], wls[0], *tx, *cores, *seed, ov, *crash, *image, *recoverFlag, tc, *tracePath)
-		return
-	}
-	if *crash || *image != "" || *recoverFlag {
-		fail("crash injection requires a single design and workload (and no -json)")
-	}
-
-	plan := runner.Plan{Name: "dhtm-sim"}
-	for _, d := range designs {
-		for _, w := range wls {
-			plan.Add(runner.Cell{
-				ID: d + "/" + w, Design: d, Workload: w,
-				Cores: *cores, TxPerCore: *tx, Seed: *seed, Overrides: ov,
-			})
-		}
-	}
-	if !runSweep(plan, *seed, *parallel, *jsonOut, tc, *tracePath) {
-		stopProfile()
-		os.Exit(1)
-	}
+	runSingle(*design, *workload, *tx, *cores, *seed, ov, *crash, *image, *recoverFlag,
+		probe.FlagConfig(*tracePath, *traceInterval), *tracePath)
 }
 
-// traceConfig folds the -trace/-trace-interval flags into a probe config:
-// tracing is on exactly when a trace file was named.
-func traceConfig(path string, interval uint64) probe.Config {
-	if path == "" {
-		return probe.Config{}
-	}
-	if interval == 0 {
-		interval = probe.DefaultInterval
-	}
-	return probe.Config{Interval: interval}
-}
-
-// writeTrace writes the collected timelines as one Chrome trace-event file.
-func writeTrace(path string, timelines []*probe.Timeline) {
-	f, err := os.Create(path)
-	if err != nil {
-		fail("creating trace file: %v", err)
-	}
-	if err := probe.WriteChromeTrace(f, timelines); err != nil {
-		f.Close()
-		fail("writing trace: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		fail("closing trace: %v", err)
-	}
-	n := 0
-	for _, tl := range timelines {
-		if tl != nil {
-			n++
-		}
-	}
-	fmt.Fprintf(os.Stderr, "dhtm-sim: trace for %d cell(s) written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", n, path)
-}
-
-// dumpMetrics writes the process-wide obs registry in Prometheus text
-// exposition format, mirroring dhtm-bench and dhtm-crashtest.
-func dumpMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.Default.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runScenario compiles a sweep-mode scenario document and runs its plan
-// exactly as an inline -design/-workload sweep would, honouring the
-// document's result-store setting so interrupted campaigns stay resumable.
-func runScenario(path string, seed int64, parallel int, jsonOut bool, tc probe.Config, tracePath string) {
-	doc, err := scenario.Load(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	if doc.Mode != scenario.ModeSweep {
-		fail("%s: mode %q: dhtm-sim runs sweep scenarios (experiment mode runs under dhtm-bench -scenario, crashtest mode under dhtm-crashtest -scenario)", path, doc.Mode)
-	}
-	compiled, err := doc.Compile()
-	if err != nil {
-		fail("%v", err)
-	}
-	if seed == 0 {
-		seed = compiled.Seed
-	}
-	plan := compiled.Plan
-	var store *resultstore.Store
-	if doc.Store != "" {
-		if store, err = resultstore.Open(doc.Store, resultstore.Options{}); err != nil {
-			fail("%v", err)
-		}
-		plan.Store = store
-	}
-	ok := runSweep(plan, seed, parallel, jsonOut, tc, tracePath)
-	if store != nil {
-		m := store.Metrics()
-		fmt.Fprintf(os.Stderr, "dhtm-sim: store %s: %d hits (%d mem, %d disk), %d misses, %d simulated, %d written\n",
-			store.Dir(), m.Hits(), m.MemHits, m.DiskHits, m.Misses, m.Computes, m.Writes)
-	}
-	if !ok {
-		stopProfile()
-		os.Exit(1)
-	}
-}
-
-// runSweep executes a cell plan and reports per-cell results (the shared
-// tail of the comma-separated sweep mode and -scenario mode). It reports
-// whether every cell succeeded.
-func runSweep(plan runner.Plan, seed int64, parallel int, jsonOut bool, tc probe.Config, tracePath string) bool {
-	// Ctrl-C cancels the sweep; cells not yet started report ErrCancelled.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rs, err := runner.Run(ctx, plan, harness.ExecuteWith(tc), runner.Options{Parallel: parallel, Seed: seed})
-	if err != nil {
-		fail("%v", err)
-	}
-	if tracePath != "" {
-		// Plan order keeps the trace's process layout deterministic; cache
-		// hits carry no timeline and are skipped.
-		var timelines []*probe.Timeline
-		for _, r := range rs.Results {
-			if r.Run.Timeline != nil {
-				timelines = append(timelines, r.Run.Timeline)
-			}
-		}
-		writeTrace(tracePath, timelines)
-	}
-
-	if jsonOut {
-		reports := make([]cellReport, len(rs.Results))
-		for i, r := range rs.Results {
-			reports[i] = cellReport{Cell: r.Cell}
-			if r.Err != nil {
-				reports[i].Error = r.Err.Error()
-				continue
-			}
-			reports[i].Committed = r.Run.Committed
-			reports[i].Cycles = r.Run.Cycles
-			reports[i].Throughput = r.Run.Throughput()
-			reports[i].AbortRate = r.Run.Stats.AbortRate()
-			reports[i].LogBytes = r.Run.Stats.LogBytes
-			reports[i].DataWrites = r.Run.Stats.DataWriteBytes
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
-			fail("encoding JSON: %v", err)
-		}
-	} else {
-		for _, r := range rs.Results {
-			if r.Err != nil {
-				fmt.Printf("%-24s ERROR: %v\n", r.Cell.ID, r.Err)
-				continue
-			}
-			fmt.Printf("%-24s %6d tx in %12d cycles (%.3f tx/Mcycle, abort rate %.1f%%)\n",
-				r.Cell.ID, r.Run.Committed, r.Run.Cycles, r.Run.Throughput(),
-				r.Run.Stats.AbortRate()*100)
-		}
-	}
-	return rs.Err() == nil
-}
-
-// runSingle preserves the original detailed single-run path, including crash
-// injection, image capture, recovery and workload verification.
+// runSingle runs the cell with full statistics, including crash injection,
+// image capture, recovery and workload verification.
 func runSingle(design, workload string, tx, cores int, seed int64, ov runner.Overrides, crash bool, image string, recoverAfter bool, tc probe.Config, tracePath string) {
 	cfg := config.Default()
 	if cores > 0 {
@@ -344,7 +130,10 @@ func runSingle(design, workload string, tx, cores int, seed int64, ov runner.Ove
 		rt.Name(), w.Name(), res.Committed, res.Cycles, res.Throughput())
 	fmt.Print(env.Stats.Summary())
 	if tracePath != "" {
-		writeTrace(tracePath, []*probe.Timeline{res.Timeline})
+		if err := probe.WriteChromeTraceFile(tracePath, []*probe.Timeline{res.Timeline}); err != nil {
+			fail("writing trace: %v", err)
+		}
+		fmt.Fprintf(os.Stderr, "dhtm-sim: trace written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", tracePath)
 	}
 
 	if crash {
@@ -382,17 +171,6 @@ func runSingle(design, workload string, tx, cores int, seed int64, ov runner.Ove
 		fail("workload verification FAILED: %v", err)
 	}
 	fmt.Println("workload invariants verified")
-}
-
-// splitList parses a comma-separated flag value.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // stopProfile flushes an active -cpuprofile; every exit path must call it so

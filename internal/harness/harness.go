@@ -4,8 +4,9 @@
 // or series the paper reports from the grid's results. The runner package
 // fans the cells out across a worker pool; because every cell builds a fresh
 // simulated machine and seeds derive from cell content, parallel and serial
-// sweeps render byte-identical tables. cmd/dhtm-bench and the benchmarks in
-// bench_test.go are thin wrappers around this package.
+// sweeps render byte-identical tables. internal/scenario executes the
+// experiments for every surface; the benchmarks in bench_test.go call this
+// package directly.
 package harness
 
 import (
@@ -110,7 +111,6 @@ type Options struct {
 	Cores     int
 	TxPerCore int
 	Quick     bool
-	Out       io.Writer
 	// Parallel is the sweep worker-pool size; <= 0 means GOMAXPROCS.
 	Parallel int
 	// Seed is the base seed per-cell seeds derive from (0 = runner default).
@@ -209,13 +209,6 @@ func (t *Table) Render(w io.Writer) {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-// RenderFailure writes the one-line rendering of a failed experiment.
-// dhtm-bench's scenario mode and serve's /tables endpoint both use it, so
-// the two surfaces stay byte-identical even for failing campaigns.
-func RenderFailure(w io.Writer, id, errMsg string) {
-	fmt.Fprintf(w, "%s — FAILED: %s\n\n", id, errMsg)
 }
 
 // WriteCSV writes the table as one CSV block: a header row of column names

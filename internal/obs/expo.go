@@ -4,9 +4,24 @@ import (
 	"bufio"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 )
+
+// WriteFile writes the registry in the text exposition format to a new
+// file at path — the -metrics dump of every CLI.
+func (r *Registry) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteText(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // WriteText renders the registry in the Prometheus text exposition format
 // (version 0.0.4): families sorted by name, series sorted by label

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // FormatVersion is the version stamp of the compact timeline JSON. Bump it
@@ -88,6 +89,20 @@ type chromeDoc struct {
 	TraceEvents     []chromeEvent     `json:"traceEvents"`
 	DisplayTimeUnit string            `json:"displayTimeUnit"`
 	OtherData       map[string]string `json:"otherData"`
+}
+
+// WriteChromeTraceFile writes the timelines as one Chrome trace-event file
+// at path (see WriteChromeTrace) — the -trace output of every CLI.
+func WriteChromeTraceFile(path string, timelines []*Timeline) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChromeTrace(f, timelines); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteChromeTrace writes the timelines as one Chrome trace-event /

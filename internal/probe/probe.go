@@ -45,6 +45,19 @@ type Config struct {
 // Enabled reports whether the config asks for tracing at all.
 func (c Config) Enabled() bool { return c.Interval > 0 }
 
+// FlagConfig is the probe configuration of a CLI's -trace/-trace-interval
+// flag pair: tracing is on exactly when a trace file is named, sampling every
+// interval simulated cycles (0 = DefaultInterval).
+func FlagConfig(tracePath string, interval uint64) Config {
+	if tracePath == "" {
+		return Config{}
+	}
+	if interval == 0 {
+		interval = DefaultInterval
+	}
+	return Config{Interval: interval}
+}
+
 // withDefaults fills unset fields of an enabled config.
 func (c Config) withDefaults() Config {
 	if c.MaxSamples <= 1 {

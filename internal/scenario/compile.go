@@ -23,8 +23,8 @@ type Compiled struct {
 
 	// Experiment mode: the selected experiments in paper order, plus the
 	// harness options (Quick, Cores, TxPerCore, Seed) the document pins.
-	// Execution knobs (Out, Parallel, Progress, Store) are the runner's
-	// business and stay unset.
+	// Execution knobs (Parallel, Progress, Store, Trace) come from
+	// RunOptions and stay unset here.
 	Experiments []harness.Experiment
 	Options     harness.Options
 
@@ -285,6 +285,11 @@ func (d *Document) compileCrashtest(c *Compiled) error {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
+	// A replayed mask names in-flight writes, which only a reordering
+	// window has.
+	if points.Mask != "" && !allPositive(d.Axes.ReorderWindow) {
+		return fmt.Errorf("scenario: points.mask replays in-flight writes and needs every reorder_window value > 0")
+	}
 	for _, design := range designs {
 		for _, wl := range wls {
 			for _, cores := range orDefault(d.Axes.Cores) {
@@ -377,6 +382,16 @@ func orDefault[T any](vals []T) []T {
 		return make([]T, 1)
 	}
 	return vals
+}
+
+// allPositive reports whether vals is non-empty and every value is > 0.
+func allPositive(vals []int) bool {
+	for _, v := range vals {
+		if v <= 0 {
+			return false
+		}
+	}
+	return len(vals) > 0
 }
 
 // validatePositive rejects axis values that cannot mean anything: zero or

@@ -1,0 +1,132 @@
+package scenario_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"dhtm/internal/harness"
+	"dhtm/internal/resultstore"
+	"dhtm/internal/scenario"
+	"dhtm/internal/serve"
+)
+
+// compile parses and compiles a document body.
+func compile(t *testing.T, body string) *scenario.Compiled {
+	t.Helper()
+	doc, err := scenario.Parse([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := doc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRunExperimentMatchesHarness checks that experiment-mode Run renders
+// exactly the tables harness.Experiment.Run produces at the same seed and
+// scale, and that the streamed Out bytes equal Result.Render.
+func TestRunExperimentMatchesHarness(t *testing.T) {
+	c := compile(t, `{"format_version": 1, "mode": "experiment",
+		"experiments": ["table4", "fig5"], "quick": true, "seed": 7,
+		"axes": {"cores": [2], "tx_per_core": [1]}}`)
+	var streamed bytes.Buffer
+	res, err := scenario.Run(context.Background(), c, scenario.RunOptions{Parallel: 2, Out: &streamed})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want bytes.Buffer
+	opts := harness.Options{Quick: true, Cores: 2, TxPerCore: 1, Seed: 7, Parallel: 2}
+	for _, id := range []string{"table4", "fig5"} {
+		e, _ := harness.Find(id)
+		table, err := e.Run(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.Render(&want)
+	}
+	var rendered bytes.Buffer
+	res.Render(&rendered)
+	if rendered.String() != want.String() {
+		t.Fatalf("Run tables differ from harness.Experiment.Run:\n--- run ---\n%s\n--- harness ---\n%s", rendered.String(), want.String())
+	}
+	if streamed.String() != rendered.String() {
+		t.Fatalf("streamed output differs from Result.Render:\n--- streamed ---\n%s\n--- render ---\n%s", streamed.String(), rendered.String())
+	}
+	for _, o := range res.Experiments {
+		if len(o.Cells) == 0 || o.Cells[0].Seed == 0 {
+			t.Fatalf("%s: executed cells missing or unseeded: %+v", o.ID, o.Cells)
+		}
+	}
+}
+
+// TestRenderMatchesServeTables checks the one-renderer contract for crash
+// reports: Result.Render of a tiny crashtest document is byte-identical to
+// what dhtm-serve's /tables returns for the same document bytes.
+func TestRenderMatchesServeTables(t *testing.T) {
+	const body = `{"format_version": 1, "mode": "crashtest",
+		"designs": ["DHTM", "ATOM"], "workloads": ["queue"],
+		"axes": {"cores": [2], "tx_per_core": [1], "ops_per_tx": [4]},
+		"points": {"mode": "stride", "samples": 8}}`
+	res, err := scenario.Run(context.Background(), compile(t, body), scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local bytes.Buffer
+	res.Render(&local)
+	if !strings.Contains(local.String(), "ATOM/queue (cores=2 tx=1") {
+		t.Fatalf("unexpected crash report rendering:\n%s", local.String())
+	}
+
+	store, err := resultstore.Open("", resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Store: store, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/tables")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if string(served) != local.String() {
+				t.Fatalf("/tables differs from Result.Render:\n--- served ---\n%s\n--- local ---\n%s", served, local.String())
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job did not finish: status %d: %s", resp.StatusCode, served)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -3,9 +3,12 @@
 // an experiment selection, a design × workload × machine-knob sweep grid,
 // or a crash-point exploration — independently of *where it runs*. The
 // same file compiles to the same work whether it is handed to a CLI
-// (dhtm-bench/dhtm-sim/dhtm-crashtest -scenario) or POSTed to dhtm-serve's
-// /api/v1/jobs, so a campaign authored on a laptop runs identically against
-// the campaign service, cell seeds and rendered tables included.
+// (dhtm-bench -scenario) or POSTed to dhtm-serve's /api/v1/jobs, and every
+// surface executes it through the one Run and renders it through the one
+// Result.Render, so a campaign authored on a laptop runs identically against
+// the campaign service, cell seeds and rendered tables included. The
+// dhtm-bench and dhtm-crashtest flag grids are documents too, built in
+// process.
 //
 // Every name in a document (designs, workloads, tags, experiments) is
 // validated against internal/registry and internal/harness at compile time,
@@ -132,8 +135,17 @@ type Document struct {
 
 // Parse decodes one scenario document strictly: unknown fields, trailing
 // data and any format version other than FormatVersion are errors, never
-// silently ignored — a typo'd axis name must not quietly shrink a grid.
+// silently ignored — a typo'd axis name must not quietly shrink a grid. The
+// version is checked first, so a document of another schema (or a body
+// that is no scenario at all) is reported as version skew rather than as
+// whichever of its fields this schema happens not to know.
 func Parse(data []byte) (*Document, error) {
+	var probe struct {
+		FormatVersion int `json:"format_version"`
+	}
+	if json.Unmarshal(data, &probe) == nil && probe.FormatVersion != FormatVersion {
+		return nil, versionError(probe.FormatVersion)
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var d Document
@@ -144,10 +156,14 @@ func Parse(data []byte) (*Document, error) {
 		return nil, fmt.Errorf("scenario: trailing data after the document")
 	}
 	if d.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("scenario: format_version %d is not supported (this build reads version %d)",
-			d.FormatVersion, FormatVersion)
+		return nil, versionError(d.FormatVersion)
 	}
 	return &d, nil
+}
+
+// versionError reports a document of an unsupported schema version.
+func versionError(v int) error {
+	return fmt.Errorf("scenario: format_version %d is not supported (this build reads version %d)", v, FormatVersion)
 }
 
 // Load reads and parses a scenario file.
@@ -164,9 +180,9 @@ func Load(path string) (*Document, error) {
 }
 
 // FlagConflict returns the first of the named command-line flags that was
-// explicitly set (per flag.Visit over the default flag set), or "". The
-// CLIs use it to reject flags a scenario file pins — one shared
-// implementation, so a flag can be silently ignored on no surface.
+// explicitly set (per flag.Visit over the default flag set), or "".
+// dhtm-bench uses it to reject flags a scenario file pins, so a flag is
+// never silently ignored.
 func FlagConflict(names ...string) string {
 	set := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -181,15 +197,13 @@ func FlagConflict(names ...string) string {
 	return conflict
 }
 
-// Sniff reports whether a JSON body looks like a scenario document — it has
-// a top-level format_version field. The serve API uses it to tell scenario
-// submissions apart from raw job specs on the same endpoint.
-func Sniff(data []byte) bool {
-	var probe struct {
-		FormatVersion *int `json:"format_version"`
+// FlagAxis turns an integer CLI flag into a single-value axis, absent when
+// the flag keeps its 0 default. The CLIs build their flag grids as
+// documents with it, so a flag value is validated exactly like the same
+// value in a scenario file.
+func FlagAxis(v int) []int {
+	if v == 0 {
+		return nil
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	return probe.FormatVersion != nil
+	return []int{v}
 }

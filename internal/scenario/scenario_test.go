@@ -168,6 +168,7 @@ func TestCompileRejections(t *testing.T) {
 		{"negative reorder window", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"axes":{"reorder_window":[-1]}}`, "reorder_window"},
 		{"oversized reorder window", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"axes":{"reorder_window":[17]}}`, "reorder_window"},
 		{"bad mask mode", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"mask_mode":"chaos"}`, "adversary mode"},
+		{"mask without window", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"points":{"mode":"point","point":3,"mask":"0x1"}}`, "needs every reorder_window value > 0"},
 		{"exhaustive window too wide", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"mask_mode":"exhaustive","axes":{"reorder_window":[13]}}`, "exhaustive"},
 	}
 	for _, tc := range cases {
@@ -371,20 +372,6 @@ func TestCompileCrashtest(t *testing.T) {
 		if !cfg.Differential {
 			t.Errorf("config %d lost the differential switch", i)
 		}
-	}
-}
-
-// TestSniff checks the scenario-vs-jobspec discriminator the serve API
-// uses.
-func TestSniff(t *testing.T) {
-	if !Sniff([]byte(`{"format_version":1,"mode":"sweep"}`)) {
-		t.Fatal("scenario document not sniffed")
-	}
-	if Sniff([]byte(`{"kind":"experiment","experiments":["table4"]}`)) {
-		t.Fatal("job spec sniffed as a scenario")
-	}
-	if Sniff([]byte(`garbage`)) {
-		t.Fatal("garbage sniffed as a scenario")
 	}
 }
 

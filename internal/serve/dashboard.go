@@ -92,7 +92,7 @@ let jobs = [], store = null;
 function render() {
   const tbody = document.getElementById("jobs");
   if (!jobs.length) {
-    tbody.innerHTML = '<tr><td colspan="11" class="muted">no jobs yet — POST a JobSpec or scenario to /api/v1/jobs</td></tr>';
+    tbody.innerHTML = '<tr><td colspan="11" class="muted">no jobs yet — POST a scenario document to /api/v1/jobs</td></tr>';
   } else {
     tbody.innerHTML = jobs.slice().reverse().map(j => {
       const p = live.get(j.id) || {done: j.cells.done, total: j.cells.total};

@@ -2,171 +2,16 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"dhtm/internal/crashtest"
-	"dhtm/internal/harness"
 	"dhtm/internal/obs"
 	"dhtm/internal/probe"
-	"dhtm/internal/registry"
 	"dhtm/internal/runner"
 	"dhtm/internal/scenario"
 )
-
-// JobKind selects what a submitted campaign runs.
-type JobKind string
-
-const (
-	// KindExperiment runs one or more of the paper's named experiments
-	// (harness.Experiments) and renders their tables.
-	KindExperiment JobKind = "experiment"
-	// KindSweep runs a caller-supplied runner.Plan of cells.
-	KindSweep JobKind = "sweep"
-	// KindCrashtest runs a crash-point exploration.
-	KindCrashtest JobKind = "crashtest"
-)
-
-// JobSpec is the JSON body of POST /api/v1/jobs.
-type JobSpec struct {
-	Kind JobKind `json:"kind"`
-
-	// Experiment jobs: the experiment IDs to run (empty or ["all"] = every
-	// experiment), plus the harness scaling knobs.
-	Experiments []string `json:"experiments,omitempty"`
-	Quick       bool     `json:"quick,omitempty"`
-	TxPerCore   int      `json:"tx_per_core,omitempty"`
-	Cores       int      `json:"cores,omitempty"`
-
-	// Sweep jobs: the literal cell grid to run.
-	Plan *runner.Plan `json:"plan,omitempty"`
-
-	// Crashtest jobs: the exploration configuration. Crashtest carries a
-	// single exploration; Crashtests a grid of them (what a crashtest-mode
-	// scenario compiles to). Exactly one of the two may be set.
-	Crashtest  *crashtest.Config  `json:"crashtest,omitempty"`
-	Crashtests []crashtest.Config `json:"crashtests,omitempty"`
-
-	// Shared knobs. Parallel is clamped to the server's per-job cap.
-	Seed     int64 `json:"seed,omitempty"`
-	Parallel int   `json:"parallel,omitempty"`
-}
-
-// specFromScenario lowers a compiled scenario document onto a job spec.
-// The mapping is mechanical — scenario compilation already validated names
-// and expanded grids — so a scenario POSTed to the service runs exactly the
-// work the same file runs under a -scenario CLI flag.
-func specFromScenario(c *scenario.Compiled) JobSpec {
-	spec := JobSpec{Seed: c.Seed}
-	switch c.Doc.Mode {
-	case scenario.ModeExperiment:
-		spec.Kind = KindExperiment
-		for _, e := range c.Experiments {
-			spec.Experiments = append(spec.Experiments, e.ID)
-		}
-		spec.Quick = c.Options.Quick
-		spec.TxPerCore = c.Options.TxPerCore
-		spec.Cores = c.Options.Cores
-	case scenario.ModeSweep:
-		spec.Kind = KindSweep
-		plan := c.Plan
-		spec.Plan = &plan
-	case scenario.ModeCrashtest:
-		spec.Kind = KindCrashtest
-		spec.Crashtests = c.Crashtests
-	}
-	return spec
-}
-
-// crashtestConfigs normalizes the single and plural crashtest fields.
-func (s *JobSpec) crashtestConfigs() []crashtest.Config {
-	if s.Crashtest != nil {
-		return []crashtest.Config{*s.Crashtest}
-	}
-	return s.Crashtests
-}
-
-// validate rejects malformed specs at submit time, so a queued job can only
-// fail by simulating, never by parsing.
-func (s *JobSpec) validate() error {
-	switch s.Kind {
-	case KindExperiment:
-		ids := s.experimentIDs()
-		for _, id := range ids {
-			if _, ok := harness.Find(id); !ok {
-				return fmt.Errorf("unknown experiment %q (valid: all, %s)", id, strings.Join(harness.ExperimentIDs(), ", "))
-			}
-		}
-	case KindSweep:
-		if s.Plan == nil || len(s.Plan.Cells) == 0 {
-			return fmt.Errorf("sweep jobs need a non-empty plan")
-		}
-		if err := s.Plan.Validate(); err != nil {
-			return err
-		}
-		for _, c := range s.Plan.Cells {
-			if err := registry.CheckDesign(c.Design); err != nil {
-				return fmt.Errorf("cell %q: %v", c.ID, err)
-			}
-			if err := registry.CheckWorkload(c.Workload); err != nil {
-				return fmt.Errorf("cell %q: %v", c.ID, err)
-			}
-		}
-	case KindCrashtest:
-		if s.Crashtest != nil && len(s.Crashtests) > 0 {
-			return fmt.Errorf("crashtest jobs take either \"crashtest\" or \"crashtests\", not both")
-		}
-		cfgs := s.crashtestConfigs()
-		if len(cfgs) == 0 {
-			return fmt.Errorf("crashtest jobs need a crashtest configuration")
-		}
-		for _, cfg := range cfgs {
-			d, ok := registry.LookupDesign(cfg.Design)
-			if !ok || !d.CrashSafe {
-				return fmt.Errorf("design %q is not supported by the crash-point explorer (supported: %s)",
-					cfg.Design, strings.Join(crashtest.Supported(), ", "))
-			}
-			if err := registry.CheckWorkload(cfg.Workload); err != nil {
-				return err
-			}
-			if err := cfg.Points.Validate(); err != nil {
-				return err
-			}
-			if err := cfg.Adversary.Validate(); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown job kind %q (valid: %s, %s, %s)", s.Kind, KindExperiment, KindSweep, KindCrashtest)
-	}
-	return nil
-}
-
-// experimentIDs resolves the experiment selection ("all" and empty both mean
-// everything).
-func (s *JobSpec) experimentIDs() []string {
-	if len(s.Experiments) == 0 {
-		return harness.ExperimentIDs()
-	}
-	var ids []string
-	for _, id := range s.Experiments {
-		id = strings.TrimSpace(id)
-		switch id {
-		case "":
-		case "all":
-			return harness.ExperimentIDs()
-		default:
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return harness.ExperimentIDs()
-	}
-	return ids
-}
 
 // JobState is a job's lifecycle phase.
 type JobState string
@@ -222,29 +67,17 @@ type Event struct {
 	Total int `json:"total,omitempty"`
 }
 
-// ExperimentOutcome is one experiment's result within an experiment job.
-type ExperimentOutcome struct {
-	ID    string         `json:"id"`
-	Title string         `json:"title"`
-	Table *harness.Table `json:"table,omitempty"`
-	Error string         `json:"error,omitempty"`
-}
-
-// CellOutcome is one cell's result within a sweep job — the shared shape
-// (and table renderer) lives in the scenario package so the serve API and
-// the CLIs cannot drift apart.
-type CellOutcome = scenario.SweepOutcome
-
 // Job is one submitted campaign. All mutable state is guarded by mu; the
 // HTTP layer reads through snapshot methods.
 type Job struct {
-	ID   string  `json:"id"`
-	Kind JobKind `json:"kind"`
+	ID string `json:"id"`
+	// Kind is the scenario's mode.
+	Kind scenario.Mode `json:"kind"`
 
-	spec    JobSpec
-	ctx     context.Context
-	cancel  context.CancelFunc
-	metrics *serveMetrics // nil for jobs built outside a server (tests)
+	compiled *scenario.Compiled // compiled.Doc is the submitted document
+	ctx      context.Context
+	cancel   context.CancelFunc
+	metrics  *serveMetrics // nil for jobs built outside a server (tests)
 
 	mu        sync.Mutex
 	state     JobState
@@ -258,9 +91,9 @@ type Job struct {
 	nextSeq   int
 	subs      map[chan Event]struct{}
 
-	experiments []ExperimentOutcome
-	sweep       []CellOutcome
-	crashtests  []*crashtest.Report
+	// result is the run's outcome, set once it returns (partial when the
+	// job failed or was cancelled).
+	result *scenario.Result
 
 	// traces holds the cycle-domain probe recordings of the job's simulated
 	// cells (present only when the server runs with tracing on; cache hits
@@ -271,10 +104,10 @@ type Job struct {
 // Status is the polling view of a job (GET /api/v1/jobs/{id}). The JSON
 // shape is pinned by the golden test in status_golden_test.go.
 type Status struct {
-	ID    string   `json:"id"`
-	Kind  JobKind  `json:"kind"`
-	State JobState `json:"state"`
-	Error string   `json:"error,omitempty"`
+	ID    string        `json:"id"`
+	Kind  scenario.Mode `json:"kind"`
+	State JobState      `json:"state"`
+	Error string        `json:"error,omitempty"`
 	// QueuedAt is when the job was accepted; StartedAt/FinishedAt bound its
 	// execution and are omitted until reached (RFC 3339 like every
 	// encoding/json time).
@@ -288,13 +121,13 @@ type Status struct {
 	PhaseNS map[string]int64 `json:"phase_ns,omitempty"`
 	Events  int              `json:"events"`
 
-	// Spec and the result payloads below are included by the single-job
+	// Scenario and the result payloads below are included by the single-job
 	// endpoint and omitted from listings.
-	Spec *JobSpec `json:"spec,omitempty"`
+	Scenario *scenario.Document `json:"scenario,omitempty"`
 
-	Experiments []ExperimentOutcome `json:"experiments,omitempty"`
-	Sweep       []CellOutcome       `json:"sweep,omitempty"`
-	Crashtests  []*crashtest.Report `json:"crashtests,omitempty"`
+	Experiments []scenario.ExperimentOutcome `json:"experiments,omitempty"`
+	Sweep       []scenario.SweepOutcome      `json:"sweep,omitempty"`
+	Crashtests  []*crashtest.Report          `json:"crashtests,omitempty"`
 
 	// Traces lists the cell keys with a recorded probe timeline, each served
 	// by GET /api/v1/jobs/{id}/cells/{key}/trace. Empty when the server runs
@@ -307,11 +140,10 @@ func (j *Job) status() Status {
 	st := j.summary()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	spec := j.spec
-	st.Spec = &spec
-	st.Experiments = append([]ExperimentOutcome(nil), j.experiments...)
-	st.Sweep = append([]CellOutcome(nil), j.sweep...)
-	st.Crashtests = append([]*crashtest.Report(nil), j.crashtests...)
+	st.Scenario = j.compiled.Doc
+	if r := j.result; r != nil {
+		st.Experiments, st.Sweep, st.Crashtests = r.Experiments, r.Sweep, r.Crashtests
+	}
 	if len(j.traces) > 0 {
 		st.Traces = make([]string, 0, len(j.traces))
 		for key := range j.traces {

@@ -11,6 +11,7 @@ import (
 
 	"dhtm/internal/obs"
 	"dhtm/internal/resultstore"
+	"dhtm/internal/scenario"
 )
 
 // newObsTestServer is newTestServer with a private metrics registry, so the
@@ -238,7 +239,7 @@ func TestStatusGolden(t *testing.T) {
 	q := time.Date(2026, 8, 8, 10, 0, 0, 0, time.UTC)
 	j := &Job{
 		ID:        "job-000042",
-		Kind:      KindSweep,
+		Kind:      scenario.ModeSweep,
 		state:     StateDone,
 		submitted: q,
 		started:   q.Add(1 * time.Second),
@@ -276,7 +277,7 @@ func TestStatusGolden(t *testing.T) {
 	}
 
 	// A queued job omits the unreached timestamps entirely.
-	fresh := &Job{ID: "job-000001", Kind: KindSweep, state: StateQueued, submitted: q}
+	fresh := &Job{ID: "job-000001", Kind: scenario.ModeSweep, state: StateQueued, submitted: q}
 	got, err = json.Marshal(fresh.summary())
 	if err != nil {
 		t.Fatal(err)

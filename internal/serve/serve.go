@@ -1,7 +1,8 @@
 // Package serve is the campaign service of the reproduction: an HTTP API
-// that accepts experiment, sweep and crash-test campaigns as JSON jobs,
-// executes them on a bounded worker pool through the existing runner, and
-// streams per-cell progress to any number of clients. Wired to a
+// that accepts experiment, sweep and crash-test campaigns as scenario
+// documents (internal/scenario), executes them on a bounded worker pool
+// through scenario.Run — the executor every CLI uses — and streams per-cell
+// progress to any number of clients. Wired to a
 // resultstore.Store, it is the serving layer the ROADMAP's production
 // north-star asks for: a cell is simulated at most once ever — concurrent
 // submits share in-flight computes (singleflight), later submits are
@@ -10,7 +11,7 @@
 //
 // API (all under /api/v1):
 //
-//	POST   /jobs             submit a JobSpec               -> Status (202)
+//	POST   /jobs             submit a scenario document     -> Status (202)
 //	GET    /jobs             list jobs                      -> []Status
 //	GET    /jobs/{id}        poll one job                   -> Status
 //	DELETE /jobs/{id}        cancel a queued or running job -> Status
@@ -22,7 +23,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,8 +32,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +42,6 @@ import (
 	"dhtm/internal/probe"
 	"dhtm/internal/registry"
 	"dhtm/internal/resultstore"
-	"dhtm/internal/runner"
 	"dhtm/internal/scenario"
 	"dhtm/internal/snapshot"
 )
@@ -58,9 +55,8 @@ type Config struct {
 	// Workers bounds how many jobs execute concurrently (<= 0 means 2).
 	// Queued jobs wait their turn in submission order.
 	Workers int
-	// CellParallel caps each job's cell worker pool (<= 0 means GOMAXPROCS).
-	// A job asking for more is clamped, so one greedy campaign cannot
-	// oversubscribe the host.
+	// CellParallel sizes each job's cell (or crash-point) worker pool (<= 0
+	// means GOMAXPROCS), so one campaign cannot oversubscribe the host.
 	CellParallel int
 	// MaxJobs bounds the retained job history (<= 0 means 1024). Submits
 	// beyond it are rejected with 503 until old terminal jobs are evicted.
@@ -181,9 +177,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.Workers = 2
 	}
 	if cfg.CellParallel <= 0 {
-		// Without a cap a client could ask for arbitrary per-job parallelism;
-		// GOMAXPROCS keeps "one greedy campaign cannot oversubscribe the
-		// host" true by default.
 		cfg.CellParallel = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxJobs <= 0 {
@@ -364,7 +357,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		"designs":                 registry.Designs(),
 		"workloads":               registry.Workloads(),
 		"crashtest_designs":       crashtest.Supported(),
-		"job_kinds":               []JobKind{KindExperiment, KindSweep, KindCrashtest},
+		"job_kinds":               []scenario.Mode{scenario.ModeExperiment, scenario.ModeSweep, scenario.ModeCrashtest},
 		"scenario_format_version": scenario.FormatVersion,
 		"workers":                 s.cfg.Workers,
 		"cell_parallel_cap":       s.cfg.CellParallel,
@@ -372,41 +365,26 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleSubmit accepts a scenario document — the exact file dhtm-bench
+// runs with -scenario — and compiles it at the door, so a queued job can
+// only fail by simulating, never by parsing.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading job body: %v", err)
 		return
 	}
-	var spec JobSpec
-	if scenario.Sniff(body) {
-		// A scenario document (it carries a format_version) — the exact file
-		// the CLIs run with -scenario. Compile it to a job spec, so one
-		// campaign spec runs identically on a laptop and against the service.
-		doc, err := scenario.Parse(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		compiled, err := doc.Compile()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		spec = specFromScenario(compiled)
-	} else {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
-			return
-		}
-	}
-	if err := spec.validate(); err != nil {
+	doc, err := scenario.Parse(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	job, err := s.submit(spec)
+	compiled, err := doc.Compile()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	job, err := s.submit(compiled)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
@@ -416,7 +394,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // submit registers the job and hands it to the worker pool.
-func (s *Server) submit(spec JobSpec) (*Job, error) {
+func (s *Server) submit(c *scenario.Compiled) (*Job, error) {
 	if s.draining.Load() {
 		return nil, fmt.Errorf("server is draining; not accepting new jobs")
 	}
@@ -429,14 +407,15 @@ func (s *Server) submit(spec JobSpec) (*Job, error) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	job := &Job{
 		ID:        fmt.Sprintf("job-%06d", s.nextID),
-		Kind:      spec.Kind,
-		spec:      spec,
+		Kind:      c.Doc.Mode,
+		compiled:  c,
 		ctx:       ctx,
 		cancel:    cancel,
 		metrics:   s.metrics,
 		state:     StateQueued,
 		submitted: time.Now(),
 		subs:      map[chan Event]struct{}{},
+		cells:     CellProgress{Total: c.Cells()},
 	}
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
@@ -489,15 +468,20 @@ func (s *Server) run(job *Job) {
 	}
 	job.setState(StateRunning, "")
 
-	var err error
-	switch job.Kind {
-	case KindExperiment:
-		err = s.runExperiments(job)
-	case KindSweep:
-		err = s.runSweep(job)
-	case KindCrashtest:
-		err = s.runCrashtest(job)
-	}
+	res, err := scenario.Run(job.ctx, job.compiled, scenario.RunOptions{
+		Store:    s.cfg.Store,
+		Parallel: s.cfg.CellParallel,
+		Trace:    probe.Config{Interval: s.cfg.TraceInterval},
+		OnCell:   job.cellDone,
+		OnPoint: func(label string, done, total int) {
+			job.publish(Event{Type: "point", Experiment: label, Done: done, Total: total})
+		},
+	})
+	// The job keeps its own capped per-cell traces (see cellDone).
+	res.Timelines = nil
+	job.mu.Lock()
+	job.result = res
+	job.mu.Unlock()
 
 	switch {
 	case err == nil:
@@ -515,146 +499,6 @@ func (s *Server) run(job *Job) {
 		"cells", st.Cells.Done, "cached", st.Cells.Cached, "failed", st.Cells.Failed,
 		"elapsed", st.FinishedAt.Sub(st.QueuedAt),
 	)
-}
-
-// parallel clamps a job's requested cell parallelism to the server cap.
-func (s *Server) parallel(requested int) int {
-	p := requested
-	if s.cfg.CellParallel > 0 && (p <= 0 || p > s.cfg.CellParallel) {
-		p = s.cfg.CellParallel
-	}
-	return p
-}
-
-// traceConfig is the per-cell probe config the server's jobs run with;
-// disabled unless Config.TraceInterval asked for tracing.
-func (s *Server) traceConfig() probe.Config {
-	return probe.Config{Interval: s.cfg.TraceInterval}
-}
-
-// runExperiments executes the selected harness experiments sequentially
-// (their cells fan out in parallel) so tables stream out as they finish.
-func (s *Server) runExperiments(job *Job) error {
-	ids := job.spec.experimentIDs()
-	opts := harness.Options{
-		Quick: job.spec.Quick, TxPerCore: job.spec.TxPerCore, Cores: job.spec.Cores,
-		Seed: job.spec.Seed, Parallel: s.parallel(job.spec.Parallel),
-		Store: s.cfg.Store, Trace: s.traceConfig(),
-	}
-
-	// Pre-size the cell counter so progress fractions are stable from the
-	// first event.
-	total := 0
-	for _, id := range ids {
-		e, _ := harness.Find(id)
-		total += len(e.Plan(opts).Cells)
-	}
-	job.mu.Lock()
-	job.cells.Total = total
-	job.mu.Unlock()
-
-	var failures []string
-	for _, id := range ids {
-		if job.ctx.Err() != nil {
-			return context.Canceled
-		}
-		e, _ := harness.Find(id)
-		expOpts := opts
-		expOpts.Progress = func(ev runner.ProgressEvent) { job.cellDone(id, ev) }
-		outcome := ExperimentOutcome{ID: e.ID, Title: e.Title}
-		rs, err := e.RunGrid(job.ctx, expOpts)
-		if err == nil {
-			if err = rs.Err(); err == nil {
-				outcome.Table, err = e.Reduce(expOpts, rs)
-			}
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				return context.Canceled
-			}
-			outcome.Error = err.Error()
-			failures = append(failures, fmt.Sprintf("%s: %v", e.ID, err))
-		}
-		job.mu.Lock()
-		job.experiments = append(job.experiments, outcome)
-		job.mu.Unlock()
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d of %d experiments failed: %s", len(failures), len(ids), strings.Join(failures, "; "))
-	}
-	return nil
-}
-
-// runSweep executes a literal cell plan through the store.
-func (s *Server) runSweep(job *Job) error {
-	plan := *job.spec.Plan
-	plan.Store = s.cfg.Store
-	job.mu.Lock()
-	job.cells.Total = len(plan.Cells)
-	job.mu.Unlock()
-
-	rs, err := runner.Run(job.ctx, plan, harness.ExecuteWith(s.traceConfig()), runner.Options{
-		Parallel: s.parallel(job.spec.Parallel),
-		Seed:     job.spec.Seed,
-		Progress: func(ev runner.ProgressEvent) { job.cellDone(plan.Name, ev) },
-	})
-	if err != nil {
-		return err
-	}
-	outcomes := scenario.SweepOutcomes(rs)
-	job.mu.Lock()
-	job.sweep = outcomes
-	job.mu.Unlock()
-	return rs.Err()
-}
-
-// runCrashtest executes the job's crash-point explorations sequentially
-// (each exploration fans its points out in parallel), mapping point
-// progress onto job events.
-func (s *Server) runCrashtest(job *Job) error {
-	var failures []string
-	for _, cfg := range job.spec.crashtestConfigs() {
-		if err := job.ctx.Err(); err != nil {
-			return context.Canceled
-		}
-		cfg.Parallel = s.parallel(job.spec.Parallel)
-		if cfg.Seed == 0 {
-			cfg.Seed = job.spec.Seed
-		}
-		// One event per explored point would swamp the history and the SSE
-		// streams on exhaustive explorations; batch like the CLI's progress
-		// log.
-		name := cfg.Design + "/" + cfg.Workload
-		cfg.Progress = func(done, total int) {
-			if done%64 == 0 || done == total {
-				job.publish(Event{Type: "point", Experiment: name, Done: done, Total: total})
-			}
-		}
-		rep, err := crashtest.Explore(job.ctx, cfg)
-		if err != nil {
-			return err
-		}
-		job.mu.Lock()
-		job.crashtests = append(job.crashtests, rep)
-		job.mu.Unlock()
-		if rep.Failed > 0 {
-			failures = append(failures, fmt.Sprintf("%s: %d of %d crash points failed; reproduce: %s",
-				name, rep.Failed, rep.Explored, rep.Repro))
-		}
-	}
-	// The cross-design half of the differential oracle: every design in the
-	// grid that explored the same committed sequences must have recovered
-	// the same heap.
-	job.mu.Lock()
-	reports := append([]*crashtest.Report(nil), job.crashtests...)
-	job.mu.Unlock()
-	if err := crashtest.CrossCheck(reports); err != nil {
-		failures = append(failures, err.Error())
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%s", strings.Join(failures, "; "))
-	}
-	return nil
 }
 
 // lookup resolves {id}, writing the 404 itself on a miss.
@@ -756,10 +600,9 @@ func writeSSE(w http.ResponseWriter, ev Event) error {
 	return err
 }
 
-// handleTables renders a job's results as the same aligned plain text the
-// CLIs print: harness tables for experiment jobs, a synthesized grid table
-// for sweep jobs, a summary for crash tests. The default output is
-// byte-identical to the CLI rendering (CI diffs the two); ?meta=1 appends a
+// handleTables renders a job's results through scenario.Result.Render, the
+// renderer dhtm-bench prints with, so the default output is byte-identical
+// to the CLI's for the same document (CI diffs the two); ?meta=1 appends a
 // job-lifecycle footer with timestamps and the phase breakdown.
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	job := s.lookup(w, r)
@@ -772,42 +615,11 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch job.Kind {
-	case KindExperiment:
-		for _, o := range st.Experiments {
-			if o.Error != "" {
-				harness.RenderFailure(w, o.ID, o.Error)
-				continue
-			}
-			o.Table.Render(w)
-		}
-	case KindSweep:
-		name := ""
-		if st.Spec != nil && st.Spec.Plan != nil {
-			name = st.Spec.Plan.Name
-		}
-		scenario.SweepTable(name, st.Sweep).Render(w)
-	case KindCrashtest:
-		if len(st.Crashtests) == 0 {
-			fmt.Fprintf(w, "crashtest produced no report: %s\n", st.Error)
-			return
-		}
-		for _, rep := range st.Crashtests {
-			fmt.Fprintf(w, "%s/%s: %d persist events, explored %d, %d failed\n",
-				rep.Design, rep.Workload, rep.TotalPoints, rep.Explored, rep.Failed)
-			classes := make([]string, 0, len(rep.EventsByClass))
-			for c := range rep.EventsByClass {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			for _, c := range classes {
-				fmt.Fprintf(w, "  %s=%d\n", c, rep.EventsByClass[c])
-			}
-			if rep.FirstFailure != nil {
-				fmt.Fprintf(w, "  first failure at point %d (%s): %s\n  reproduce: %s\n",
-					rep.FirstFailure.Point, rep.FirstFailure.Class, rep.FirstFailure.Err, rep.Repro)
-			}
-		}
+	job.mu.Lock()
+	res := job.result
+	job.mu.Unlock()
+	if res != nil {
+		res.Render(w)
 	}
 	if r.URL.Query().Get("meta") != "" {
 		writeTablesMeta(w, st)

@@ -12,9 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"dhtm/internal/crashtest"
 	"dhtm/internal/resultstore"
-	"dhtm/internal/runner"
+	"dhtm/internal/scenario"
 )
 
 // newTestServer spins up a server over an httptest listener.
@@ -36,14 +35,10 @@ func newTestServer(t *testing.T, dir string, workers int) (*Server, *httptest.Se
 	return srv, ts
 }
 
-// submit posts a job spec and decodes the accepted status.
-func submit(t *testing.T, ts *httptest.Server, spec any) Status {
+// submit posts a scenario document and decodes the accepted status.
+func submit(t *testing.T, ts *httptest.Server, doc string) Status {
 	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +83,13 @@ func await(t *testing.T, ts *httptest.Server, id string) Status {
 	return Status{}
 }
 
-// quickSweep is a fast two-cell campaign used across the tests.
-func quickSweep() JobSpec {
-	return JobSpec{
-		Kind: KindSweep,
-		Plan: &runner.Plan{
-			Name: "smoke",
-			Cells: []runner.Cell{
-				{ID: "DHTM/hash", Design: "DHTM", Workload: "hash", Cores: 2, TxPerCore: 2},
-				{ID: "ATOM/queue", Design: "ATOM", Workload: "queue", Cores: 2, TxPerCore: 2},
-			},
-		},
-		Seed: 7,
-	}
+// quickSweep is a fast two-cell sweep scenario used across the tests. Its
+// cells are ATOM/hash/cores=2/tx=2 and DHTM/hash/cores=2/tx=2, in registry
+// order.
+func quickSweep() string {
+	return `{"format_version": 1, "name": "smoke", "mode": "sweep",
+		"designs": ["DHTM", "ATOM"], "workloads": ["hash"], "seed": 7,
+		"axes": {"cores": [2], "tx_per_core": [2]}}`
 }
 
 // TestSweepJobLifecycle drives a sweep campaign end to end over HTTP: submit,
@@ -138,7 +127,7 @@ func TestSweepJobLifecycle(t *testing.T) {
 	defer resp.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
-	for _, want := range []string{"DHTM/hash", "ATOM/queue", "tx/Mcycle"} {
+	for _, want := range []string{"DHTM/hash/cores=2/tx=2", "ATOM/hash/cores=2/tx=2", "tx/Mcycle"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("tables output missing %q:\n%s", want, buf.String())
 		}
@@ -209,10 +198,9 @@ func TestConcurrentSubmitsSimulateEachCellOnce(t *testing.T) {
 // the service and fetches its rendered table.
 func TestExperimentJob(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), 1)
-	st := submit(t, ts, JobSpec{
-		Kind: KindExperiment, Experiments: []string{"table4"},
-		Quick: true, TxPerCore: 1, Cores: 2, Seed: 7,
-	})
+	st := submit(t, ts, `{"format_version": 1, "mode": "experiment",
+		"experiments": ["table4"], "quick": true, "seed": 7,
+		"axes": {"cores": [2], "tx_per_core": [1]}}`)
 	final := await(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("experiment job finished %s (%s)", final.State, final.Error)
@@ -285,10 +273,9 @@ func TestSSEStreamsProgress(t *testing.T) {
 func TestCancelJob(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), 1)
 	// An exhaustive crashtest is comfortably slow enough to catch mid-run.
-	st := submit(t, ts, JobSpec{
-		Kind:      KindCrashtest,
-		Crashtest: &crashtest.Config{Design: "DHTM", Workload: "hash", Cores: 4, TxPerCore: 4},
-	})
+	st := submit(t, ts, `{"format_version": 1, "mode": "crashtest",
+		"designs": ["DHTM"], "workloads": ["hash"],
+		"axes": {"cores": [4], "tx_per_core": [4]}}`)
 	// Wait until it actually runs, then cancel.
 	deadline := time.Now().Add(30 * time.Second)
 	for getStatus(t, ts, st.ID).State == StateQueued && time.Now().Before(deadline) {
@@ -329,7 +316,7 @@ func TestScenarioSubmit(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("scenario submit: status %d (%s)", resp.StatusCode, st.Error)
 	}
-	if st.Kind != KindSweep {
+	if st.Kind != scenario.ModeSweep {
 		t.Fatalf("scenario compiled to kind %q, want sweep", st.Kind)
 	}
 	final := await(t, ts, st.ID)
@@ -377,17 +364,14 @@ func TestScenarioSubmit(t *testing.T) {
 	}
 }
 
-// TestCrashtestGridJob submits a multi-configuration crashtest job (what a
-// crashtest-mode scenario compiles to) and checks every exploration reports.
+// TestCrashtestGridJob submits a multi-design crashtest scenario and checks
+// every exploration reports.
 func TestCrashtestGridJob(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), 1)
-	st := submit(t, ts, JobSpec{
-		Kind: KindCrashtest,
-		Crashtests: []crashtest.Config{
-			{Design: "DHTM", Workload: "hash", Cores: 2, TxPerCore: 1, Points: crashtest.Selection{Mode: "point", Point: 0}},
-			{Design: "ATOM", Workload: "hash", Cores: 2, TxPerCore: 1, Points: crashtest.Selection{Mode: "point", Point: 0}},
-		},
-	})
+	st := submit(t, ts, `{"format_version": 1, "mode": "crashtest",
+		"designs": ["DHTM", "ATOM"], "workloads": ["hash"],
+		"axes": {"cores": [2], "tx_per_core": [1]},
+		"points": {"mode": "point", "point": 0}}`)
 	final := await(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("crashtest grid finished %s (%s)", final.State, final.Error)
@@ -408,17 +392,11 @@ func TestCrashtestGridJob(t *testing.T) {
 // cross-design half of the oracle (recovered heaps agree across designs).
 func TestCrashtestDifferentialJob(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), 1)
-	adv := crashtest.AdversaryConfig{Window: 1, Mode: "exhaustive"}
-	sel := crashtest.Selection{Mode: "stride", Samples: 4}
-	st := submit(t, ts, JobSpec{
-		Kind: KindCrashtest,
-		Crashtests: []crashtest.Config{
-			{Design: "DHTM", Workload: "queue", Cores: 2, TxPerCore: 1, OpsPerTx: 4,
-				Adversary: adv, Differential: true, Points: sel},
-			{Design: "LogTM-ATOM", Workload: "queue", Cores: 2, TxPerCore: 1, OpsPerTx: 4,
-				Adversary: adv, Differential: true, Points: sel},
-		},
-	})
+	st := submit(t, ts, `{"format_version": 1, "mode": "crashtest",
+		"designs": ["DHTM", "LogTM-ATOM"], "workloads": ["queue"],
+		"axes": {"cores": [2], "tx_per_core": [1], "ops_per_tx": [4], "reorder_window": [1]},
+		"points": {"mode": "stride", "samples": 4},
+		"mask_mode": "exhaustive", "differential": true}`)
 	final := await(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("differential grid finished %s (%s)", final.State, final.Error)
@@ -440,28 +418,33 @@ func TestCrashtestDifferentialJob(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation checks malformed specs die at the door with 400s
-// that name the valid values.
+// TestSubmitValidation checks malformed documents die at the door with
+// 400s that name the field at fault and the valid values. The endpoint takes
+// scenario documents only: a legacy {"kind": ...} job body is rejected
+// naming format_version.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), 1)
+	const ct = `"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"]`
 	cases := []struct {
 		name string
 		body string
 		want string
 	}{
-		{"unknown kind", `{"kind":"nope"}`, "unknown job kind"},
-		{"unknown experiment", `{"kind":"experiment","experiments":["fig99"]}`, "unknown experiment"},
-		{"empty sweep", `{"kind":"sweep"}`, "non-empty plan"},
-		{"bad design", `{"kind":"sweep","plan":{"name":"x","cells":[{"id":"a","design":"NOPE","workload":"hash"}]}}`, "unknown design"},
-		{"bad workload", `{"kind":"sweep","plan":{"name":"x","cells":[{"id":"a","design":"DHTM","workload":"nope"}]}}`, "unknown workload"},
-		{"crashtest without config", `{"kind":"crashtest"}`, "crashtest configuration"},
-		{"unsupported crashtest design", `{"kind":"crashtest","crashtest":{"design":"NP","workload":"hash"}}`, "not supported"},
-		{"bad crashtest point selection", `{"kind":"crashtest","crashtest":{"design":"DHTM","workload":"hash","points":{"mode":"bogus"}}}`, "unknown selection mode"},
-		{"both crashtest fields", `{"kind":"crashtest","crashtest":{"design":"DHTM","workload":"hash"},"crashtests":[{"design":"DHTM","workload":"hash"}]}`, "not both"},
-		{"oversized reorder window", `{"kind":"crashtest","crashtest":{"design":"DHTM","workload":"hash","adversary":{"reorder_window":17}}}`, "reorder window"},
-		{"bad adversary mode", `{"kind":"crashtest","crashtest":{"design":"DHTM","workload":"hash","adversary":{"reorder_window":2,"mode":"chaos"}}}`, "adversary mode"},
-		{"bad replay mask", `{"kind":"crashtest","crashtest":{"design":"DHTM","workload":"hash","points":{"mode":"point","point":3,"mask":"xyz"}}}`, "mask"},
-		{"unknown field", `{"kind":"sweep","plam":{}}`, "unknown field"},
+		{"unknown kind", `{"format_version":1,"mode":"nope"}`, "unknown mode"},
+		{"unknown experiment", `{"format_version":1,"mode":"experiment","experiments":["fig99"]}`, "unknown experiment"},
+		{"empty sweep", `{"format_version":1,"mode":"sweep"}`, "empty grid"},
+		{"bad design", `{"format_version":1,"mode":"sweep","designs":["NOPE"],"workloads":["hash"]}`, "unknown design"},
+		{"bad workload", `{"format_version":1,"mode":"sweep","designs":["DHTM"],"workloads":["nope"]}`, "unknown workload"},
+		{"crashtest without config", `{"format_version":1,"mode":"crashtest"}`, "empty grid"},
+		{"unsupported crashtest design", `{"format_version":1,"mode":"crashtest","designs":["NP"],"workloads":["hash"]}`, "not supported"},
+		{"bad crashtest point selection", `{` + ct + `,"points":{"mode":"bogus"}}`, "unknown selection mode"},
+		{"both crashtest fields", `{"kind":"crashtest","crashtest":{"design":"DHTM","workload":"hash"},"crashtests":[{"design":"DHTM","workload":"hash"}]}`, "format_version"},
+		{"legacy experiment body", `{"kind":"experiment","experiments":["table4"],"quick":true}`, "format_version"},
+		{"oversized reorder window", `{` + ct + `,"axes":{"reorder_window":[17]}}`, "reorder window"},
+		{"bad adversary mode", `{` + ct + `,"axes":{"reorder_window":[2]},"mask_mode":"chaos"}`, "adversary mode"},
+		{"bad replay mask", `{` + ct + `,"points":{"mode":"point","point":3,"mask":"xyz"}}`, "mask"},
+		{"mask without window", `{` + ct + `,"points":{"mode":"point","point":3,"mask":"0x1"}}`, "reorder_window"},
+		{"unknown field", `{"format_version":1,"mode":"sweep","plam":{}}`, "unknown field"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -519,8 +502,7 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 	st := submit(t, ts, quickSweep())
 	srv.Drain() // blocks until the accepted job ran to completion
 
-	body, _ := json.Marshal(quickSweep())
-	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(quickSweep()))
 	if err != nil {
 		t.Fatal(err)
 	}

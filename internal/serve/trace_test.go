@@ -61,12 +61,12 @@ func TestTraceEndpoint(t *testing.T) {
 	if len(final.Traces) != 2 {
 		t.Fatalf("traces = %v, want both cells", final.Traces)
 	}
-	if final.Traces[0] != "ATOM/queue" || final.Traces[1] != "DHTM/hash" {
+	if final.Traces[0] != "ATOM/hash/cores=2/tx=2" || final.Traces[1] != "DHTM/hash/cores=2/tx=2" {
 		t.Fatalf("traces not sorted: %v", final.Traces)
 	}
 
 	// Cell keys contain a slash; they travel as one escaped segment.
-	base := ts.URL + "/api/v1/jobs/" + st.ID + "/cells/DHTM%2Fhash/trace"
+	base := ts.URL + "/api/v1/jobs/" + st.ID + "/cells/DHTM%2Fhash%2Fcores=2%2Ftx=2/trace"
 
 	code, body := getBody(t, base)
 	if code != http.StatusOK {
@@ -124,7 +124,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &tl); err != nil {
 		t.Fatalf("timeline is not valid JSON: %v", err)
 	}
-	if tl.FormatVersion != 1 || tl.Cell != "DHTM/hash" || tl.Interval != 256 {
+	if tl.FormatVersion != 1 || tl.Cell != "DHTM/hash/cores=2/tx=2" || tl.Interval != 256 {
 		t.Fatalf("timeline header: %+v", tl)
 	}
 	for i := 1; i < len(tl.Cycles); i++ {
@@ -173,7 +173,7 @@ func TestTraceCacheHitAndDisabled(t *testing.T) {
 	if len(second.Traces) != 0 {
 		t.Fatalf("cache-hit job should record no traces, got %v", second.Traces)
 	}
-	code, body := getBody(t, ts.URL+"/api/v1/jobs/"+second.ID+"/cells/DHTM%2Fhash/trace")
+	code, body := getBody(t, ts.URL+"/api/v1/jobs/"+second.ID+"/cells/DHTM%2Fhash%2Fcores=2%2Ftx=2/trace")
 	if code != http.StatusNotFound || !strings.Contains(body, "no trace recorded") {
 		t.Fatalf("cache-hit trace fetch: status %d body %q", code, body)
 	}
@@ -184,7 +184,7 @@ func TestTraceCacheHitAndDisabled(t *testing.T) {
 	if len(done.Traces) != 0 {
 		t.Fatalf("untraced server recorded traces: %v", done.Traces)
 	}
-	code, body = getBody(t, off.URL+"/api/v1/jobs/"+done.ID+"/cells/DHTM%2Fhash/trace")
+	code, body = getBody(t, off.URL+"/api/v1/jobs/"+done.ID+"/cells/DHTM%2Fhash%2Fcores=2%2Ftx=2/trace")
 	if code != http.StatusNotFound || !strings.Contains(body, "no trace recorded") {
 		t.Fatalf("untraced trace fetch: status %d body %q", code, body)
 	}
