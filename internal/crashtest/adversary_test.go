@@ -315,3 +315,34 @@ func TestDifferentialSweepAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTortureSummaryUnits checks Torture's failure summary counts in the
+// unit Failed counts: crash points at window 0, crash images — over Tasks,
+// not Explored — once a reordering window fans each point out.
+func TestTortureSummaryUnits(t *testing.T) {
+	for _, window := range []int{0, 1} {
+		cfg := Config{
+			Design: "StaleUndoATOM", Workload: "hash", Cores: 4, TxPerCore: 4, OpsPerTx: 8,
+			Seed:         6,
+			Differential: true,
+			Adversary:    AdversaryConfig{Window: window, Mode: "exhaustive"},
+			Factory: func(env *txn.Env) (txn.Runtime, error) {
+				return baselines.NewStaleUndoATOM(env), nil
+			},
+		}
+		rep, err := Torture(context.Background(), cfg)
+		if err == nil {
+			t.Fatalf("window %d: stale-undo fixture passed", window)
+		}
+		want := fmt.Sprintf("%d of %d crash points failed", rep.Failed, rep.Explored)
+		if window > 0 {
+			if rep.Tasks <= rep.Explored {
+				t.Fatalf("window %d: %d images for %d points — no fan-out to tell the units apart", window, rep.Tasks, rep.Explored)
+			}
+			want = fmt.Sprintf("%d of %d crash images failed", rep.Failed, rep.Tasks)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("window %d: error %q lacks %q", window, err, want)
+		}
+	}
+}

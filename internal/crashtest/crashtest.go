@@ -182,7 +182,7 @@ type Config struct {
 	Factory func(*txn.Env) (txn.Runtime, error) `json:"-"`
 	// Parallel is the worker-pool size (<= 0 = GOMAXPROCS).
 	Parallel int `json:"-"`
-	// Progress, when non-nil, is called after each explored point.
+	// Progress, when non-nil, is called after each explored crash image.
 	Progress func(done, total int) `json:"-"`
 }
 
@@ -426,40 +426,65 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	results := make([]PointResult, len(tasks))
-	var mu sync.Mutex
-	done := 0
-	runner.ForEach(ctx, len(tasks), cfg.Parallel, func(i int) {
-		results[i] = cfg.explorePoint(runSeed, trace, tasks[i], dc)
-		if cfg.Progress != nil {
-			mu.Lock()
-			done++
-			cfg.Progress(done, len(tasks))
-			mu.Unlock()
-		}
-	})
+	results := cfg.exploreTasks(ctx, runSeed, trace, tasks, dc)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("crashtest: exploration cancelled: %w", err)
 	}
 	metricPoints.Add(uint64(len(points)))
 	metricImages.Add(uint64(len(tasks)))
+	rep := cfg.report(runSeed, trace, len(points), results)
+	rep.ElapsedNS = time.Since(start).Nanoseconds()
+	return rep, nil
+}
 
+// exploreTasks explores every crash image of tasks, one crash point per
+// worker at a time: buildTasks emits each point's images contiguously, and
+// all of them share the point's re-run.
+func (c Config) exploreTasks(ctx context.Context, runSeed int64, trace []traceEvent, tasks []task, dc *diffCtx) []PointResult {
+	var starts []int
+	for i := range tasks {
+		if i == 0 || tasks[i].point != tasks[i-1].point {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(tasks))
+	results := make([]PointResult, len(tasks))
+	var mu sync.Mutex
+	done := 0
+	progress := func() {
+		if c.Progress != nil {
+			mu.Lock()
+			done++
+			c.Progress(done, len(tasks))
+			mu.Unlock()
+		}
+	}
+	runner.ForEach(ctx, len(starts)-1, c.Parallel, func(g int) {
+		lo, hi := starts[g], starts[g+1]
+		c.explorePoint(runSeed, trace, tasks[lo:hi], dc, results[lo:hi], progress)
+	})
+	return results
+}
+
+// report aggregates the per-image results of an exploration of points crash
+// points (ElapsedNS is left to the caller).
+func (c Config) report(runSeed int64, trace []traceEvent, points int, results []PointResult) *Report {
 	rep := &Report{
-		Design: cfg.Design, Workload: cfg.Workload, Cores: cfg.Cores,
-		TxPerCore: cfg.TxPerCore, OpsPerTx: cfg.OpsPerTx,
-		BaseSeed: cfg.Seed, RunSeed: runSeed, Torn: cfg.Torn,
-		Adversary:     cfg.Adversary,
-		Differential:  cfg.Differential,
+		Design: c.Design, Workload: c.Workload, Cores: c.Cores,
+		TxPerCore: c.TxPerCore, OpsPerTx: c.OpsPerTx,
+		BaseSeed: c.Seed, RunSeed: runSeed, Torn: c.Torn,
+		Adversary:     c.Adversary,
+		Differential:  c.Differential,
 		TotalPoints:   len(trace),
-		Explored:      len(points),
+		Explored:      points,
 		EventsByClass: make(map[string]int),
 		ReplayHist:    make(map[int]int),
 		RollbackHist:  make(map[int]int),
 	}
-	if cfg.Adversary.Window > 0 {
-		rep.Tasks = len(tasks)
+	if c.Adversary.Window > 0 {
+		rep.Tasks = len(results)
 	}
-	if cfg.Differential {
+	if c.Differential {
 		rep.CommitDigests = make(map[string]string)
 	}
 	for _, ev := range trace {
@@ -485,10 +510,9 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	if len(rep.Failures) > 0 {
 		first := rep.Failures[0]
 		rep.FirstFailure = &first
-		rep.Repro = cfg.reproCommand(first)
+		rep.Repro = c.reproCommand(first)
 	}
-	rep.ElapsedNS = time.Since(start).Nanoseconds()
-	return rep, nil
+	return rep
 }
 
 // task is one crash image to explore: a crash point plus the adversary's
@@ -545,10 +569,20 @@ func Torture(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if rep.Failed > 0 {
 		f := rep.FirstFailure
-		return rep, fmt.Errorf("crashtest: %s/%s: %d of %d crash points failed; first at point %d (%s): %s — reproduce: %s",
-			rep.Design, rep.Workload, rep.Failed, rep.Explored, f.Point, f.Class, f.Err, rep.Repro)
+		return rep, fmt.Errorf("crashtest: %s/%s: %s; first at point %d (%s): %s — reproduce: %s",
+			rep.Design, rep.Workload, rep.FailureSummary(), f.Point, f.Class, f.Err, rep.Repro)
 	}
 	return rep, nil
+}
+
+// FailureSummary renders "N of M crash points failed", counting in the unit
+// Failed counts: with a reordering window each point fans out into several
+// crash images, so it is then "N of M crash images failed" over Tasks.
+func (r *Report) FailureSummary() string {
+	if r.Tasks > 0 {
+		return fmt.Sprintf("%d of %d crash images failed", r.Failed, r.Tasks)
+	}
+	return fmt.Sprintf("%d of %d crash points failed", r.Failed, r.Explored)
 }
 
 // reproCommand renders the exact dhtm-crashtest invocation that re-explores a

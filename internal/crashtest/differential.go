@@ -44,6 +44,10 @@ import (
 type diffCtx struct {
 	prep *snapshot.Prepared
 	gen  [][]*txn.Transaction // [core][rank]
+	// base is a frozen clone of the post-setup snapshot and baseDigest its
+	// heap digest, the starting point of every incremental digest.
+	base       *memdev.Store
+	baseDigest uint64
 }
 
 // newDiffCtx regenerates the workload's transaction streams and checks the
@@ -60,7 +64,9 @@ func (c Config) newDiffCtx(runSeed int64, trace []traceEvent) (*diffCtx, error) 
 		return nil, err
 	}
 	pd := p.Defaults()
-	dc := &diffCtx{prep: prep, gen: make([][]*txn.Transaction, c.Cores)}
+	dc := &diffCtx{prep: prep, gen: make([][]*txn.Transaction, c.Cores), base: prep.NewStore()}
+	dc.base.Freeze()
+	dc.baseDigest = heapDigest(dc.base)
 	for core := 0; core < c.Cores; core++ {
 		rng := rand.New(rand.NewSource(pd.Seed + int64(core)*7919))
 		for i := 0; i < c.TxPerCore; i++ {
@@ -130,32 +136,43 @@ func commitKey(commits []txKey) string {
 }
 
 // heapDigest summarizes the workload-visible heap (lines at or above
-// wal.HeapBase) order-independently: XOR of per-line mixes, so map-ordered
-// page iteration and all-zero lines that only one design ever touched cannot
-// perturb it.
+// wal.HeapBase) order-independently: XOR of per-line mixes, so all-zero lines
+// that only one design ever touched cannot perturb it.
 func heapDigest(st *memdev.Store) uint64 {
 	var d uint64
 	st.ForEachLine(func(addr uint64, data memdev.Line) {
-		if addr < wal.HeapBase {
-			return
-		}
-		zero := true
-		for _, w := range data {
-			if w != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			return
-		}
-		h := runner.Mix64(addr)
-		for _, w := range data {
-			h = runner.Mix64(h ^ w)
-		}
-		d ^= h
+		d ^= lineMix(addr, &data)
 	})
 	return d
+}
+
+// digest returns heapDigest(st) for an image cloned from the post-setup
+// snapshot, incrementally: the digest is an XOR of per-line mixes, so
+// st's digest is the base's with the mixes of every line in leaves the two
+// images do not share swapped out (base's side) and in (st's side). Shared
+// leaves cancel exactly.
+func (d *diffCtx) digest(st *memdev.Store) uint64 {
+	dg := d.baseDigest
+	mix := func(addr uint64, mine, _ *memdev.Line) bool {
+		dg ^= lineMix(addr, mine)
+		return true
+	}
+	d.base.ForEachUnsharedLine(st, mix)
+	st.ForEachUnsharedLine(d.base, mix)
+	return dg
+}
+
+// lineMix is one line's contribution to a heap digest: 0 outside the heap
+// and for all-zero lines.
+func lineMix(addr uint64, data *memdev.Line) uint64 {
+	if addr < wal.HeapBase || *data == (memdev.Line{}) {
+		return 0
+	}
+	h := runner.Mix64(addr)
+	for _, w := range data {
+		h = runner.Mix64(h ^ w)
+	}
+	return h
 }
 
 // CrossCheck compares differential reports across designs: runs that share a

@@ -174,28 +174,27 @@ func applyRec(st *memdev.Store, rec wal.Record) {
 // first mismatching word ("" when identical). Addresses below wal.HeapBase —
 // logs, registry, lock tables, software scratch — are intentionally outside
 // the oracle: recovery truncates logs and ignores lock state, and the
-// reference image does neither.
+// reference image does neither. Only leaves the images do not share are
+// walked — shared ones cannot mismatch — in two passes, got's populated
+// lines then want's, so the reported word is the one two walks over every
+// populated line would report.
 func diffHeap(got, want *memdev.Store) string {
 	var msg string
 	scan := func(a, b *memdev.Store, flipped bool) {
-		a.ForEachLine(func(addr uint64, data memdev.Line) {
-			if msg != "" || addr < wal.HeapBase {
-				return
+		a.ForEachUnsharedLine(b, func(addr uint64, mine, theirs *memdev.Line) bool {
+			if addr < wal.HeapBase || *mine == *theirs {
+				return true
 			}
-			other := b.ReadLine(addr)
-			if other == data {
-				return
+			i := 0
+			for mine[i] == theirs[i] {
+				i++
 			}
-			for i := range data {
-				if data[i] != other[i] {
-					g, w := data[i], other[i]
-					if flipped {
-						g, w = w, g
-					}
-					msg = fmt.Sprintf("heap word %#x: recovered %#x, reference %#x", addr+uint64(i*8), g, w)
-					return
-				}
+			g, w := mine[i], theirs[i]
+			if flipped {
+				g, w = w, g
 			}
+			msg = fmt.Sprintf("heap word %#x: recovered %#x, reference %#x", addr+uint64(i*8), g, w)
+			return false
 		})
 	}
 	scan(got, want, false)

@@ -1,0 +1,224 @@
+package crashtest
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dhtm/internal/memdev"
+	"dhtm/internal/wal"
+)
+
+// naiveDiffHeap is the reference diffHeap: two full passes over every
+// populated line, got's then want's, reading the other image line by line.
+func naiveDiffHeap(got, want *memdev.Store) string {
+	var msg string
+	scan := func(a, b *memdev.Store, flipped bool) {
+		a.ForEachLine(func(addr uint64, data memdev.Line) {
+			if msg != "" || addr < wal.HeapBase {
+				return
+			}
+			other := b.ReadLine(addr)
+			for i := range data {
+				if data[i] != other[i] {
+					g, w := data[i], other[i]
+					if flipped {
+						g, w = w, g
+					}
+					msg = fmt.Sprintf("heap word %#x: recovered %#x, reference %#x", addr+uint64(i*8), g, w)
+					return
+				}
+			}
+		})
+	}
+	scan(got, want, false)
+	if msg == "" {
+		scan(want, got, true)
+	}
+	return msg
+}
+
+// scribble writes n random lines into st: mostly heap lines near populated
+// ones, some all-zero, some below wal.HeapBase, some overwriting existing
+// lines.
+func scribble(rng *rand.Rand, st *memdev.Store, hot []uint64, n int) {
+	for i := 0; i < n; i++ {
+		var addr uint64
+		switch rng.Intn(4) {
+		case 0:
+			addr = hot[rng.Intn(len(hot))]
+		case 1:
+			addr = wal.LogRegionBase + uint64(rng.Intn(1<<14))*memdev.LineBytes
+		default:
+			addr = wal.HeapBase + uint64(rng.Intn(1<<16))*memdev.LineBytes
+		}
+		var data memdev.Line
+		if rng.Intn(4) != 0 {
+			data[rng.Intn(memdev.WordsPerLine)] = rng.Uint64()
+		}
+		st.WriteLine(addr, data)
+	}
+}
+
+// heapLines lists the populated heap line addresses of st.
+func heapLines(st *memdev.Store) []uint64 {
+	var out []uint64
+	st.ForEachLine(func(addr uint64, _ memdev.Line) {
+		if addr >= wal.HeapBase {
+			out = append(out, addr)
+		}
+	})
+	return out
+}
+
+// testDiffCtx builds the differential context of a small hash exploration.
+func testDiffCtx(t *testing.T) *diffCtx {
+	t.Helper()
+	cfg := Config{Design: "DHTM", Workload: "hash", Cores: 2, TxPerCore: 2, OpsPerTx: 4, Differential: true}.withDefaults()
+	runSeed := cfg.RunSeed()
+	trace, err := cfg.countPass(runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := cfg.newDiffCtx(runSeed, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dc
+}
+
+// TestIncrementalDigestMatchesHeapDigest checks the differential oracle's
+// incremental digest against a full heapDigest walk, for clones of the
+// post-setup snapshot, clones of clones, images sharing nothing with it and
+// a real serial re-execution.
+func TestIncrementalDigestMatchesHeapDigest(t *testing.T) {
+	dc := testDiffCtx(t)
+	hot := heapLines(dc.base)
+	if len(hot) == 0 {
+		t.Fatal("post-setup image has no heap lines")
+	}
+	rng := rand.New(rand.NewSource(1))
+	check := func(name string, st *memdev.Store) {
+		t.Helper()
+		if got, want := dc.digest(st), heapDigest(st); got != want {
+			t.Fatalf("%s: incremental digest %016x, full walk %016x", name, got, want)
+		}
+	}
+	check("untouched clone", dc.base.Clone())
+	for round := 0; round < 20; round++ {
+		a := dc.base.Clone()
+		scribble(rng, a, hot, 1+rng.Intn(64))
+		check(fmt.Sprintf("round %d clone", round), a)
+		b := a.Clone()
+		scribble(rng, b, hot, rng.Intn(16))
+		check(fmt.Sprintf("round %d clone of clone", round), b)
+		check(fmt.Sprintf("round %d source after clone", round), a)
+
+		var buf bytes.Buffer
+		if err := b.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		unshared := memdev.NewStore()
+		if err := unshared.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d reloaded", round), unshared)
+	}
+	replay, err := dc.replay(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("empty replay", replay)
+}
+
+// TestDiffHeapMatchesNaive checks the shared-leaf-skipping diffHeap reports
+// exactly what the naive two-pass walk reports, on random image pairs with a
+// common ancestor and on the ordering corner case: a want-only mismatch at a
+// lower address than a mismatch on a line got populated must still lose to
+// the got-side one, because got's pass runs first.
+func TestDiffHeapMatchesNaive(t *testing.T) {
+	dc := testDiffCtx(t)
+	hot := heapLines(dc.base)
+	rng := rand.New(rand.NewSource(2))
+	mismatches := 0
+	for round := 0; round < 200; round++ {
+		got := dc.base.Clone()
+		want := dc.base.Clone()
+		scribble(rng, got, hot, rng.Intn(8))
+		if rng.Intn(2) == 0 {
+			want = got.Clone()
+		}
+		scribble(rng, want, hot, rng.Intn(8))
+		fast, naive := diffHeap(got, want), naiveDiffHeap(got, want)
+		if fast != naive {
+			t.Fatalf("round %d: diffHeap %q, naive %q", round, fast, naive)
+		}
+		if fast != "" {
+			mismatches++
+		}
+	}
+	if mismatches == 0 {
+		t.Fatal("no round produced a mismatch")
+	}
+
+	got := dc.base.Clone()
+	want := dc.base.Clone()
+	// Both lines lie past everything the setup image populated.
+	low := hot[len(hot)-1] + 64*memdev.LineBytes
+	high := low + 0x10_0000
+	want.WriteLine(low, memdev.Line{1})    // want-only, lower address
+	got.WriteLine(high, memdev.Line{0, 2}) // got-populated, higher address
+	wantMsg := fmt.Sprintf("heap word %#x: recovered 0x2, reference 0x0", high+8)
+	if d := diffHeap(got, want); d != wantMsg || naiveDiffHeap(got, want) != wantMsg {
+		t.Fatalf("diffHeap %q, naive %q, want %q", d, naiveDiffHeap(got, want), wantMsg)
+	}
+}
+
+// TestGroupedExplorationMatchesPerTask checks that sharing one re-run among
+// a crash point's masks changes nothing: exploring every crash image with
+// its own re-run yields the same report as Explore, digests included.
+func TestGroupedExplorationMatchesPerTask(t *testing.T) {
+	cfg := Config{
+		Design: "DHTM", Workload: "queue", Cores: 2, TxPerCore: 2, OpsPerTx: 4,
+		Adversary:    AdversaryConfig{Window: 2, Mode: "exhaustive"},
+		Differential: true,
+	}
+	grouped, err := Explore(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped.ElapsedNS = 0
+
+	c := cfg.withDefaults()
+	runSeed := c.RunSeed()
+	trace, err := c.countPass(runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := pickPoints(len(trace), c.Points, runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := c.buildTasks(trace, points, runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) <= len(points) {
+		t.Fatalf("%d images for %d points: no point fans out", len(tasks), len(points))
+	}
+	dc, err := c.newDiffCtx(runSeed, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]PointResult, len(tasks))
+	for i := range tasks {
+		c.explorePoint(runSeed, trace, tasks[i:i+1], dc, results[i:i+1], func() {})
+	}
+	perTask := c.report(runSeed, trace, len(points), results)
+	if !reflect.DeepEqual(grouped, perTask) {
+		t.Fatalf("grouped and per-task exploration differ:\ngrouped  %+v\nper-task %+v", grouped, perTask)
+	}
+}

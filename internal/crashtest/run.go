@@ -3,6 +3,7 @@ package crashtest
 import (
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"dhtm/internal/config"
@@ -164,60 +165,117 @@ func (c Config) countPass(seed int64) ([]traceEvent, error) {
 	return rec.events, nil
 }
 
-// explorePoint re-runs the workload, crashes it at the task's point, builds
-// the crash image the task's adversary mask describes and judges the
-// recovered image against the oracles. A panic anywhere in the re-run,
-// recovery or an oracle (e.g. recovery walking a log the adversary corrupted)
-// is recovered and reported as the point's failure: one pathological crash
-// image must not kill the sweep, and the re-run's store is a private clone so
+// explorePoint crash-tests one crash point: it re-runs the workload once,
+// crashes it at the point every task of tasks shares, and judges each task's
+// crash image — one per adversary mask — into the matching slot of out,
+// calling done after each. The injector's pre-image depends only on the
+// point, so all masks share the re-run (still cross-checked event by event
+// against the trace) and each builds its image from a Clone of that
+// pre-image. A panic anywhere in the re-run, recovery or an oracle (e.g.
+// recovery walking a log the adversary corrupted) is recovered and reported
+// as the failure of every image it affects: one pathological crash image
+// must not kill the sweep, and the re-run's store is a private clone so
 // nothing leaks into the shared snapshot.
-func (c Config) explorePoint(seed int64, trace []traceEvent, tk task, dc *diffCtx) (res PointResult) {
-	k := tk.point
-	res = PointResult{Point: k, Class: trace[k].class.String()}
-	n := k - int(tk.wStart)
-	if n > 0 {
-		res.Window = n
-		res.Mask = fmt.Sprintf("%#x", tk.mask)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			stack := debug.Stack()
-			if len(stack) > 4096 {
-				stack = stack[:4096]
-			}
-			res.Err = fmt.Sprintf("panic: %v\n%s", r, stack)
-		}
-	}()
+func (c Config) explorePoint(seed int64, trace []traceEvent, tasks []task, dc *diffCtx, out []PointResult, done func()) {
+	k := tasks[0].point
+	torn := 0
 	if c.Torn && len(trace[k].words) >= 2 {
 		// A deterministic, seed-derived proper prefix of the in-flight words.
-		res.TornWords = 1 + int(runner.Mix64(uint64(seed)^uint64(k))%uint64(len(trace[k].words)-1))
+		torn = 1 + int(runner.Mix64(uint64(seed)^uint64(k))%uint64(len(trace[k].words)-1))
 	}
+	for i, tk := range tasks {
+		out[i] = PointResult{Point: k, Class: trace[k].class.String(), TornWords: torn}
+		if n := k - int(tk.wStart); n > 0 {
+			out[i].Window = n
+			out[i].Mask = fmt.Sprintf("%#x", tk.mask)
+		}
+	}
+	var pt *pointCtx
+	var runErr string
+	func() {
+		defer catchPanic(&runErr)
+		pt, runErr = c.rerun(seed, trace, tasks[0], dc)
+	}()
+	for i, tk := range tasks {
+		if runErr != "" {
+			out[i].Err = runErr
+		} else {
+			func() {
+				defer catchPanic(&out[i].Err)
+				pt.judge(tk, &out[i])
+			}()
+		}
+		done()
+	}
+}
+
+// catchPanic, deferred, turns a panic into a "panic:" failure in *errStr.
+func catchPanic(errStr *string) {
+	if r := recover(); r != nil {
+		stack := debug.Stack()
+		if len(stack) > 4096 {
+			stack = stack[:4096]
+		}
+		*errStr = fmt.Sprintf("panic: %v\n%s", r, stack)
+	}
+}
+
+// pointCtx is what every crash image of one point shares: the frozen
+// pre-image holding writes [0, wStart) and the mask-independent reference
+// inputs, each computed once on first use.
+type pointCtx struct {
+	trace []traceEvent
+	point int
+	pre   *memdev.Store // frozen: writes [0, wStart) durable, nothing later
+	w     workloads.Workload
+	dc    *diffCtx
+	// info decodes the trace prefix [0, point); replay re-executes its
+	// committed sequence serially (differential mode only).
+	info   func() (*traceTxs, error)
+	replay func() (*memdev.Store, error)
+}
+
+// rerun re-runs the workload up to the crash point of tk, returning the
+// point's shared context or the failure every image of the point reports.
+func (c Config) rerun(seed int64, trace []traceEvent, tk task, dc *diffCtx) (*pointCtx, string) {
+	k := tk.point
 	inj := &injector{trace: trace, start: tk.wStart, target: uint64(k)}
 	env, w, err := c.runOnce(seed, func(env *txn.Env) (memdev.PersistObserver, func() bool) {
 		inj.store = env.Store()
 		return inj, inj.done
 	})
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return nil, err.Error()
 	}
 	env.Release()
 	if inj.mismatch != nil {
-		res.Err = "determinism: " + inj.mismatch.Error()
-		return res
+		return nil, "determinism: " + inj.mismatch.Error()
 	}
 	if !inj.reached {
-		res.Err = fmt.Sprintf("crash point %d was never reached (re-run produced fewer events)", k)
-		return res
+		return nil, fmt.Sprintf("crash point %d was never reached (re-run produced fewer events)", k)
 	}
+	inj.snapshot.Freeze()
+	pt := &pointCtx{trace: trace, point: k, pre: inj.snapshot, w: w, dc: dc}
+	pt.info = sync.OnceValues(func() (*traceTxs, error) { return parseTrace(trace[:k]) })
+	pt.replay = sync.OnceValues(func() (*memdev.Store, error) {
+		info, _ := pt.info() // judge asks only once info succeeded
+		return dc.replay(info.commits)
+	})
+	return pt, ""
+}
 
-	// Build the crash image: the clone holds writes [0, wStart); the mask
+// judge builds the crash image tk's adversary mask describes, recovers it and
+// judges the recovered image against the oracles, recording the outcome in
+// res.
+func (pt *pointCtx) judge(tk task, res *PointResult) {
+	// Build the crash image: the pre-image holds writes [0, wStart); the mask
 	// retires its subset of the in-flight window [wStart, k) — in issue
 	// order, since the queue keeps same-address writes coherent — and the
 	// interrupted write k itself contributes at most a torn prefix. Payloads
 	// come from the cross-checked trace, identical to the live run's.
-	pre := inj.snapshot
-	for i := 0; i < n; i++ {
+	k, trace := pt.point, pt.trace
+	pre := pt.pre.Clone()
+	for i := 0; i < k-int(tk.wStart); i++ {
 		if tk.mask>>uint(i)&1 == 1 {
 			applyEvent(pre, trace[int(tk.wStart)+i])
 		}
@@ -230,32 +288,32 @@ func (c Config) explorePoint(seed int64, trace []traceEvent, tk task, dc *diffCt
 	report, err := recovery.Recover(img)
 	if err != nil {
 		res.Err = "recovery: " + err.Error()
-		return res
+		return
 	}
 	res.Replayed = len(report.Replayed)
 	res.RolledBack = len(report.RolledBack)
 
 	// Oracle 1: the workload's own structural invariants.
 	vstart := time.Now()
-	err = w.Verify(img)
+	err = pt.w.Verify(img)
 	metricPhases.Observe(obs.PhaseVerify, time.Since(vstart))
 	if err != nil {
 		res.Err = "invariant oracle: " + err.Error()
-		return res
+		return
 	}
 
 	// Oracle 2: prefix consistency against the trace-derived reference image.
 	// The reference is mask-independent — log-meta persists drain the queue,
 	// so no window write can change which records recovery sees activated —
 	// but the pre-image it corrects is the masked one.
-	info, err := parseTrace(trace[:k])
+	info, err := pt.info()
 	if err != nil {
 		res.Err = "reference image: " + err.Error()
-		return res
+		return
 	}
 	if diff := diffHeap(img, expectedImage(pre, info)); diff != "" {
 		res.Err = "prefix oracle: " + diff
-		return res
+		return
 	}
 
 	// Oracle 3: recovery idempotency.
@@ -263,35 +321,34 @@ func (c Config) explorePoint(seed int64, trace []traceEvent, tk task, dc *diffCt
 	second, err := recovery.Recover(img2)
 	if err != nil {
 		res.Err = "idempotency oracle: second recovery failed: " + err.Error()
-		return res
+		return
 	}
 	if len(second.Replayed) != 0 || len(second.RolledBack) != 0 {
 		res.Err = fmt.Sprintf("idempotency oracle: second recovery replayed %d and rolled back %d transactions",
 			len(second.Replayed), len(second.RolledBack))
-		return res
+		return
 	}
 	if !img2.Equal(img) {
 		res.Err = "idempotency oracle: second recovery changed the image"
-		return res
+		return
 	}
 
 	// Oracle 4 (differential mode): the recovered image must match a serial
 	// re-execution of exactly the committed transaction sequence, on a store
 	// that never saw this design's machinery — the cross-design ground truth.
-	if dc != nil {
-		replay, err := dc.replay(info.commits)
+	if pt.dc != nil {
+		replay, err := pt.replay()
 		if err != nil {
 			res.Err = "differential oracle: " + err.Error()
-			return res
+			return
 		}
 		if diff := diffHeap(img, replay); diff != "" {
 			res.Err = "differential oracle: recovered image diverges from serial re-execution of the committed sequence: " + diff
-			return res
+			return
 		}
 		res.commitKey = commitKey(info.commits)
-		res.digest = heapDigest(img)
+		res.digest = pt.dc.digest(img)
 	}
-	return res
 }
 
 // applyEvent retires one recorded durable write into a crash image.

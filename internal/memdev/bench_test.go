@@ -56,3 +56,28 @@ func BenchmarkStoreReadWord(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkStoreEqualShared measures comparing two clones of a setup-sized
+// image (16 MB of touched lines) that each dirtied the same 32 scattered
+// lines — the crash explorer's oracle comparisons. Leaves both clones still
+// share are skipped, so the cost tracks the dirtied leaves, not the image.
+func BenchmarkStoreEqualShared(b *testing.B) {
+	b.ReportAllocs()
+	img := NewStore()
+	const span = 16 << 20
+	for a := uint64(0); a < span; a += 64 {
+		img.WriteWord(a, a)
+	}
+	img.Freeze()
+	x, y := img.Clone(), img.Clone()
+	for j := uint64(0); j < 32; j++ {
+		x.WriteWord((j*(span/32))%span, j)
+		y.WriteWord((j*(span/32))%span, j)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !x.Equal(y) {
+			b.Fatal("equal clones compared unequal")
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 func TestCloneCopyOnWriteIsolation(t *testing.T) {
 	s := NewStore()
 	for pg := uint64(0); pg < 4; pg++ {
-		base := pg << pageByteShift
+		base := pg << leafByteShift
 		s.WriteWord(base+8, 100+pg)
 		s.WriteLine(base+0x400, Line{pg, pg, pg})
 	}
@@ -21,49 +21,57 @@ func TestCloneCopyOnWriteIsolation(t *testing.T) {
 	// Mutate the clone: the original must not move.
 	c.WriteWord(8, 999)
 	c.WriteLine(0x400, Line{9, 9, 9})
-	c.WriteWord(5<<pageByteShift, 1) // page the original never touched
+	c.WriteWord(5<<leafByteShift, 1) // page the original never touched
 	if got := s.ReadWord(8); got != 100 {
 		t.Fatalf("original word moved after clone write: %d", got)
 	}
 	if got := s.ReadLine(0x400); got != (Line{0, 0, 0}) {
 		t.Fatalf("original line moved after clone write: %v", got)
 	}
-	if s.ReadWord(5<<pageByteShift) != 0 {
+	if s.ReadWord(5<<leafByteShift) != 0 {
 		t.Fatalf("clone's fresh page leaked into the original")
 	}
 
 	// Mutate the original: the clone must not move either (ownership is
 	// dropped on both sides).
-	s.WriteWord(1<<pageByteShift+8, 555)
-	if got := c.ReadWord(1<<pageByteShift + 8); got != 101 {
+	s.WriteWord(1<<leafByteShift+8, 555)
+	if got := c.ReadWord(1<<leafByteShift + 8); got != 101 {
 		t.Fatalf("original write leaked into the clone: %d", got)
 	}
 
 	// Untouched pages still read identically on both sides.
 	for pg := uint64(2); pg < 4; pg++ {
-		base := pg << pageByteShift
+		base := pg << leafByteShift
 		if s.ReadWord(base+8) != c.ReadWord(base+8) {
 			t.Fatalf("untouched page %d diverged", pg)
 		}
 	}
 }
 
-// TestCloneSharesUntouchedSlabs checks the clone is actually lazy: slabs are
-// shared until written, and a write copies only the touched slab.
+// TestCloneSharesUntouchedSlabs checks the clone is actually lazy: leaves
+// and directories are shared until written, and a write copies only the
+// touched leaf and its directory.
 func TestCloneSharesUntouchedSlabs(t *testing.T) {
 	s := NewStore()
 	s.WriteWord(0, 1)
-	s.WriteWord(1<<pageByteShift, 2)
+	s.WriteWord(1<<leafByteShift, 2)
+	s.WriteWord(1<<dirByteShift, 3)
 	c := s.Clone()
-	if c.root[0] != s.root[0] || c.root[1] != s.root[1] {
+	if c.leafOf(0) != s.leafOf(0) || c.leafOf(1<<leafByteShift) != s.leafOf(1<<leafByteShift) {
 		t.Fatalf("clone deep-copied slabs eagerly")
 	}
 	c.WriteWord(0, 3)
-	if c.root[0] == s.root[0] {
+	if c.leafOf(0) == s.leafOf(0) {
 		t.Fatalf("written slab still shared")
 	}
-	if c.root[1] != s.root[1] {
+	if c.leafOf(1<<leafByteShift) != s.leafOf(1<<leafByteShift) {
 		t.Fatalf("untouched slab copied on unrelated write")
+	}
+	if c.root[1] != s.root[1] {
+		t.Fatalf("untouched directory copied on unrelated write")
+	}
+	if s.ReadWord(0) != 1 || c.ReadWord(0) != 3 {
+		t.Fatalf("copy-on-write leaked: source %d, clone %d", s.ReadWord(0), c.ReadWord(0))
 	}
 }
 

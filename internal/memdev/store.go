@@ -12,8 +12,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync/atomic"
 )
 
 // WordsPerLine is the number of 8-byte words in a 64-byte cache line. The
@@ -26,56 +28,85 @@ const LineBytes = WordsPerLine * 8
 // Line is the data payload of one cache line.
 type Line [WordsPerLine]uint64
 
-// Page geometry of the store's two-level page table. Each page is one
-// contiguous slab of 512 lines (32 KB of data), allocated on first touch.
+// Geometry of the store's two-level table. A leaf is one contiguous slab of
+// 64 lines (4 KB of data), allocated on first touch; a directory maps 512
+// leaves (2 MB of address space) and carries their ownership bits. A first
+// write after a Clone copies one leaf plus, at most, its directory.
 const (
-	pageLineShift = 9 // 512 lines per page
-	pageLines     = 1 << pageLineShift
-	pageLineMask  = pageLines - 1
-	pageByteShift = pageLineShift + 6 // line shift (64 B) + page shift
-	// rootPages bounds the directly indexed root table: pages below it live
-	// in a grow-on-demand slice (pure array indexing on the hot path), pages
-	// at or above it — addresses past 2 GB, which no simulated component
-	// uses — fall back to a sparse map so arbitrary addresses stay legal.
-	rootPages = 1 << 16
+	leafLineShift = 6 // 64 lines per leaf
+	leafLines     = 1 << leafLineShift
+	leafLineMask  = leafLines - 1
+	leafByteShift = leafLineShift + 6 // line shift (64 B) + leaf shift
+	dirLeafShift  = 9                 // 512 leaves per directory
+	dirLeaves     = 1 << dirLeafShift
+	dirLeafMask   = dirLeaves - 1
+	dirByteShift  = leafByteShift + dirLeafShift
+	// rootDirs bounds the directly indexed root table: directories below it
+	// — the first 2 GB — live in a grow-on-demand slice (pure array indexing
+	// on the hot path), directories at or above it fall back to a sparse map
+	// so arbitrary addresses stay legal.
+	rootDirs = 1 << (31 - dirByteShift)
 )
 
-// page is one slab of contiguous lines plus a bitmap of the lines that have
-// ever been written. The bitmap preserves the semantics of the previous
+// leaf is one slab of contiguous lines plus a bitmap of the lines that have
+// ever been written. The bitmap preserves the semantics of the original
 // map-based store: a line written with all-zero data is "populated" and
 // distinguishable from a never-touched (zero-filled) line, so LineCount,
 // ForEachLine and the gob image format are unchanged.
-type page struct {
-	lines   [pageLines]Line
-	written [pageLines / 64]uint64
+type leaf struct {
+	lines   [leafLines]Line
+	written [leafLines / 64]uint64
 }
 
-// Store is the durable backing store: a sparse, two-level page table mapping
+// dir is one directory of the table.
+type dir struct {
+	// owner is the edit token of the one store that may mutate this
+	// directory in place; any other store copies it on first write.
+	owner  uint64
+	leaves [dirLeaves]*leaf
+	// owned marks the leaves the owner may mutate in place; the rest are
+	// shared with another image and are copied on first write.
+	owned [dirLeaves / 64]uint64
+}
+
+// emptyDir fills the root-table slots of directories nothing was written to.
+// It owns nothing (owner 0 is never a store's token while it writes) and is
+// never written: the first write to one of its slots allocates a directory.
+var emptyDir dir
+
+// editTokens issues the stores' edit tokens. Token 0 is never issued, so a
+// store holding 0 (fresh, just cloned or frozen) owns nothing.
+var editTokens atomic.Uint64
+
+// Store is the durable backing store: a sparse, two-level table mapping
 // line-aligned addresses to line slabs. Reads of never-written memory return
 // zeroes, like freshly allocated persistent memory.
 //
-// Stores support copy-on-write cloning: Clone shares the root page slabs
-// between the two images and the first write to a shared page — on either
-// side — copies just that 32 KB slab. A store can additionally be frozen into
-// an immutable snapshot image (Freeze), after which writes panic and Clone is
+// Stores support copy-on-write cloning: Clone shares the root table, the
+// directories and the leaves between the two images in O(1), and the first
+// write on either side copies just the path it touches — the root table, one
+// 4 KB directory and one 4 KB leaf. Ownership is an edit token: a directory
+// whose owner matches the store's token (and the leaves its owned bits mark)
+// belong to this store alone, and Clone un-owns everything on both sides by
+// dropping their tokens. A store can additionally be frozen into an
+// immutable snapshot image (Freeze), after which writes panic and Clone is
 // safe to call from multiple goroutines concurrently.
 type Store struct {
-	root []*page          // indexed by page number, grown on demand
-	far  map[uint64]*page // pages at or above rootPages (cold fallback)
+	root []*dir          // indexed by directory number, grown on demand
+	far  map[uint64]*dir // directories at or above rootDirs (cold fallback)
 	// populated counts lines whose written bit is set, i.e. distinct lines
 	// ever written.
 	populated int
 
-	// owned is a bitmap over root page numbers marking slabs this store may
-	// mutate in place. A page without its bit set is shared with another
-	// image (or inherited from a snapshot) and is copied on first write.
-	// Never-cloned stores own every page they allocate, so the write fast
-	// path stays a bitmap test. Far pages are deep-copied at Clone and are
-	// always owned.
-	owned []uint64
+	// edit is this store's edit token, drawn lazily on the first write after
+	// creation or a Clone; 0 owns nothing.
+	edit uint64
+	// rootShared marks a root table another image also references; the
+	// first write copies it. The far map is copied eagerly at Clone.
+	rootShared bool
 	// frozen marks an immutable snapshot image: writes panic. A frozen store
-	// owns nothing (owned is nil), so Clone performs no writes to it and may
-	// run concurrently.
+	// holds token 0, so Clone performs no writes to it and may run
+	// concurrently.
 	frozen bool
 }
 
@@ -84,218 +115,262 @@ func NewStore() *Store {
 	return &Store{}
 }
 
-// lineAddr masks addr down to its containing line address.
-func lineAddr(addr uint64) uint64 { return addr &^ uint64(LineBytes-1) }
-
 // wordIndex returns the word offset of addr within its line.
-func wordIndex(addr uint64) int { return int(addr%LineBytes) / 8 }
+func wordIndex(addr uint64) uint64 { return (addr >> 3) % WordsPerLine }
 
-// pageOf returns the page containing addr, or nil if it was never written.
-func (s *Store) pageOf(addr uint64) *page {
-	pn := addr >> pageByteShift
-	if pn < uint64(len(s.root)) {
-		return s.root[pn]
+// lineSlot returns the line index of addr within its leaf.
+func lineSlot(addr uint64) uint64 { return (addr >> 6) & leafLineMask }
+
+// dirAt returns directory i. It is never nil: a directory nothing was
+// written to reads as emptyDir, which keeps the read path branch-light
+// enough to inline.
+func (s *Store) dirAt(i uint64) *dir {
+	if i < uint64(len(s.root)) {
+		return s.root[i]
 	}
-	if pn < rootPages {
-		return nil
+	if d := s.far[i]; d != nil {
+		return d
 	}
-	return s.far[pn]
+	return &emptyDir
 }
 
-// ownedPage reports whether this store may mutate the root page pn in place.
-func (s *Store) ownedPage(pn uint64) bool {
-	w := pn >> 6
-	return w < uint64(len(s.owned)) && s.owned[w]&(1<<(pn&63)) != 0
+// leafOf returns the leaf containing addr, or nil if it was never written.
+func (s *Store) leafOf(addr uint64) *leaf {
+	return s.dirAt(addr >> dirByteShift).leaves[(addr>>leafByteShift)&dirLeafMask]
 }
 
-// setOwned marks root page pn as exclusively this store's.
-func (s *Store) setOwned(pn uint64) {
-	w := pn >> 6
-	for uint64(len(s.owned)) <= w {
-		s.owned = append(s.owned, 0)
-	}
-	s.owned[w] |= 1 << (pn & 63)
-}
-
-// writable returns the page containing addr with this store holding exclusive
-// ownership of its slab, so the caller may mutate it. The fast path — an
-// already-owned allocated root page — is two array indexes and a mask.
-func (s *Store) writable(addr uint64) *page {
-	pn := addr >> pageByteShift
-	if pn < uint64(len(s.root)) {
-		if p := s.root[pn]; p != nil && s.ownedPage(pn) {
-			return p
+// writable returns the leaf containing addr, held exclusively by this store
+// (as is its directory), so the caller may mutate it. The fast path — an
+// owned leaf in an owned root directory — is three loads and a mask.
+func (s *Store) writable(addr uint64) *leaf {
+	if i := addr >> dirByteShift; i < uint64(len(s.root)) {
+		if d := s.root[i]; d.owner == s.edit {
+			j := (addr >> leafByteShift) & dirLeafMask
+			if d.owned[j>>6]&(1<<(j&63)) != 0 {
+				return d.leaves[j]
+			}
 		}
 	}
 	return s.writableSlow(addr)
 }
 
 // writableSlow handles the cold write cases: frozen images (panic), shared
-// pages (copy the slab), and first-touch allocation.
-func (s *Store) writableSlow(addr uint64) *page {
+// root tables, directories and leaves (copy them), and first-touch
+// allocation.
+func (s *Store) writableSlow(addr uint64) *leaf {
 	if s.frozen {
 		panic(fmt.Sprintf("memdev: write at %#x to frozen store image", addr))
 	}
-	pn := addr >> pageByteShift
-	if pn < uint64(len(s.root)) {
-		if p := s.root[pn]; p != nil {
-			// Shared with another image: copy the 32 KB slab before writing.
-			cp := new(page)
-			*cp = *p
-			s.root[pn] = cp
-			s.setOwned(pn)
-			return cp
-		}
+	if s.edit == 0 {
+		s.edit = editTokens.Add(1)
 	}
-	return s.ensurePage(addr)
+	i := addr >> dirByteShift
+	var d *dir
+	if i < rootDirs {
+		if s.rootShared || i >= uint64(len(s.root)) {
+			s.ownRoot(i)
+		}
+		d = s.ownDir(s.root[i])
+		s.root[i] = d
+	} else {
+		if s.far == nil {
+			s.far = make(map[uint64]*dir)
+		}
+		d = s.ownDir(s.dirAt(i))
+		s.far[i] = d
+	}
+	j := (addr >> leafByteShift) & dirLeafMask
+	w, b := j>>6, uint64(1)<<(j&63)
+	if d.owned[w]&b == 0 {
+		l := new(leaf)
+		if old := d.leaves[j]; old != nil {
+			*l = *old // shared with another image: copy the 4 KB slab
+		}
+		d.leaves[j] = l
+		d.owned[w] |= b
+	}
+	return d.leaves[j]
 }
 
-// ensurePage returns the page containing addr, allocating its slab on first
-// touch. A newly allocated page is exclusively this store's.
-func (s *Store) ensurePage(addr uint64) *page {
-	pn := addr >> pageByteShift
-	if pn < rootPages {
-		if pn >= uint64(len(s.root)) {
-			// Grow with doubled capacity so ascending first touches cost
-			// amortized O(1) root-table copies, not one copy per page.
-			newLen := pn + 1
-			if d := uint64(2 * len(s.root)); newLen < d {
-				newLen = d
-			}
-			if newLen > rootPages {
-				newLen = rootPages
-			}
-			grown := make([]*page, newLen)
-			copy(grown, s.root)
-			s.root = grown
-		}
-		p := s.root[pn]
-		if p == nil {
-			p = new(page)
-			s.root[pn] = p
-			s.setOwned(pn)
-		}
-		return p
+// ownRoot gives the store a private root table long enough to index
+// directory i. Growth doubles the length so ascending first touches cost
+// amortized O(1) table copies.
+func (s *Store) ownRoot(i uint64) {
+	n := uint64(len(s.root))
+	if i >= n {
+		n = min(max(i+1, 2*n), rootDirs)
 	}
-	if s.far == nil {
-		s.far = make(map[uint64]*page)
+	root := make([]*dir, n)
+	for j := copy(root, s.root); j < len(root); j++ {
+		root[j] = &emptyDir
 	}
-	p := s.far[pn]
-	if p == nil {
-		p = new(page)
-		s.far[pn] = p
-	}
-	return p
+	s.root = root
+	s.rootShared = false
 }
 
-// markWritten sets the written bit for the line slot, maintaining the
+// ownDir returns d if this store owns it, or else a private copy (a fresh
+// directory for emptyDir) owning none of its leaves yet.
+func (s *Store) ownDir(d *dir) *dir {
+	if d.owner == s.edit {
+		return d
+	}
+	cp := new(dir)
+	if d != &emptyDir {
+		*cp = *d
+		cp.owned = [dirLeaves / 64]uint64{}
+	}
+	cp.owner = s.edit
+	return cp
+}
+
+// markWritten sets the written bit for the line slot of l, maintaining the
 // populated-line count.
-func (s *Store) markWritten(p *page, slot int) {
-	w, b := slot>>6, uint64(1)<<(uint(slot)&63)
-	if p.written[w]&b == 0 {
-		p.written[w] |= b
+func (s *Store) markWritten(l *leaf, slot uint64) {
+	w, b := slot>>6, uint64(1)<<(slot&63)
+	if l.written[w]&b == 0 {
+		l.written[w] |= b
 		s.populated++
 	}
 }
 
 // ReadWord returns the 8-byte word at addr (addr must be 8-byte aligned).
 func (s *Store) ReadWord(addr uint64) uint64 {
-	p := s.pageOf(addr)
-	if p == nil {
-		return 0
+	if l := s.leafOf(addr); l != nil {
+		return l.lines[lineSlot(addr)][wordIndex(addr)]
 	}
-	return p.lines[(addr>>6)&pageLineMask][wordIndex(addr)]
+	return 0
 }
 
 // WriteWord stores an 8-byte word at addr (addr must be 8-byte aligned).
 func (s *Store) WriteWord(addr uint64, val uint64) {
-	p := s.writable(addr)
-	slot := int((addr >> 6) & pageLineMask)
-	s.markWritten(p, slot)
-	p.lines[slot][wordIndex(addr)] = val
+	l, slot := s.writable(addr), lineSlot(addr)
+	s.markWritten(l, slot)
+	l.lines[slot][wordIndex(addr)] = val
 }
 
 // ReadLine returns a copy of the line containing addr.
 func (s *Store) ReadLine(addr uint64) Line {
-	p := s.pageOf(addr)
-	if p == nil {
+	l := s.leafOf(addr)
+	if l == nil {
 		return Line{}
 	}
-	return p.lines[(addr>>6)&pageLineMask]
+	return l.lines[lineSlot(addr)]
 }
 
 // WriteLine replaces the entire line containing addr.
 func (s *Store) WriteLine(addr uint64, data Line) {
-	p := s.writable(addr)
-	slot := int((addr >> 6) & pageLineMask)
-	s.markWritten(p, slot)
-	p.lines[slot] = data
+	l, slot := s.writable(addr), lineSlot(addr)
+	s.markWritten(l, slot)
+	l.lines[slot] = data
 }
 
 // LineCount reports how many distinct lines have ever been written.
 func (s *Store) LineCount() int { return s.populated }
 
-// forEachPage visits every allocated page in ascending page-number order.
-func (s *Store) forEachPage(f func(pn uint64, p *page)) {
-	for pn, p := range s.root {
-		if p != nil {
-			f(uint64(pn), p)
+// forEachDir visits every allocated directory in ascending order until f
+// returns false.
+func (s *Store) forEachDir(f func(i uint64, d *dir) bool) {
+	for i, d := range s.root {
+		if d != &emptyDir && !f(uint64(i), d) {
+			return
 		}
 	}
 	if len(s.far) > 0 {
-		pns := make([]uint64, 0, len(s.far))
-		for pn := range s.far {
-			pns = append(pns, pn)
-		}
-		sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-		for _, pn := range pns {
-			f(pn, s.far[pn])
+		for _, i := range slices.Sorted(maps.Keys(s.far)) {
+			if !f(i, s.far[i]) {
+				return
+			}
 		}
 	}
+}
+
+// forEachWritten visits the written line slots of l in ascending order
+// until f returns false.
+func (l *leaf) forEachWritten(f func(slot int) bool) bool {
+	for w, word := range l.written {
+		for word != 0 {
+			slot := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if !f(slot) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ForEachLine visits every populated line in ascending address order.
 // The callback receives a copy of the line data.
 func (s *Store) ForEachLine(f func(addr uint64, data Line)) {
-	s.forEachPage(func(pn uint64, p *page) {
-		base := pn << pageByteShift
-		for w, word := range p.written {
-			for word != 0 {
-				slot := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				f(base+uint64(slot)<<6, p.lines[slot])
+	s.forEachDir(func(i uint64, d *dir) bool {
+		for j, l := range d.leaves {
+			if l == nil {
+				continue
 			}
+			base := i<<dirByteShift | uint64(j)<<leafByteShift
+			l.forEachWritten(func(slot int) bool {
+				f(base+uint64(slot)<<6, l.lines[slot])
+				return true
+			})
 		}
+		return true
 	})
 }
 
-// Clone returns an independent image with identical contents. The copy is
-// lazy: both images share the root page slabs, and the first write to a
-// shared page on either side copies just that slab. Cloning a frozen store
-// writes nothing to it, so concurrent Clone calls on a frozen image are safe;
-// cloning a live store is single-goroutine only (it drops the source's page
-// ownership so later source writes copy too). Far pages — outside the 2 GB
-// simulated range — are deep-copied eagerly; they are cold and almost always
-// absent.
+// zeroLine stands in for a line the other image of ForEachUnsharedLine
+// never allocated.
+var zeroLine Line
+
+// ForEachUnsharedLine visits, in ascending address order, every populated
+// line of s that lies in a leaf s and o do not share, together with o's line
+// at the same address (zero when o never wrote it), until f returns false.
+// Shared leaves — the same slab reached from both tables — are identical by
+// construction and are skipped, so comparing two images cloned from a common
+// ancestor costs the leaves either side wrote since, not the image size.
+// Both lines are read-only views valid only for the call.
+func (s *Store) ForEachUnsharedLine(o *Store, f func(addr uint64, mine, theirs *Line) bool) {
+	s.forEachDir(func(i uint64, d *dir) bool {
+		od := o.dirAt(i)
+		if od == d {
+			return true
+		}
+		for j, l := range d.leaves {
+			ol := od.leaves[j]
+			if l == nil || l == ol {
+				continue
+			}
+			base := i<<dirByteShift | uint64(j)<<leafByteShift
+			if !l.forEachWritten(func(slot int) bool {
+				theirs := &zeroLine
+				if ol != nil {
+					theirs = &ol.lines[slot]
+				}
+				return f(base+uint64(slot)<<6, &l.lines[slot], theirs)
+			}) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// Clone returns an independent image with identical contents in O(1): both
+// images share the root table, directories and leaves, and the first write
+// on either side copies just what it touches. Cloning a frozen store writes
+// nothing to it, so concurrent Clone calls on a frozen image are safe;
+// cloning a live store is single-goroutine only (it drops the source's edit
+// token so later source writes copy too). The far map — directories outside
+// the 2 GB simulated range — is copied eagerly; it is almost always empty.
 func (s *Store) Clone() *Store {
-	c := &Store{populated: s.populated}
-	if len(s.root) > 0 {
-		c.root = make([]*page, len(s.root))
-		copy(c.root, s.root)
-	}
+	c := &Store{root: s.root, populated: s.populated, rootShared: true}
 	if len(s.far) > 0 {
-		c.far = make(map[uint64]*page, len(s.far))
-		for pn, p := range s.far {
-			cp := *p
-			c.far[pn] = &cp
-		}
+		c.far = maps.Clone(s.far)
 	}
-	// Neither image owns the shared slabs any more. A frozen source has no
-	// ownership to drop (and must not be written even transiently).
+	// Neither image owns the shared structure any more. A frozen source owns
+	// nothing already (and must not be written even transiently).
 	if !s.frozen {
-		for i := range s.owned {
-			s.owned[i] = 0
-		}
+		s.edit = 0
+		s.rootShared = true
 	}
 	return c
 }
@@ -306,7 +381,7 @@ func (s *Store) Clone() *Store {
 // on a Clone.
 func (s *Store) Freeze() {
 	s.frozen = true
-	s.owned = nil
+	s.edit = 0
 }
 
 // Frozen reports whether the store has been frozen into an immutable image.
@@ -352,22 +427,20 @@ func (s *Store) Load(r io.Reader) error {
 }
 
 // Equal reports whether two images hold identical contents (zero-filled lines
-// are treated as absent).
+// are treated as absent). Leaves the two images share are skipped, so the
+// cost is the leaves either side wrote since their common ancestor.
 func (s *Store) Equal(o *Store) bool {
-	var za Line
-	check := func(a, b *Store) bool {
-		eq := true
-		a.ForEachLine(func(addr uint64, data Line) {
-			if !eq || data == za {
-				return
-			}
-			if b.ReadLine(addr) != data {
-				eq = false
-			}
-		})
+	return s.covers(o) && o.covers(s)
+}
+
+// covers reports whether every non-zero line of s reads the same in o.
+func (s *Store) covers(o *Store) bool {
+	eq := true
+	s.ForEachUnsharedLine(o, func(_ uint64, mine, theirs *Line) bool {
+		eq = *mine == *theirs || *mine == Line{}
 		return eq
-	}
-	return check(s, o) && check(o, s)
+	})
+	return eq
 }
 
 // Dump writes a human-readable hex listing of the populated lines, primarily

@@ -210,8 +210,8 @@ func (r *Result) runCrashtests(ctx context.Context, c *Compiled, opts RunOptions
 		r.Crashtests = append(r.Crashtests, rep)
 		renderReport(opts.Out, rep)
 		if rep.Failed > 0 {
-			failures = append(failures, fmt.Sprintf("%s: %d of %d crash points failed; reproduce: %s",
-				name, rep.Failed, rep.Explored, rep.Repro))
+			failures = append(failures, fmt.Sprintf("%s: %s; reproduce: %s",
+				name, rep.FailureSummary(), rep.Repro))
 		}
 	}
 	// The cross-design half of the differential oracle: designs that

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,10 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"dhtm/internal/baselines"
+	"dhtm/internal/crashtest"
 	"dhtm/internal/harness"
 	"dhtm/internal/resultstore"
 	"dhtm/internal/scenario"
 	"dhtm/internal/serve"
+	"dhtm/internal/txn"
 )
 
 // compile parses and compiles a document body.
@@ -128,5 +132,40 @@ func TestRenderMatchesServeTables(t *testing.T) {
 			t.Fatalf("job did not finish: status %d: %s", resp.StatusCode, served)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunCrashtestFailureSummary checks the failure Run returns counts crash
+// images over the report's Tasks once a reordering window fans each crash
+// point out into several images, and crash points over Explored otherwise.
+func TestRunCrashtestFailureSummary(t *testing.T) {
+	for _, window := range []int{0, 1} {
+		c := &scenario.Compiled{
+			Doc: &scenario.Document{Mode: scenario.ModeCrashtest},
+			Crashtests: []crashtest.Config{{
+				Design: "StaleUndoATOM", Workload: "hash", Cores: 4, TxPerCore: 4, OpsPerTx: 8,
+				Seed:         6,
+				Differential: true,
+				Adversary:    crashtest.AdversaryConfig{Window: window, Mode: "exhaustive"},
+				Factory: func(env *txn.Env) (txn.Runtime, error) {
+					return baselines.NewStaleUndoATOM(env), nil
+				},
+			}},
+		}
+		res, err := scenario.Run(context.Background(), c, scenario.RunOptions{})
+		if err == nil {
+			t.Fatalf("window %d: stale-undo fixture passed", window)
+		}
+		rep := res.Crashtests[0]
+		want := fmt.Sprintf("StaleUndoATOM/hash: %d of %d crash points failed; reproduce: ", rep.Failed, rep.Explored)
+		if window > 0 {
+			if rep.Tasks <= rep.Explored {
+				t.Fatalf("window %d: %d images for %d points — no fan-out to tell the units apart", window, rep.Tasks, rep.Explored)
+			}
+			want = fmt.Sprintf("StaleUndoATOM/hash: %d of %d crash images failed; reproduce: ", rep.Failed, rep.Tasks)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("window %d: error %q lacks %q", window, err, want)
+		}
 	}
 }

@@ -3,9 +3,9 @@
 // per (hardware configuration, workload, parameters): an empty store gets the
 // durable-log registry layout and the workload's Setup writes, then the image
 // is frozen. Every cell that matches the key clones the frozen image
-// copy-on-write — a page-table copy up front, one 32 KB slab copy per page
-// the cell actually dirties — and shares the workload object itself, which is
-// read-only once Setup has run.
+// copy-on-write — O(1) up front, then one 4 KB leaf copy (plus its
+// directory, once) per leaf the cell actually dirties — and shares the
+// workload object itself, which is read-only once Setup has run.
 //
 // Lifecycle: an image is taken immediately after Setup (before any runtime or
 // engine work), keyed by the full defaulted parameter set (Setup draws from
