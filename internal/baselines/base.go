@@ -21,6 +21,7 @@ import (
 	"dhtm/internal/config"
 	"dhtm/internal/hier"
 	"dhtm/internal/htm"
+	"dhtm/internal/locks"
 	"dhtm/internal/stats"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
@@ -266,15 +267,7 @@ func (b *htmBase) recordAbort(core int, c txn.Clock, reason stats.AbortReason, a
 // whether the fallback also performs software logging and in-place flushing
 // (persistent designs) or only visibility (NP).
 func (b *htmBase) runFallback(core int, c txn.Clock, t *txn.Transaction, durable bool, log *wal.ThreadLog) {
-	for {
-		v, r := b.h.Load(core, fallbackLockAddr, c.Now(), false)
-		if v == 0 {
-			sr := b.h.Store(core, fallbackLockAddr, 1, r.Done, false)
-			c.AdvanceTo(sr.Done)
-			break
-		}
-		c.AdvanceTo(r.Done + txn.Backoff(b.cfg, 1))
-	}
+	c.AdvanceTo(locks.SpinAcquire(b.h, core, c, fallbackLockAddr, 1, txn.Backoff(b.cfg, 1)))
 	dirty := htm.NewLineSet(16)
 	ftx := &plainTx{b: b, core: core, clock: c, dirty: dirty, perWriteCost: b.cfg.FlushIssueLatency}
 	_, _, _ = txn.Attempt(t.Body, ftx)

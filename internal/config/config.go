@@ -112,11 +112,18 @@ func Default() Config {
 	}
 }
 
+// MaxCores is the largest core count the simulated machine supports: the
+// directory's sharer vector (cache.Line.Sharers) and the hierarchy's watch
+// set both keep one bit per core in a uint64.
+const MaxCores = 64
+
 // Validate checks internal consistency of the configuration.
 func (c Config) Validate() error {
 	switch {
 	case c.NumCores <= 0:
 		return fmt.Errorf("config: NumCores must be positive, got %d", c.NumCores)
+	case c.NumCores > MaxCores:
+		return fmt.Errorf("config: NumCores %d exceeds the limit of %d cores (one sharer bit per core in a 64-bit directory vector)", c.NumCores, MaxCores)
 	case c.CPUFreqGHz <= 0:
 		return fmt.Errorf("config: CPUFreqGHz must be positive, got %g", c.CPUFreqGHz)
 	case !isPow2(c.LineSize) || c.LineSize < 8:

@@ -32,6 +32,22 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTooManyCores checks the core-count limit: 64 cores
+// validate, 65 do not (one sharer bit per core in a 64-bit vector; core 64's
+// bit would be 1<<64 == 0, so its stale copies would never be invalidated).
+func TestValidateRejectsTooManyCores(t *testing.T) {
+	cfg := Default()
+	cfg.NumCores = MaxCores
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d cores rejected: %v", MaxCores, err)
+	}
+	cfg.NumCores = MaxCores + 1
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), "limit of 64 cores") {
+		t.Fatalf("65 cores: Validate() = %v, want an error naming the 64-core limit", err)
+	}
+}
+
 // TestValidateRequiresPowerOfTwoGeometry checks that the line size and both
 // set counts must be powers of two (the caches index sets with a shift and a
 // mask), while the associativity need not be.

@@ -15,6 +15,7 @@ import (
 	"dhtm/internal/config"
 	"dhtm/internal/hier"
 	"dhtm/internal/htm"
+	"dhtm/internal/locks"
 	"dhtm/internal/logbuf"
 	"dhtm/internal/memdev"
 	"dhtm/internal/stats"
@@ -770,15 +771,7 @@ func (d *DHTM) runFallback(core int, c txn.Clock, t *txn.Transaction) {
 	cs := d.cores[core]
 	// Acquire the global fallback lock. The non-transactional store conflicts
 	// with every hardware transaction's read set, aborting them.
-	for {
-		v, r := d.h.Load(core, fallbackLockAddr, c.Now(), false)
-		if v == 0 {
-			sr := d.h.Store(core, fallbackLockAddr, 1, r.Done, false)
-			c.AdvanceTo(sr.Done)
-			break
-		}
-		c.AdvanceTo(r.Done + txn.Backoff(d.cfg, 1))
-	}
+	c.AdvanceTo(locks.SpinAcquire(d.h, core, c, fallbackLockAddr, 1, txn.Backoff(d.cfg, 1)))
 
 	cs.txid = cs.log.BeginTx()
 	ftx := &fallbackTx{d: d, core: core, clock: c, dirty: htm.NewLineSet(16)}

@@ -10,9 +10,10 @@
 // parking, channel handoff, or mutex.
 //
 // The hot path is allocation- and switch-free: every Clock caches the
-// lexicographic minimum (clock, core) of the *other* unfinished cores, which
-// cannot change while this core is running (suspended cores do not move
-// their clocks, and only the running core can finish). An Advance that keeps
+// lexicographic minimum (clock, core) of the *other* runnable cores, which
+// cannot change behind this core's back while it runs (suspended cores do
+// not move their clocks, only the running core can finish or park, and the
+// cores it wakes enter its cache as it wakes them). An Advance that keeps
 // the caller in front is therefore a single add-and-compare with no coroutine
 // switch or O(cores) scan; the scan happens once per actual switch, when the
 // resumed core refreshes its cache.
@@ -22,6 +23,13 @@
 // in the parity tests): a core yields exactly when it is no longer the
 // minimum, control passes exactly to the core its cache named, and a
 // finishing core hands over to the minimum of the remaining ones.
+//
+// A core spinning on a value it reads from its own cache can Park instead of
+// polling: it leaves the schedule until some other core Wakes it, and is
+// then placed at the first of its poll slots the polling schedule would have
+// ordered after the waking operation. Between wakes every poll would have
+// read the same value, so the interleaving of everything else is unchanged;
+// the caller accounts the skipped polls' side effects (see Clock.Park).
 package engine
 
 import (
@@ -39,10 +47,11 @@ type Clock struct {
 	e    *Engine
 
 	// minOtherClock/minOtherCore cache the lexicographic minimum
-	// (clock, core) among the other unfinished cores. The cache is refreshed
+	// (clock, core) among the other runnable cores. The cache is refreshed
 	// every time this core is resumed and stays valid while it runs:
-	// suspended cores cannot advance, and cores only finish while running
-	// themselves. minOtherCore is -1 when no other core remains.
+	// suspended cores cannot advance, cores only finish or park while
+	// running themselves, and Wake updates the waker's cache.
+	// minOtherCore is -1 when no other core remains.
 	minOtherClock uint64
 	minOtherCore  int
 
@@ -50,6 +59,11 @@ type Clock struct {
 	// reports false when the engine is tearing down (another core panicked),
 	// in which case the body is unwound via a poison panic.
 	yield func(struct{}) bool
+
+	// parked is set while the core sleeps in Park; its poll slots are
+	// next, next+period, next+2·period, ...
+	parked       bool
+	next, period uint64
 }
 
 // Core returns the core index this clock belongs to.
@@ -104,7 +118,50 @@ func (c *Clock) Yield() {
 	c.e.handoff(c)
 }
 
-// refreshMinOther rescans the other unfinished cores' clocks. Called only
+// Park puts a spinning core to sleep until another core calls Wake on it.
+// The caller has just polled and would otherwise AdvanceTo(next) and poll
+// again every period cycles; it promises that, until a Wake, every one of
+// those polls would observe the same value and change nothing but state the
+// caller accounts for itself. On return the clock stands at the first poll
+// slot ordered after the waking operation, and the result is the number of
+// slots skipped before it.
+//
+// Park degrades to AdvanceTo(next) and returns 0 — the core polls as usual —
+// while a sampler is installed (samples read per-poll state mid-run), when
+// period is 0, or when no other core is runnable (nothing could wake it).
+func (c *Clock) Park(next, period uint64) uint64 {
+	e := c.e
+	if e.sampler != nil || period == 0 || e.runnable == 1 {
+		c.AdvanceTo(next)
+		return 0
+	}
+	c.parked = true
+	c.next, c.period = next, period
+	e.inactive[c.core] = true
+	e.runnable--
+	e.parks++
+	// Every other runnable core is in this core's cache (only the running
+	// core parks, and Wake adds the cores it revives), so the cached minimum
+	// is the next core to run.
+	e.next = c.minOtherCore
+	if !c.yield(struct{}{}) {
+		panic(poison{})
+	}
+	c.refreshMinOther()
+	skipped := (c.now - next) / period
+	e.skipped += skipped
+	return skipped
+}
+
+// Wake makes a parked core runnable again, ordered after the operation the
+// running core is performing: the parked core's clock moves to its first
+// poll slot p with (p, core) after the running core's (clock, core) — the
+// first poll the polling schedule would have run after that operation.
+// Waking a core that is not parked does nothing, so callers may wake a
+// superset. Any core's clock may be used; the running core is the waker.
+func (c *Clock) Wake(core int) { c.e.wake(core) }
+
+// refreshMinOther rescans the other runnable cores' clocks. Called only
 // while this core is the one running, so every other core's clock is at its
 // published value.
 func (c *Clock) refreshMinOther() {
@@ -112,7 +169,7 @@ func (c *Clock) refreshMinOther() {
 	best := -1
 	var bestClock uint64
 	for i := range e.clocks {
-		if i == c.core || e.done[i] {
+		if i == c.core || e.inactive[i] {
 			continue
 		}
 		if best < 0 || e.clocks[i] < bestClock {
@@ -131,12 +188,20 @@ type poison struct{}
 // Engine runs every core as a run-to-yield coroutine under a single-threaded
 // min-(clock,core)-first event loop.
 type Engine struct {
-	clocks  []uint64 // last published clock per core (written at handoff)
-	done    []bool   // set by the scheduler when a core's body returns
-	resume  []func() (struct{}, bool)
-	stop    []func()
-	next    int // core the yielding coroutine handed control to
-	started bool
+	clocks []uint64 // last published clock per core (written at handoff)
+	// inactive marks the cores the scheduler must not pick: finished or
+	// parked. runnable counts the others.
+	inactive []bool
+	runnable int
+	clks     []*Clock
+	resume   []func() (struct{}, bool)
+	stop     []func()
+	cur      int // core currently running
+	next     int // core the yielding coroutine handed control to
+	started  bool
+
+	// Scheduling work done by Run so far (see Counts).
+	switches, parks, skipped uint64
 
 	// sampleAt is the next simulated cycle at which sampler fires; 0 means no
 	// sampler is installed, which keeps the disabled cost of the probe plane
@@ -181,10 +246,52 @@ func New(n int) *Engine {
 		panic(fmt.Sprintf("engine: non-positive core count %d", n))
 	}
 	return &Engine{
-		clocks: make([]uint64, n),
-		done:   make([]bool, n),
-		resume: make([]func() (struct{}, bool), n),
-		stop:   make([]func(), n),
+		clocks:   make([]uint64, n),
+		inactive: make([]bool, n),
+		clks:     make([]*Clock, n),
+		resume:   make([]func() (struct{}, bool), n),
+		stop:     make([]func(), n),
+	}
+}
+
+// Counts is the scheduling work of one Run. It describes the host-side
+// execution only: the simulated machine is the same whatever the counts.
+type Counts struct {
+	// Switches is the number of times the event loop resumed a core.
+	Switches uint64
+	// Parks is the number of times a core went to sleep in Park.
+	Parks uint64
+	// SkippedPolls is the number of poll slots parked cores slept through.
+	SkippedPolls uint64
+}
+
+// Counts reports the scheduling work done by Run so far.
+func (e *Engine) Counts() Counts {
+	return Counts{Switches: e.switches, Parks: e.parks, SkippedPolls: e.skipped}
+}
+
+// wake implements Clock.Wake; the running core's cached minimum takes the
+// woken core into account.
+func (e *Engine) wake(core int) {
+	c := e.clks[core]
+	if !c.parked {
+		return
+	}
+	w := e.clks[e.cur]
+	p := c.next
+	if p < w.now || (p == w.now && core < w.core) {
+		p += (w.now - p) / c.period * c.period
+		if p < w.now || (p == w.now && core < w.core) {
+			p += c.period
+		}
+	}
+	c.parked = false
+	c.now = p
+	e.clocks[core] = p
+	e.inactive[core] = false
+	e.runnable++
+	if w.minOtherCore < 0 || p < w.minOtherClock || (p == w.minOtherClock && core < w.minOtherCore) {
+		w.minOtherClock, w.minOtherCore = p, core
 	}
 }
 
@@ -208,6 +315,7 @@ func (e *Engine) Run(body func(core int, c *Clock)) []uint64 {
 	for i := 0; i < n; i++ {
 		core := i
 		c := &Clock{core: core, e: e, minOtherCore: -1}
+		e.clks[core] = c
 		e.resume[core], e.stop[core] = iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -236,31 +344,43 @@ func (e *Engine) Run(body func(core int, c *Clock)) []uint64 {
 	// The event loop. All clocks start at 0 and ties break towards the
 	// lowest index, so core 0 runs first; thereafter control passes to the
 	// core the yielding clock cached as the minimum, or, when a core
-	// finishes, to the minimum of the remaining ones.
+	// finishes, to the minimum of the remaining runnable ones.
 	live := n
-	cur := 0
+	e.runnable = n
 	for {
-		_, suspended := e.resume[cur]()
+		e.switches++
+		_, suspended := e.resume[e.cur]()
 		if suspended {
-			// The core parked inside handoff after naming its successor.
-			cur = e.next
+			// The core suspended inside handoff or Park after naming its
+			// successor.
+			e.cur = e.next
 			continue
 		}
-		e.done[cur] = true
+		e.inactive[e.cur] = true
+		e.runnable--
 		live--
 		if live == 0 {
 			break
 		}
+		if e.runnable == 0 {
+			// Only parked cores remain. Polling, each would have run its
+			// first slot after this core's last operation.
+			for i, c := range e.clks {
+				if c.parked {
+					e.wake(i)
+				}
+			}
+		}
 		best := -1
 		for i := range e.clocks {
-			if e.done[i] {
+			if e.inactive[i] {
 				continue
 			}
 			if best < 0 || e.clocks[i] < e.clocks[best] || (e.clocks[i] == e.clocks[best] && i < best) {
 				best = i
 			}
 		}
-		cur = best
+		e.cur = best
 	}
 
 	out := make([]uint64, n)

@@ -225,6 +225,9 @@ func (h *Hierarchy) forwardFromOwner(requester, owner int, la uint64, ll *cache.
 		}
 	}
 	if conflict {
+		if h.watchMask != 0 {
+			h.wakeCore(owner)
+		}
 		if !h.arb.OnConflict(requester, owner, la, forWrite, tx, done) {
 			return false, Result{Done: done, Aborted: true, ConflictWith: owner, Level: 2}
 		}
@@ -234,6 +237,9 @@ func (h *Hierarchy) forwardFromOwner(requester, owner int, la uint64, ll *cache.
 	}
 
 	if ownerLine != nil && ownerLine.Valid() {
+		if h.watchMask != 0 {
+			h.wakeCopy(owner, la)
+		}
 		if ownerLine.Dirty || ownerLine.W {
 			ll.Data = ownerLine.Data
 			ll.Dirty = true
@@ -288,12 +294,18 @@ func (h *Hierarchy) invalidateSharers(core int, la uint64, ll *cache.Line, tx bo
 			}
 		}
 		if conflict {
+			if h.watchMask != 0 {
+				h.wakeCore(t)
+			}
 			if !h.arb.OnConflict(core, t, la, true, tx, done) {
 				return false, done + h.cfg.LLCLatency
 			}
 			tl = h.l1s[t].Peek(la)
 		}
 		if tl != nil && tl.Valid() {
+			if h.watchMask != 0 {
+				h.wakeCopy(t, la)
+			}
 			if tl.Dirty || tl.W {
 				ll.Data = tl.Data
 				ll.Dirty = true
@@ -328,6 +340,9 @@ func (h *Hierarchy) llcAllocate(core int, la uint64, data memdev.Line, at uint64
 			inTxLine := tl != nil && (tl.R || tl.W)
 			stickyOwner := tl == nil && victim.Sticky && victim.Owner == t
 			if h.arb.InTx(t) && (inTxLine || stickyOwner) {
+				if h.watchMask != 0 {
+					h.wakeCore(t)
+				}
 				h.arb.OnLLCTxEviction(t, vAddr, at)
 				if t == core {
 					requesterAborted = true
@@ -335,6 +350,9 @@ func (h *Hierarchy) llcAllocate(core int, la uint64, data memdev.Line, at uint64
 				tl = h.l1s[t].Peek(vAddr)
 			}
 			if tl != nil && tl.Valid() {
+				if h.watchMask != 0 {
+					h.wakeCopy(t, vAddr)
+				}
 				if tl.Dirty {
 					victim.Data = tl.Data
 					victim.Dirty = true

@@ -114,6 +114,18 @@ type Hierarchy struct {
 	l1s []*cache.Cache
 	llc *cache.Cache
 	ctl *memdev.Controller
+
+	// The watch set: bit t of watchMask is set while core t sleeps until its
+	// L1 copy of line watchLine[t] may have changed (see Watch).
+	watchMask uint64
+	watchLine []uint64
+	waker     Waker
+}
+
+// Waker wakes a core sleeping on a watched line. The engine's clock
+// implements it; the hierarchy only needs to say which core to wake.
+type Waker interface {
+	Wake(core int)
 }
 
 // cacheGeom keys the recycling pools: caches are interchangeable exactly when
@@ -157,6 +169,8 @@ func New(cfg config.Config, ctl *memdev.Controller, st *stats.Stats) *Hierarchy 
 		st:  st,
 		llc: newPooledCache(cfg.LLCSize, cfg.LLCWays, cfg.LineSize),
 		ctl: ctl,
+
+		watchLine: make([]uint64, cfg.NumCores),
 	}
 	for i := 0; i < cfg.NumCores; i++ {
 		h.l1s = append(h.l1s, newPooledCache(cfg.L1Size, cfg.L1Ways, cfg.LineSize))

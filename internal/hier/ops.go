@@ -116,6 +116,9 @@ func (h *Hierarchy) CompleteLLCLine(addr uint64) bool {
 // pre-transaction value remains in persistent memory.
 func (h *Hierarchy) InvalidateLLCLine(addr uint64) {
 	la := h.Align(addr)
+	if h.watchMask != 0 {
+		h.wakeLine(la)
+	}
 	if ll := h.llc.Peek(la); ll != nil {
 		ll.Reset()
 	}
@@ -123,7 +126,11 @@ func (h *Hierarchy) InvalidateLLCLine(addr uint64) {
 
 // InvalidateL1Line drops core's L1 copy of the line containing addr.
 func (h *Hierarchy) InvalidateL1Line(core int, addr uint64) {
-	h.l1s[core].Invalidate(h.Align(addr))
+	la := h.Align(addr)
+	if h.watchMask != 0 {
+		h.wakeCopy(core, la)
+	}
+	h.l1s[core].Invalidate(la)
 }
 
 // ReleaseOwnership clears any stale directory ownership core holds on the

@@ -57,21 +57,48 @@ func (t *Table) SortedAddrs(ids []uint64) []uint64 {
 	return out
 }
 
-// Acquire spins until the lock word at addr is obtained by core. The
-// test-and-set is performed without yielding between the read and the write,
-// which models an atomic exchange; waiting advances the core's clock so other
-// cores make progress.
+// Acquire spins until the lock word at addr is obtained by core, then pays
+// the lock access latency once more.
 func (t *Table) Acquire(h *hier.Hierarchy, core int, c txn.Clock, addr uint64) {
+	done := SpinAcquire(h, core, c, addr, uint64(core)+1, t.cfg.LockAccessLatency+t.cfg.BackoffBase)
+	c.AdvanceTo(done + t.cfg.LockAccessLatency)
+}
+
+// SpinAcquire is the test-and-set loop of every lock in the simulator (the
+// lock table and the HTM fallback locks): it polls the word at addr until it
+// reads 0, stores val there and returns the cycle that store completes. The
+// read and the write happen without yielding, which models an atomic
+// exchange. A poll that reads a held lock waits backoff cycles past its
+// completion before the next one; the holder keeps making progress because
+// the simulation always runs the core with the smallest clock.
+//
+// A poll that hits in core's L1 and reads "held" changes nothing but core's
+// hit counter and its L1's LRU order, and every later poll reads the same
+// value until another core invalidates that L1 copy. So instead of polling,
+// core parks until the hierarchy sees such an invalidation and then replays
+// the skipped polls' hits; the simulated machine is identical either way.
+func SpinAcquire(h *hier.Hierarchy, core int, c txn.Clock, addr, val, backoff uint64) uint64 {
 	for {
 		v, r := h.Load(core, addr, c.Now(), false)
 		if v == 0 {
-			sr := h.Store(core, addr, uint64(core)+1, r.Done, false)
-			c.AdvanceTo(sr.Done + t.cfg.LockAccessLatency)
-			return
+			return h.Store(core, addr, val, r.Done, false).Done
 		}
-		// Lock held: back off and retry. The owner keeps making progress
-		// because the simulation always runs the core with the smallest clock.
-		c.AdvanceTo(r.Done + t.cfg.LockAccessLatency + t.cfg.BackoffBase)
+		if r.Level != 1 {
+			c.AdvanceTo(r.Done + backoff)
+			continue
+		}
+		park(h, core, c, addr, r.Done+backoff, h.Config().L1Latency+backoff)
+	}
+}
+
+// park sleeps core on its L1 copy of addr in place of polling at next,
+// next+period, ... The watch is removed on every exit, including the poison
+// unwind of an engine tearing down.
+func park(h *hier.Hierarchy, core int, c txn.Clock, addr, next, period uint64) {
+	h.Watch(core, addr, c)
+	defer h.Unwatch(core)
+	if n := c.Park(next, period); n > 0 {
+		h.ReplayHits(core, addr, n)
 	}
 }
 

@@ -57,3 +57,39 @@ func TestMutualExclusion(t *testing.T) {
 		t.Fatalf("counter = %d, want %d (lost updates under the lock)", got, 2*perCore)
 	}
 }
+
+// BenchmarkSpinAcquireContended has 8 cores take turns on one lock word:
+// each op is one acquire, a short critical section and a release, while
+// the other cores spin. It reports the engine's core switches and parks
+// per op. The timer runs from the first resume of the last core to start
+// until the last core finishes, so engine and coroutine setup stay out of
+// allocs/op, which must be 0.
+func BenchmarkSpinAcquireContended(b *testing.B) {
+	b.ReportAllocs()
+	const cores = 8
+	h, cfg := newTestHier(cores)
+	tbl := NewTable(cfg, 0x1000, 4)
+	addr := tbl.Addr(1)
+	per := b.N/cores + 1
+	eng := engine.New(cores)
+	b.StopTimer()
+	b.ResetTimer()
+	started, finished := 0, 0
+	eng.Run(func(core int, c *engine.Clock) {
+		if started++; started == cores {
+			b.StartTimer()
+		}
+		for i := 0; i < per; i++ {
+			tbl.Acquire(h, core, c, addr)
+			c.Advance(50)
+			tbl.Release(h, core, c, addr)
+			c.Advance(uint64(10 + core))
+		}
+		if finished++; finished == cores {
+			b.StopTimer()
+		}
+	})
+	n := eng.Counts()
+	b.ReportMetric(float64(n.Switches)/float64(b.N), "switches/op")
+	b.ReportMetric(float64(n.Parks)/float64(b.N), "parks/op")
+}

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"dhtm/internal/engine"
 	"dhtm/internal/obs"
 	"dhtm/internal/workloads"
 )
@@ -282,10 +283,11 @@ func (s *Store) GetOrCompute(k Key, compute func() (workloads.RunResult, error))
 			return workloads.RunResult{}, false, c.err
 		}
 		shared := detach(c.res)
-		// The leader's phase trace and probe timeline describe its execution,
-		// not this caller's.
+		// The leader's phase trace, probe timeline and scheduling counts
+		// describe its execution, not this caller's.
 		shared.Phases = nil
 		shared.Timeline = nil
+		shared.Sched = engine.Counts{}
 		return shared, true, nil
 	}
 	c := &call{done: make(chan struct{})}
@@ -423,11 +425,12 @@ func (s *Store) memPut(h string, res workloads.RunResult) {
 	if s.lru == nil {
 		return
 	}
-	// Phase traces and probe timelines describe one concrete execution; a
-	// cached copy answers later lookups that did no such work, so it must
-	// not carry either.
+	// Phase traces, probe timelines and scheduling counts describe one
+	// concrete execution; a cached copy answers later lookups that did no
+	// such work, so it must not carry them.
 	res.Phases = nil
 	res.Timeline = nil
+	res.Sched = engine.Counts{}
 	s.mu.Lock()
 	s.lru.put(h, res)
 	s.mu.Unlock()

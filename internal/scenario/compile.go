@@ -106,7 +106,7 @@ func (d *Document) compileExperiment(c *Compiled) error {
 	case d.Differential:
 		return d.reject("differential")
 	}
-	if err := d.Axes.validatePositive(); err != nil {
+	if err := d.Axes.validateValues(); err != nil {
 		return err
 	}
 	cores, err := single(d, "cores", d.Axes.Cores)
@@ -173,7 +173,7 @@ func (d *Document) compileSweep(c *Compiled) error {
 	if err != nil {
 		return err
 	}
-	if err := d.Axes.validatePositive(); err != nil {
+	if err := d.Axes.validateValues(); err != nil {
 		return err
 	}
 
@@ -262,7 +262,7 @@ func (d *Document) compileCrashtest(c *Compiled) error {
 	if err != nil {
 		return err
 	}
-	if err := d.Axes.validatePositive(); err != nil {
+	if err := d.Axes.validateValues(); err != nil {
 		return err
 	}
 	points := crashtest.Selection{}
@@ -274,7 +274,7 @@ func (d *Document) compileCrashtest(c *Compiled) error {
 	}
 	// The reorder_window axis is the one axis where 0 is meaningful (the
 	// strictly-ordered baseline), so it validates here instead of through
-	// validatePositive. Mode and budget apply to every window point alike.
+	// validateValues. Mode and budget apply to every window point alike.
 	for _, w := range d.Axes.ReorderWindow {
 		if err := (crashtest.AdversaryConfig{Window: w, Mode: d.MaskMode, Samples: d.MaskSamples}).Validate(); err != nil {
 			return fmt.Errorf("scenario: axis \"reorder_window\": %w", err)
@@ -394,10 +394,10 @@ func allPositive(vals []int) bool {
 	return len(vals) > 0
 }
 
-// validatePositive rejects axis values that cannot mean anything: zero or
-// negative counts, non-positive bandwidth, and a zero explicit seed (which
-// would silently fall back to derivation).
-func (a Axes) validatePositive() error {
+// validateValues rejects axis values that cannot mean anything: zero or
+// negative counts, core counts past config.MaxCores, non-positive bandwidth,
+// and a zero explicit seed (which would silently fall back to derivation).
+func (a Axes) validateValues() error {
 	checkInts := func(field string, vals []int) error {
 		for _, v := range vals {
 			if v <= 0 {
@@ -408,6 +408,11 @@ func (a Axes) validatePositive() error {
 	}
 	if err := checkInts("cores", a.Cores); err != nil {
 		return err
+	}
+	for _, v := range a.Cores {
+		if v > config.MaxCores {
+			return fmt.Errorf("scenario: axis \"cores\" value %d exceeds the limit of %d cores", v, config.MaxCores)
+		}
 	}
 	if err := checkInts("tx_per_core", a.TxPerCore); err != nil {
 		return err

@@ -148,6 +148,9 @@ func TestCompileRejections(t *testing.T) {
 		{"typo beside all", `{"format_version":1,"mode":"experiment","experiments":["all","tabel4"]}`, "unknown experiment"},
 		{"bad policy", `{"format_version":1,"mode":"sweep","designs":["DHTM"],"workloads":["hash"],"axes":{"conflict_policy":["chaos"]}}`, "unknown conflict policy"},
 		{"zero cores", `{"format_version":1,"mode":"sweep","designs":["DHTM"],"workloads":["hash"],"axes":{"cores":[0]}}`, "must be positive"},
+		{"65 cores in sweep", `{"format_version":1,"mode":"sweep","designs":["SO"],"workloads":["hash"],"axes":{"cores":[8,65]}}`, `axis "cores" value 65 exceeds the limit of 64 cores`},
+		{"65 cores in experiment", `{"format_version":1,"mode":"experiment","experiments":["table4"],"axes":{"cores":[65]}}`, "exceeds the limit of 64 cores"},
+		{"65 cores in crashtest", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"axes":{"cores":[65]}}`, "exceeds the limit of 64 cores"},
 		{"zero seed", `{"format_version":1,"mode":"sweep","designs":["DHTM"],"workloads":["hash"],"axes":{"seed":[0]}}`, "reserved for derived seeding"},
 		{"quick in sweep", `{"format_version":1,"mode":"sweep","quick":true,"designs":["DHTM"],"workloads":["hash"]}`, `"quick" is not valid in mode "sweep"`},
 		{"designs in experiment", `{"format_version":1,"mode":"experiment","designs":["DHTM"]}`, `"designs" is not valid in mode "experiment"`},

@@ -50,12 +50,20 @@ type ExecResult struct {
 }
 
 // Clock is the subset of the engine clock a runtime needs: the current cycle
-// plus the ability to advance (which yields the scheduling token).
+// plus the ability to advance (which yields the scheduling token), and the
+// park/wake pair spin loops use to sleep until the value they poll may have
+// changed (locks.SpinAcquire is the one caller).
 type Clock interface {
 	Core() int
 	Now() uint64
 	Advance(delta uint64)
 	AdvanceTo(cycle uint64)
+	// Park sleeps until Wake in place of polling at next, next+period, ...
+	// and returns the number of polls skipped (see engine.Clock.Park).
+	Park(next, period uint64) uint64
+	// Wake makes a parked core runnable again after the running core's
+	// current operation; it implements hier.Waker.
+	Wake(core int)
 }
 
 // Runtime is one evaluated design. Implementations live in internal/core

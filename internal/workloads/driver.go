@@ -37,6 +37,12 @@ type RunResult struct {
 	// one concrete execution, so it is excluded from the on-disk record
 	// format and never set on cache hits.
 	Timeline *probe.Timeline `json:"-"`
+	// Sched is the engine's scheduling work for this run (core switches,
+	// parks, skipped polls). Like Phases it describes one concrete
+	// execution — the simulated machine is the same whatever it says — so
+	// it is excluded from the on-disk record format and never set on cache
+	// hits.
+	Sched engine.Counts `json:"-"`
 }
 
 // Throughput returns committed transactions per million cycles.
@@ -126,6 +132,7 @@ func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore i
 		Stats:     env.Stats,
 		Committed: env.Stats.TotalCommits(),
 		Cycles:    env.Stats.TotalCycles(),
+		Sched:     eng.Counts(),
 	}
 	if rec := env.Probe; rec != nil {
 		rec.Finish(res.Cycles)
