@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"dhtm/internal/htm"
+	"dhtm/internal/memdev"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
 )
@@ -15,6 +16,9 @@ import (
 // (after the undo records are durable) before the locks can be released.
 type ATOM struct {
 	*lockBase
+	// preImage, when non-nil, replaces the coherent snapshot as the source
+	// of undo pre-images. It exists only for the StaleUndoATOM test fixture.
+	preImage func(core int, la uint64) memdev.Line
 }
 
 // NewATOM builds the ATOM runtime (the hierarchy keeps its NopArbiter).
@@ -43,7 +47,11 @@ func (a *ATOM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 		// Hardware undo logging: the old value is captured and streamed to
 		// the durable log by the cache controller; only bandwidth is
 		// consumed, the core does not stall.
-		rec := &wal.Record{Type: wal.RecUndo, TxID: txid, LineAddr: la, Data: a.h.LineSnapshot(core, la)}
+		img := a.h.LineSnapshot
+		if a.preImage != nil {
+			img = a.preImage
+		}
+		rec := &wal.Record{Type: wal.RecUndo, TxID: txid, LineAddr: la, Data: img(core, la)}
 		if done, err := log.Append(rec, c.Now()); err == nil {
 			a.env.Stats.LogRecords++
 			if done > undoPersistAt {

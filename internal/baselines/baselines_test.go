@@ -5,6 +5,7 @@ import (
 
 	"dhtm/internal/config"
 	"dhtm/internal/engine"
+	"dhtm/internal/htm"
 	"dhtm/internal/palloc"
 	"dhtm/internal/txn"
 	"dhtm/internal/workloads"
@@ -45,7 +46,7 @@ func TestLocksSerializeContendedCounter(t *testing.T) {
 			inside, overlaps, exclusive := 0, 0, 0
 			body := func(tx txn.Tx) error {
 				switch tx.(type) {
-				case *lockedTx, *plainTx:
+				case *lockedTx, *htm.FallbackTx:
 					// A lock-holding critical section: it runs exactly once
 					// and cannot abort.
 					exclusive++

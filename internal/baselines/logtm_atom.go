@@ -20,7 +20,6 @@ type LogTMATOM struct {
 	// durable (commit must wait for it before writing data in place).
 	undoPersistAt []uint64
 	undoRecords   []int
-	txids         []uint64
 }
 
 // NewLogTMATOM builds the runtime and installs its arbiter.
@@ -28,31 +27,31 @@ func NewLogTMATOM(env *txn.Env) *LogTMATOM {
 	l := &LogTMATOM{htmBase: newHTMBase(env, true)}
 	l.undoPersistAt = make([]uint64, env.Cfg.NumCores)
 	l.undoRecords = make([]int, env.Cfg.NumCores)
-	l.txids = make([]uint64, env.Cfg.NumCores)
-	l.onAbort = l.abortUndo
-	env.Hier.SetArbiter(l.htmBase)
+	l.Hooks = htm.Hooks{
+		Start:   l.start,
+		Write:   l.write,
+		Commit:  l.commitInPlace,
+		Abort:   l.abortUndo,
+		Persist: l.persistFallback,
+	}
 	return l
 }
 
 // Name implements txn.Runtime.
 func (l *LogTMATOM) Name() string { return "LogTM-ATOM" }
 
-// ltTx issues transactional accesses and, on the first store to each line,
-// writes a hardware undo record carrying the pre-transaction value.
-type ltTx struct {
-	l     *LogTMATOM
-	core  int
-	clock txn.Clock
+// start opens the attempt's undo log transaction.
+func (l *LogTMATOM) start(core int) {
+	l.Ctxs[core].TxID = l.Env.Registry.Log(core).BeginTx()
+	l.undoPersistAt[core] = 0
+	l.undoRecords[core] = 0
 }
 
-// Read implements txn.Tx.
-func (t ltTx) Read(addr uint64) uint64 { return t.l.read(t.core, t.clock, addr) }
-
-// Write implements txn.Tx.
-func (t ltTx) Write(addr uint64, val uint64) {
-	l, core := t.l, t.core
-	la := l.h.Align(addr)
-	ctx := l.ctxs[core]
+// write issues a transactional store and, on the first store to each line,
+// first writes a hardware undo record carrying the pre-transaction value.
+func (l *LogTMATOM) write(core int, c txn.Clock, addr, val uint64) {
+	la := l.H.Align(addr)
+	ctx := l.Ctxs[core]
 	if !ctx.WriteLines.Contains(la) {
 		// Hardware undo logging composes the record from the coherence data
 		// response — a copy the core has permission to hold. Reading the line
@@ -63,56 +62,20 @@ func (t ltTx) Write(addr uint64, val uint64) {
 		// pre-image that, after a crash between the undo append and the abort
 		// marker, recovery would roll back over newer committed data — a bug
 		// the crash-point explorer caught.
-		l.read(core, t.clock, addr)
-		rec := &wal.Record{Type: wal.RecUndo, TxID: l.txids[core], LineAddr: la, Data: l.h.LineSnapshot(core, la)}
-		if done, err := l.env.Registry.Log(core).Append(rec, t.clock.Now()); err == nil {
-			l.env.Stats.LogRecords++
+		l.Read(core, c, addr)
+		rec := &wal.Record{Type: wal.RecUndo, TxID: ctx.TxID, LineAddr: la, Data: l.H.LineSnapshot(core, la)}
+		if done, err := l.Env.Registry.Log(core).Append(rec, c.Now()); err == nil {
+			l.Env.Stats.LogRecords++
 			l.undoRecords[core]++
 			if done > l.undoPersistAt[core] {
 				l.undoPersistAt[core] = done
 			}
 		} else {
-			l.abort(core, stats.AbortLogOverflow, t.clock.Now())
+			l.Abort(core, stats.AbortLogOverflow, c.Now())
 			txn.AbortNow(stats.AbortLogOverflow)
 		}
 	}
-	l.write(core, t.clock, addr, val)
-}
-
-// Run implements txn.Runtime.
-func (l *LogTMATOM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
-	ctx := l.ctxs[core]
-	res := txn.ExecResult{Start: c.Now()}
-	for attempt := 0; ; attempt++ {
-		if attempt >= l.cfg.MaxRetries {
-			l.runFallback(core, c, t, true, l.env.Registry.Log(core))
-			l.env.Stats.Core(core).Fallbacks++
-			l.env.Stats.Core(core).AbortsByReason[stats.AbortFallback]++
-			l.env.Stats.Core(core).Commits++
-			res.Committed = true
-			res.End = c.Now()
-			return res
-		}
-		l.begin(core, c)
-		l.txids[core] = l.env.Registry.Log(core).BeginTx()
-		l.undoPersistAt[core] = 0
-		l.undoRecords[core] = 0
-		err, ok, reason := txn.Attempt(t.Body, ltTx{l: l, core: core, clock: c})
-		if ok && err == nil && !ctx.Doomed && ctx.State == htm.Active {
-			l.commitInPlace(core, c)
-			l.finishTx(core, c, &res)
-			return res
-		}
-		switch {
-		case ok && err != nil:
-			reason = stats.AbortExplicit
-		case ok:
-			reason = ctx.Reason
-		}
-		l.abort(core, reason, c.Now())
-		res.Aborts++
-		l.recordAbort(core, c, reason, attempt)
-	}
+	l.Store(core, c, addr, val)
 }
 
 // commitInPlace waits for the undo log to be durable, makes the write set
@@ -120,9 +83,9 @@ func (l *LogTMATOM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResul
 // overflowed LLC lines — before the commit record is written. This in-place
 // persistence is on the critical path, which is exactly the overhead DHTM's
 // redo logging removes.
-func (l *LogTMATOM) commitInPlace(core int, c txn.Clock) {
-	ctx := l.ctxs[core]
-	log := l.env.Registry.Log(core)
+func (l *LogTMATOM) commitInPlace(core int, c txn.Clock) bool {
+	ctx := l.Ctxs[core]
+	log := l.Env.Registry.Log(core)
 	c.AdvanceTo(l.undoPersistAt[core])
 
 	// With undo logging the write set may not become visible until it is
@@ -134,12 +97,12 @@ func (l *LogTMATOM) commitInPlace(core int, c txn.Clock) {
 	done := c.Now()
 	for _, la := range ctx.WriteLines.Keys() {
 		var d uint64
-		if ln := l.h.L1(core).Peek(la); ln != nil && ln.Valid() {
-			d, _ = l.h.WriteBackL1Line(core, la, c.Now())
-		} else if ll := l.h.LLC().Peek(la); ll != nil && ll.Valid() {
-			d, _ = l.h.WriteBackLLCLine(la, c.Now())
+		if ln := l.H.L1(core).Peek(la); ln != nil && ln.Valid() {
+			d, _ = l.H.WriteBackL1Line(core, la, c.Now())
+		} else if ll := l.H.LLC().Peek(la); ll != nil && ll.Valid() {
+			d, _ = l.H.WriteBackLLCLine(la, c.Now())
 		} else {
-			d = l.h.PersistLineInPlace(la, l.h.LineSnapshot(core, la), c.Now())
+			d = l.H.PersistLineInPlace(la, l.H.LineSnapshot(core, la), c.Now())
 		}
 		if d > done {
 			done = d
@@ -147,36 +110,37 @@ func (l *LogTMATOM) commitInPlace(core int, c txn.Clock) {
 	}
 	c.AdvanceTo(done)
 	l.commitVisibility(core)
-	if d, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: l.txids[core]}, c.Now()); err == nil {
+	if d, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: l.Ctxs[core].TxID}, c.Now()); err == nil {
 		c.AdvanceTo(d)
 	}
-	if d, err := log.Append(&wal.Record{Type: wal.RecComplete, TxID: l.txids[core]}, c.Now()); err == nil {
+	if d, err := log.Append(&wal.Record{Type: wal.RecComplete, TxID: l.Ctxs[core].TxID}, c.Now()); err == nil {
 		c.AdvanceTo(d)
 	}
-	log.EndTx(l.txids[core])
+	log.EndTx(l.Ctxs[core].TxID)
 	// Reset the undo bookkeeping so an abort during the *next* attempt's
 	// begin (before it allocates a txid) cannot charge this transaction's
 	// walk cost again or log a spurious abort marker for it.
 	l.undoRecords[core] = 0
 	l.undoPersistAt[core] = 0
+	return true
 }
 
 // abortUndo is the design-specific abort work: the undo log must be walked
 // and applied before conflicting transactions can observe the line again
 // (LogTM stalls them with NACKs; the cost is charged to this core's
 // completion time), and the log is logically cleared with an abort record.
-func (l *LogTMATOM) abortUndo(core int, at uint64) {
-	log := l.env.Registry.Log(core)
+func (l *LogTMATOM) abortUndo(core int, at uint64, _ int) {
+	log := l.Env.Registry.Log(core)
 	if l.undoRecords[core] > 0 {
 		n := uint64(l.undoRecords[core])
 		// Reading the undo records back and restoring the old values costs a
 		// line transfer each way per record.
-		cost := n * (2*l.cfg.LineTransferCycles() + l.cfg.NVMWriteLatency/4)
-		if at+cost > l.ctxs[core].CompletionAt {
-			l.ctxs[core].CompletionAt = at + cost
+		cost := n * (2*l.Cfg.LineTransferCycles() + l.Cfg.NVMWriteLatency/4)
+		if at+cost > l.Ctxs[core].CompletionAt {
+			l.Ctxs[core].CompletionAt = at + cost
 		}
-		if _, err := log.Append(&wal.Record{Type: wal.RecAbort, TxID: l.txids[core]}, at); err == nil {
-			l.env.Stats.LogRecords++
+		if _, err := log.Append(&wal.Record{Type: wal.RecAbort, TxID: l.Ctxs[core].TxID}, at); err == nil {
+			l.Env.Stats.LogRecords++
 		}
 	}
 	// Release the attempt's log reservation even when it logged nothing: an
@@ -185,13 +149,7 @@ func (l *LogTMATOM) abortUndo(core int, at uint64) {
 	// markers stop fitting, and a crash would then roll an aborted
 	// transaction's live undo records back over later committed values
 	// (stale pre-images). Found by the crash-point explorer.
-	log.EndTx(l.txids[core])
+	log.EndTx(l.Ctxs[core].TxID)
 	l.undoRecords[core] = 0
 	l.undoPersistAt[core] = 0
-}
-
-// Finish implements txn.Runtime.
-func (l *LogTMATOM) Finish(core int, c txn.Clock) {
-	c.AdvanceTo(l.ctxs[core].CompletionAt)
-	l.env.Stats.Core(core).FinalCycle = c.Now()
 }

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"dhtm/internal/htm"
-	"dhtm/internal/stats"
 	"dhtm/internal/txn"
 )
 
@@ -16,63 +15,17 @@ type NP struct {
 // NewNP builds the NP runtime and installs its arbiter.
 func NewNP(env *txn.Env) *NP {
 	n := &NP{htmBase: newHTMBase(env, false)}
-	env.Hier.SetArbiter(n.htmBase)
+	n.Hooks = htm.Hooks{Commit: n.commit}
 	return n
 }
 
 // Name implements txn.Runtime.
 func (n *NP) Name() string { return "NP" }
 
-// npTx adapts the base HTM accesses to txn.Tx.
-type npTx struct {
-	b     *htmBase
-	core  int
-	clock txn.Clock
-}
-
-// Read implements txn.Tx.
-func (t npTx) Read(addr uint64) uint64 { return t.b.read(t.core, t.clock, addr) }
-
-// Write implements txn.Tx.
-func (t npTx) Write(addr uint64, val uint64) { t.b.write(t.core, t.clock, addr, val) }
-
-// Run implements txn.Runtime.
-func (n *NP) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
-	ctx := n.ctxs[core]
-	res := txn.ExecResult{Start: c.Now()}
-	for attempt := 0; ; attempt++ {
-		if attempt >= n.cfg.MaxRetries {
-			n.runFallback(core, c, t, false, nil)
-			n.env.Stats.Core(core).Fallbacks++
-			n.env.Stats.Core(core).AbortsByReason[stats.AbortFallback]++
-			n.env.Stats.Core(core).Commits++
-			res.Committed = true
-			res.End = c.Now()
-			return res
-		}
-		n.begin(core, c)
-		err, ok, reason := txn.Attempt(t.Body, npTx{b: n.htmBase, core: core, clock: c})
-		if ok && err == nil && !ctx.Doomed && ctx.State == htm.Active {
-			// Volatile commit: flash-clear the tracking bits; nothing to
-			// persist.
-			n.commitVisibility(core)
-			c.Advance(n.cfg.L1Latency)
-			n.finishTx(core, c, &res)
-			return res
-		}
-		switch {
-		case ok && err != nil:
-			reason = stats.AbortExplicit
-		case ok:
-			reason = ctx.Reason
-		}
-		n.abort(core, reason, c.Now())
-		res.Aborts++
-		n.recordAbort(core, c, reason, attempt)
-	}
-}
-
-// Finish implements txn.Runtime.
-func (n *NP) Finish(core int, c txn.Clock) {
-	n.env.Stats.Core(core).FinalCycle = c.Now()
+// commit is the volatile commit: flash-clear the tracking bits; nothing to
+// persist.
+func (n *NP) commit(core int, c txn.Clock) bool {
+	n.commitVisibility(core)
+	c.Advance(n.Cfg.L1Latency)
+	return true
 }

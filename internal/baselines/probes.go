@@ -11,10 +11,8 @@ import "dhtm/internal/probe"
 func (b *htmBase) RegisterProbes(rec *probe.Recorder) {
 	rec.Gauge("htm/overflowed_lines", "lines", "internal/baselines", func(uint64) float64 {
 		t := 0
-		for _, s := range b.overflowed {
-			if s != nil {
-				t += s.Len()
-			}
+		for _, c := range b.Ctxs {
+			t += c.Overflowed.Len()
 		}
 		return float64(t)
 	})

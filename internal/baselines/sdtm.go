@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"dhtm/internal/htm"
-	"dhtm/internal/stats"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
 )
@@ -21,9 +20,6 @@ type SdTM struct {
 	// entries are 16 bytes so every fourth entry starts a new cache line that
 	// becomes part of the transaction's write set.
 	softCursor []uint64
-	// txLogLines counts, per core, the software-log entries of the current
-	// transaction (used to reset the cursor on abort).
-	txEntries []int
 }
 
 // NewSdTM builds the sdTM runtime and installs its arbiter.
@@ -31,36 +27,24 @@ func NewSdTM(env *txn.Env) *SdTM {
 	s := &SdTM{htmBase: newHTMBase(env, false)}
 	for i := 0; i < env.Cfg.NumCores; i++ {
 		s.softCursor = append(s.softCursor, softLogBase+uint64(i)*softLogBytesPerCore)
-		s.txEntries = append(s.txEntries, 0)
 	}
-	env.Hier.SetArbiter(s.htmBase)
+	s.Hooks = htm.Hooks{Write: s.write, Commit: s.commitDurable, Persist: s.persistFallback}
 	return s
 }
 
 // Name implements txn.Runtime.
 func (s *SdTM) Name() string { return "sdTM" }
 
-// sdTx issues the data store plus the software log-entry store inside the
+// write issues the data store plus the software log-entry store inside the
 // hardware transaction.
-type sdTx struct {
-	s     *SdTM
-	core  int
-	clock txn.Clock
-}
-
-// Read implements txn.Tx.
-func (t sdTx) Read(addr uint64) uint64 { return t.s.read(t.core, t.clock, addr) }
-
-// Write implements txn.Tx.
-func (t sdTx) Write(addr uint64, val uint64) {
-	s, core := t.s, t.core
-	s.write(core, t.clock, addr, val)
+func (s *SdTM) write(core int, c txn.Clock, addr, val uint64) {
+	s.Store(core, c, addr, val)
 	// Software redo-log entry: (address, value), 16 bytes, written inside the
 	// transaction. Writing the first word of the entry is enough to bring the
 	// log line into the write set.
 	entry := s.nextEntryAddr(core)
-	s.write(core, t.clock, entry, addr)
-	s.write(core, t.clock, entry+8, val)
+	s.Store(core, c, entry, addr)
+	s.Store(core, c, entry+8, val)
 }
 
 // nextEntryAddr returns the address of the next 16-byte software log entry
@@ -74,42 +58,7 @@ func (s *SdTM) nextEntryAddr(core int) uint64 {
 		next = base
 	}
 	s.softCursor[core] = next
-	s.txEntries[core]++
 	return entry
-}
-
-// Run implements txn.Runtime.
-func (s *SdTM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
-	ctx := s.ctxs[core]
-	res := txn.ExecResult{Start: c.Now()}
-	for attempt := 0; ; attempt++ {
-		if attempt >= s.cfg.MaxRetries {
-			s.runFallback(core, c, t, true, s.env.Registry.Log(core))
-			s.env.Stats.Core(core).Fallbacks++
-			s.env.Stats.Core(core).AbortsByReason[stats.AbortFallback]++
-			s.env.Stats.Core(core).Commits++
-			res.Committed = true
-			res.End = c.Now()
-			return res
-		}
-		s.begin(core, c)
-		s.txEntries[core] = 0
-		err, ok, reason := txn.Attempt(t.Body, sdTx{s: s, core: core, clock: c})
-		if ok && err == nil && !ctx.Doomed && ctx.State == htm.Active {
-			s.commitDurable(core, c)
-			s.finishTx(core, c, &res)
-			return res
-		}
-		switch {
-		case ok && err != nil:
-			reason = stats.AbortExplicit
-		case ok:
-			reason = ctx.Reason
-		}
-		s.abort(core, reason, c.Now())
-		res.Aborts++
-		s.recordAbort(core, c, reason, attempt)
-	}
 }
 
 // commitDurable performs the HTM commit for visibility and then, on the
@@ -117,9 +66,9 @@ func (s *SdTM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 // flushed (modelled as durable-log appends of the dirty lines), a fence
 // drains them, and the commit record is persisted. Only then may the core
 // move on.
-func (s *SdTM) commitDurable(core int, c txn.Clock) {
-	ctx := s.ctxs[core]
-	log := s.env.Registry.Log(core)
+func (s *SdTM) commitDurable(core int, c txn.Clock) bool {
+	ctx := s.Ctxs[core]
+	log := s.Env.Registry.Log(core)
 	s.commitVisibility(core)
 
 	txid := log.BeginTx()
@@ -128,32 +77,28 @@ func (s *SdTM) commitDurable(core int, c txn.Clock) {
 		if s.isSoftLogLine(la) {
 			continue
 		}
-		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: s.h.LineSnapshot(core, la)}
+		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: s.H.LineSnapshot(core, la)}
 		if done, err := log.Append(rec, c.Now()); err == nil {
-			s.env.Stats.LogRecords++
+			s.Env.Stats.LogRecords++
 			if done > persist {
 				persist = done
 			}
 		}
-		c.Advance(s.cfg.FlushIssueLatency)
+		c.Advance(s.Cfg.FlushIssueLatency)
 	}
 	c.AdvanceTo(persist)
-	c.Advance(s.cfg.FenceLatency)
+	c.Advance(s.Cfg.FenceLatency)
 	if done, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
 		c.AdvanceTo(done)
 	}
 	// In-place data persists lazily via evictions (Mnemosyne defers log
 	// truncation); the measured window treats the log space as ample.
 	log.EndTx(txid)
+	return true
 }
 
 // isSoftLogLine reports whether a line belongs to the in-cache software log
 // region (those lines inflate the write set but are not data to log).
 func (s *SdTM) isSoftLogLine(la uint64) bool {
-	return la >= softLogBase && la < softLogBase+uint64(s.cfg.NumCores)*softLogBytesPerCore
-}
-
-// Finish implements txn.Runtime.
-func (s *SdTM) Finish(core int, c txn.Clock) {
-	s.env.Stats.Core(core).FinalCycle = c.Now()
+	return la >= softLogBase && la < softLogBase+uint64(s.Cfg.NumCores)*softLogBytesPerCore
 }

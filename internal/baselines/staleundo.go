@@ -1,10 +1,8 @@
 package baselines
 
 import (
-	"dhtm/internal/htm"
 	"dhtm/internal/memdev"
 	"dhtm/internal/txn"
-	"dhtm/internal/wal"
 )
 
 // StaleUndoATOM is a deliberately broken ATOM variant used as a test fixture
@@ -30,79 +28,30 @@ import (
 // committed transactions — ground truth no undo record can poison — sees
 // the committed write missing.
 type StaleUndoATOM struct {
-	*lockBase
-	prev []map[uint64]memdev.Line // per-core cached undo pre-images
+	*ATOM
 }
 
-// NewStaleUndoATOM builds the broken-fixture runtime.
+// NewStaleUndoATOM builds the broken fixture: ATOM whose undo pre-images
+// come from a per-core cache filled the first time each line is logged.
 func NewStaleUndoATOM(env *txn.Env) *StaleUndoATOM {
+	a := NewATOM(env)
 	prev := make([]map[uint64]memdev.Line, env.Cfg.NumCores)
 	for i := range prev {
 		prev[i] = make(map[uint64]memdev.Line)
 	}
-	return &StaleUndoATOM{lockBase: newLockBase(env), prev: prev}
+	a.preImage = func(core int, la uint64) memdev.Line {
+		// BUG (seeded): reuse the pre-image cached when this core first
+		// logged la instead of re-snapshotting coherent memory. Stale as
+		// soon as any transaction has committed to la since.
+		img, ok := prev[core][la]
+		if !ok {
+			img = a.h.LineSnapshot(core, la)
+			prev[core][la] = img
+		}
+		return img
+	}
+	return &StaleUndoATOM{ATOM: a}
 }
 
 // Name implements txn.Runtime.
 func (a *StaleUndoATOM) Name() string { return "StaleUndoATOM" }
-
-// Run implements txn.Runtime. It is ATOM's commit protocol verbatim except
-// for the poisoned undo pre-image source and the post-commit cache refresh.
-func (a *StaleUndoATOM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
-	res := txn.ExecResult{Start: c.Now()}
-	log := a.env.Registry.Log(core)
-	txid := log.BeginTx()
-
-	held := a.acquire(core, c, t)
-
-	var undoPersistAt uint64
-	ltx := &lockedTx{b: a.lockBase, core: core, clock: c,
-		dirty: htm.NewLineSet(32), read: htm.NewLineSet(32)}
-	ltx.onWrite = func(la uint64, first bool, _, _ uint64) {
-		if !first {
-			return
-		}
-		// BUG (seeded): reuse the pre-image cached when this core first
-		// logged la instead of re-snapshotting coherent memory. Stale as
-		// soon as any transaction has committed to la since.
-		img, ok := a.prev[core][la]
-		if !ok {
-			img = a.h.LineSnapshot(core, la)
-			a.prev[core][la] = img
-		}
-		rec := &wal.Record{Type: wal.RecUndo, TxID: txid, LineAddr: la, Data: img}
-		if done, err := log.Append(rec, c.Now()); err == nil {
-			a.env.Stats.LogRecords++
-			if done > undoPersistAt {
-				undoPersistAt = done
-			}
-		}
-	}
-
-	_, _, _ = txn.Attempt(t.Body, ltx)
-
-	c.AdvanceTo(undoPersistAt)
-	done := c.Now()
-	for _, la := range ltx.dirty.Keys() {
-		if d := a.h.FlushLine(core, la, c.Now()); d > done {
-			done = d
-		}
-	}
-	c.AdvanceTo(done)
-	if d, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(d)
-	}
-	if d, err := log.Append(&wal.Record{Type: wal.RecComplete, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(d)
-	}
-	a.release(core, c, held)
-	log.EndTx(txid)
-
-	a.finish(core, c, &res, ltx.dirty.Len(), ltx.read.Len())
-	return res
-}
-
-// Finish implements txn.Runtime.
-func (a *StaleUndoATOM) Finish(core int, c txn.Clock) {
-	a.env.Stats.Core(core).FinalCycle = c.Now()
-}

@@ -12,10 +12,7 @@ package core
 
 import (
 	"dhtm/internal/cache"
-	"dhtm/internal/config"
-	"dhtm/internal/hier"
 	"dhtm/internal/htm"
-	"dhtm/internal/locks"
 	"dhtm/internal/logbuf"
 	"dhtm/internal/memdev"
 	"dhtm/internal/stats"
@@ -44,13 +41,12 @@ type Options struct {
 // a fallback acquisition aborts them (standard SGL fallback).
 const fallbackLockAddr = wal.RegistryTableAddr + 0x800
 
-// DHTM is the durable hardware transactional memory runtime. It implements
-// both txn.Runtime (transaction execution) and hier.Arbiter (conflict
-// resolution and overflow handling hooks invoked by the coherence protocol).
+// DHTM is the durable hardware transactional memory runtime. The shared HTM
+// runtime it embeds executes transactions (txn.Runtime); DHTM supplies the
+// redo logging, commit, completion and abort hooks and the arbiter callbacks
+// that differ because of its committed-but-incomplete conflict window.
 type DHTM struct {
-	env *txn.Env
-	cfg config.Config
-	h   *hier.Hierarchy
+	*htm.Runtime
 	opt Options
 
 	cores []*coreState
@@ -65,11 +61,8 @@ type coreState struct {
 	log *wal.ThreadLog
 	ov  *wal.OverflowList
 
-	txid         uint64
-	logPersistAt uint64       // latest durability time of issued log records
-	overflowed   *htm.LineSet // write-set lines currently overflowed to the LLC
-	pendingWB    []uint64     // lines awaiting in-place write-back (commit completion)
-	retries      int
+	logPersistAt uint64   // latest durability time of issued log records
+	pendingWB    []uint64 // lines awaiting in-place write-back (commit completion)
 
 	// deps are the committed-but-incomplete transactions whose data this
 	// transaction consumed (sentinel dependencies). The log of a dependent
@@ -98,19 +91,27 @@ type deferredTruncation struct {
 // New builds a DHTM runtime over the environment and installs its arbiter
 // into the cache hierarchy.
 func New(env *txn.Env, opt Options) *DHTM {
-	d := &DHTM{env: env, cfg: env.Cfg, h: env.Hier, opt: opt}
+	d := &DHTM{Runtime: htm.NewRuntime(env, fallbackLockAddr), opt: opt}
 	bufEntries := env.Cfg.LogBufferEntries
 	if opt.LogBufferEntries > 0 {
 		bufEntries = opt.LogBufferEntries
 	}
 	for i := 0; i < env.Cfg.NumCores; i++ {
 		d.cores = append(d.cores, &coreState{
-			ctx:        htm.NewCtx(env.Cfg),
-			buf:        logbuf.New(bufEntries),
-			log:        env.Registry.Log(i),
-			ov:         env.Registry.Overflow(i),
-			overflowed: htm.NewLineSet(32),
+			ctx: d.Ctxs[i],
+			buf: logbuf.New(bufEntries),
+			log: env.Registry.Log(i),
+			ov:  env.Registry.Overflow(i),
 		})
+	}
+	d.Hooks = htm.Hooks{
+		Complete: d.completePrevious,
+		Reset:    d.reset,
+		Write:    d.write,
+		Commit:   d.commit,
+		Abort:    d.abortLog,
+		Persist:  d.persistFallback,
+		GrowLog:  true,
 	}
 	env.Hier.SetArbiter(d)
 	return d
@@ -128,177 +129,37 @@ func (d *DHTM) Name() string {
 	}
 }
 
-// Env returns the simulated machine this runtime drives.
-func (d *DHTM) Env() *txn.Env { return d.env }
-
 // ---------------------------------------------------------------------------
-// txn.Runtime implementation
+// Shared-runtime hooks
 // ---------------------------------------------------------------------------
 
-// dtx adapts a core's transactional accesses to the txn.Tx interface.
-type dtx struct {
-	d     *DHTM
-	core  int
-	clock txn.Clock
-}
-
-// Read implements txn.Tx.
-func (t dtx) Read(addr uint64) uint64 { return t.d.txRead(t.core, t.clock, addr) }
-
-// Write implements txn.Tx.
-func (t dtx) Write(addr uint64, val uint64) { t.d.txWrite(t.core, t.clock, addr, val) }
-
-// Run implements txn.Runtime.
-func (d *DHTM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
+// reset opens the attempt's log transaction and clears the per-attempt
+// logging state; it runs in every begin attempt.
+func (d *DHTM) reset(core int, at uint64) {
 	cs := d.cores[core]
-	res := txn.ExecResult{Start: c.Now()}
-	for attempt := 0; ; attempt++ {
-		if attempt >= d.cfg.MaxRetries {
-			d.runFallback(core, c, t)
-			d.env.Stats.Core(core).Fallbacks++
-			d.env.Stats.Core(core).AbortsByReason[stats.AbortFallback]++
-			res.Committed = true
-			break
-		}
-		d.begin(core, c)
-		err, ok, reason := txn.Attempt(t.Body, dtx{d: d, core: core, clock: c})
-		switch {
-		case ok && err == nil && !cs.ctx.Doomed && cs.ctx.State == htm.Active:
-			if d.commit(core, c) {
-				res.Committed = true
-			} else {
-				reason = stats.AbortLogOverflow
-			}
-		case ok && err == nil:
-			// The body ran to completion but the transaction was doomed by a
-			// remote conflict before it could commit.
-			reason = cs.ctx.Reason
-			ok = false
-		case ok && err != nil:
-			reason = stats.AbortExplicit
-			ok = false
-		}
-		if res.Committed {
-			break
-		}
-		// The transaction aborted. Cleanup has already happened (either in
-		// the access that detected the loss or remotely by the winner);
-		// ensure it for the explicit-abort path.
-		d.abortCleanup(core, reason, c.Now())
-		res.Aborts++
-		d.env.Stats.Core(core).Aborts++
-		d.env.Stats.Core(core).AbortsByReason[reason]++
-		if reason == stats.AbortLogOverflow {
-			d.env.Registry.GrowLog(core, 2)
-		}
-		c.Advance(d.cfg.AbortPenalty + txn.Backoff(d.cfg, attempt))
-		c.AdvanceTo(cs.ctx.CompletionAt)
-	}
-	cst := d.env.Stats.Core(core)
-	cst.Commits++
-	cst.WriteSetLines += uint64(cs.ctx.WriteLines.Len())
-	cst.ReadSetLines += uint64(cs.ctx.ReadLines.Len())
-	cst.TxCycles += c.Now() - res.Start
-	res.End = c.Now()
-	return res
+	cs.ctx.TxID = cs.log.BeginTx()
+	cs.logPersistAt = 0
+	cs.buf.Clear()
+	cs.pendingWB = cs.pendingWB[:0]
+	cs.deps = cs.deps[:0]
+	d.truncateSatisfied(core, at)
 }
 
-// Finish implements txn.Runtime: it drains the last transaction's completion
-// phase into the core's clock and records the final cycle.
-func (d *DHTM) Finish(core int, c txn.Clock) {
-	d.completePrevious(core, c)
-	c.AdvanceTo(d.cores[core].ctx.CompletionAt)
-	d.env.Stats.Core(core).FinalCycle = c.Now()
-}
-
-// begin waits for the previous transaction's completion phase, checks the
-// fallback lock, and resets the per-core transactional state.
-func (d *DHTM) begin(core int, c txn.Clock) {
-	cs := d.cores[core]
-	for {
-		d.completePrevious(core, c)
-		c.AdvanceTo(cs.ctx.CompletionAt)
-
-		cs.ctx.BeginReset()
-		cs.txid = cs.log.BeginTx()
-		cs.logPersistAt = 0
-		cs.buf.Clear()
-		cs.overflowed.Clear()
-		cs.pendingWB = cs.pendingWB[:0]
-		cs.deps = cs.deps[:0]
-		d.truncateSatisfied(core, c.Now())
-
-		// Single-global-lock fallback interlock: subscribe to the fallback
-		// lock so that a software-fallback writer aborts this hardware
-		// transaction.
-		v, r := d.h.Load(core, fallbackLockAddr, c.Now(), true)
-		c.AdvanceTo(r.Done)
-		if r.Aborted || cs.ctx.Doomed {
-			d.abortCleanup(core, stats.AbortConflict, c.Now())
-			c.Advance(d.cfg.BackoffBase)
-			continue
-		}
-		if v != 0 {
-			// A software-fallback transaction holds the global lock; step
-			// back to idle and retry once it is likely to have drained.
-			d.abortCleanup(core, stats.AbortConflict, c.Now())
-			c.Advance(txn.Backoff(d.cfg, 2))
-			continue
-		}
-		return
-	}
-}
-
-// txRead performs a transactional load.
-func (d *DHTM) txRead(core int, c txn.Clock, addr uint64) uint64 {
-	cs := d.cores[core]
-	if cs.ctx.Doomed || cs.ctx.State != htm.Active {
-		txn.AbortNow(cs.ctx.Reason)
-	}
-	v, r := d.h.Load(core, addr, c.Now(), true)
-	c.AdvanceTo(r.Done)
-	if r.Aborted {
-		d.abortCleanup(core, stats.AbortConflict, c.Now())
-		txn.AbortNow(stats.AbortConflict)
-	}
-	cs.ctx.ReadLines.Add(d.h.Align(addr))
-	return v
-}
-
-// txWrite performs a transactional store, updating the log buffer and
+// write performs a transactional store, updating the log buffer and
 // emitting redo records for coalesced lines as they are evicted from it.
-func (d *DHTM) txWrite(core int, c txn.Clock, addr uint64, val uint64) {
-	cs := d.cores[core]
-	if cs.ctx.Doomed || cs.ctx.State != htm.Active {
-		txn.AbortNow(cs.ctx.Reason)
-	}
-	r := d.h.Store(core, addr, val, c.Now(), true)
-	c.AdvanceTo(r.Done)
-	if r.Aborted {
-		d.abortCleanup(core, stats.AbortConflict, c.Now())
-		txn.AbortNow(stats.AbortConflict)
-	}
-	if cs.ctx.Doomed || cs.ctx.State != htm.Active {
-		// An LLC-capacity eviction triggered by our own fill aborted us.
-		txn.AbortNow(cs.ctx.Reason)
-	}
-	la := d.h.Align(addr)
-	cs.ctx.WriteLines.Add(la)
-
+func (d *DHTM) write(core int, c txn.Clock, addr uint64, val uint64) {
+	d.Store(core, c, addr, val)
+	var err error
 	if d.opt.DisableLogBuffer {
 		// Word-granular logging: one (address, value) record per store.
-		if err := d.appendLog(core, &wal.Record{Type: wal.RecRedo, TxID: cs.txid, LineAddr: addr,
-			Data: memdev.Line{val}}, c.Now()); err != nil {
-			d.abortCleanup(core, stats.AbortLogOverflow, c.Now())
-			txn.AbortNow(stats.AbortLogOverflow)
-		}
-		return
+		err = d.appendLog(core, &wal.Record{Type: wal.RecRedo, TxID: d.Ctxs[core].TxID, LineAddr: addr,
+			Data: memdev.Line{val}}, c.Now())
+	} else if evicted, has := d.cores[core].buf.Touch(d.H.Align(addr)); has {
+		err = d.emitRedo(core, evicted, c.Now())
 	}
-	if evicted, has := cs.buf.Touch(la); has {
-		if err := d.emitRedo(core, evicted, c.Now()); err != nil {
-			d.abortCleanup(core, stats.AbortLogOverflow, c.Now())
-			txn.AbortNow(stats.AbortLogOverflow)
-		}
+	if err != nil {
+		d.Abort(core, stats.AbortLogOverflow, c.Now())
+		txn.AbortNow(stats.AbortLogOverflow)
 	}
 }
 
@@ -308,7 +169,7 @@ func (d *DHTM) txWrite(core int, c txn.Clock, addr uint64, val uint64) {
 // the durability time is folded into logPersistAt, which commit waits for.
 func (d *DHTM) emitRedo(core int, lineAddr uint64, at uint64) error {
 	cs := d.cores[core]
-	rec := &wal.Record{Type: wal.RecRedo, TxID: cs.txid, LineAddr: lineAddr, Data: d.h.LineSnapshot(core, lineAddr)}
+	rec := &wal.Record{Type: wal.RecRedo, TxID: cs.ctx.TxID, LineAddr: lineAddr, Data: d.H.LineSnapshot(core, lineAddr)}
 	return d.appendLog(core, rec, at)
 }
 
@@ -321,7 +182,7 @@ func (d *DHTM) appendLog(core int, rec *wal.Record, at uint64) error {
 	if err != nil {
 		return err
 	}
-	d.env.Stats.LogRecords++
+	d.Env.Stats.LogRecords++
 	if !d.opt.InstantPersist && done > cs.logPersistAt {
 		cs.logPersistAt = done
 	}
@@ -339,7 +200,7 @@ func (d *DHTM) commit(core int, c txn.Clock) bool {
 	at := c.Now()
 	for _, la := range cs.buf.Drain() {
 		if err := d.emitRedo(core, la, at); err != nil {
-			d.abortCleanup(core, stats.AbortLogOverflow, at)
+			d.Abort(core, stats.AbortLogOverflow, at)
 			return false
 		}
 	}
@@ -347,8 +208,8 @@ func (d *DHTM) commit(core int, c txn.Clock) bool {
 	if cs.logPersistAt > ready {
 		ready = cs.logPersistAt
 	}
-	if err := d.appendLog(core, &wal.Record{Type: wal.RecCommit, TxID: cs.txid}, ready); err != nil {
-		d.abortCleanup(core, stats.AbortLogOverflow, ready)
+	if err := d.appendLog(core, &wal.Record{Type: wal.RecCommit, TxID: cs.ctx.TxID}, ready); err != nil {
+		d.Abort(core, stats.AbortLogOverflow, ready)
 		return false
 	}
 	commitAt := ready
@@ -361,7 +222,7 @@ func (d *DHTM) commit(core int, c txn.Clock) bool {
 	// same pass records which lines the completion phase must write back in
 	// place.
 	cs.pendingWB = cs.pendingWB[:0]
-	d.h.L1(core).ForEachTx(func(l *cache.Line) {
+	d.H.L1(core).ForEachTx(func(l *cache.Line) {
 		l.R = false
 		if l.W {
 			cs.pendingWB = append(cs.pendingWB, l.Addr)
@@ -375,18 +236,18 @@ func (d *DHTM) commit(core int, c txn.Clock) bool {
 	// with the non-transactional code that follows the transaction. The
 	// functional effect is applied when the completion phase ends
 	// (completePrevious).
-	cs.pendingWB = append(cs.pendingWB, cs.overflowed.Keys()...)
+	cs.pendingWB = append(cs.pendingWB, cs.ctx.Overflowed.Keys()...)
 	completionAt := commitAt
 	if !d.opt.InstantPersist {
 		for range cs.pendingWB {
-			if done := d.env.Ctl.ReserveWrite(d.cfg.LineSize, commitAt, memdev.TrafficData); done > completionAt {
+			if done := d.Env.Ctl.ReserveWrite(d.Cfg.LineSize, commitAt, memdev.TrafficData); done > completionAt {
 				completionAt = done
 			}
 		}
-		if n := cs.overflowed.Len(); n > 0 {
+		if n := cs.ctx.Overflowed.Len(); n > 0 {
 			// The memory controller reads the overflow list back to find the
 			// overflowed lines before writing them in place.
-			if _, rdone := d.env.Ctl.ReadWords(cs.ov.Base, n, commitAt); rdone > completionAt {
+			if _, rdone := d.Env.Ctl.ReadWords(cs.ov.Base, n, commitAt); rdone > completionAt {
 				completionAt = rdone
 			}
 		}
@@ -402,49 +263,17 @@ func (d *DHTM) commit(core int, c txn.Clock) bool {
 // if one is still outstanding: committed transactions write their write set
 // back in place (L1 lines and overflowed LLC lines) and log a complete
 // record; aborted transactions have already had their overflow invalidations
-// performed during cleanup. Either way the durable log is truncated.
+// performed during cleanup.
 func (d *DHTM) completePrevious(core int, c txn.Clock) {
 	cs := d.cores[core]
 	switch cs.ctx.State {
 	case htm.Committed:
 		// The write-backs' timing was reserved at the commit point; here the
-		// completion phase finishes, so apply the functional effect: every
-		// write-set line still owned by this core is written in place and
-		// released.
-		for _, la := range cs.pendingWB {
-			if d.h.CompleteL1Line(core, la) {
-				continue
-			}
-			if ll := d.h.LLC().Peek(la); ll != nil && ll.Valid() && ll.Owner == core {
-				d.h.CompleteLLCLine(la)
-				continue
-			}
-			// The line was handed to another core during the conflict window;
-			// its committed value was persisted at hand-over.
+		// completion phase finishes, so apply the functional effect.
+		done := max(cs.ctx.CompletionAt, c.Now())
+		if cdone, _ := d.retire(core, done); !d.opt.InstantPersist && cdone > done {
+			done = cdone
 		}
-		done := cs.ctx.CompletionAt
-		if done < c.Now() {
-			done = c.Now()
-		}
-		// The complete record (and the log truncation it allows) must wait
-		// until every transaction this one depends on (sentinels) has itself
-		// completed; otherwise a crash would skip this transaction's replay
-		// while still replaying the dependency, regressing the lines that
-		// were handed over during the conflict window.
-		if d.depsCompleted(cs.deps) {
-			cdone, err := cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: cs.txid}, done)
-			if err == nil && !d.opt.InstantPersist && cdone > done {
-				done = cdone
-			}
-			cs.log.EndTx(cs.txid)
-		} else {
-			cs.deferredTrunc = append(cs.deferredTrunc, deferredTruncation{txid: cs.txid, deps: append([]txDep(nil), cs.deps...)})
-		}
-		cs.deps = cs.deps[:0]
-		cs.ov.Clear()
-		cs.overflowed.Clear()
-		cs.pendingWB = cs.pendingWB[:0]
-		cs.ctx.State = htm.Idle
 		if done > cs.ctx.CompletionAt {
 			cs.ctx.CompletionAt = done
 		}
@@ -454,38 +283,54 @@ func (d *DHTM) completePrevious(core int, c txn.Clock) {
 }
 
 // forceComplete performs the functional part of a committed transaction's
-// completion immediately (its write set is persisted in place, the complete
-// record is written unless dependencies defer it, and its log space is
-// released). It is used when another core consumes the transaction's data
-// during the conflict window; the completion *timing* reserved at commit is
-// left untouched, so the owning core still waits for CompletionAt before its
-// next transaction.
+// completion immediately. It is used when another core consumes the
+// transaction's data during the conflict window; the completion *timing*
+// reserved at commit is left untouched, so the owning core still waits for
+// CompletionAt before its next transaction.
 func (d *DHTM) forceComplete(core int, at uint64) {
-	cs := d.cores[core]
-	if cs.ctx.State != htm.Committed {
+	if d.cores[core].ctx.State != htm.Committed {
 		return
 	}
+	if _, ok := d.retire(core, at); ok {
+		d.Env.Stats.LogRecords++
+	}
+}
+
+// retire applies a committed transaction's completion functionally and takes
+// the core to Idle. Every write-set line this core still owns is written in
+// place and released; a line handed to another core during the conflict
+// window had its committed value persisted at hand-over. Then the complete
+// record is appended at `at` and the log truncated — unless a transaction
+// this one depends on (sentinels) has not completed yet: a crash would then
+// skip this transaction's replay while still replaying the dependency,
+// regressing the lines handed over during the conflict window, so the
+// truncation is deferred. It reports when the complete record is durable
+// and whether one was appended.
+func (d *DHTM) retire(core int, at uint64) (uint64, bool) {
+	cs := d.cores[core]
 	for _, la := range cs.pendingWB {
-		if d.h.CompleteL1Line(core, la) {
+		if d.H.CompleteL1Line(core, la) {
 			continue
 		}
-		if ll := d.h.LLC().Peek(la); ll != nil && ll.Valid() && ll.Owner == core {
-			d.h.CompleteLLCLine(la)
+		if ll := d.H.LLC().Peek(la); ll != nil && ll.Valid() && ll.Owner == core {
+			d.H.CompleteLLCLine(la)
 		}
 	}
+	done, ok := at, false
 	if d.depsCompleted(cs.deps) {
-		if _, err := cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: cs.txid}, at); err == nil {
-			d.env.Stats.LogRecords++
-		}
-		cs.log.EndTx(cs.txid)
+		var err error
+		done, err = cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: cs.ctx.TxID}, at)
+		ok = err == nil
+		cs.log.EndTx(cs.ctx.TxID)
 	} else {
-		cs.deferredTrunc = append(cs.deferredTrunc, deferredTruncation{txid: cs.txid, deps: append([]txDep(nil), cs.deps...)})
+		cs.deferredTrunc = append(cs.deferredTrunc, deferredTruncation{txid: cs.ctx.TxID, deps: append([]txDep(nil), cs.deps...)})
 	}
 	cs.deps = cs.deps[:0]
 	cs.ov.Clear()
-	cs.overflowed.Clear()
+	cs.ctx.Overflowed.Clear()
 	cs.pendingWB = cs.pendingWB[:0]
 	cs.ctx.State = htm.Idle
+	return done, ok
 }
 
 // depsCompleted reports whether every listed dependency has finished its
@@ -495,9 +340,9 @@ func (d *DHTM) depsCompleted(deps []txDep) bool {
 	for _, dep := range deps {
 		ocs := d.cores[dep.thread]
 		switch {
-		case ocs.txid > dep.txid:
+		case ocs.ctx.TxID > dep.txid:
 			// The owner began a later transaction, so dep completed.
-		case ocs.txid == dep.txid && ocs.ctx.State == htm.Idle:
+		case ocs.ctx.TxID == dep.txid && ocs.ctx.State == htm.Idle:
 			// The owner completed it and has not begun a new one yet.
 		default:
 			return false
@@ -515,7 +360,7 @@ func (d *DHTM) truncateSatisfied(core int, at uint64) {
 	for _, dt := range cs.deferredTrunc {
 		if d.depsCompleted(dt.deps) {
 			if _, err := cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: dt.txid}, at); err == nil {
-				d.env.Stats.LogRecords++
+				d.Env.Stats.LogRecords++
 			}
 			cs.log.EndTx(dt.txid)
 			continue
@@ -525,53 +370,25 @@ func (d *DHTM) truncateSatisfied(core int, at uint64) {
 	cs.deferredTrunc = remaining
 }
 
-// abortCleanup takes an Active transaction to its abort point and performs
-// the completion work that involves volatile state: speculative L1 lines are
-// invalidated, overflowed LLC lines are invalidated, the abort record is
-// written and the log is truncated. It is idempotent: only an Active
-// transaction is cleaned.
-func (d *DHTM) abortCleanup(core int, reason stats.AbortReason, at uint64) {
+// abortLog is DHTM's abort work: the abort record logically clears the
+// transaction's redo records (if the log is full it is skipped: recovery
+// treats a commit-less transaction exactly like an aborted one), and the
+// abort completion invalidates the n overflowed lines in the LLC. Its timing
+// is background work (reading the overflow list plus an invalidation per
+// line); the next transaction on this core waits for it.
+func (d *DHTM) abortLog(core int, at uint64, n int) {
 	cs := d.cores[core]
-	if cs.ctx.State != htm.Active {
-		return
+	if _, err := cs.log.Append(&wal.Record{Type: wal.RecAbort, TxID: cs.ctx.TxID}, at); err == nil {
+		d.Env.Stats.LogRecords++
 	}
-	cs.ctx.Doom(reason)
-	cs.ctx.State = htm.Aborted
-
-	// Abort record (logically clears the transaction's redo records). If the
-	// log is full the record is skipped: recovery treats a commit-less
-	// transaction exactly like an aborted one.
-	if _, err := cs.log.Append(&wal.Record{Type: wal.RecAbort, TxID: cs.txid}, at); err == nil {
-		d.env.Stats.LogRecords++
-	}
-
-	// Invalidate the speculative write set in the L1 and clear read bits.
-	d.h.L1(core).ForEachTx(func(l *cache.Line) {
-		if l.W {
-			addr := l.Addr
-			l.Reset()
-			d.h.ReleaseOwnership(core, addr)
-			return
-		}
-		l.R = false
-	})
-
-	// Abort completion: invalidate overflowed lines in the LLC. The timing is
-	// background work (reading the overflow list plus an invalidation per
-	// line); the next transaction on this core waits for it.
 	done := at
-	if n := cs.overflowed.Len(); n > 0 {
-		_, rdone := d.env.Ctl.ReadWords(cs.ov.Base, n, at)
-		done = rdone + uint64(n)*d.cfg.LLCLatency
-		for _, la := range cs.overflowed.Keys() {
-			d.h.InvalidateLLCLine(la)
-		}
-		cs.overflowed.Clear()
+	if n > 0 {
+		_, rdone := d.Env.Ctl.ReadWords(cs.ov.Base, n, at)
+		done = rdone + uint64(n)*d.Cfg.LLCLatency
 	}
 	cs.ov.Clear()
 	cs.buf.Clear()
-	cs.ctx.Sig.Clear()
-	cs.log.EndTx(cs.txid)
+	cs.log.EndTx(cs.ctx.TxID)
 	cs.logPersistAt = 0
 	if done > cs.ctx.CompletionAt {
 		cs.ctx.CompletionAt = done
@@ -588,15 +405,6 @@ func (d *DHTM) abortCleanup(core int, reason stats.AbortReason, at uint64) {
 func (d *DHTM) InTx(core int) bool {
 	s := d.cores[core].ctx.State
 	return s == htm.Active || s == htm.Committed
-}
-
-// SignatureContains implements hier.Arbiter.
-func (d *DHTM) SignatureContains(core int, addr uint64) bool {
-	cs := d.cores[core]
-	if cs.ctx.State != htm.Active {
-		return false
-	}
-	return cs.ctx.Sig.Contains(d.h.Align(addr))
 }
 
 // OnConflict implements hier.Arbiter. It distinguishes the conflict window of
@@ -619,8 +427,8 @@ func (d *DHTM) OnConflict(requester, owner int, addr uint64, write, requesterTx 
 		d.forceComplete(owner, at)
 		return true
 	case htm.Active:
-		if htm.OwnerShouldAbort(d.cfg.ConflictPolicy, requesterTx) {
-			d.abortCleanup(owner, stats.AbortConflict, at)
+		if htm.OwnerShouldAbort(d.Cfg.ConflictPolicy, requesterTx) {
+			d.Abort(owner, stats.AbortConflict, at)
 			return true
 		}
 		return false
@@ -637,15 +445,15 @@ func (d *DHTM) writeSentinels(requester, owner int, requesterTx bool, at uint64)
 	ocs := d.cores[owner]
 	if requesterTx && d.cores[requester].ctx.State == htm.Active {
 		rcs := d.cores[requester]
-		dep := &wal.Record{Type: wal.RecSentinel, TxID: rcs.txid, DepThread: owner, DepTxID: ocs.txid}
+		dep := &wal.Record{Type: wal.RecSentinel, TxID: rcs.ctx.TxID, DepThread: owner, DepTxID: ocs.ctx.TxID}
 		if _, err := rcs.log.Append(dep, at); err == nil {
-			d.env.Stats.SentinelRecords++
+			d.Env.Stats.SentinelRecords++
 		}
-		rcs.deps = append(rcs.deps, txDep{thread: owner, txid: ocs.txid})
+		rcs.deps = append(rcs.deps, txDep{thread: owner, txid: ocs.ctx.TxID})
 	}
-	own := &wal.Record{Type: wal.RecSentinel, TxID: ocs.txid, DepThread: requester, DepTxID: 0}
+	own := &wal.Record{Type: wal.RecSentinel, TxID: ocs.ctx.TxID, DepThread: requester, DepTxID: 0}
 	if _, err := ocs.log.Append(own, at); err == nil {
-		d.env.Stats.SentinelRecords++
+		d.Env.Stats.SentinelRecords++
 	}
 }
 
@@ -657,45 +465,31 @@ func (d *DHTM) writeSentinels(requester, owner int, requesterTx bool, at uint64)
 // (ablation) the transaction aborts, as in a plain RTM.
 func (d *DHTM) OnWriteSetEviction(core int, addr uint64, at uint64) bool {
 	cs := d.cores[core]
-	la := d.h.Align(addr)
+	la := d.H.Align(addr)
 	if cs.ctx.State == htm.Committed {
-		data := d.h.LineSnapshot(core, la)
-		if d.opt.InstantPersist {
-			d.env.Ctl.PersistLine(la, data, memdev.TrafficData)
-		} else {
-			d.h.PersistLineInPlace(la, data, at)
-		}
+		d.persistEarly(core, la, at)
 		return true
 	}
 	if d.opt.DisableOverflow {
-		d.abortCleanup(core, stats.AbortWriteCapacity, at)
+		d.Abort(core, stats.AbortWriteCapacity, at)
 		return false
 	}
 	if cs.buf.Remove(la) {
 		if err := d.emitRedo(core, la, at); err != nil {
-			d.abortCleanup(core, stats.AbortLogOverflow, at)
+			d.Abort(core, stats.AbortLogOverflow, at)
 			return false
 		}
 	}
 	done, err := cs.ov.Append(la, at)
 	if err != nil {
-		d.abortCleanup(core, stats.AbortLLCCapacity, at)
+		d.Abort(core, stats.AbortLLCCapacity, at)
 		return false
 	}
 	if !d.opt.InstantPersist && done > cs.logPersistAt {
 		cs.logPersistAt = done
 	}
-	cs.overflowed.Add(la)
+	cs.ctx.Overflowed.Add(la)
 	return true
-}
-
-// OnReadSetEviction implements hier.Arbiter: evicted read-set lines move into
-// the read-set overflow signature.
-func (d *DHTM) OnReadSetEviction(core int, addr uint64, _ uint64) {
-	cs := d.cores[core]
-	if cs.ctx.State == htm.Active {
-		cs.ctx.Sig.Add(d.h.Align(addr))
-	}
 }
 
 // OnLLCTxEviction implements hier.Arbiter: losing an LLC line that still
@@ -703,33 +497,21 @@ func (d *DHTM) OnReadSetEviction(core int, addr uint64, _ uint64) {
 // DHTM's capacity limit); for a committed transaction the line is simply
 // persisted in place, completing it early.
 func (d *DHTM) OnLLCTxEviction(core int, addr uint64, at uint64) {
-	cs := d.cores[core]
-	la := d.h.Align(addr)
-	if cs.ctx.State == htm.Committed {
-		data := d.h.LineSnapshot(core, la)
-		if d.opt.InstantPersist {
-			d.env.Ctl.PersistLine(la, data, memdev.TrafficData)
-		} else {
-			d.h.PersistLineInPlace(la, data, at)
-		}
+	if d.cores[core].ctx.State == htm.Committed {
+		d.persistEarly(core, d.H.Align(addr), at)
 		return
 	}
-	if cs.ctx.State == htm.Active {
-		d.abortCleanup(core, stats.AbortLLCCapacity, at)
-	}
+	d.Abort(core, stats.AbortLLCCapacity, at)
 }
 
-// OnOwnerReread implements hier.Arbiter: a line this core stickily owns in
-// the LLC (an overflowed write-set line) is being re-read into the L1; mark
-// it as part of the write set again so an abort invalidates it.
-func (d *DHTM) OnOwnerReread(core int, addr uint64, line *cache.Line, _ uint64) {
-	cs := d.cores[core]
-	la := d.h.Align(addr)
-	if cs.ctx.State != htm.Active {
-		return
-	}
-	if cs.overflowed.Contains(la) {
-		d.h.L1(core).MarkWrite(line)
+// persistEarly writes a committed-but-incomplete transaction's line in place
+// ahead of its completion phase because the line is leaving the cache.
+func (d *DHTM) persistEarly(core int, la, at uint64) {
+	data := d.H.LineSnapshot(core, la)
+	if d.opt.InstantPersist {
+		d.Env.Ctl.PersistLine(la, data, memdev.TrafficData)
+	} else {
+		d.H.PersistLineInPlace(la, data, at)
 	}
 }
 
@@ -737,81 +519,37 @@ func (d *DHTM) OnOwnerReread(core int, addr uint64, line *cache.Line, _ uint64) 
 // Software fallback path
 // ---------------------------------------------------------------------------
 
-// fallbackTx runs body accesses non-transactionally under the global fallback
-// lock while building a Mnemosyne-style software redo log (the paper's
-// fallback provides visibility via the lock and durability via software
-// logging).
-type fallbackTx struct {
-	d     *DHTM
-	core  int
-	clock txn.Clock
-	dirty *htm.LineSet
-}
-
-// Read implements txn.Tx.
-func (t *fallbackTx) Read(addr uint64) uint64 {
-	v, r := t.d.h.Load(t.core, addr, t.clock.Now(), false)
-	t.clock.AdvanceTo(r.Done)
-	return v
-}
-
-// Write implements txn.Tx.
-func (t *fallbackTx) Write(addr uint64, val uint64) {
-	r := t.d.h.Store(t.core, addr, val, t.clock.Now(), false)
-	t.clock.AdvanceTo(r.Done)
-	t.dirty.Add(t.d.h.Align(addr))
-	// Software log write: issue cost now, record content at line granularity.
-	t.clock.Advance(t.d.cfg.FlushIssueLatency)
-}
-
-// runFallback executes t under the single global lock with software logging
-// and durability, guaranteeing forward progress for transactions that cannot
-// succeed on the hardware path.
-func (d *DHTM) runFallback(core int, c txn.Clock, t *txn.Transaction) {
+// persistFallback makes a fallback transaction durable with Mnemosyne-style
+// software logging (the paper's fallback provides visibility via the global
+// lock and durability via software logging): log every dirty line, fence,
+// commit record, then flush data in place so the log can be truncated
+// immediately. Each redo record and each flush pays the issue cost.
+func (d *DHTM) persistFallback(core int, c txn.Clock, txid uint64, dirty *htm.LineSet) {
 	cs := d.cores[core]
-	// Acquire the global fallback lock. The non-transactional store conflicts
-	// with every hardware transaction's read set, aborting them.
-	c.AdvanceTo(locks.SpinAcquire(d.h, core, c, fallbackLockAddr, 1, txn.Backoff(d.cfg, 1)))
-
-	cs.txid = cs.log.BeginTx()
-	ftx := &fallbackTx{d: d, core: core, clock: c, dirty: htm.NewLineSet(16)}
-	// The fallback path may not fail: explicit aborts are surfaced as a
-	// committed no-op only if the body mutated nothing.
-	_, _, _ = txn.Attempt(t.Body, ftx)
-
-	// Durability: log every dirty line, fence, commit record, then flush data
-	// in place so the log can be truncated immediately.
 	at := c.Now()
 	persist := at
-	for _, la := range ftx.dirty.Keys() {
-		rec := &wal.Record{Type: wal.RecRedo, TxID: cs.txid, LineAddr: la, Data: d.h.LineSnapshot(core, la)}
+	for _, la := range dirty.Keys() {
+		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: d.H.LineSnapshot(core, la)}
 		if done, err := cs.log.Append(rec, at); err == nil && done > persist {
 			persist = done
 		}
-		c.Advance(d.cfg.FlushIssueLatency)
+		c.Advance(d.Cfg.FlushIssueLatency)
 	}
 	c.AdvanceTo(persist)
-	c.Advance(d.cfg.FenceLatency)
-	if done, err := cs.log.Append(&wal.Record{Type: wal.RecCommit, TxID: cs.txid}, c.Now()); err == nil {
+	c.Advance(d.Cfg.FenceLatency)
+	if done, err := cs.log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
 		c.AdvanceTo(done)
 	}
 	flushed := c.Now()
-	for _, la := range ftx.dirty.Keys() {
-		if done := d.h.FlushLine(core, la, c.Now()); done > flushed {
+	for _, la := range dirty.Keys() {
+		if done := d.H.FlushLine(core, la, c.Now()); done > flushed {
 			flushed = done
 		}
-		c.Advance(d.cfg.FlushIssueLatency)
+		c.Advance(d.Cfg.FlushIssueLatency)
 	}
 	c.AdvanceTo(flushed)
-	if done, err := cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: cs.txid}, c.Now()); err == nil {
+	if done, err := cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: txid}, c.Now()); err == nil {
 		c.AdvanceTo(done)
 	}
-	cs.log.EndTx(cs.txid)
-
-	// Release the lock.
-	sr := d.h.Store(core, fallbackLockAddr, 0, c.Now(), false)
-	c.AdvanceTo(sr.Done)
-
-	cst := d.env.Stats.Core(core)
-	cst.WriteSetLines += uint64(ftx.dirty.Len())
+	cs.log.EndTx(txid)
 }

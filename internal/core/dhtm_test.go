@@ -26,7 +26,7 @@ func newDHTM(t *testing.T, cores int, opt Options) (*txn.Env, *DHTM) {
 // runOn executes body transactions on core 0 under the engine.
 func runOn(d *DHTM, body ...func(tx txn.Tx) error) []txn.ExecResult {
 	var results []txn.ExecResult
-	eng := engine.New(d.cfg.NumCores)
+	eng := engine.New(d.Cfg.NumCores)
 	eng.Run(func(core int, c *engine.Clock) {
 		if core != 0 {
 			return

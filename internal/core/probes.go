@@ -21,7 +21,7 @@ func (d *DHTM) RegisterProbes(rec *probe.Recorder) {
 	rec.Gauge("dhtm/overflowed_lines", "lines", "internal/core", func(uint64) float64 {
 		t := 0
 		for _, cs := range d.cores {
-			t += cs.overflowed.Len()
+			t += cs.ctx.Overflowed.Len()
 		}
 		return float64(t)
 	})

@@ -46,6 +46,27 @@ func TestExecuteSmallRun(t *testing.T) {
 	}
 }
 
+// TestFallbackCellCountsReadSet: NP sends TPC-C's L1-exceeding write sets to
+// the software fallback, and Table IV's read-set column must still count
+// what those fallback commits read.
+func TestFallbackCellCountsReadSet(t *testing.T) {
+	res, err := Execute(runner.Cell{Design: DesignNP, Workload: "tpcc", Cores: 2, TxPerCore: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats.Snapshot()
+	var fallbacks uint64
+	for i := range s.Cores {
+		fallbacks += s.Cores[i].Fallbacks
+	}
+	if fallbacks == 0 {
+		t.Fatal("no NP tpcc transaction fell back; the test no longer exercises the fallback")
+	}
+	if got := s.MeanReadSetLines(); got <= 0 {
+		t.Fatalf("mean read set %.1f lines with %d fallback commits, want > 0", got, fallbacks)
+	}
+}
+
 // TestExperimentsRegistered checks every experiment is findable and that the
 // quickest one renders a well-formed table.
 func TestExperimentsRegistered(t *testing.T) {

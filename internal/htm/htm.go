@@ -1,8 +1,11 @@
 // Package htm provides the RTM-like hardware-transactional-memory machinery
 // shared by every HTM-based design in the evaluation (NP, sdTM, LogTM-ATOM
 // and DHTM): per-core transaction contexts with read/write-set bookkeeping,
-// the read-set overflow Bloom signature kept next to the L1, and the
-// conflict-resolution policies (first-writer-wins and requester-wins).
+// the read-set overflow Bloom signature kept next to the L1, the
+// conflict-resolution policies (first-writer-wins and requester-wins), and
+// the Runtime that executes transactions on them — begin, transactional
+// accesses, the abort sweep, the retry loop and the software fallback —
+// calling each design's Hooks for what it logs, commits and aborts.
 package htm
 
 import (
@@ -198,7 +201,10 @@ func (s *LineSet) Clear() {
 
 // Ctx is the per-core transactional context.
 type Ctx struct {
-	State  State
+	State State
+	// TxID is the durable-log transaction of the current attempt or fallback
+	// (designs that log per attempt; other cores read DHTM's to resolve
+	// sentinel dependencies).
 	TxID   uint64
 	Sig    *Signature
 	Doomed bool
@@ -210,6 +216,9 @@ type Ctx struct {
 	// processing and for the write-set-size characterisation (Table IV).
 	WriteLines *LineSet
 	ReadLines  *LineSet
+	// Overflowed holds the write-set lines that spilled from the L1 to the
+	// LLC in sticky state (designs that allow write-set overflow).
+	Overflowed *LineSet
 
 	// CompletionAt is the cycle at which the previous transaction's
 	// completion phase (write-backs or overflow invalidations) finishes; a
@@ -223,6 +232,7 @@ func NewCtx(cfg config.Config) *Ctx {
 		Sig:        NewSignature(cfg.ReadSignatureBits),
 		WriteLines: NewLineSet(64),
 		ReadLines:  NewLineSet(64),
+		Overflowed: NewLineSet(32),
 	}
 }
 
@@ -233,6 +243,7 @@ func (c *Ctx) BeginReset() {
 	c.Sig.Clear()
 	c.WriteLines.Clear()
 	c.ReadLines.Clear()
+	c.Overflowed.Clear()
 }
 
 // Doom marks the transaction as having lost a conflict (or otherwise being

@@ -40,8 +40,10 @@ import (
 // content address (a version bump orphans old records rather than
 // misreading them) and is checked again inside each record. Bump it whenever
 // the JSON encoding of workloads.RunResult or stats.Stats changes shape —
-// the golden test in internal/workloads pins the current encoding.
-const FormatVersion = 1
+// the golden test in internal/workloads pins the current encoding — or
+// whenever the values it carries change meaning (v2: an HTM fallback commit
+// counts its own read set, dirty set and cycles).
+const FormatVersion = 2
 
 // Key addresses one simulation result.
 type Key struct {

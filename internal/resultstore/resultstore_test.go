@@ -129,7 +129,7 @@ func TestCorruptRecordIsAMiss(t *testing.T) {
 			if err := s.Put(k, result(5)); err != nil {
 				t.Fatal(err)
 			}
-			corrupt(t, filepath.Join(dir, "v1", h[:2], h+".json"))
+			corrupt(t, filepath.Join(dir, versionDir(), h[:2], h+".json"))
 
 			if _, ok := s.Get(k); ok {
 				t.Fatalf("corrupt record served as a hit")
@@ -304,7 +304,7 @@ func TestPersistFailureStillServesResult(t *testing.T) {
 	s := open(t, dir, Options{})
 	k := Key{Cell: "DHTM|hash|cores=8|tx=16", Seed: 42}
 	// Occupy the shard directory's name with a file so MkdirAll fails.
-	shard := filepath.Join(dir, "v1", k.hash()[:2])
+	shard := filepath.Join(dir, versionDir(), k.hash()[:2])
 	if err := os.WriteFile(shard, []byte("in the way"), 0o644); err != nil {
 		t.Fatal(err)
 	}
