@@ -95,18 +95,14 @@ func (b *htmBase) OnLLCTxEviction(core int, addr uint64, at uint64) {
 
 // commitVisibility performs the HTM commit point for visibility: read bits,
 // the signature and write bits are flash-cleared so the write set becomes
-// non-speculative, and any sticky LLC state is released.
+// non-speculative. The retry loop then clears the overflow set, which
+// releases any sticky LLC state.
 func (b *htmBase) commitVisibility(core int) {
 	ctx := b.Ctxs[core]
 	b.H.L1(core).ForEachTx(func(l *cache.Line) {
 		l.R = false
 		l.W = false
 	})
-	for _, la := range ctx.Overflowed.Keys() {
-		if ll := b.H.LLC().Peek(la); ll != nil {
-			ll.Sticky = false
-		}
-	}
 	ctx.Sig.Clear()
 	ctx.State = htm.Committed
 }

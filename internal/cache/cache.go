@@ -1,8 +1,9 @@
 // Package cache implements the set-associative cache arrays used for both the
 // private L1 data caches and the shared last-level cache (LLC). L1 lines carry
 // the transactional read/write bits of an RTM-like HTM; LLC lines additionally
-// carry the directory state (owner, sharer vector, dirty bit) and the
-// "sticky" marker DHTM uses for write-set lines that overflowed from an L1.
+// carry the directory state (owner, sharer vector, dirty bit). A write-set
+// line that overflowed from an L1 keeps the directory owner pointing at the
+// overflowing core; which lines overflowed is recorded by the HTM runtime.
 package cache
 
 import (
@@ -62,7 +63,6 @@ type Line struct {
 	// Directory metadata (meaningful in the LLC).
 	Owner   int    // core owning the line in Modified state, or NoOwner
 	Sharers uint64 // bitmask of cores holding a Shared copy
-	Sticky  bool   // DHTM: data overflowed from the owner's L1; dir state kept stale
 
 	Data memdev.Line
 
@@ -131,9 +131,6 @@ func New(sizeBytes, ways, lineSize int) *Cache {
 
 // isPow2 reports whether n is a positive power of two.
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.numSets }
 
 // LineSize returns the line size in bytes.
 func (c *Cache) LineSize() int { return int(c.lineSize) }

@@ -31,9 +31,6 @@ type Options struct {
 	// InstantPersist makes log and data writes take zero time while keeping
 	// them functionally correct; used for the §VI.D idealised-DHTM ablation.
 	InstantPersist bool
-	// LogBufferEntries overrides the configured log-buffer size when > 0
-	// (Figure 6's sweep).
-	LogBufferEntries int
 }
 
 // fallbackLockAddr is the persistent word used as the single global lock of
@@ -92,14 +89,10 @@ type deferredTruncation struct {
 // into the cache hierarchy.
 func New(env *txn.Env, opt Options) *DHTM {
 	d := &DHTM{Runtime: htm.NewRuntime(env, fallbackLockAddr), opt: opt}
-	bufEntries := env.Cfg.LogBufferEntries
-	if opt.LogBufferEntries > 0 {
-		bufEntries = opt.LogBufferEntries
-	}
 	for i := 0; i < env.Cfg.NumCores; i++ {
 		d.cores = append(d.cores, &coreState{
 			ctx: d.Ctxs[i],
-			buf: logbuf.New(bufEntries),
+			buf: logbuf.New(env.Cfg.LogBufferEntries),
 			log: env.Registry.Log(i),
 			ov:  env.Registry.Overflow(i),
 		})

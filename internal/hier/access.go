@@ -138,7 +138,7 @@ func (h *Hierarchy) fill(core int, la uint64, at uint64, forWrite, tx bool) (*ca
 		// Either a line this core stickily owns (overflowed write-set line)
 		// or stale ownership left behind by a past transaction or silent
 		// logic; the data in the LLC is authoritative.
-		rereadOwn = true
+		rereadOwn = h.sticky(ll, core)
 	case owner >= 0:
 		var res Result
 		var ok bool
@@ -172,7 +172,6 @@ func (h *Hierarchy) fill(core int, la uint64, at uint64, forWrite, tx bool) (*ca
 		ll.State = cache.Modified
 		ll.Sharers = 0
 		ll.AddSharer(core)
-		ll.Sticky = false
 	} else {
 		if ll.Owner == core {
 			// Keep ownership: the line stays part of this core's write set.
@@ -188,24 +187,40 @@ func (h *Hierarchy) fill(core int, la uint64, at uint64, forWrite, tx bool) (*ca
 	// Install into the requester's L1, handling the L1 victim.
 	l1 := h.l1s[core]
 	newState := cache.Shared
-	if forWrite || rereadOwn && ll.Owner == core {
+	if forWrite || ll.Owner == core {
 		newState = cache.Modified
 	}
 	way := l1.Victim(la)
 	if way.Valid() {
 		h.evictL1Victim(core, way, done)
+		if tx && !h.arb.InTx(core) {
+			// Making room aborted the requester's own transaction (a
+			// capacity or log-overflow abort): nothing may be installed.
+			return nil, Result{Done: done, Aborted: true, ConflictWith: core, Level: level}
+		}
 	}
 	line := l1.PlaceAt(way, la, newState, ll.Data)
-
 	if rereadOwn && tx && h.arb.InTx(core) {
-		h.arb.OnOwnerReread(core, la, line, done)
+		// Re-reading a line this core overflowed (§III-C "reread" corner
+		// case): it is part of the write set again, so an abort must
+		// invalidate it.
+		l1.MarkWrite(line)
 	}
 	return line, Result{Done: done, Level: level}
 }
 
+// sticky reports whether the LLC line ll is in core t's sticky state: the
+// directory names t as owner and t's transaction overflowed the line from its
+// L1. Neither half suffices alone. The directory owner may be stale, left
+// behind by a finished or aborted transaction, and t's overflow set may still
+// list a line the directory has since handed to another core.
+func (h *Hierarchy) sticky(ll *cache.Line, t int) bool {
+	return ll.Owner == t && h.arb.Overflowed(t, ll.Addr)
+}
+
 // forwardFromOwner models a Fwd-GetS / Fwd-GetM arriving at the owning core's
-// L1. It performs conflict detection (including the "line not present in the
-// owner's L1 implies it overflowed" inference) and, when the access proceeds,
+// L1. It performs conflict detection (against the owner's L1 bits, or its
+// sticky state when the line is not in its L1) and, when the access proceeds,
 // transfers data and downgrades or invalidates the owner's copy.
 // It returns ok=false when the *requester* must abort.
 func (h *Hierarchy) forwardFromOwner(requester, owner int, la uint64, ll *cache.Line, forWrite, tx bool, at uint64) (bool, Result) {
@@ -216,8 +231,7 @@ func (h *Hierarchy) forwardFromOwner(requester, owner int, la uint64, ll *cache.
 	if h.arb.InTx(owner) {
 		switch {
 		case ownerLine == nil:
-			// Sticky state: the write-set line overflowed to the LLC.
-			conflict = true
+			conflict = h.sticky(ll, owner)
 		case ownerLine.W:
 			conflict = true
 		case forWrite && ownerLine.R:
@@ -261,7 +275,6 @@ func (h *Hierarchy) forwardFromOwner(requester, owner int, la uint64, ll *cache.
 			ll.State = cache.Shared
 		}
 	}
-	ll.Sticky = false
 	return true, Result{Done: done, Level: 2}
 }
 
@@ -286,8 +299,7 @@ func (h *Hierarchy) invalidateSharers(core int, la uint64, ll *cache.Line, tx bo
 			switch {
 			case tl != nil && (tl.R || tl.W):
 				conflict = true
-			case tl == nil && ll.Owner == t:
-				// Sticky overflowed write-set line.
+			case tl == nil && h.sticky(ll, t):
 				conflict = true
 			case tl == nil && h.arb.SignatureContains(t, la):
 				conflict = true
@@ -338,8 +350,7 @@ func (h *Hierarchy) llcAllocate(core int, la uint64, data memdev.Line, at uint64
 		for t := 0; t < len(h.l1s); t++ {
 			tl := h.l1s[t].Peek(vAddr)
 			inTxLine := tl != nil && (tl.R || tl.W)
-			stickyOwner := tl == nil && victim.Sticky && victim.Owner == t
-			if h.arb.InTx(t) && (inTxLine || stickyOwner) {
+			if h.arb.InTx(t) && (inTxLine || tl == nil && h.sticky(victim, t)) {
 				if h.watchMask != 0 {
 					h.wakeCore(t)
 				}
@@ -383,8 +394,9 @@ func (h *Hierarchy) evictL1Victim(core int, victim *cache.Line, at uint64) {
 	switch {
 	case victim.W && h.arb.InTx(core):
 		if h.arb.OnWriteSetEviction(core, vAddr, at) {
-			// Overflow: data moves to the LLC, directory state is left
-			// pointing at this core (sticky), so conflicts still forward here.
+			// Overflow: data moves to the LLC and the directory is left
+			// pointing at this core, which together with the design's overflow
+			// set makes the line sticky, so conflicts still reach this core.
 			h.st.OverflowedLines++
 			ll := h.llc.Peek(vAddr)
 			if ll == nil {
@@ -397,7 +409,6 @@ func (h *Hierarchy) evictL1Victim(core int, victim *cache.Line, at uint64) {
 			}
 			ll.Data = victim.Data
 			ll.Dirty = true
-			ll.Sticky = true
 			ll.Owner = core
 			ll.State = cache.Modified
 		}

@@ -6,10 +6,15 @@
 // Transactional behaviour is not hard-wired here. The hierarchy exposes the
 // exact hook points the paper uses — a forwarded request arriving at an
 // owning L1, a write-set line being evicted from the L1, an LLC victim that
-// still belongs to somebody's transaction, a re-read of a line the core
-// stickily owns — through the Arbiter interface, which each HTM design
-// implements. Lock-based designs plug in NopArbiter and get a plain MESI
-// hierarchy.
+// still belongs to somebody's transaction — through the Arbiter interface,
+// which each HTM design implements. Lock-based designs plug in NopArbiter and
+// get a plain MESI hierarchy.
+//
+// Sticky state (LogTM's, which DHTM borrows, §III-C) is a write-set line that
+// overflowed from its owner's L1 while the directory keeps pointing at the
+// owner. The hierarchy records only the directory owner; whether the line
+// overflowed is the arbiter's to say (Arbiter.Overflowed), and one rule,
+// sticky, combines the two wherever the hierarchy needs it.
 package hier
 
 import (
@@ -46,8 +51,9 @@ type Arbiter interface {
 
 	// OnWriteSetEviction is invoked when a line with the transactional write
 	// bit set must leave core's L1. Returning true lets the line overflow to
-	// the LLC in sticky state (DHTM); returning false means the transaction
-	// was aborted instead (RTM-like designs).
+	// the LLC in sticky state (DHTM), after the design added it to the set
+	// Overflowed reports; returning false means the transaction was aborted
+	// instead (RTM-like designs).
 	OnWriteSetEviction(core int, addr uint64, at uint64) bool
 
 	// OnReadSetEviction is invoked when a line with the read bit set silently
@@ -60,11 +66,10 @@ type Arbiter interface {
 	// is DHTM's LLC capacity limit.
 	OnLLCTxEviction(core int, addr uint64, at uint64)
 
-	// OnOwnerReread is invoked when core re-reads a line that it stickily
-	// owns in the LLC (a write-set line that overflowed earlier). DHTM sets
-	// the write bit on the freshly installed L1 line so an abort invalidates
-	// it (§III-C "reread" corner case).
-	OnOwnerReread(core int, addr uint64, line *cache.Line, at uint64)
+	// Overflowed reports whether the line at la is in core's set of
+	// write-set lines that overflowed from its L1 to the LLC and have not
+	// yet been completed or invalidated.
+	Overflowed(core int, la uint64) bool
 }
 
 // NopArbiter is the Arbiter for non-transactional (lock-based) designs.
@@ -88,8 +93,8 @@ func (NopArbiter) OnReadSetEviction(int, uint64, uint64) {}
 // OnLLCTxEviction does nothing.
 func (NopArbiter) OnLLCTxEviction(int, uint64, uint64) {}
 
-// OnOwnerReread does nothing.
-func (NopArbiter) OnOwnerReread(int, uint64, *cache.Line, uint64) {}
+// Overflowed always reports false.
+func (NopArbiter) Overflowed(int, uint64) bool { return false }
 
 // Result describes the outcome of one timed hierarchy operation.
 type Result struct {
@@ -206,8 +211,8 @@ func (h *Hierarchy) Config() config.Config { return h.cfg }
 func (h *Hierarchy) Controller() *memdev.Controller { return h.ctl }
 
 // L1 returns core's private L1 cache. Designs flash-clear its transactional
-// bits at commit and abort with ForEachTx, and mark a re-read overflowed line
-// with MarkWrite; the hierarchy sets the bits on transactional accesses.
+// bits at commit and abort with ForEachTx; the hierarchy sets the bits on
+// transactional accesses.
 func (h *Hierarchy) L1(core int) *cache.Cache { return h.l1s[core] }
 
 // LLC returns the shared last-level cache.

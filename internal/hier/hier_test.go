@@ -69,10 +69,12 @@ func TestCoherenceTransfersData(t *testing.T) {
 	}
 }
 
-// recordingArbiter counts the hook invocations the hierarchy makes.
+// recordingArbiter counts the hook invocations the hierarchy makes and keeps
+// each core's overflow set, as the HTM runtime does.
 type recordingArbiter struct {
 	NopArbiter
 	inTx       map[int]bool
+	overflowed map[int]map[uint64]bool
 	conflicts  int
 	lastOwner  int
 	proceed    bool
@@ -89,10 +91,50 @@ func (a *recordingArbiter) OnConflict(req, owner int, addr uint64, write, reqTx 
 }
 func (a *recordingArbiter) OnWriteSetEviction(core int, addr uint64, at uint64) bool {
 	a.wsEvict++
+	a.overflow(core, addr)
 	return true
 }
 func (a *recordingArbiter) OnReadSetEviction(core int, addr uint64, at uint64) { a.rsEvict++ }
 func (a *recordingArbiter) OnLLCTxEviction(core int, addr uint64, at uint64)   { a.llcEvicted++ }
+func (a *recordingArbiter) Overflowed(core int, la uint64) bool                { return a.overflowed[core][la] }
+
+// overflow adds la to core's overflow set.
+func (a *recordingArbiter) overflow(core int, la uint64) {
+	if a.overflowed == nil {
+		a.overflowed = map[int]map[uint64]bool{}
+	}
+	if a.overflowed[core] == nil {
+		a.overflowed[core] = map[uint64]bool{}
+	}
+	a.overflowed[core][la] = true
+}
+
+// newTinyHier builds a hierarchy whose L1s have 2 sets of 4 ways, so lines
+// 128 bytes apart share a set and a fifth one evicts, with arb installed.
+func newTinyHier(cores int, arb Arbiter) *Hierarchy {
+	cfg := config.Default()
+	cfg.NumCores = cores
+	cfg.L1Size = 4 * 64 * 2
+	st := stats.New(cores)
+	h := New(cfg, memdev.NewController(cfg, memdev.NewStore(), st), st)
+	h.SetArbiter(arb)
+	return h
+}
+
+// overflowWriteSet has core store transactionally to 12 lines of one L1
+// set, so all but the last 4 overflow to the LLC. It returns the next cycle.
+func overflowWriteSet(t *testing.T, h *Hierarchy, core int) uint64 {
+	t.Helper()
+	at := uint64(0)
+	for i := 0; i < 12; i++ {
+		r := h.Store(core, uint64(i)*128, uint64(i), at, true)
+		if r.Aborted {
+			t.Fatalf("store %d aborted", i)
+		}
+		at = r.Done
+	}
+	return at
+}
 
 // TestConflictDetectionOnWriteSet checks that a remote access to a
 // transactional dirty line is routed through the arbiter and that a losing
@@ -131,14 +173,8 @@ func TestConflictDetectionOnWriteSet(t *testing.T) {
 // TestReadSetEvictionGoesToSignature checks that evicting a read-set line
 // notifies the arbiter (which maintains the overflow signature).
 func TestReadSetEvictionGoesToSignature(t *testing.T) {
-	cfg := config.Default()
-	cfg.NumCores = 1
-	cfg.L1Size = 4 * 64 * 2 // 2 sets, 4 ways: tiny L1 to force evictions
-	st := stats.New(1)
-	ctl := memdev.NewController(cfg, memdev.NewStore(), st)
-	h := New(cfg, ctl, st)
 	arb := &recordingArbiter{inTx: map[int]bool{0: true}, proceed: true}
-	h.SetArbiter(arb)
+	h := newTinyHier(1, arb)
 
 	at := uint64(0)
 	for i := 0; i < 12; i++ {
@@ -152,28 +188,123 @@ func TestReadSetEvictionGoesToSignature(t *testing.T) {
 
 // TestWriteSetOverflowKeepsStickyState checks the DHTM-enabling behaviour:
 // when the arbiter allows a write-set eviction, the line moves to the LLC
-// dirty and sticky with the directory still pointing at the owner.
+// dirty, with the directory still naming the owner and the line in the
+// owner's overflow set.
 func TestWriteSetOverflowKeepsStickyState(t *testing.T) {
-	cfg := config.Default()
-	cfg.NumCores = 1
-	cfg.L1Size = 4 * 64 * 2
-	st := stats.New(1)
-	ctl := memdev.NewController(cfg, memdev.NewStore(), st)
-	h := New(cfg, ctl, st)
 	arb := &recordingArbiter{inTx: map[int]bool{0: true}, proceed: true}
-	h.SetArbiter(arb)
+	h := newTinyHier(1, arb)
+	overflowWriteSet(t, h, 0)
+	if arb.wsEvict == 0 || len(arb.overflowed[0]) != arb.wsEvict {
+		t.Fatalf("%d write-set evictions, %d lines in the overflow set", arb.wsEvict, len(arb.overflowed[0]))
+	}
+	for la := range arb.overflowed[0] {
+		if h.L1(0).Peek(la) != nil {
+			t.Errorf("overflowed line %#x still in the L1", la)
+		}
+		ll := h.LLC().Peek(la)
+		if ll == nil || ll.Owner != 0 || !ll.Dirty || !h.sticky(ll, 0) {
+			t.Errorf("overflowed line %#x not sticky in the LLC: %+v", la, ll)
+		}
+	}
+}
 
-	at := uint64(0)
-	for i := 0; i < 12; i++ {
-		r := h.Store(0, uint64(i)*128, uint64(i), at, true)
+// TestStaleOwnerIsNotAConflict checks that a directory owner whose L1 no
+// longer holds the line, and which never overflowed it, does not make a
+// transactional access conflict with the owner's transaction.
+func TestStaleOwnerIsNotAConflict(t *testing.T) {
+	arb := &recordingArbiter{inTx: map[int]bool{}, proceed: false}
+	h := newTinyHier(2, arb)
+	const x = 0x70000
+	sr := h.Store(0, x, 5, 0, false)
+	at := h.FlushLine(0, x, sr.Done)
+	// Four more lines in x's L1 set evict the clean line silently, leaving
+	// the directory naming core 0.
+	for i := uint64(1); i <= 4; i++ {
+		_, r := h.Load(0, x+i*128, at, false)
 		at = r.Done
 	}
-	if arb.wsEvict == 0 {
-		t.Fatalf("no write-set evictions reported")
+	if h.L1(0).Peek(x) != nil || h.LLC().Peek(x).Owner != 0 {
+		t.Fatalf("setup did not leave a stale owner pointer")
 	}
-	sticky := h.LLC().CountIf(func(l *cache.Line) bool { return l.Sticky && l.Owner == 0 && l.Dirty })
-	if sticky == 0 {
-		t.Fatalf("no sticky overflowed lines present in the LLC")
+	arb.inTx[0], arb.inTx[1] = true, true
+	v, r := h.Load(1, x, at, true)
+	if r.Aborted || v != 5 {
+		t.Fatalf("load behind a stale owner got %d (aborted=%v), want 5", v, r.Aborted)
+	}
+	if arb.conflicts != 0 {
+		t.Fatalf("stale owner pointer raised %d conflicts", arb.conflicts)
+	}
+}
+
+// TestOverflowedLineConflicts checks that a line in the owner's overflow set
+// still conflicts although it is absent from the owner's L1, for reads
+// (forwarded to the owner) and for writes (sharer invalidation).
+func TestOverflowedLineConflicts(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		arb := &recordingArbiter{inTx: map[int]bool{0: true, 1: true}, proceed: false}
+		h := newTinyHier(2, arb)
+		at := overflowWriteSet(t, h, 0)
+		if !arb.overflowed[0][0] {
+			t.Fatalf("line 0 did not overflow")
+		}
+		var r Result
+		if write {
+			r = h.Store(1, 0, 9, at, true)
+		} else {
+			_, r = h.Load(1, 0, at, true)
+		}
+		if arb.conflicts != 1 || arb.lastOwner != 0 || !r.Aborted || r.ConflictWith != 0 {
+			t.Fatalf("write=%v: %d conflicts (owner %d), result %+v; want the requester to lose to core 0",
+				write, arb.conflicts, arb.lastOwner, r)
+		}
+	}
+}
+
+// TestRereadOverflowedLineMarksWrite checks the §III-C re-read corner case:
+// an overflowed line read back into its owner's L1 carries the write bit, so
+// an abort invalidates it.
+func TestRereadOverflowedLineMarksWrite(t *testing.T) {
+	arb := &recordingArbiter{inTx: map[int]bool{0: true}, proceed: true}
+	h := newTinyHier(1, arb)
+	at := overflowWriteSet(t, h, 0)
+	v, r := h.Load(0, 0, at, true)
+	if r.Aborted || v != 0 {
+		t.Fatalf("re-read got %d (aborted=%v)", v, r.Aborted)
+	}
+	if l := h.L1(0).Peek(0); l == nil || !l.W || l.State != cache.Modified {
+		t.Fatalf("re-read overflowed line not marked written: %+v", l)
+	}
+}
+
+// TestLLCVictimOwnedElsewhereIsNotCharged checks the directory-owner half of
+// the sticky rule: a core whose overflow set still lists a line the
+// directory has handed to another core loses nothing when that line leaves
+// the LLC.
+func TestLLCVictimOwnedElsewhereIsNotCharged(t *testing.T) {
+	arb := &recordingArbiter{inTx: map[int]bool{0: true}, proceed: true}
+	cfg := config.Default()
+	cfg.NumCores = 2
+	cfg.L1Size = 4 * 64 * 2
+	cfg.LLCSize, cfg.LLCWays = 4*64*2, 4 // 2 sets of 4 ways
+	st := stats.New(2)
+	h := New(cfg, memdev.NewController(cfg, memdev.NewStore(), st), st)
+	h.SetArbiter(arb)
+	const x = 0x80000
+	arb.overflow(0, x)
+	sr := h.Store(1, x, 1, 0, false)
+	if h.LLC().Peek(x).Owner != 1 {
+		t.Fatalf("core 1 does not own the line")
+	}
+	at := sr.Done
+	for i := uint64(1); i <= 4; i++ {
+		_, r := h.Load(1, x+i*128, at, false)
+		at = r.Done
+	}
+	if h.LLC().Peek(x) != nil {
+		t.Fatalf("line was not evicted from the LLC")
+	}
+	if arb.llcEvicted != 0 {
+		t.Fatalf("LLC victim owned by core 1 was charged to core 0 (%d evictions)", arb.llcEvicted)
 	}
 }
 

@@ -64,7 +64,6 @@ func (h *Hierarchy) WriteBackLLCLine(addr uint64, at uint64) (uint64, bool) {
 		done = h.ctl.WriteLine(la, ll.Data, at, memdev.TrafficData)
 	}
 	ll.Dirty = false
-	ll.Sticky = false
 	ll.Owner = cache.NoOwner
 	ll.Sharers = 0
 	ll.State = cache.Shared
@@ -104,7 +103,6 @@ func (h *Hierarchy) CompleteLLCLine(addr uint64) bool {
 	}
 	h.ctl.PersistLine(la, ll.Data, memdev.TrafficData)
 	ll.Dirty = false
-	ll.Sticky = false
 	ll.Owner = cache.NoOwner
 	ll.Sharers = 0
 	ll.State = cache.Shared
@@ -141,7 +139,6 @@ func (h *Hierarchy) ReleaseOwnership(core int, addr uint64) {
 	la := h.Align(addr)
 	if ll := h.llc.Peek(la); ll != nil && ll.Owner == core {
 		ll.Owner = cache.NoOwner
-		ll.Sticky = false
 		if ll.State == cache.Modified {
 			ll.State = cache.Shared
 		}

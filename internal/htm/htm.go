@@ -217,7 +217,9 @@ type Ctx struct {
 	WriteLines *LineSet
 	ReadLines  *LineSet
 	// Overflowed holds the write-set lines that spilled from the L1 to the
-	// LLC in sticky state (designs that allow write-set overflow).
+	// LLC in sticky state (designs that allow write-set overflow). It is the
+	// only record of which lines overflowed; the hierarchy asks it through
+	// Runtime.Overflowed.
 	Overflowed *LineSet
 
 	// CompletionAt is the cycle at which the previous transaction's

@@ -183,8 +183,10 @@ func (rt *Runtime) Read(core int, c txn.Clock, addr uint64) uint64 {
 	v, r := rt.H.Load(core, addr, c.Now(), true)
 	c.AdvanceTo(r.Done)
 	if r.Aborted {
+		// A lost conflict, unless the access already aborted this
+		// transaction for another reason (a capacity eviction making room).
 		rt.Abort(core, stats.AbortConflict, c.Now())
-		txn.AbortNow(stats.AbortConflict)
+		txn.AbortNow(ctx.Reason)
 	}
 	if ctx.Doomed || ctx.State != Active {
 		txn.AbortNow(ctx.Reason)
@@ -203,11 +205,12 @@ func (rt *Runtime) Store(core int, c txn.Clock, addr, val uint64) {
 	r := rt.H.Store(core, addr, val, c.Now(), true)
 	c.AdvanceTo(r.Done)
 	if r.Aborted {
+		// A lost conflict, unless the access already aborted this
+		// transaction for another reason (a capacity eviction making room).
 		rt.Abort(core, stats.AbortConflict, c.Now())
-		txn.AbortNow(stats.AbortConflict)
+		txn.AbortNow(ctx.Reason)
 	}
 	if ctx.Doomed || ctx.State != Active {
-		// A capacity eviction triggered by our own fill aborted us.
 		txn.AbortNow(ctx.Reason)
 	}
 	ctx.WriteLines.Add(rt.H.Align(addr))
@@ -293,13 +296,10 @@ func (rt *Runtime) OnReadSetEviction(core int, addr uint64, _ uint64) {
 	}
 }
 
-// OnOwnerReread implements hier.Arbiter: a write-set line this core
-// overflowed to the LLC is re-read into the L1; mark it written again so an
-// abort invalidates it.
-func (rt *Runtime) OnOwnerReread(core int, addr uint64, line *cache.Line, _ uint64) {
-	if c := rt.Ctxs[core]; c.State == Active && c.Overflowed.Contains(rt.H.Align(addr)) {
-		rt.H.L1(core).MarkWrite(line)
-	}
+// Overflowed implements hier.Arbiter: the core's overflow set is the only
+// record of which write-set lines spilled from its L1 to the LLC.
+func (rt *Runtime) Overflowed(core int, la uint64) bool {
+	return rt.Ctxs[core].Overflowed.Contains(la)
 }
 
 // tx adapts a core's transactional accesses to txn.Tx.

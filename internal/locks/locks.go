@@ -32,9 +32,6 @@ func NewTable(cfg config.Config, base uint64, slots int) *Table {
 	return &Table{cfg: cfg, base: base, slots: slots}
 }
 
-// Slots returns the number of physical lock slots.
-func (t *Table) Slots() int { return t.slots }
-
 // Addr maps an abstract lock ID to its lock word address.
 func (t *Table) Addr(id uint64) uint64 {
 	return t.base + (id%uint64(t.slots))*uint64(memdev.LineBytes)

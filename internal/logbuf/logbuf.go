@@ -22,9 +22,6 @@ func New(capacity int) *Buffer {
 	return &Buffer{capacity: capacity, entries: make([]uint64, 0, capacity)}
 }
 
-// Cap returns the buffer capacity in entries.
-func (b *Buffer) Cap() int { return b.capacity }
-
 // Len returns the number of tracked lines.
 func (b *Buffer) Len() int { return len(b.entries) }
 

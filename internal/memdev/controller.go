@@ -154,9 +154,6 @@ func (c *Controller) occupy(n int, at uint64) uint64 {
 	return start
 }
 
-// ChannelFreeAt reports when the memory channel next becomes idle.
-func (c *Controller) ChannelFreeAt() uint64 { return c.channelFreeAt }
-
 // ReadLine fetches the line containing addr. The returned cycle is when the
 // data is available at the LLC.
 func (c *Controller) ReadLine(addr uint64, at uint64) (Line, uint64) {

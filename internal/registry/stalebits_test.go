@@ -21,20 +21,6 @@ var fallbackLockLines = map[uint64]bool{
 	wal.RegistryTableAddr + 0x900: true,
 }
 
-// staleBitKnownFailures lists the design × workload pairs on which an
-// attempt starts with a stale transactional bit. After an L1 write-capacity
-// abort raised while evicting the fill's victim, hier.fill still installs the
-// new line and Load/Store then mark it (a store also writes the aborted value
-// into it), so the next attempt begins with speculative state it never
-// created. The fix changes simulated results, so it waits for a golden
-// regeneration. This list may only shrink: a listed pair that comes out clean
-// fails the test until it is removed here.
-var staleBitKnownFailures = map[string]bool{
-	"NP/tpcc": true, "NP/tatp": true, "NP/rbtree": true,
-	"sdTM/tpcc": true, "sdTM/tatp": true, "sdTM/rbtree": true,
-	"DHTM-L1/tpcc": true, "DHTM-L1/tatp": true, "DHTM-L1/rbtree": true,
-}
-
 // bitCheckRuntime wraps a design so that every attempt of every transaction
 // body (hardware retries and the software fallback alike) first checks that
 // the core's L1 carries no R or W bit outside the fallback-lock line.
@@ -72,14 +58,12 @@ func (r *bitCheckRuntime) check(core int) {
 }
 
 // TestNoStaleTxBitsAtAttemptStart runs every HTM design on every workload at
-// small scale and requires each attempt's body to start with a clean L1, up
-// to the known failures above.
+// small scale and requires each attempt's body to start with a clean L1.
 func TestNoStaleTxBitsAtAttemptStart(t *testing.T) {
 	const cores, txPerCore, seed = 8, 16, 5
 	for _, design := range registry.DesignNamesByTag(registry.TagHTM) {
 		for _, wl := range registry.WorkloadNames() {
-			pair := design + "/" + wl
-			t.Run(pair, func(t *testing.T) {
+			t.Run(design+"/"+wl, func(t *testing.T) {
 				t.Parallel()
 				cfg := config.Default()
 				cfg.NumCores = cores
@@ -101,11 +85,8 @@ func TestNoStaleTxBitsAtAttemptStart(t *testing.T) {
 				if _, err := workloads.Run(env, rt, w, p, txPerCore, true); err != nil {
 					t.Fatal(err)
 				}
-				switch known := staleBitKnownFailures[pair]; {
-				case rt.stale > 0 && !known:
+				if rt.stale > 0 {
 					t.Errorf("%d attempts started with a stale transactional bit; first: %s", rt.stale, rt.first)
-				case rt.stale == 0 && known:
-					t.Errorf("no stale transactional bit any more: remove %s from staleBitKnownFailures", pair)
 				}
 			})
 		}

@@ -247,9 +247,6 @@ func (s *Stats) L1HitRate() float64 {
 	return float64(h) / float64(h+m)
 }
 
-// NVMWriteBytes returns all bytes written to persistent memory (log + data).
-func (s *Stats) NVMWriteBytes() uint64 { return s.LogBytes + s.DataWriteBytes }
-
 // Summary renders a short human-readable report.
 func (s *Stats) Summary() string {
 	var b strings.Builder

@@ -8,18 +8,18 @@ import (
 	"dhtm/internal/crashtest"
 )
 
-// TestTortureExhaustive is the crash-point sweep: for DHTM and ATOM on the
-// hash and queue micro-benchmarks (4 cores), every durable write of the run is
-// a crash point; the explorer crashes, recovers and judges each one against
-// the three oracles (workload invariants, trace-derived prefix consistency,
-// recovery idempotency). In -short mode a strided sample stands in for the
-// full space.
+// TestTortureExhaustive is the crash-point sweep: for DHTM, the L1-limited
+// DHTM-L1 and ATOM on the hash and queue micro-benchmarks (4 cores), every
+// durable write of the run is a crash point; the explorer crashes, recovers
+// and judges each one against the three oracles (workload invariants,
+// trace-derived prefix consistency, recovery idempotency). In -short mode a
+// strided sample stands in for the full space.
 func TestTortureExhaustive(t *testing.T) {
 	sel := crashtest.Selection{Mode: "all"}
 	if testing.Short() {
 		sel = crashtest.Selection{Mode: "stride", Samples: 64}
 	}
-	for _, design := range []string{"DHTM", "ATOM"} {
+	for _, design := range []string{"DHTM", "DHTM-L1", "ATOM"} {
 		for _, workload := range []string{"hash", "queue"} {
 			design, workload := design, workload
 			t.Run(design+"/"+workload, func(t *testing.T) {
