@@ -33,19 +33,28 @@ func benchOptions() harness.Options {
 
 // runExperiment executes one experiment per benchmark iteration and prints
 // its table once so the benchmark log doubles as the reproduction record.
+// Every iteration simulates every cell: runner.Run with plain
+// harness.Execute bypasses the process's cell memo, which would otherwise
+// answer every iteration after the first.
 func runExperiment(b *testing.B, id string) *harness.Table {
 	b.Helper()
 	exp, ok := harness.Find(id)
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
+	o := benchOptions()
 	var table *harness.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.Run(context.Background(), benchOptions())
+		rs, err := runner.Run(context.Background(), exp.Plan(o), harness.Execute, runner.Options{Parallel: o.Parallel, Seed: o.Seed})
+		if err == nil {
+			err = rs.Err()
+		}
+		if err == nil {
+			table, err = exp.Reduce(o, rs)
+		}
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
-		table = t
 	}
 	if table != nil {
 		b.Log("\n")

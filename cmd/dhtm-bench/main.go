@@ -16,7 +16,6 @@
 //	dhtm-bench -csv            # CSV rows on stdout
 //	dhtm-bench -progress       # per-cell progress on stderr
 //	dhtm-bench -list           # list experiments
-//	dhtm-bench -store results/ # persist cell results; warm re-runs simulate nothing
 //	dhtm-bench -cpuprofile cpu.out -memprofile mem.out   # profile the run
 //	dhtm-bench -metrics run.prom   # dump the metrics registry (Prometheus text) at exit
 //	dhtm-bench -scenario examples/scenarios/table4-quick.json
@@ -50,7 +49,6 @@ import (
 	"dhtm/internal/harness"
 	"dhtm/internal/obs"
 	"dhtm/internal/probe"
-	"dhtm/internal/resultstore"
 	"dhtm/internal/runner"
 	"dhtm/internal/scenario"
 	"dhtm/internal/snapshot"
@@ -68,29 +66,21 @@ type experimentResult struct {
 
 // document is the top-level -json result document.
 type document struct {
-	Seed        int64                `json:"seed"`
-	Parallel    int                  `json:"parallel"`
-	Quick       bool                 `json:"quick"`
-	Experiments []experimentResult   `json:"experiments"`
-	Store       *resultstore.Metrics `json:"store,omitempty"`
-	Snapshots   *snapshot.Metrics    `json:"snapshots,omitempty"`
+	Seed        int64               `json:"seed"`
+	Parallel    int                 `json:"parallel"`
+	Quick       bool                `json:"quick"`
+	Experiments []experimentResult  `json:"experiments"`
+	Store       *runner.MemoMetrics `json:"store,omitempty"`
+	Snapshots   *snapshot.Metrics   `json:"snapshots,omitempty"`
 }
 
-// telemetrySummary folds the result-store and setup-snapshot counters —
-// both now registry-backed — into one stderr line. store may be nil (no
-// -store): the snapshot half still reports.
-func telemetrySummary(store *resultstore.Store) snapshot.Metrics {
-	sm := snapshot.Default.Metrics()
-	line := "dhtm-bench: telemetry:"
-	if store != nil {
-		m := store.Metrics()
-		line += fmt.Sprintf(" store %s %d hits (%d mem, %d disk) / %d misses / %d simulated / %d shared / %d written / %d corrupt;",
-			store.Dir(), m.Hits(), m.MemHits, m.DiskHits, m.Misses, m.Computes, m.Shared, m.Writes, m.Corrupt)
-	}
-	line += fmt.Sprintf(" snapshots %d hits / %d misses / %d clones / %d cached images",
-		sm.Hits, sm.Misses, sm.Clones, sm.Entries)
-	fmt.Fprintln(os.Stderr, line)
-	return sm
+// telemetrySummary folds the cell-memo and setup-snapshot counters into one
+// stderr line.
+func telemetrySummary() (runner.MemoMetrics, snapshot.Metrics) {
+	m, sm := runner.DefaultMemo.Metrics(), snapshot.Default.Metrics()
+	fmt.Fprintf(os.Stderr, "dhtm-bench: telemetry: memo %d hits / %d simulated / %d shared; snapshots %d hits / %d misses / %d clones / %d cached images\n",
+		m.MemHits, m.Computes, m.Shared, sm.Hits, sm.Misses, sm.Clones, sm.Entries)
+	return m, sm
 }
 
 func main() { os.Exit(run()) }
@@ -108,7 +98,6 @@ func run() int {
 	csvOut := flag.Bool("csv", false, "emit CSV rows on stdout instead of aligned tables")
 	progress := flag.Bool("progress", false, "report per-cell completion on stderr")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	storeDir := flag.String("store", "", "read/write cell results through a content-addressed result store rooted at this directory (makes interrupted campaigns resumable)")
 	scenarioPath := flag.String("scenario", "", "run a scenario file (experiment, sweep or crashtest mode); output is the rendered tables, byte-identical to dhtm-serve's /tables for the same file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
@@ -125,8 +114,8 @@ func run() int {
 		}()
 	}
 
-	// Ctrl-C cancels the campaign cleanly: in-flight cells finish (and, with
-	// -store, persist), skipped cells report runner.ErrCancelled.
+	// Ctrl-C cancels the campaign cleanly: in-flight cells finish, skipped
+	// cells report runner.ErrCancelled.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -208,15 +197,6 @@ func run() int {
 	}
 
 	opts := scenario.RunOptions{Parallel: *parallel, Trace: probe.FlagConfig(*tracePath, *traceInterval)}
-	if *storeDir == "" {
-		*storeDir = doc.Store
-	}
-	if *storeDir != "" {
-		if opts.Store, err = resultstore.Open(*storeDir, resultstore.Options{Registry: obs.Default}); err != nil {
-			fmt.Fprintf(os.Stderr, "dhtm-bench: %v\n", err)
-			return 1
-		}
-	}
 	if *progress {
 		opts.OnCell = func(_ string, ev runner.ProgressEvent) { progressLine(ev) }
 		opts.OnPoint = func(label string, done, total int) {
@@ -253,18 +233,14 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "dhtm-bench: trace for %d cell(s) written to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", len(res.Timelines), *tracePath)
 	}
-	sm := telemetrySummary(opts.Store)
+	m, sm := telemetrySummary()
 	if *jsonOut {
-		jd := document{Seed: *seed, Parallel: *parallel, Quick: *quick, Snapshots: &sm}
+		jd := document{Seed: *seed, Parallel: *parallel, Quick: *quick, Store: &m, Snapshots: &sm}
 		for _, o := range res.Experiments {
 			jd.Experiments = append(jd.Experiments, experimentResult{
 				ID: o.ID, Title: o.Title, Table: o.Table, Cells: o.Cells,
 				ElapsedMs: float64(o.Elapsed) / float64(time.Millisecond), Error: o.Error,
 			})
-		}
-		if opts.Store != nil {
-			m := opts.Store.Metrics()
-			jd.Store = &m
 		}
 		if err := writeJSON(os.Stdout, jd); err != nil {
 			fmt.Fprintf(os.Stderr, "dhtm-bench: encoding JSON: %v\n", err)
@@ -272,7 +248,7 @@ func run() int {
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "dhtm-bench: interrupted; partial results above, re-run with the same -store to resume")
+		fmt.Fprintln(os.Stderr, "dhtm-bench: interrupted; partial results above")
 		return 1
 	}
 	if runErr != nil {

@@ -1,12 +1,12 @@
 // Command dhtm-serve runs the campaign service: an HTTP API that accepts
 // experiment, sweep and crash-test campaigns as scenario documents (the
 // files dhtm-bench -scenario runs), executes them on a bounded worker pool,
-// streams per-cell progress, and serves every previously computed cell from
-// the content-addressed result store without simulating it again.
+// streams per-cell progress, and answers every cell the process already
+// simulated from its in-memory cell memo. Results do not survive a restart.
 //
 // Usage:
 //
-//	dhtm-serve -addr :8080 -store results/
+//	dhtm-serve -addr :8080
 //
 // Submit a campaign, watch it, fetch its tables:
 //
@@ -15,16 +15,17 @@
 //	curl -s localhost:8080/api/v1/jobs/job-000001            # poll
 //	curl -N localhost:8080/api/v1/jobs/job-000001/events     # SSE stream
 //	curl -s localhost:8080/api/v1/jobs/job-000001/tables     # rendered tables
-//	curl -s localhost:8080/api/v1/store                      # cache hit counters
+//	curl -s localhost:8080/api/v1/store                      # memo hit counters
 //	curl -s localhost:8080/metrics                           # Prometheus exposition
 //
 // GET / serves a live HTML dashboard (jobs, progress bars, phase breakdowns,
-// store hit ratios) over the same API. -pprof mounts net/http/pprof under
+// memo hit ratios) over the same API. -pprof mounts net/http/pprof under
 // /debug/pprof/ for profiling a running service.
 //
-// Re-submitting the same campaign answers every cell from the store — zero
-// cells simulated (watch "cached" climb in /api/v1/jobs/{id} and the store
-// hit counters in /api/v1/store).
+// Re-submitting the same campaign answers every cell from the memo — zero
+// cells simulated (watch "cached" climb in /api/v1/jobs/{id} and the memo
+// hit counters in /api/v1/store). With -trace-interval every cell is
+// simulated so that each one carries its trace.
 //
 // SIGTERM drains gracefully: the server stops accepting jobs and lets the
 // running ones finish (a second signal forces immediate shutdown).
@@ -43,16 +44,14 @@ import (
 	"time"
 
 	"dhtm/internal/obs"
-	"dhtm/internal/resultstore"
+	"dhtm/internal/runner"
 	"dhtm/internal/serve"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	storeDir := flag.String("store", "", "result-store directory (empty = in-memory only; results do not survive a restart)")
 	workers := flag.Int("workers", 2, "jobs executing concurrently; queued jobs wait in submission order")
 	parallel := flag.Int("parallel", 0, "per-job cell worker-pool size (0 = GOMAXPROCS)")
-	memEntries := flag.Int("mem", 0, "in-memory LRU capacity in results (0 = default 4096, negative = disabled)")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of logfmt-style text")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes heap contents; trusted listeners only)")
 	traceInterval := flag.Uint64("trace-interval", 0, "record cycle-domain probes for every simulated cell, sampling every N simulated cycles (0 = tracing off); traces are served from /api/v1/jobs/{id}/cells/{key}/trace")
@@ -64,15 +63,11 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	// Everything reports into the process-wide obs.Default plane — the store
-	// opened here, the runner/snapshot/crashtest layers at package init, and
-	// the server's own families — so GET /metrics is one coherent view.
-	store, err := resultstore.Open(*storeDir, resultstore.Options{MemEntries: *memEntries, Registry: obs.Default})
-	if err != nil {
-		fail("%v", err)
-	}
+	// Everything reports into the process-wide obs.Default plane — the
+	// runner/memo/snapshot/crashtest layers at package init and the server's
+	// own families — so GET /metrics is one coherent view.
 	srv, err := serve.New(serve.Config{
-		Store: store, Workers: *workers, CellParallel: *parallel,
+		Workers: *workers, CellParallel: *parallel,
 		Registry: obs.Default, Logger: logger, Pprof: *withPprof,
 		TraceInterval: *traceInterval,
 	})
@@ -84,12 +79,8 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
-	where := *storeDir
-	if where == "" {
-		where = "(memory only)"
-	}
-	fmt.Fprintf(os.Stderr, "dhtm-serve: listening on %s, store %s, %d job workers; dashboard at /, metrics at /metrics\n",
-		*addr, where, *workers)
+	fmt.Fprintf(os.Stderr, "dhtm-serve: listening on %s, %d job workers; dashboard at /, metrics at /metrics\n",
+		*addr, *workers)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -120,9 +111,9 @@ func main() {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		httpSrv.Shutdown(shutdownCtx)
-		m := store.Metrics()
-		fmt.Fprintf(os.Stderr, "dhtm-serve: store served %d hits (%d mem, %d disk), simulated %d cells, shared %d in-flight\n",
-			m.Hits(), m.MemHits, m.DiskHits, m.Computes, m.Shared)
+		m := runner.DefaultMemo.Metrics()
+		fmt.Fprintf(os.Stderr, "dhtm-serve: memo served %d hits, simulated %d cells, shared %d in-flight\n",
+			m.MemHits, m.Computes, m.Shared)
 	}
 }
 

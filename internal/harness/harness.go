@@ -21,7 +21,6 @@ import (
 	"dhtm/internal/obs"
 	"dhtm/internal/probe"
 	"dhtm/internal/registry"
-	"dhtm/internal/resultstore"
 	"dhtm/internal/runner"
 	"dhtm/internal/snapshot"
 	"dhtm/internal/txn"
@@ -132,13 +131,9 @@ type Options struct {
 	Seed int64
 	// Progress, when non-nil, receives one event per completed cell.
 	Progress func(runner.ProgressEvent)
-	// Store, when non-nil, is attached to every experiment plan so cells
-	// read through the content-addressed result store instead of
-	// re-simulating (see runner.Plan.Store).
-	Store *resultstore.Store
 	// Trace enables cycle-domain probing for every cell of the grid (see
-	// probe.Config); computed cells carry their Timeline in the result set,
-	// cache hits never do. The zero value keeps tracing off.
+	// probe.Config), and every cell then carries its Timeline in the result
+	// set. The zero value keeps tracing off.
 	Trace probe.Config
 }
 
@@ -277,13 +272,22 @@ func (e Experiment) Run(ctx context.Context, o Options) (*Table, error) {
 // the successful cells and the derived seeds of the failed ones. The
 // returned error covers plan-level problems only.
 func (e Experiment) RunGrid(ctx context.Context, o Options) (*runner.ResultSet, error) {
-	plan := e.Plan(o)
-	plan.Store = o.Store
-	rs, err := runner.Run(ctx, plan, ExecuteWith(o.Trace), o.runnerOptions())
+	rs, err := RunPlan(ctx, e.Plan(o), o.Trace, o.runnerOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}
 	return rs, nil
+}
+
+// RunPlan executes a grid of harness cells. An untraced grid reads through
+// runner.DefaultMemo, so a cell that an earlier grid of the process already
+// simulated is answered from memory. A traced grid simulates every cell, so
+// each result carries its own Timeline.
+func RunPlan(ctx context.Context, plan runner.Plan, trace probe.Config, opts runner.Options) (*runner.ResultSet, error) {
+	if trace.Enabled() {
+		return runner.Run(ctx, plan, ExecuteWith(trace), opts)
+	}
+	return runner.DefaultMemo.Run(ctx, plan, Execute, opts)
 }
 
 // Experiments returns every experiment in the order of the paper.

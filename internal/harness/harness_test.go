@@ -94,12 +94,8 @@ func TestParallelSweepIsDeterministic(t *testing.T) {
 		t.Fatal("fig5 not registered")
 	}
 	render := func(parallel int) string {
-		tbl, err := e.Run(context.Background(), Options{Quick: true, Parallel: parallel, Seed: 7})
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
-		}
 		var sb strings.Builder
-		tbl.Render(&sb)
+		runMemoFree(t, e, Options{Quick: true, Parallel: parallel, Seed: 7}).Render(&sb)
 		return sb.String()
 	}
 	serial := render(1)
@@ -107,6 +103,25 @@ func TestParallelSweepIsDeterministic(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("parallel output diverged from serial:\n--- parallel=1 ---\n%s--- parallel=8 ---\n%s", serial, parallel)
 	}
+}
+
+// runMemoFree runs an experiment with every cell simulated — runner.Run
+// with plain Execute, bypassing runner.DefaultMemo — so a comparison
+// against it can never be satisfied by a memo hit.
+func runMemoFree(t *testing.T, e Experiment, o Options) *Table {
+	t.Helper()
+	rs, err := runner.Run(context.Background(), e.Plan(o), Execute, o.runnerOptions())
+	if err == nil {
+		err = rs.Err()
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", e.ID, err)
+	}
+	tbl, err := e.Reduce(o, rs)
+	if err != nil {
+		t.Fatalf("%s: %v", e.ID, err)
+	}
+	return tbl
 }
 
 // TestExperimentPlansAreValid checks every experiment's grid has unique,

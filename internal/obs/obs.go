@@ -360,6 +360,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // simulation cell, a job, or an HTTP request.
 var DurationBuckets = ExpBuckets(100e-6, 2, 20)
 
-// IOBuckets covers 2µs to ~32s in ×4 steps — the range of a single store
-// read or write, from page-cache hit to sick disk.
+// IOBuckets covers 2µs to ~32s in ×4 steps — the range of one
+// copy-on-write image clone, from a tiny heap to a pathological one.
 var IOBuckets = ExpBuckets(2e-6, 4, 13)

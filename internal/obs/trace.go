@@ -4,8 +4,8 @@ import "time"
 
 // Phase indexes one stage of a simulation cell's execution. The phases map
 // the README's data flow: clone the post-setup snapshot, (on a cache miss)
-// run workload Setup, drive the measured run, verify invariants (crash
-// tests), and persist the result record.
+// run workload Setup, drive the measured run, and verify invariants (crash
+// tests).
 type Phase uint8
 
 const (
@@ -19,14 +19,12 @@ const (
 	PhaseRun
 	// PhaseVerify is workload invariant verification (crash-test oracles).
 	PhaseVerify
-	// PhaseStoreWrite is persisting the result record to the result store.
-	PhaseStoreWrite
 
 	// NumPhases bounds the phase index space.
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{"clone", "setup", "run", "verify", "store_write"}
+var phaseNames = [NumPhases]string{"clone", "setup", "run", "verify"}
 
 func (p Phase) String() string {
 	if p < NumPhases {
@@ -87,7 +85,7 @@ func CellPhaseHistograms(r *Registry) *PhaseHistograms {
 	ph := &PhaseHistograms{}
 	for p := Phase(0); p < NumPhases; p++ {
 		ph.h[p] = r.Histogram("dhtm_cell_phase_seconds",
-			"Per-cell execution phase durations in seconds (clone, setup, run, verify, store_write).",
+			"Per-cell execution phase durations in seconds (clone, setup, run, verify).",
 			DurationBuckets, L("phase", p.String()))
 	}
 	return ph

@@ -22,7 +22,6 @@ import (
 
 	"dhtm/internal/config"
 	"dhtm/internal/obs"
-	"dhtm/internal/resultstore"
 	"dhtm/internal/stats"
 	"dhtm/internal/workloads"
 )
@@ -130,7 +129,10 @@ type Cell struct {
 // Key is the cell's semantic identity: every field that changes what is
 // simulated, and nothing that depends on where the cell sits in a plan. Two
 // cells with equal keys receive equal derived seeds and therefore produce
-// identical results, even across different experiments.
+// identical results, even across different experiments. A Memo answers
+// cells by key and seed, so a field that changes the simulation without a
+// key term would serve one cell's result for another; TestKeyCoversEveryField
+// guards this.
 func (c Cell) Key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%s|cores=%d|tx=%d", c.Design, c.Workload, c.Cores, c.TxPerCore)
@@ -179,12 +181,6 @@ type Plan struct {
 	Name string `json:"name"`
 	// Cells are the grid points. Order fixes result order, nothing else.
 	Cells []Cell `json:"cells"`
-	// Store, when non-nil, turns execution into a read-through/write-through
-	// layer over the content-addressed result store: a cell whose
-	// (Key(), seed) is already stored is answered without simulating, a
-	// computed cell is persisted, and concurrent requests for the same cell
-	// (within or across plans sharing the store) simulate it exactly once.
-	Store *resultstore.Store `json:"-"`
 }
 
 // Add appends a cell and returns its ID, for fluent plan construction.
@@ -224,9 +220,9 @@ type Result struct {
 	// sweep; sibling cells still run and report. Cells skipped because the
 	// sweep's context was cancelled carry ErrCancelled.
 	Err error `json:"-"`
-	// Cached reports that the result came from the plan's store — a memory
-	// or disk hit, or a concurrent sweep's in-flight compute — rather than
-	// a simulation this sweep ran itself.
+	// Cached reports that the result came from a Memo — a held result or a
+	// concurrent sweep's in-flight simulation — rather than a simulation
+	// this sweep ran itself.
 	Cached bool `json:"cached,omitempty"`
 	// Elapsed is host wall-clock time spent simulating the cell.
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -367,16 +363,18 @@ feed:
 // opts.Parallel workers and returns the results in plan order. Each result's
 // Stats are snapshotted, so they stay valid and independent after the cell's
 // simulated system is garbage. A cell failure is recorded in its Result and
-// the sweep continues.
-//
-// When plan.Store is set, execution reads through it: stored cells are
-// answered without simulating (Result.Cached), computed cells are persisted,
-// and concurrent requests for the same cell simulate it once.
+// the sweep continues. Every cell is simulated: Memo.Run is the variant that
+// answers repeated cells from memory.
 //
 // Cancelling ctx stops the sweep cleanly: in-flight cells finish and report
 // normally, never-started cells report ErrCancelled, and Run still returns
 // the full plan-ordered ResultSet so partial progress is not lost.
 func Run(ctx context.Context, plan Plan, exec ExecFunc, opts Options) (*ResultSet, error) {
+	return run(ctx, plan, exec, opts, nil)
+}
+
+// run is Run reading through memo when it is non-nil.
+func run(ctx context.Context, plan Plan, exec ExecFunc, opts Options, memo *Memo) (*ResultSet, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -403,7 +401,7 @@ func Run(ctx context.Context, plan Plan, exec ExecFunc, opts Options) (*ResultSe
 			res = Result{Cell: cell, Err: ErrCancelled}
 		} else {
 			metricCellsStarted.Inc()
-			run, cached, err := execute(cell, plan.Store, exec)
+			run, cached, err := execute(cell, memo, exec)
 			res = Result{Cell: cell, Run: run, Err: err, Cached: cached, Elapsed: time.Since(start)}
 			switch {
 			case err != nil:
@@ -442,16 +440,15 @@ func seeded(c Cell, base int64) Cell {
 	return c
 }
 
-// execute runs one seeded cell, through the store when one is configured.
-// The result's Stats are always a private snapshot.
-func execute(cell Cell, store *resultstore.Store, exec ExecFunc) (workloads.RunResult, bool, error) {
-	if store == nil {
-		run, err := exec(cell)
-		if err == nil && run.Stats != nil {
-			run.Stats = run.Stats.Snapshot()
-		}
-		return run, false, err
+// execute runs one seeded cell, through memo when it is non-nil. The
+// result's Stats are always a private snapshot.
+func execute(cell Cell, memo *Memo, exec ExecFunc) (workloads.RunResult, bool, error) {
+	if memo != nil {
+		return memo.get(cell, exec)
 	}
-	return store.GetOrCompute(resultstore.Key{Cell: cell.Key(), Seed: cell.Seed},
-		func() (workloads.RunResult, error) { return exec(cell) })
+	run, err := exec(cell)
+	if err == nil {
+		run = detach(run)
+	}
+	return run, false, err
 }

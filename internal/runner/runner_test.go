@@ -4,14 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dhtm/internal/config"
-	"dhtm/internal/resultstore"
 	"dhtm/internal/stats"
 	"dhtm/internal/workloads"
 )
@@ -308,115 +304,5 @@ func TestForEachStopsDispatchOnCancel(t *testing.T) {
 	}
 	if int(ran.Load()) != dispatched {
 		t.Fatalf("dispatched %d but ran %d", dispatched, ran.Load())
-	}
-}
-
-// storePlan builds a plan of n distinct cells wired to a store.
-func storePlan(t *testing.T, n int, dir string) Plan {
-	t.Helper()
-	st, err := resultstore.Open(dir, resultstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := grid(n)
-	p.Store = st
-	return p
-}
-
-// TestRunReadsThroughStore checks the read-through/write-through layer: a
-// cold sweep simulates and persists every cell, a warm sweep (same plan,
-// fresh store instance over the same directory) answers every cell from the
-// store with byte-identical results and zero simulations.
-func TestRunReadsThroughStore(t *testing.T) {
-	dir := t.TempDir()
-
-	var cold atomic.Int64
-	p1 := storePlan(t, 4, dir)
-	rs1, err := Run(context.Background(), p1, fakeExec(&cold), Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Load() != 4 {
-		t.Fatalf("cold sweep simulated %d cells, want 4", cold.Load())
-	}
-	for _, r := range rs1.Results {
-		if r.Cached {
-			t.Fatalf("cold sweep reported a cache hit: %+v", r.Cell)
-		}
-	}
-
-	var warm atomic.Int64
-	p2 := storePlan(t, 4, dir)
-	rs2, err := Run(context.Background(), p2, fakeExec(&warm), Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Load() != 0 {
-		t.Fatalf("warm sweep simulated %d cells, want 0", warm.Load())
-	}
-	m := p2.Store.Metrics()
-	if m.Hits() != 4 || m.Computes != 0 {
-		t.Fatalf("warm metrics = %+v, want 4 hits, 0 computes", m)
-	}
-	for i := range rs2.Results {
-		if !rs2.Results[i].Cached {
-			t.Fatalf("warm cell %d not marked cached", i)
-		}
-		if !reflect.DeepEqual(rs1.Results[i].Run, rs2.Results[i].Run) {
-			t.Fatalf("warm cell %d differs from cold run:\n%+v\nvs\n%+v",
-				i, rs1.Results[i].Run, rs2.Results[i].Run)
-		}
-	}
-
-	// A different base seed addresses different results: simulate again.
-	var reseeded atomic.Int64
-	p3 := storePlan(t, 4, dir)
-	if _, err := Run(context.Background(), p3, fakeExec(&reseeded), Options{Seed: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if reseeded.Load() != 4 {
-		t.Fatalf("different seed reused cached results (%d simulated)", reseeded.Load())
-	}
-}
-
-// TestConcurrentSweepsSimulateOnce checks the acceptance property: two
-// concurrent runs of the same plan against one shared store simulate each
-// cell exactly once between them.
-func TestConcurrentSweepsSimulateOnce(t *testing.T) {
-	st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sims atomic.Int64
-	slow := func(c Cell) (workloads.RunResult, error) {
-		sims.Add(1)
-		time.Sleep(5 * time.Millisecond) // widen the race window
-		return workloads.RunResult{Design: c.Design, Committed: uint64(c.Seed)}, nil
-	}
-	const n = 6
-	var wg sync.WaitGroup
-	sets := make([]*ResultSet, 2)
-	for s := range sets {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			p := grid(n)
-			p.Store = st
-			rs, err := Run(context.Background(), p, slow, Options{Seed: 7, Parallel: 3})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			sets[s] = rs
-		}(s)
-	}
-	wg.Wait()
-	if sims.Load() != n {
-		t.Fatalf("concurrent sweeps simulated %d cells, want exactly %d", sims.Load(), n)
-	}
-	for i := 0; i < n; i++ {
-		if !reflect.DeepEqual(sets[0].Results[i].Run, sets[1].Results[i].Run) {
-			t.Fatalf("cell %d: the two sweeps disagree", i)
-		}
 	}
 }

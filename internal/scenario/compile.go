@@ -23,7 +23,7 @@ type Compiled struct {
 
 	// Experiment mode: the selected experiments in paper order, plus the
 	// harness options (Quick, Cores, TxPerCore, Seed) the document pins.
-	// Execution knobs (Parallel, Progress, Store, Trace) come from
+	// Execution knobs (Parallel, Progress, Trace) come from
 	// RunOptions and stay unset here.
 	Experiments []harness.Experiment
 	Options     harness.Options

@@ -12,7 +12,6 @@ import (
 	"dhtm/internal/crashtest"
 	"dhtm/internal/harness"
 	"dhtm/internal/probe"
-	"dhtm/internal/resultstore"
 	"dhtm/internal/runner"
 )
 
@@ -20,14 +19,13 @@ import (
 // changes what a campaign computes — the document pins that — so every
 // surface running the same document renders the same bytes.
 type RunOptions struct {
-	// Store, when non-nil, answers cells from the result store instead of
-	// simulating them (experiment and sweep modes).
-	Store *resultstore.Store
 	// Parallel sizes the cell or crash-point worker pool (<= 0 means
 	// GOMAXPROCS).
 	Parallel int
-	// Trace enables cycle-domain probing of every simulated cell; the
-	// timelines land in Result.Timelines in plan order.
+	// Trace enables cycle-domain probing of every cell; the timelines land
+	// in Result.Timelines in plan order. Untraced experiment and sweep cells
+	// read through runner.DefaultMemo (see harness.RunPlan); traced ones are
+	// all simulated.
 	Trace probe.Config
 	// OnCell, when non-nil, receives one event per completed cell, labelled
 	// with the cell's experiment ID (experiment mode) or plan name (sweep
@@ -76,8 +74,8 @@ type Result struct {
 	Name       string
 	Sweep      []SweepOutcome
 	Crashtests []*crashtest.Report
-	// Timelines are the probe recordings of the simulated cells in plan
-	// order (cache hits carry none); empty unless RunOptions.Trace is on.
+	// Timelines are the probe recordings of the cells in plan order; empty
+	// unless RunOptions.Trace is on.
 	Timelines []*probe.Timeline
 }
 
@@ -137,7 +135,7 @@ func (r *Result) runExperiments(ctx context.Context, c *Compiled, opts RunOption
 			return err
 		}
 		ho := c.Options
-		ho.Parallel, ho.Store, ho.Trace = opts.Parallel, opts.Store, opts.Trace
+		ho.Parallel, ho.Trace = opts.Parallel, opts.Trace
 		if opts.OnCell != nil {
 			ho.Progress = func(ev runner.ProgressEvent) { opts.OnCell(e.ID, ev) }
 		}
@@ -170,12 +168,11 @@ func (r *Result) runExperiments(ctx context.Context, c *Compiled, opts RunOption
 
 func (r *Result) runSweep(ctx context.Context, c *Compiled, opts RunOptions) error {
 	plan := c.Plan
-	plan.Store = opts.Store
 	ro := runner.Options{Parallel: opts.Parallel, Seed: c.Seed}
 	if opts.OnCell != nil {
 		ro.Progress = func(ev runner.ProgressEvent) { opts.OnCell(plan.Name, ev) }
 	}
-	rs, err := runner.Run(ctx, plan, harness.ExecuteWith(opts.Trace), ro)
+	rs, err := harness.RunPlan(ctx, plan, opts.Trace, ro)
 	if err != nil {
 		return err
 	}

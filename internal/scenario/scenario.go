@@ -13,9 +13,8 @@
 // Every name in a document (designs, workloads, tags, experiments) is
 // validated against internal/registry and internal/harness at compile time,
 // so a queued scenario can only fail by simulating, never by parsing. The
-// format is pinned by FormatVersion exactly like the result store's record
-// format: a reader never guesses at a document written by a different
-// schema.
+// format is pinned by FormatVersion: a reader never guesses at a document
+// written by a different schema.
 package scenario
 
 import (
@@ -128,9 +127,6 @@ type Document struct {
 	// Seed is the base seed that derived cell and run seeds mix from
 	// (0 = the runner default, 42).
 	Seed int64 `json:"seed,omitempty"`
-	// Store names a result-store directory for CLI runs; the campaign
-	// service always uses its own store and ignores this field.
-	Store string `json:"store,omitempty"`
 }
 
 // Parse decodes one scenario document strictly: unknown fields, trailing

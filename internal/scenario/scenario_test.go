@@ -46,7 +46,6 @@ func goldenDocument() Document {
 		MaskSamples:  32,
 		Differential: true,
 		Seed:         42,
-		Store:        "results",
 	}
 }
 

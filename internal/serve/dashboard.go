@@ -122,7 +122,7 @@ function render() {
   const el = document.getElementById("stats");
   if (store) {
     const m = store.metrics, sn = store.snapshots;
-    const hits = m.mem_hits + m.disk_hits;
+    const hits = m.mem_hits;
     const lookups = hits + m.misses;
     const states = {};
     for (const j of jobs) states[j.state] = (states[j.state] || 0) + 1;
@@ -130,11 +130,10 @@ function render() {
       "<div><b>" + (states.running || 0) + "</b>running</div>" +
       "<div><b>" + (states.queued || 0) + "</b>queued</div>" +
       "<div><b>" + jobs.length + "</b>jobs retained</div>" +
-      "<div><b>" + ratio(hits, lookups) + "</b>store hit ratio (" + hits + "/" + lookups + ")</div>" +
+      "<div><b>" + ratio(hits, lookups) + "</b>memo hit ratio (" + hits + "/" + lookups + ")</div>" +
       "<div><b>" + m.computes + "</b>simulated</div>" +
       "<div><b>" + ratio(sn.hits, sn.hits + sn.misses) + "</b>snapshot hit ratio</div>" +
-      "<div><b>" + sn.clones + "</b>COW clones</div>" +
-      (store.dir ? "<div><b>" + store.dir + "</b>store dir</div>" : "<div><b>memory</b>store</div>");
+      "<div><b>" + sn.clones + "</b>COW clones</div>";
   }
 }
 
@@ -154,8 +153,7 @@ function spark(cycles, values) {
 }
 
 // showTraces renders the per-signal sparklines of a job's traced cells, or
-// a clear "no trace recorded" state when the job has none (tracing off, or
-// every cell answered from the result store).
+// a clear "no trace recorded" state when the job has none (tracing off).
 async function showTraces(id) {
   const el = document.getElementById("detail");
   const head = '<h2 style="font-size:1rem">Cell traces · ' + id + '</h2>';
@@ -170,7 +168,7 @@ async function showTraces(id) {
   const keys = st.traces || [];
   if (!keys.length) {
     el.innerHTML = head + '<p class="muted">no trace recorded — the server runs without ' +
-      "-trace-interval, or every cell of this job was a result-store cache hit.</p>";
+      "-trace-interval.</p>";
     return;
   }
   let html = head;

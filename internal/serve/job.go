@@ -33,7 +33,8 @@ func (s JobState) terminal() bool {
 type CellProgress struct {
 	Total int `json:"total"`
 	Done  int `json:"done"`
-	// Cached cells were answered by the result store without simulating;
+	// Cached cells were answered by the process's cell memo without
+	// simulating;
 	// Failed cells returned an error (cancellation included).
 	Cached int `json:"cached"`
 	Failed int `json:"failed"`
@@ -95,9 +96,9 @@ type Job struct {
 	// job failed or was cancelled).
 	result *scenario.Result
 
-	// traces holds the cycle-domain probe recordings of the job's simulated
-	// cells (present only when the server runs with tracing on; cache hits
-	// carry none), capped at maxJobTraces per job.
+	// traces holds the cycle-domain probe recordings of the job's cells
+	// (present only when the server runs with tracing on, which simulates
+	// every cell), capped at maxJobTraces per job.
 	traces map[string]*probe.Timeline
 }
 
@@ -117,7 +118,7 @@ type Status struct {
 	Cells      CellProgress `json:"cells"`
 	// PhaseNS is the wall-clock phase breakdown summed over the job's
 	// actually-simulated cells, keyed by obs phase name (clone, setup, run,
-	// verify, store_write), in nanoseconds. Cached cells contribute nothing.
+	// verify), in nanoseconds. Cached cells contribute nothing.
 	PhaseNS map[string]int64 `json:"phase_ns,omitempty"`
 	Events  int              `json:"events"`
 
@@ -131,7 +132,7 @@ type Status struct {
 
 	// Traces lists the cell keys with a recorded probe timeline, each served
 	// by GET /api/v1/jobs/{id}/cells/{key}/trace. Empty when the server runs
-	// without tracing or every cell was a cache hit.
+	// without tracing.
 	Traces []string `json:"traces,omitempty"`
 }
 

@@ -10,20 +10,17 @@ import (
 	"time"
 
 	"dhtm/internal/obs"
-	"dhtm/internal/resultstore"
+	"dhtm/internal/runner"
 	"dhtm/internal/scenario"
 )
 
 // newObsTestServer is newTestServer with a private metrics registry, so the
-// telemetry assertions below see exactly this server's counters.
+// telemetry assertions below see exactly this server's dhtm_serve_*
+// counters. The cell memo's counters stay in obs.Default.
 func newObsTestServer(t *testing.T, workers int) (*obs.Registry, *httptest.Server) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	store, err := resultstore.Open(t.TempDir(), resultstore.Options{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Store: store, Workers: workers, Registry: reg})
+	srv, err := New(Config{Workers: workers, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +37,7 @@ func newObsTestServer(t *testing.T, workers int) (*obs.Registry, *httptest.Serve
 // depend on these exact keys.
 func TestStoreEndpointShape(t *testing.T) {
 	_, ts := newObsTestServer(t, 1)
+	before := runner.DefaultMemo.Metrics().Computes
 	st := submit(t, ts, quickSweep())
 	await(t, ts, st.ID)
 
@@ -49,16 +47,11 @@ func TestStoreEndpointShape(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		Dir     string `json:"dir"`
 		Metrics struct {
-			MemHits     *uint64 `json:"mem_hits"`
-			DiskHits    *uint64 `json:"disk_hits"`
-			Misses      *uint64 `json:"misses"`
-			Corrupt     *uint64 `json:"corrupt"`
-			Computes    *uint64 `json:"computes"`
-			Shared      *uint64 `json:"shared"`
-			Writes      *uint64 `json:"writes"`
-			WriteErrors *uint64 `json:"write_errors"`
+			MemHits  *uint64 `json:"mem_hits"`
+			Misses   *uint64 `json:"misses"`
+			Computes *uint64 `json:"computes"`
+			Shared   *uint64 `json:"shared"`
 		} `json:"metrics"`
 		Snapshots struct {
 			Hits    *uint64 `json:"hits"`
@@ -75,10 +68,8 @@ func TestStoreEndpointShape(t *testing.T) {
 		t.Fatalf("store document no longer parses: %v\n%s", err, raw)
 	}
 	for name, p := range map[string]*uint64{
-		"metrics.mem_hits": doc.Metrics.MemHits, "metrics.disk_hits": doc.Metrics.DiskHits,
-		"metrics.misses": doc.Metrics.Misses, "metrics.corrupt": doc.Metrics.Corrupt,
+		"metrics.mem_hits": doc.Metrics.MemHits, "metrics.misses": doc.Metrics.Misses,
 		"metrics.computes": doc.Metrics.Computes, "metrics.shared": doc.Metrics.Shared,
-		"metrics.writes": doc.Metrics.Writes, "metrics.write_errors": doc.Metrics.WriteErrors,
 		"snapshots.hits": doc.Snapshots.Hits, "snapshots.misses": doc.Snapshots.Misses,
 		"snapshots.clones": doc.Snapshots.Clones,
 	} {
@@ -89,18 +80,22 @@ func TestStoreEndpointShape(t *testing.T) {
 	if doc.Snapshots.Entries == nil {
 		t.Errorf("store document lost key snapshots.entries:\n%s", raw)
 	}
-	if *doc.Metrics.Computes != 2 || *doc.Metrics.Writes != 2 {
-		t.Errorf("computes=%d writes=%d, want 2 and 2", *doc.Metrics.Computes, *doc.Metrics.Writes)
+	if got := *doc.Metrics.Computes - before; got != 2 {
+		t.Errorf("computes rose by %d, want 2", got)
 	}
 }
 
-// TestMetricsEndpoint runs a sweep twice (cold, then warm from the store)
-// and checks that GET /metrics exposes the serve and resultstore families
-// with the expected values — the same assertions the CI smoke greps for.
+// TestMetricsEndpoint runs a sweep twice (cold, then warm from the memo)
+// and checks that GET /metrics exposes the serve families, and obs.Default
+// — what dhtm-serve's /metrics serves — the memo's dhtm_resultstore_*
+// families, with the expected values: the same assertions the CI smoke
+// greps for.
 func TestMetricsEndpoint(t *testing.T) {
 	reg, ts := newObsTestServer(t, 1)
-	await(t, ts, submit(t, ts, quickSweep()).ID)
-	await(t, ts, submit(t, ts, quickSweep()).ID)
+	before := runner.DefaultMemo.Metrics()
+	doc := quickSweep()
+	await(t, ts, submit(t, ts, doc).ID)
+	await(t, ts, submit(t, ts, doc).ID)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -121,8 +116,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dhtm_serve_jobs_total{state="done"} 2`,
 		`dhtm_serve_jobs{state="done"} 2`,
 		"dhtm_serve_queue_depth 0",
-		`dhtm_resultstore_hits_total{tier="mem"} 2`,
-		"dhtm_resultstore_computes_total 2",
 		`dhtm_serve_requests_total{handler="POST /api/v1/jobs"} 2`,
 		"# TYPE dhtm_serve_job_seconds histogram",
 		"# TYPE dhtm_serve_request_seconds histogram",
@@ -137,6 +130,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	if reg.Histogram("dhtm_serve_job_seconds", "", obs.DurationBuckets).Count() != 2 {
 		t.Errorf("job latency histogram did not observe both jobs")
 	}
+
+	after := runner.DefaultMemo.Metrics()
+	if hits, computes := after.MemHits-before.MemHits, after.Computes-before.Computes; hits != 2 || computes != 2 {
+		t.Errorf("memo: %d hits and %d computes, want 2 and 2", hits, computes)
+	}
+	var def strings.Builder
+	if err := obs.Default.WriteText(&def); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`dhtm_resultstore_hits_total{tier="mem"} `, "dhtm_resultstore_computes_total "} {
+		if !strings.Contains(def.String(), want) {
+			t.Errorf("obs.Default exposition missing %q", want)
+		}
+	}
 }
 
 // TestStatusTimestampsAndPhases checks the new Status lifecycle fields: a
@@ -144,7 +151,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // breakdown covering the simulated (non-cached) cells.
 func TestStatusTimestampsAndPhases(t *testing.T) {
 	_, ts := newObsTestServer(t, 1)
-	final := await(t, ts, submit(t, ts, quickSweep()).ID)
+	doc := quickSweep()
+	final := await(t, ts, submit(t, ts, doc).ID)
 	if final.QueuedAt.IsZero() || final.StartedAt.IsZero() || final.FinishedAt.IsZero() {
 		t.Fatalf("missing lifecycle timestamps: %+v", final)
 	}
@@ -156,9 +164,9 @@ func TestStatusTimestampsAndPhases(t *testing.T) {
 		t.Fatalf("phase breakdown missing the run phase: %v", final.PhaseNS)
 	}
 
-	// A warm resubmit answers every cell from the store: no new simulation,
+	// A warm resubmit answers every cell from the memo: no new simulation,
 	// so no phase breakdown.
-	warm := await(t, ts, submit(t, ts, quickSweep()).ID)
+	warm := await(t, ts, submit(t, ts, doc).ID)
 	if warm.Cells.Cached != 2 {
 		t.Fatalf("warm resubmit cached %d of 2 cells", warm.Cells.Cached)
 	}

@@ -2,12 +2,10 @@
 // that accepts experiment, sweep and crash-test campaigns as scenario
 // documents (internal/scenario), executes them on a bounded worker pool
 // through scenario.Run — the executor every CLI uses — and streams per-cell
-// progress to any number of clients. Wired to a
-// resultstore.Store, it is the serving layer the ROADMAP's production
-// north-star asks for: a cell is simulated at most once ever — concurrent
-// submits share in-flight computes (singleflight), later submits are
-// answered from memory or disk without simulating, and interrupted
-// campaigns resume from what already persisted.
+// progress to any number of clients. Untraced jobs read through the
+// process's cell memo (runner.DefaultMemo): a cell is simulated at most once
+// per server process — concurrent submits share in-flight simulations, and
+// later submits are answered from memory. Nothing survives a restart.
 //
 // API (all under /api/v1):
 //
@@ -17,7 +15,7 @@
 //	DELETE /jobs/{id}        cancel a queued or running job -> Status
 //	GET    /jobs/{id}/events Server-Sent Events progress stream
 //	GET    /jobs/{id}/tables rendered harness tables (text/plain)
-//	GET    /store            result-store and snapshot-cache metrics
+//	GET    /store            cell-memo and snapshot-cache metrics
 //	GET    /catalog          experiments, designs, workloads the service runs
 //	GET    /healthz          liveness (also at top level /healthz)
 package serve
@@ -41,17 +39,13 @@ import (
 	"dhtm/internal/obs"
 	"dhtm/internal/probe"
 	"dhtm/internal/registry"
-	"dhtm/internal/resultstore"
+	"dhtm/internal/runner"
 	"dhtm/internal/scenario"
 	"dhtm/internal/snapshot"
 )
 
 // Config assembles a server.
 type Config struct {
-	// Store answers repeated cells without simulating. Required; use a
-	// memory-only store (resultstore.Open("", ...)) to serve without
-	// persistence.
-	Store *resultstore.Store
 	// Workers bounds how many jobs execute concurrently (<= 0 means 2).
 	// Queued jobs wait their turn in submission order.
 	Workers int
@@ -72,10 +66,10 @@ type Config struct {
 	// default: profiling endpoints expose heap contents and should be
 	// opted into on trusted listeners only.
 	Pprof bool
-	// TraceInterval, when > 0, records cycle-domain probes for every cell
-	// the server actually simulates, sampling every TraceInterval simulated
-	// cycles. Traces are served per cell from
-	// GET /api/v1/jobs/{id}/cells/{key}/trace; cache hits carry none.
+	// TraceInterval, when > 0, records cycle-domain probes for every cell,
+	// sampling every TraceInterval simulated cycles. Traced jobs bypass the
+	// cell memo, so every cell simulates and carries its trace. Traces are
+	// served per cell from GET /api/v1/jobs/{id}/cells/{key}/trace.
 	TraceInterval uint64
 }
 
@@ -170,9 +164,6 @@ type Server struct {
 // New returns a ready server. Call Close to cancel running jobs on
 // shutdown.
 func New(cfg Config) (*Server, error) {
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("serve: Config.Store is required")
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -216,10 +207,6 @@ func (s *Server) Drain() {
 	s.wg.Wait()
 	s.Close()
 }
-
-// Store exposes the server's result store (the CLI reports its metrics on
-// shutdown).
-func (s *Server) Store() *resultstore.Store { return s.cfg.Store }
 
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
@@ -334,8 +321,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"dir":       s.cfg.Store.Dir(),
-		"metrics":   s.cfg.Store.Metrics(),
+		"metrics":   runner.DefaultMemo.Metrics(),
 		"snapshots": snapshot.Default.Metrics(),
 	})
 }
@@ -361,7 +347,6 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		"scenario_format_version": scenario.FormatVersion,
 		"workers":                 s.cfg.Workers,
 		"cell_parallel_cap":       s.cfg.CellParallel,
-		"result_store_dir":        s.cfg.Store.Dir(),
 	})
 }
 
@@ -469,7 +454,6 @@ func (s *Server) run(job *Job) {
 	job.setState(StateRunning, "")
 
 	res, err := scenario.Run(job.ctx, job.compiled, scenario.RunOptions{
-		Store:    s.cfg.Store,
 		Parallel: s.cfg.CellParallel,
 		Trace:    probe.Config{Interval: s.cfg.TraceInterval},
 		OnCell:   job.cellDone,
@@ -486,7 +470,7 @@ func (s *Server) run(job *Job) {
 	switch {
 	case err == nil:
 		// A cancel that raced a successful completion does not un-complete
-		// the job: every result computed and persisted, so report done.
+		// the job: every result computed, so report done.
 		job.setState(StateDone, "")
 	case errors.Is(err, context.Canceled) || job.ctx.Err() != nil:
 		job.setState(StateCancelled, "cancelled")
@@ -641,7 +625,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tl := job.trace(key)
 	if tl == nil {
 		writeError(w, http.StatusNotFound,
-			"no trace recorded for cell %q of job %s (tracing disabled, cell answered from the result store, or trace evicted)",
+			"no trace recorded for cell %q of job %s (tracing disabled, or trace evicted)",
 			key, job.ID)
 		return
 	}

@@ -4,26 +4,24 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"dhtm/internal/resultstore"
+	"dhtm/internal/runner"
 	"dhtm/internal/scenario"
 )
 
 // newTestServer spins up a server over an httptest listener.
-func newTestServer(t *testing.T, dir string, workers int) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 	t.Helper()
-	store, err := resultstore.Open(dir, resultstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Store: store, Workers: workers})
+	srv, err := New(Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,19 +81,25 @@ func await(t *testing.T, ts *httptest.Server, id string) Status {
 	return Status{}
 }
 
+// sweepSeeds numbers the quickSweep documents of the process.
+var sweepSeeds atomic.Int64
+
 // quickSweep is a fast two-cell sweep scenario used across the tests. Its
 // cells are ATOM/hash/cores=2/tx=2 and DHTM/hash/cores=2/tx=2, in registry
-// order.
+// order. Every call returns a base seed no earlier call used: the cell memo
+// is shared by every server of the process, so a test that needs its cells
+// simulated must not find them left behind by another test. A test that
+// resubmits a campaign keeps one document.
 func quickSweep() string {
-	return `{"format_version": 1, "name": "smoke", "mode": "sweep",
-		"designs": ["DHTM", "ATOM"], "workloads": ["hash"], "seed": 7,
-		"axes": {"cores": [2], "tx_per_core": [2]}}`
+	return fmt.Sprintf(`{"format_version": 1, "name": "smoke", "mode": "sweep",
+		"designs": ["DHTM", "ATOM"], "workloads": ["hash"], "seed": %d,
+		"axes": {"cores": [2], "tx_per_core": [2]}}`, 1000+sweepSeeds.Add(1))
 }
 
 // TestSweepJobLifecycle drives a sweep campaign end to end over HTTP: submit,
 // poll to done, check per-cell outcomes and the rendered table.
 func TestSweepJobLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 2)
+	_, ts := newTestServer(t, 2)
 
 	st := submit(t, ts, quickSweep())
 	if st.State != StateQueued && st.State != StateRunning {
@@ -135,25 +139,26 @@ func TestSweepJobLifecycle(t *testing.T) {
 }
 
 // TestWarmResubmitIsFullCacheHit is the acceptance criterion: the second
-// submit of the same campaign answers every cell from the store, simulating
+// submit of the same campaign answers every cell from the memo, simulating
 // nothing, and produces identical results.
 func TestWarmResubmitIsFullCacheHit(t *testing.T) {
-	srv, ts := newTestServer(t, t.TempDir(), 2)
+	_, ts := newTestServer(t, 2)
+	doc := quickSweep()
 
-	cold := await(t, ts, submit(t, ts, quickSweep()).ID)
+	cold := await(t, ts, submit(t, ts, doc).ID)
 	if cold.State != StateDone || cold.Cells.Cached != 0 {
 		t.Fatalf("cold run: %+v", cold.Cells)
 	}
-	computed := srv.Store().Metrics().Computes
+	computed := runner.DefaultMemo.Metrics().Computes
 
-	warm := await(t, ts, submit(t, ts, quickSweep()).ID)
+	warm := await(t, ts, submit(t, ts, doc).ID)
 	if warm.State != StateDone {
 		t.Fatalf("warm run finished %s (%s)", warm.State, warm.Error)
 	}
 	if warm.Cells.Cached != warm.Cells.Total {
 		t.Fatalf("warm run cached %d of %d cells, want all", warm.Cells.Cached, warm.Cells.Total)
 	}
-	if got := srv.Store().Metrics().Computes; got != computed {
+	if got := runner.DefaultMemo.Metrics().Computes; got != computed {
 		t.Fatalf("warm run simulated %d extra cells, want 0", got-computed)
 	}
 	for i := range cold.Sweep {
@@ -168,7 +173,9 @@ func TestWarmResubmitIsFullCacheHit(t *testing.T) {
 // criterion: two concurrent submits of the same campaign share the
 // singleflight, so each cell simulates exactly once across both jobs.
 func TestConcurrentSubmitsSimulateEachCellOnce(t *testing.T) {
-	srv, ts := newTestServer(t, t.TempDir(), 2)
+	_, ts := newTestServer(t, 2)
+	doc := quickSweep()
+	before := runner.DefaultMemo.Metrics().Computes
 
 	var wg sync.WaitGroup
 	ids := make([]string, 2)
@@ -176,7 +183,7 @@ func TestConcurrentSubmitsSimulateEachCellOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ids[i] = submit(t, ts, quickSweep()).ID
+			ids[i] = submit(t, ts, doc).ID
 		}(i)
 	}
 	wg.Wait()
@@ -184,7 +191,7 @@ func TestConcurrentSubmitsSimulateEachCellOnce(t *testing.T) {
 	if a.State != StateDone || b.State != StateDone {
 		t.Fatalf("jobs finished %s/%s", a.State, b.State)
 	}
-	if got := srv.Store().Metrics().Computes; got != 2 {
+	if got := runner.DefaultMemo.Metrics().Computes - before; got != 2 {
 		t.Fatalf("two concurrent submits simulated %d cells, want exactly 2 (one per distinct cell)", got)
 	}
 	for i := range a.Sweep {
@@ -197,7 +204,7 @@ func TestConcurrentSubmitsSimulateEachCellOnce(t *testing.T) {
 // TestExperimentJob runs a real (quick, tiny) harness experiment through
 // the service and fetches its rendered table.
 func TestExperimentJob(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 1)
+	_, ts := newTestServer(t, 1)
 	st := submit(t, ts, `{"format_version": 1, "mode": "experiment",
 		"experiments": ["table4"], "quick": true, "seed": 7,
 		"axes": {"cores": [2], "tx_per_core": [1]}}`)
@@ -228,7 +235,7 @@ func TestExperimentJob(t *testing.T) {
 // full event sequence arrives: states, one event per cell, and the final
 // done frame.
 func TestSSEStreamsProgress(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 1)
+	_, ts := newTestServer(t, 1)
 	st := submit(t, ts, quickSweep())
 
 	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/events")
@@ -271,7 +278,7 @@ func TestSSEStreamsProgress(t *testing.T) {
 // TestCancelJob cancels a running crashtest campaign and checks it lands in
 // cancelled, not failed.
 func TestCancelJob(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 1)
+	_, ts := newTestServer(t, 1)
 	// An exhaustive crashtest is comfortably slow enough to catch mid-run.
 	st := submit(t, ts, `{"format_version": 1, "mode": "crashtest",
 		"designs": ["DHTM"], "workloads": ["hash"],
@@ -295,7 +302,7 @@ func TestCancelJob(t *testing.T) {
 // runs with -scenario — to the jobs endpoint and checks it compiles into a
 // sweep job whose cells carry the scenario's grid IDs.
 func TestScenarioSubmit(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 1)
+	_, ts := newTestServer(t, 1)
 	body := `{
 		"format_version": 1,
 		"name": "scenario-smoke",
@@ -367,7 +374,7 @@ func TestScenarioSubmit(t *testing.T) {
 // TestCrashtestGridJob submits a multi-design crashtest scenario and checks
 // every exploration reports.
 func TestCrashtestGridJob(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 1)
+	_, ts := newTestServer(t, 1)
 	st := submit(t, ts, `{"format_version": 1, "mode": "crashtest",
 		"designs": ["DHTM", "ATOM"], "workloads": ["hash"],
 		"axes": {"cores": [2], "tx_per_core": [1]},
@@ -391,7 +398,7 @@ func TestCrashtestGridJob(t *testing.T) {
 // differential oracle over two designs and checks the job passes the
 // cross-design half of the oracle (recovered heaps agree across designs).
 func TestCrashtestDifferentialJob(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 1)
+	_, ts := newTestServer(t, 1)
 	st := submit(t, ts, `{"format_version": 1, "mode": "crashtest",
 		"designs": ["DHTM", "LogTM-ATOM"], "workloads": ["queue"],
 		"axes": {"cores": [2], "tx_per_core": [1], "ops_per_tx": [4], "reorder_window": [1]},
@@ -423,7 +430,7 @@ func TestCrashtestDifferentialJob(t *testing.T) {
 // scenario documents only: a legacy {"kind": ...} job body is rejected
 // naming format_version.
 func TestSubmitValidation(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 1)
+	_, ts := newTestServer(t, 1)
 	const ct = `"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"]`
 	cases := []struct {
 		name string
@@ -481,7 +488,7 @@ func TestSubmitValidation(t *testing.T) {
 
 // TestHealthAndStoreEndpoints sanity-checks the operational endpoints.
 func TestHealthAndStoreEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir(), 1)
+	_, ts := newTestServer(t, 1)
 	for _, path := range []string{"/healthz", "/api/v1/store", "/api/v1/catalog", "/api/v1/jobs"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -497,7 +504,7 @@ func TestHealthAndStoreEndpoints(t *testing.T) {
 // TestDrainRejectsNewJobs: a draining server refuses submissions with 503
 // while finishing what it already accepted.
 func TestDrainRejectsNewJobs(t *testing.T) {
-	srv, ts := newTestServer(t, "", 1)
+	srv, ts := newTestServer(t, 1)
 
 	st := submit(t, ts, quickSweep())
 	srv.Drain() // blocks until the accepted job ran to completion

@@ -8,17 +8,13 @@ import (
 	"strings"
 	"testing"
 
-	"dhtm/internal/resultstore"
+	"dhtm/internal/runner"
 )
 
 // newTracedServer is newTestServer with cycle-domain probe tracing enabled.
-func newTracedServer(t *testing.T, dir string, interval uint64) (*Server, *httptest.Server) {
+func newTracedServer(t *testing.T, interval uint64) (*Server, *httptest.Server) {
 	t.Helper()
-	store, err := resultstore.Open(dir, resultstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Store: store, Workers: 1, TraceInterval: interval})
+	srv, err := New(Config{Workers: 1, TraceInterval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +47,7 @@ func getBody(t *testing.T, url string) (int, string) {
 // compact timeline, and stamps every sampled row on a nondecreasing cycle
 // grid.
 func TestTraceEndpoint(t *testing.T) {
-	_, ts := newTracedServer(t, t.TempDir(), 256)
+	_, ts := newTracedServer(t, 256)
 
 	st := submit(t, ts, quickSweep())
 	final := await(t, ts, st.ID)
@@ -151,35 +147,33 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceCacheHitAndDisabled pins the graceful degradation: a job whose
-// cells were all answered from the result store records no trace, as does a
-// server running with tracing off — both answer 404 with a message saying
-// why, and neither lists traced cells in its status.
+// TestTraceCacheHitAndDisabled pins how tracing and the cell memo meet: a
+// traced server simulates every cell, so resubmitting a campaign records
+// its traces again instead of answering from the memo; a server running
+// with tracing off records none and answers 404 with a message saying why.
 func TestTraceCacheHitAndDisabled(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTracedServer(t, dir, 256)
+	_, ts := newTracedServer(t, 256)
+	doc := quickSweep()
+	before := runner.DefaultMemo.Metrics()
 
-	first := await(t, ts, submit(t, ts, quickSweep()).ID)
+	first := await(t, ts, submit(t, ts, doc).ID)
 	if len(first.Traces) != 2 {
-		t.Fatalf("warm-up job traces = %v", first.Traces)
+		t.Fatalf("first job traces = %v", first.Traces)
 	}
-
-	// Same campaign again: every cell is a store hit, so no simulation ran
-	// and no trace exists.
-	second := await(t, ts, submit(t, ts, quickSweep()).ID)
-	if second.Cells.Cached != 2 {
-		t.Fatalf("resubmit should be a full cache hit, got %+v", second.Cells)
+	second := await(t, ts, submit(t, ts, doc).ID)
+	if second.Cells.Cached != 0 || len(second.Traces) != 2 {
+		t.Fatalf("traced resubmit should simulate and trace every cell, got %+v traces %v", second.Cells, second.Traces)
 	}
-	if len(second.Traces) != 0 {
-		t.Fatalf("cache-hit job should record no traces, got %v", second.Traces)
+	if after := runner.DefaultMemo.Metrics(); after != before {
+		t.Fatalf("traced jobs went through the memo: %+v, then %+v", before, after)
 	}
 	code, body := getBody(t, ts.URL+"/api/v1/jobs/"+second.ID+"/cells/DHTM%2Fhash%2Fcores=2%2Ftx=2/trace")
-	if code != http.StatusNotFound || !strings.Contains(body, "no trace recorded") {
-		t.Fatalf("cache-hit trace fetch: status %d body %q", code, body)
+	if code != http.StatusOK || !strings.Contains(body, "traceEvents") {
+		t.Fatalf("traced resubmit trace fetch: status %d body %.200q", code, body)
 	}
 
-	// Tracing off entirely: same 404.
-	_, off := newTestServer(t, t.TempDir(), 1)
+	// Tracing off entirely: 404.
+	_, off := newTestServer(t, 1)
 	done := await(t, off, submit(t, off, quickSweep()).ID)
 	if len(done.Traces) != 0 {
 		t.Fatalf("untraced server recorded traces: %v", done.Traces)

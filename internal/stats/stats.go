@@ -55,11 +55,8 @@ func (r AbortReason) String() string {
 	}
 }
 
-// CoreStats are the per-core counters. The json tags fix the on-disk record
-// format of the result store; renaming a field without bumping
-// resultstore.FormatVersion makes old records decode with that counter
-// silently zeroed — served as valid cache hits with wrong numbers, not
-// recomputed. Bump the version (and regenerate the golden file) instead.
+// CoreStats are the per-core counters. The json tags fix their
+// machine-readable encoding, which the RunResult golden file pins.
 type CoreStats struct {
 	Commits        uint64                  `json:"commits"`
 	Aborts         uint64                  `json:"aborts"`

@@ -13,11 +13,8 @@ import (
 )
 
 // RunResult is the outcome of driving one (design, workload) pair. The json
-// tags fix the on-disk record format of the result store; renaming a field
-// without bumping resultstore.FormatVersion makes old records decode with
-// that field silently zeroed — served as valid cache hits with wrong
-// numbers, not recomputed. Bump the version (and regenerate the golden
-// file) instead.
+// tags fix its machine-readable encoding, which the golden file in
+// testdata/ pins.
 type RunResult struct {
 	Design   string       `json:"design"`
 	Workload string       `json:"workload"`
@@ -28,20 +25,19 @@ type RunResult struct {
 	// Cycles is the makespan of the run.
 	Cycles uint64 `json:"cycles"`
 	// Phases is the wall-clock phase breakdown of the execution that produced
-	// this result (clone/setup/run/verify/store_write). It describes one
-	// concrete execution, not the result's semantics, so it is excluded from
-	// the on-disk record format and never set on cache hits.
+	// this result (clone/setup/run/verify). It describes one concrete
+	// execution, not the result's semantics, so it is excluded from the JSON
+	// encoding and never set on memo hits.
 	Phases *obs.CellTrace `json:"-"`
 	// Timeline is the cycle-domain probe recording of the run, present only
 	// when the cell executed with tracing enabled. Like Phases it describes
-	// one concrete execution, so it is excluded from the on-disk record
-	// format and never set on cache hits.
+	// one concrete execution, so it is excluded from the JSON encoding and
+	// never set on memo hits.
 	Timeline *probe.Timeline `json:"-"`
 	// Sched is the engine's scheduling work for this run (core switches,
 	// parks, skipped polls). Like Phases it describes one concrete
 	// execution — the simulated machine is the same whatever it says — so
-	// it is excluded from the on-disk record format and never set on cache
-	// hits.
+	// it is excluded from the JSON encoding and never set on memo hits.
 	Sched engine.Counts `json:"-"`
 }
 

@@ -14,9 +14,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// goldenResult builds a fully populated RunResult: every field of the
-// on-disk record format carries a distinct non-zero value, so a silent
-// rename or drop of any field changes the golden bytes.
+// goldenResult builds a fully populated RunResult: every field of the JSON
+// encoding carries a distinct non-zero value, so a silent rename or drop of
+// any field changes the golden bytes.
 func goldenResult() RunResult {
 	st := stats.New(2)
 	for i := range st.Cores {
@@ -53,10 +53,9 @@ func goldenResult() RunResult {
 }
 
 // TestRunResultGoldenJSON pins the JSON encoding of RunResult (including the
-// embedded stats.Stats snapshot) — the record format the result store
-// persists. If this test fails because the format intentionally changed,
-// bump resultstore.FormatVersion and regenerate with `go test -run Golden
-// -update ./internal/workloads`.
+// embedded stats.Stats snapshot). If this test fails because the encoding
+// intentionally changed, regenerate with `go test -run Golden -update
+// ./internal/workloads`.
 func TestRunResultGoldenJSON(t *testing.T) {
 	path := filepath.Join("testdata", "runresult.golden.json")
 	got, err := json.MarshalIndent(goldenResult(), "", "  ")
@@ -78,7 +77,7 @@ func TestRunResultGoldenJSON(t *testing.T) {
 		t.Fatalf("reading golden file (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("RunResult JSON drifted from the golden on-disk format.\nIf intentional, bump resultstore.FormatVersion and rerun with -update.\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("RunResult JSON drifted from the golden encoding.\nIf intentional, rerun with -update.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -28,11 +28,8 @@ import (
 type hashWL struct {
 	meta       uint64
 	buckets    uint64
-	numBuckets int
-	bucketMask uint64 // numBuckets-1; the table size is a power of two
 	opsPerTx   int
 	partitions int
-	keySpace   uint64
 }
 
 func newHash() *hashWL { return &hashWL{} }
@@ -40,43 +37,58 @@ func newHash() *hashWL { return &hashWL{} }
 // Name implements Workload.
 func (h *hashWL) Name() string { return "hash" }
 
-const hashSlotsPerBucket = 7
+// The table geometry.
+const (
+	// hashBuckets is the table size, a power of two: 1 MB, of which one
+	// transaction touches ~3 KB.
+	hashBuckets        = 16384
+	hashBucketMask     = hashBuckets - 1
+	hashSlotsPerBucket = 7
+	// hashKeySpace holds keys 1..hashKeySpace, twice the table's slots. It
+	// is a multiple of hashBuckets, which keyInWindow's accept test relies
+	// on.
+	hashKeySpace = hashBuckets * hashSlotsPerBucket * 2
+)
 
-// Setup implements Workload.
+// Setup implements Workload. It fills the table half full in a local
+// image, then writes each populated bucket with one line write: the same
+// memory image and written-line set as storing word by word.
 func (h *hashWL) Setup(heap *palloc.Heap, p Params) error {
 	p = p.Defaults()
-	h.numBuckets = 16384 // 1 MB table; one transaction touches ~3 KB of it
-	h.bucketMask = uint64(h.numBuckets - 1)
 	h.opsPerTx = p.OpsPerTx
 	if h.opsPerTx <= 0 {
 		h.opsPerTx = 64
 	}
 	h.partitions = p.Partitions
-	h.keySpace = uint64(h.numBuckets * hashSlotsPerBucket * 2)
 	h.meta = heap.AllocLines(1)
-	h.buckets = heap.AllocLines(h.numBuckets)
+	h.buckets = heap.AllocLines(hashBuckets)
 
 	rng := rand.New(rand.NewSource(p.Seed + 1))
-	var total uint64
+	buckets := make([]memdev.Line, hashBuckets)
 	// Bitset over the (small, dense) key space; a map here dominated setup
 	// cost. Keys are 1-based, hence the +1 sizing.
-	inserted := make([]uint64, (h.keySpace+1+63)/64)
-	for total < uint64(h.numBuckets*hashSlotsPerBucket/2) {
-		key := rng.Uint64()%h.keySpace + 1
+	inserted := make([]uint64, (hashKeySpace+1+63)/64)
+	for total := 0; total < hashBuckets*hashSlotsPerBucket/2; {
+		key := rng.Uint64()%hashKeySpace + 1
 		if inserted[key/64]&(1<<(key%64)) != 0 {
 			continue
 		}
-		b := h.bucketOf(key)
-		cnt, sum := unpackBucketHeader(heap.ReadWord(word(b, 0)))
+		b := &buckets[bucketIndex(key)]
+		cnt, sum := unpackBucketHeader(b[0])
 		if cnt >= hashSlotsPerBucket {
 			continue
 		}
-		heap.WriteWord(word(b, 1+int(cnt)), key)
-		heap.WriteWord(word(b, 0), packBucketHeader(cnt+1, sum+key))
+		b[1+cnt] = key
+		b[0] = packBucketHeader(cnt+1, sum+key)
 		inserted[key/64] |= 1 << (key % 64)
 		total++
 	}
-	heap.WriteWord(word(h.meta, 0), uint64(h.numBuckets))
+	for i, b := range buckets {
+		if b[0] != 0 {
+			heap.Store().WriteLine(line(h.buckets, i), b)
+		}
+	}
+	heap.WriteWord(word(h.meta, 0), hashBuckets)
 	return nil
 }
 
@@ -87,17 +99,18 @@ func packBucketHeader(count, sum uint64) uint64 { return count | sum<<16 }
 // unpackBucketHeader is the inverse of packBucketHeader.
 func unpackBucketHeader(h uint64) (count, sum uint64) { return h & 0xffff, h >> 16 }
 
+// bucketIndex maps a key to its bucket's index. It depends only on key
+// modulo hashBuckets.
+func bucketIndex(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) & hashBucketMask }
+
 // bucketOf maps a key to its bucket's line address.
 func (h *hashWL) bucketOf(key uint64) uint64 {
-	x := key * 0x9e3779b97f4a7c15
-	return line(h.buckets, int(x&h.bucketMask))
+	return line(h.buckets, int(bucketIndex(key)))
 }
 
 // partitionOf maps a key to the coarse lock partition its bucket belongs to.
 func (h *hashWL) partitionOf(key uint64) uint64 {
-	x := key * 0x9e3779b97f4a7c15
-	idx := int(x & h.bucketMask)
-	return uint64(idx * h.partitions / h.numBuckets)
+	return bucketIndex(key) * uint64(h.partitions) / hashBuckets
 }
 
 // hashWindowsPerPartition subdivides every lock partition into windows; a
@@ -106,35 +119,35 @@ const hashWindowsPerPartition = 8
 
 // windowOf maps a key to its window index within its partition.
 func (h *hashWL) windowOf(key uint64) uint64 {
-	x := key * 0x9e3779b97f4a7c15
-	idx := x & h.bucketMask
-	bucketsPerPart := uint64(h.numBuckets / h.partitions)
-	return (idx % bucketsPerPart) * hashWindowsPerPartition / bucketsPerPart
+	bucketsPerPart := uint64(hashBuckets / h.partitions)
+	return (bucketIndex(key) % bucketsPerPart) * hashWindowsPerPartition / bucketsPerPart
 }
 
 // keyInWindow draws a key whose bucket falls inside the given partition and
 // window. Rejection sampling here dominates transaction generation (~1/128
 // of draws are accepted at the default geometry), so the accept test matters:
-// when the partition and window grids align — partitions divides numBuckets
+// when the partition and window grids align — partitions divides hashBuckets
 // and hashWindowsPerPartition divides the partition size, true for every
 // power-of-two configuration — the accepted bucket indices form one
 // contiguous range and each draw needs a single subtract-and-compare instead
-// of four divisions. The draw and accept sequence is provably identical to
-// the general predicate, so golden tables do not move.
+// of four divisions. The test runs on the raw draw r: because hashKeySpace
+// is a multiple of hashBuckets, the key r%hashKeySpace+1 lands in the bucket
+// of r+1, so the modulo is paid only on accept. The draw and accept
+// sequence is provably identical to the general predicate, so golden
+// tables do not move.
 func (h *hashWL) keyInWindow(rng *rand.Rand, part, window uint64) uint64 {
-	bucketsPerPart := uint64(h.numBuckets / h.partitions)
-	if uint64(h.numBuckets) == bucketsPerPart*uint64(h.partitions) && bucketsPerPart%hashWindowsPerPartition == 0 {
+	bucketsPerPart := uint64(hashBuckets / h.partitions)
+	if hashBuckets == bucketsPerPart*uint64(h.partitions) && bucketsPerPart%hashWindowsPerPartition == 0 {
 		span := bucketsPerPart / hashWindowsPerPartition
 		lo := part*bucketsPerPart + window*span
 		for {
-			key := rng.Uint64()%h.keySpace + 1
-			if (key*0x9e3779b97f4a7c15)&h.bucketMask-lo < span {
-				return key
+			if r := rng.Uint64(); bucketIndex(r+1)-lo < span {
+				return r%hashKeySpace + 1
 			}
 		}
 	}
 	for {
-		key := rng.Uint64()%h.keySpace + 1
+		key := rng.Uint64()%hashKeySpace + 1
 		if h.partitionOf(key) == part && h.windowOf(key) == window {
 			return key
 		}
@@ -201,10 +214,10 @@ func (h *hashWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 
 // Verify implements Workload.
 func (h *hashWL) Verify(store *memdev.Store) error {
-	if got := store.ReadWord(word(h.meta, 0)); got != uint64(h.numBuckets) {
-		return fmt.Errorf("hash: bucket count corrupted: %d != %d", got, h.numBuckets)
+	if got := store.ReadWord(word(h.meta, 0)); got != hashBuckets {
+		return fmt.Errorf("hash: bucket count corrupted: %d != %d", got, hashBuckets)
 	}
-	for i := 0; i < h.numBuckets; i++ {
+	for i := 0; i < hashBuckets; i++ {
 		b := line(h.buckets, i)
 		cnt, sum := unpackBucketHeader(store.ReadWord(word(b, 0)))
 		if cnt > hashSlotsPerBucket {
