@@ -10,6 +10,7 @@
 //	dhtm-sim -design DHTM -workload hash -tx 24
 //	dhtm-sim -design DHTM -workload queue -crash -image crash.img
 //	dhtm-sim -design ATOM -workload tpcc -cores 4 -tx 4
+//	dhtm-sim -design DHTM -workload tpcc -policy requester-wins -seed 7
 //	dhtm-sim -design DHTM -workload hash -trace trace.json -trace-interval 128
 package main
 
@@ -36,8 +37,10 @@ func main() {
 	workload := flag.String("workload", "hash", "workload to run ("+strings.Join(registry.WorkloadNames(), ", ")+")")
 	tx := flag.Int("tx", 16, "transactions per core")
 	cores := flag.Int("cores", 0, "number of cores (0 = 8)")
+	ops := flag.Int("ops", 0, "operations per transaction (0 = the workload's default)")
 	logBuf := flag.Int("logbuf", 0, "DHTM log-buffer entries (0 = configured default of 64)")
 	bw := flag.Float64("bw", 1.0, "memory bandwidth scale factor")
+	policy := flag.String("policy", config.FirstWriterWins.String(), "conflict policy ("+config.FirstWriterWins.String()+", "+config.RequesterWins.String()+")")
 	seed := flag.Int64("seed", 0, "workload generation seed (0 = the default, 42)")
 	crash := flag.Bool("crash", false, "crash at the last commit point instead of finishing cleanly")
 	image := flag.String("image", "", "write the persistent-memory image to this file (with -crash)")
@@ -77,52 +80,53 @@ func main() {
 	}
 
 	if err := registry.CheckDesign(*design); err != nil {
-		fail("%v", err)
+		misuse("%v", err)
 	}
 	if err := registry.CheckWorkload(*workload); err != nil {
-		fail("%v", err)
+		misuse("%v", err)
 	}
-	if *bw <= 0 {
-		fail("bandwidth scale must be positive, got %g", *bw)
+	if *bw == 0 {
+		misuse("bandwidth scale must be positive, got 0")
 	}
-	ov := runner.Overrides{LogBufferEntries: *logBuf}
-	if *bw != 1.0 {
-		ov.BandwidthScale = *bw
+	pol, err := config.ParseConflictPolicy(*policy)
+	if err != nil {
+		misuse("%v", err)
 	}
-	runSingle(*design, *workload, *tx, *cores, *seed, ov, *crash, *image, *recoverFlag,
-		probe.FlagConfig(*tracePath, *traceInterval), *tracePath)
+	// One flag per runner.Cell field, so any sweep cell re-runs here with
+	// its seed.
+	cell := runner.Cell{
+		ID: *design + "/" + *workload, Design: *design, Workload: *workload,
+		Cores: *cores, TxPerCore: *tx, OpsPerTx: *ops, Seed: *seed,
+		Overrides: runner.Overrides{LogBufferEntries: *logBuf, BandwidthScale: *bw, ConflictPolicy: pol},
+	}
+	cfg, err := cell.Config()
+	if err != nil {
+		misuse("%v", err)
+	}
+	runSingle(cell, cfg, *crash, *image, *recoverFlag, probe.FlagConfig(*tracePath, *traceInterval), *tracePath)
 }
 
-// runSingle runs the cell with full statistics, including crash injection,
-// image capture, recovery and workload verification.
-func runSingle(design, workload string, tx, cores int, seed int64, ov runner.Overrides, crash bool, image string, recoverAfter bool, tc probe.Config, tracePath string) {
-	cfg := config.Default()
-	if cores > 0 {
-		cfg.NumCores = cores
-	}
-	cfg = ov.Apply(cfg)
-
+// runSingle runs the cell on cfg with full statistics, including crash
+// injection, image capture, recovery and workload verification.
+func runSingle(cell runner.Cell, cfg config.Config, crash bool, image string, recoverAfter bool, tc probe.Config, tracePath string) {
 	env, err := txn.NewEnv(cfg)
 	if err != nil {
 		fail("building environment: %v", err)
 	}
-	rt, err := registry.NewRuntime(env, design)
+	rt, err := registry.NewRuntime(env, cell.Design)
 	if err != nil {
 		fail("%v", err)
 	}
-	w, err := registry.NewWorkload(workload)
+	w, err := registry.NewWorkload(cell.Workload)
 	if err != nil {
 		fail("%v", err)
 	}
 	if tc.Enabled() {
-		cell := runner.Cell{
-			ID: design + "/" + workload, Design: design, Workload: workload,
-			Cores: cfg.NumCores, TxPerCore: tx, Seed: seed,
-		}
 		env.Probe = harness.TraceRecorder(tc, env, rt, cell)
 	}
 
-	res, err := workloads.Run(env, rt, w, workloads.Params{Cores: cfg.NumCores, Seed: seed}, tx, !crash)
+	p := workloads.Params{Cores: cfg.NumCores, Seed: cell.Seed, OpsPerTx: cell.OpsPerTx}
+	res, err := workloads.Run(env, rt, w, p, cell.TxPerCore, !crash)
 	if err != nil {
 		fail("running workload: %v", err)
 	}
@@ -176,6 +180,14 @@ func runSingle(design, workload string, tx, cores int, seed int64, ov runner.Ove
 // stopProfile flushes an active -cpuprofile; every exit path must call it so
 // the profile file gets its trailer even when the run fails.
 var stopProfile = func() {}
+
+// misuse reports a flag-usage error with exit code 2 (the repo convention:
+// 2 = misuse, 1 = the run itself failed).
+func misuse(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "dhtm-sim: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
 
 func fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "dhtm-sim: "+format+"\n", args...)

@@ -24,12 +24,12 @@ package dhtm
 import (
 	"fmt"
 
-	"dhtm/internal/config"
 	"dhtm/internal/engine"
 	"dhtm/internal/memdev"
 	"dhtm/internal/palloc"
 	"dhtm/internal/recovery"
 	"dhtm/internal/registry"
+	"dhtm/internal/runner"
 	"dhtm/internal/stats"
 	"dhtm/internal/txn"
 )
@@ -95,15 +95,6 @@ type Config struct {
 	Design Design
 	// Cores overrides the number of simulated cores (default 8).
 	Cores int
-	// LogBufferEntries overrides DHTM's coalescing log-buffer size (default 64).
-	LogBufferEntries int
-	// BandwidthScale scales the 5.3 GB/s memory bandwidth (default 1.0).
-	BandwidthScale float64
-	// ConflictPolicy selects first-writer-wins (default) or requester-wins.
-	RequesterWins bool
-	// Hardware exposes the full architectural configuration for fine-grained
-	// control; when non-nil it overrides all of the above except Design.
-	Hardware *config.Config
 }
 
 // TxView is the interface transaction bodies use to read and write persistent
@@ -140,22 +131,9 @@ type System struct {
 
 // NewSystem builds a simulated machine according to cfg.
 func NewSystem(cfg Config) (*System, error) {
-	hw := config.Default()
-	if cfg.Hardware != nil {
-		hw = *cfg.Hardware
-	} else {
-		if cfg.Cores > 0 {
-			hw.NumCores = cfg.Cores
-		}
-		if cfg.LogBufferEntries > 0 {
-			hw.LogBufferEntries = cfg.LogBufferEntries
-		}
-		if cfg.BandwidthScale > 0 {
-			hw.BandwidthScale = cfg.BandwidthScale
-		}
-		if cfg.RequesterWins {
-			hw.ConflictPolicy = config.RequesterWins
-		}
+	hw, err := runner.Cell{Cores: cfg.Cores}.Config()
+	if err != nil {
+		return nil, fmt.Errorf("dhtm: %w", err)
 	}
 	env, err := txn.NewEnv(hw)
 	if err != nil {

@@ -29,6 +29,16 @@ func (p ConflictPolicy) String() string {
 	}
 }
 
+// ParseConflictPolicy is the inverse of String for the known policies.
+func ParseConflictPolicy(s string) (ConflictPolicy, error) {
+	for _, p := range []ConflictPolicy{FirstWriterWins, RequesterWins} {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("config: unknown conflict policy %q (valid: %s, %s)", s, FirstWriterWins, RequesterWins)
+}
+
 // Config captures every architectural parameter of the simulated machine.
 // The zero value is not usable; start from Default and override fields.
 type Config struct {

@@ -5,13 +5,11 @@ import (
 	"math/rand"
 	"strings"
 
-	"dhtm/internal/config"
 	"dhtm/internal/memdev"
 	"dhtm/internal/runner"
 	"dhtm/internal/snapshot"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
-	"dhtm/internal/workloads"
 )
 
 // The differential oracle. Every crash-safe design promises the same thing:
@@ -56,10 +54,7 @@ type diffCtx struct {
 // workload that aborts transactions for good would need a rank mapping the
 // trace alone cannot provide.
 func (c Config) newDiffCtx(runSeed int64, trace []traceEvent) (*diffCtx, error) {
-	hw := config.Default()
-	hw.NumCores = c.Cores
-	p := workloads.Params{Cores: c.Cores, OpsPerTx: c.OpsPerTx, Seed: runSeed}
-	prep, err := snapshot.Default.Prepare(hw, c.Workload, p)
+	_, p, prep, err := c.prepare(runSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -107,10 +107,7 @@ func (in *injector) done() bool { return in.reached }
 // snapshot. The observer returned by arm is installed after the clone is
 // built, so only the measured run's durable writes are numbered.
 func (c Config) runOnce(seed int64, arm func(*txn.Env) (memdev.PersistObserver, func() bool)) (*txn.Env, workloads.Workload, error) {
-	hw := config.Default()
-	hw.NumCores = c.Cores
-	p := workloads.Params{Cores: c.Cores, OpsPerTx: c.OpsPerTx, Seed: seed}
-	prep, err := snapshot.Default.Prepare(hw, c.Workload, p)
+	hw, p, prep, err := c.prepare(seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,6 +136,19 @@ func (c Config) runOnce(seed int64, arm func(*txn.Env) (memdev.PersistObserver, 
 		return nil, nil, fmt.Errorf("crashtest: %w", err)
 	}
 	return env, prep.Workload, nil
+}
+
+// prepare returns the exploration's machine (runner.Cell.Config for its
+// core count), the workload parameters of a run under seed, and the cached
+// post-setup snapshot for both.
+func (c Config) prepare(seed int64) (config.Config, workloads.Params, *snapshot.Prepared, error) {
+	hw, err := runner.Cell{Cores: c.Cores}.Config()
+	if err != nil {
+		return config.Config{}, workloads.Params{}, nil, err
+	}
+	p := workloads.Params{Cores: c.Cores, OpsPerTx: c.OpsPerTx, Seed: seed}
+	prep, err := snapshot.Default.Prepare(hw, c.Workload, p)
+	return hw, p, prep, err
 }
 
 // countPass measures the persist-event space: one uncrashed run with a

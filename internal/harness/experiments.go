@@ -187,11 +187,17 @@ func planFigure6(o Options) runner.Plan {
 	p := runner.Plan{Name: "fig6"}
 	p.Add(o.cell(DesignSO, "hash", false, runner.Overrides{}))
 	for _, size := range fig6BufferSizes() {
-		p.Add(o.cell(DesignDHTM, "hash", false,
-			runner.Overrides{LogBufferEntries: size},
-			fmt.Sprintf("logbuf=%d", size)))
+		p.Add(fig6Cell(o, size))
 	}
 	return p
+}
+
+// fig6Cell is Figure 6's DHTM cell at one log-buffer size, named by its
+// override term.
+func fig6Cell(o Options, size int) runner.Cell {
+	c := o.cell(DesignDHTM, "hash", false, runner.Overrides{LogBufferEntries: size})
+	c.ID += "/" + c.Term(runner.AxisLogBuf)
+	return c
 }
 
 // reduceFigure6 renders DHTM throughput on hash as a function of the
@@ -211,7 +217,7 @@ func reduceFigure6(o Options, rs *runner.ResultSet) (*Table, error) {
 		},
 	}
 	for _, size := range fig6BufferSizes() {
-		res, err := rs.Run(fmt.Sprintf("%s/hash/logbuf=%d", DesignDHTM, size))
+		res, err := rs.Run(fig6Cell(o, size).ID)
 		if err != nil {
 			return nil, err
 		}
@@ -276,9 +282,9 @@ func planTable7(o Options) runner.Plan {
 	p := runner.Plan{Name: "table7"}
 	for _, scale := range table7Scales() {
 		for _, d := range []string{DesignSO, DesignNP, DesignDHTM} {
-			p.Add(o.cell(d, "hash", false,
-				runner.Overrides{BandwidthScale: scale},
-				fmt.Sprintf("bw=%gx", scale)))
+			c := o.cell(d, "hash", false, runner.Overrides{BandwidthScale: scale})
+			c.ID += fmt.Sprintf("/bw=%gx", scale)
+			p.Add(c)
 		}
 	}
 	return p
@@ -365,26 +371,33 @@ func reduceDurability(o Options, rs *runner.ResultSet) (*Table, error) {
 // ablationWorkloads lists the workloads the ablations are measured on.
 func ablationWorkloads() []string { return []string{"hash", "tpcc"} }
 
+// ablationVariant is one DHTM design-choice variant: a DHTM design under a
+// conflict policy.
+type ablationVariant struct {
+	name   string
+	design string
+	policy config.ConflictPolicy
+}
+
 // ablationVariants lists the DHTM design-choice variants. The baseline row
 // reuses the full-DHTM cells, so its ratio renders as exactly 1.00.
-func ablationVariants() []struct {
-	name    string
-	design  string
-	ov      runner.Overrides
-	idParts []string
-} {
-	rw := runner.Overrides{ConflictPolicy: config.RequesterWins, SetConflictPolicy: true}
-	return []struct {
-		name    string
-		design  string
-		ov      runner.Overrides
-		idParts []string
-	}{
-		{"DHTM (baseline)", DesignDHTM, runner.Overrides{}, nil},
-		{"DHTM-L1 (no overflow)", DesignDHTML1, runner.Overrides{}, nil},
-		{"DHTM-nobuf (no coalescing)", DesignDHTMNoBuf, runner.Overrides{}, nil},
-		{"DHTM requester-wins", DesignDHTM, rw, []string{"policy=requester-wins"}},
+func ablationVariants() []ablationVariant {
+	return []ablationVariant{
+		{"DHTM (baseline)", DesignDHTM, config.FirstWriterWins},
+		{"DHTM-L1 (no overflow)", DesignDHTML1, config.FirstWriterWins},
+		{"DHTM-nobuf (no coalescing)", DesignDHTMNoBuf, config.FirstWriterWins},
+		{"DHTM requester-wins", DesignDHTM, config.RequesterWins},
 	}
+}
+
+// cell is the variant's cell on workload w. A requester-wins variant's ID
+// adds its policy term, which keeps it apart from the baseline cell.
+func (v ablationVariant) cell(o Options, w string) runner.Cell {
+	c := o.cell(v.design, w, w == "tpcc", runner.Overrides{ConflictPolicy: v.policy})
+	if v.policy != config.FirstWriterWins {
+		c.ID += "/" + c.Term(runner.AxisPolicy)
+	}
+	return c
 }
 
 // planAblations lays out the ablation grid: each variant on hash and tpcc.
@@ -393,7 +406,7 @@ func planAblations(o Options) runner.Plan {
 	p := runner.Plan{Name: "ablation"}
 	for _, v := range ablationVariants() {
 		for _, w := range ablationWorkloads() {
-			p.Add(o.cell(v.design, w, w == "tpcc", v.ov, v.idParts...))
+			p.Add(v.cell(o, w))
 		}
 	}
 	return p
@@ -421,11 +434,7 @@ func reduceAblations(o Options, rs *runner.ResultSet) (*Table, error) {
 	for _, v := range ablationVariants() {
 		row := []string{v.name}
 		for _, w := range ablationWorkloads() {
-			id := v.design + "/" + w
-			if len(v.idParts) > 0 {
-				id += "/" + v.idParts[0]
-			}
-			res, err := rs.Run(id)
+			res, err := rs.Run(v.cell(o, w).ID)
 			if err != nil {
 				return nil, err
 			}

@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"dhtm/internal/config"
 	"dhtm/internal/obs"
 	"dhtm/internal/probe"
 	"dhtm/internal/registry"
@@ -63,8 +62,8 @@ var (
 )
 
 // Execute is the cell-runner callback: it builds a fully isolated machine
-// for the cell (Table III configuration plus the cell's core count and
-// overrides) and runs it to completion. The setup phase is amortized through
+// for the cell (runner.Cell.Config: Table III plus the cell's core count
+// and overrides) and runs it to completion. The setup phase is amortized through
 // the process-wide snapshot cache — the cell's store is a copy-on-write
 // clone of the post-Setup image for its (config, workload, params) key — and
 // the cache arrays are drawn from and returned to the hierarchy pools. It is
@@ -78,11 +77,10 @@ func Execute(cell runner.Cell) (workloads.RunResult, error) {
 // traced variant on top of it.
 func execute(cell runner.Cell, tc probe.Config) (workloads.RunResult, error) {
 	trace := &obs.CellTrace{}
-	cfg := config.Default()
-	if cell.Cores > 0 {
-		cfg.NumCores = cell.Cores
+	cfg, err := cell.Config()
+	if err != nil {
+		return workloads.RunResult{}, err
 	}
-	cfg = cell.Overrides.Apply(cfg)
 	p := workloads.Params{Cores: cfg.NumCores, Seed: cell.Seed, OpsPerTx: cell.OpsPerTx}
 	start := time.Now()
 	prep, err := snapshot.Default.Prepare(cfg, cell.Workload, p)
@@ -160,14 +158,10 @@ func (o Options) txCount(oltp bool) int {
 }
 
 // cell builds a grid cell with the options' core count applied, identified
-// by the "/"-joined parts.
-func (o Options) cell(design, workload string, oltp bool, ov runner.Overrides, idParts ...string) runner.Cell {
-	id := design + "/" + workload
-	if len(idParts) > 0 {
-		id += "/" + strings.Join(idParts, "/")
-	}
+// as design/workload; cells that share those add an ID suffix.
+func (o Options) cell(design, workload string, oltp bool, ov runner.Overrides) runner.Cell {
 	return runner.Cell{
-		ID:        id,
+		ID:        design + "/" + workload,
 		Design:    design,
 		Workload:  workload,
 		Cores:     o.Cores,

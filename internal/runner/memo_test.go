@@ -162,10 +162,9 @@ func TestKeyCoversEveryField(t *testing.T) {
 	base := Cell{
 		ID: "id", Design: "DHTM", Workload: "hash", Cores: 4, TxPerCore: 8, OpsPerTx: 3, Seed: 9,
 		Overrides: Overrides{
-			LogBufferEntries:  def.LogBufferEntries + 1,
-			BandwidthScale:    def.BandwidthScale * 2,
-			ConflictPolicy:    def.ConflictPolicy + 1,
-			SetConflictPolicy: true,
+			LogBufferEntries: def.LogBufferEntries + 1,
+			BandwidthScale:   def.BandwidthScale * 2,
+			ConflictPolicy:   def.ConflictPolicy + 1,
 		},
 	}
 	want := base.Key()

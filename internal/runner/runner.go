@@ -15,8 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -52,54 +51,23 @@ var ErrCancelled = fmt.Errorf("runner: cell cancelled: %w", context.Canceled)
 // historical workloads.Params default so unscripted runs stay comparable.
 const DefaultSeed = 42
 
-// Overrides are the per-cell deviations from the Table III base machine. The
-// zero value means "no override"; only non-zero (or explicitly set) fields
-// are applied, and only set fields contribute to the cell's identity key.
+// Overrides are the per-cell deviations from the Table III base machine.
+// The zero value of each field keeps the base machine's value, and only a
+// value that differs from it contributes to the cell's identity key.
 type Overrides struct {
-	// LogBufferEntries overrides the DHTM coalescing log-buffer size when > 0
-	// (the Figure 6 sweep axis).
+	// LogBufferEntries sets the DHTM coalescing log-buffer size (the
+	// Figure 6 sweep axis).
 	LogBufferEntries int `json:"log_buffer_entries,omitempty"`
-	// BandwidthScale multiplies the memory bandwidth when > 0 (the Table VII
-	// sweep axis).
+	// BandwidthScale multiplies the memory bandwidth (the Table VII sweep
+	// axis).
 	BandwidthScale float64 `json:"bandwidth_scale,omitempty"`
-	// ConflictPolicy replaces the conflict-resolution policy when
-	// SetConflictPolicy is true (the ablation axis).
-	ConflictPolicy    config.ConflictPolicy `json:"conflict_policy,omitempty"`
-	SetConflictPolicy bool                  `json:"set_conflict_policy,omitempty"`
+	// ConflictPolicy sets the conflict-resolution policy (the ablation
+	// axis). Its zero value is the base machine's first-writer-wins.
+	ConflictPolicy config.ConflictPolicy `json:"conflict_policy,omitempty"`
 }
 
-// Apply rewrites cfg with the set overrides.
-func (ov Overrides) Apply(cfg config.Config) config.Config {
-	if ov.LogBufferEntries > 0 {
-		cfg.LogBufferEntries = ov.LogBufferEntries
-	}
-	if ov.BandwidthScale > 0 {
-		cfg.BandwidthScale = ov.BandwidthScale
-	}
-	if ov.SetConflictPolicy {
-		cfg.ConflictPolicy = ov.ConflictPolicy
-	}
-	return cfg
-}
-
-// key renders only the overrides that deviate from config.Default(), so a
-// cell that spells out a default explicitly hashes identically to one that
-// leaves it unset.
-func (ov Overrides) key() string {
-	def := config.Default()
-	var parts []string
-	if ov.LogBufferEntries > 0 && ov.LogBufferEntries != def.LogBufferEntries {
-		parts = append(parts, fmt.Sprintf("logbuf=%d", ov.LogBufferEntries))
-	}
-	if ov.BandwidthScale > 0 && ov.BandwidthScale != def.BandwidthScale {
-		parts = append(parts, fmt.Sprintf("bw=%g", ov.BandwidthScale))
-	}
-	if ov.SetConflictPolicy && ov.ConflictPolicy != def.ConflictPolicy {
-		parts = append(parts, fmt.Sprintf("policy=%s", ov.ConflictPolicy))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
+// baseMachine is the Table III configuration every cell starts from.
+var baseMachine = config.Default()
 
 // Cell is one independent simulation in a sweep grid.
 type Cell struct {
@@ -126,29 +94,111 @@ type Cell struct {
 	Overrides Overrides `json:"overrides,omitempty"`
 }
 
+// Config builds the cell's machine: the Table III configuration with the
+// cell's core count and overrides applied, then validated. It is the one
+// mapping from a cell to its machine — harness.Execute, the crash-point
+// explorer, dhtm-sim and dhtm.NewSystem all build theirs here — so a cell
+// re-run under dhtm-sim simulates exactly what its sweep simulated. A
+// negative override or an unknown conflict policy is an error, never a
+// silent fallback to the default.
+func (c Cell) Config() (config.Config, error) {
+	ov := c.Overrides
+	switch {
+	case ov.LogBufferEntries < 0:
+		return config.Config{}, fmt.Errorf("runner: log-buffer entries override %d is negative", ov.LogBufferEntries)
+	case ov.BandwidthScale < 0:
+		return config.Config{}, fmt.Errorf("runner: bandwidth scale override %g is negative", ov.BandwidthScale)
+	}
+	cfg := baseMachine
+	if c.Cores > 0 {
+		cfg.NumCores = c.Cores
+	}
+	if ov.LogBufferEntries > 0 {
+		cfg.LogBufferEntries = ov.LogBufferEntries
+	}
+	if ov.BandwidthScale > 0 {
+		cfg.BandwidthScale = ov.BandwidthScale
+	}
+	cfg.ConflictPolicy = ov.ConflictPolicy
+	if err := cfg.Validate(); err != nil {
+		return config.Config{}, err
+	}
+	return cfg, nil
+}
+
+// Axis names a Cell field that a grid can vary. Each renders as one
+// name=value term (Cell.Term), the single spelling of that field in
+// Cell.Key and in scenario sweep cell IDs.
+type Axis int
+
+const (
+	AxisCores     Axis = iota // cores=4
+	AxisTx                    // tx=8
+	AxisOps                   // ops=3
+	AxisSeed                  // seed=7
+	AxisLogBuf                // logbuf=16
+	AxisBandwidth             // bw=2
+	AxisPolicy                // policy=requester-wins
+)
+
+// Term renders the cell's value on axis a as a name=value term.
+func (c Cell) Term(a Axis) string { return string(c.appendTerm(nil, a)) }
+
+// appendTerm appends Term(a) to b.
+func (c Cell) appendTerm(b []byte, a Axis) []byte {
+	switch a {
+	case AxisCores:
+		return strconv.AppendInt(append(b, "cores="...), int64(c.Cores), 10)
+	case AxisTx:
+		return strconv.AppendInt(append(b, "tx="...), int64(c.TxPerCore), 10)
+	case AxisOps:
+		return strconv.AppendInt(append(b, "ops="...), int64(c.OpsPerTx), 10)
+	case AxisSeed:
+		return strconv.AppendInt(append(b, "seed="...), c.Seed, 10)
+	case AxisLogBuf:
+		return strconv.AppendInt(append(b, "logbuf="...), int64(c.Overrides.LogBufferEntries), 10)
+	case AxisBandwidth:
+		return strconv.AppendFloat(append(b, "bw="...), c.Overrides.BandwidthScale, 'g', -1, 64)
+	case AxisPolicy:
+		return append(append(b, "policy="...), c.Overrides.ConflictPolicy.String()...)
+	}
+	panic(fmt.Sprintf("runner: unknown axis %d", int(a)))
+}
+
 // Key is the cell's semantic identity: every field that changes what is
 // simulated, and nothing that depends on where the cell sits in a plan. Two
 // cells with equal keys receive equal derived seeds and therefore produce
 // identical results, even across different experiments. A Memo answers
 // cells by key and seed, so a field that changes the simulation without a
 // key term would serve one cell's result for another; TestKeyCoversEveryField
-// guards this.
+// guards this. An override at its base-machine value adds no term, so a
+// cell that spells out a default keys like one that leaves it unset; set
+// overrides follow in term-name order.
 func (c Cell) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|cores=%d|tx=%d", c.Design, c.Workload, c.Cores, c.TxPerCore)
+	b := make([]byte, 0, 96)
+	b = append(append(append(b, c.Design...), '|'), c.Workload...)
+	b = c.appendTerm(append(b, '|'), AxisCores)
+	b = c.appendTerm(append(b, '|'), AxisTx)
 	if c.OpsPerTx > 0 {
-		fmt.Fprintf(&b, "|ops=%d", c.OpsPerTx)
+		b = c.appendTerm(append(b, '|'), AxisOps)
 	}
-	if ov := c.Overrides.key(); ov != "" {
-		b.WriteByte('|')
-		b.WriteString(ov)
+	ov, sep := c.Overrides, byte('|')
+	if ov.BandwidthScale > 0 && ov.BandwidthScale != baseMachine.BandwidthScale {
+		b, sep = c.appendTerm(append(b, sep), AxisBandwidth), ','
 	}
-	return b.String()
+	if ov.LogBufferEntries > 0 && ov.LogBufferEntries != baseMachine.LogBufferEntries {
+		b, sep = c.appendTerm(append(b, sep), AxisLogBuf), ','
+	}
+	if ov.ConflictPolicy != baseMachine.ConflictPolicy {
+		b = c.appendTerm(append(b, sep), AxisPolicy)
+	}
+	return string(b)
 }
 
 // DeriveSeed mixes the sweep's base seed with the cell's identity key. The
 // derivation is pure, so any cell can be re-run individually (dhtm-sim with
-// the same -seed and parameters) and reproduce its in-sweep numbers exactly.
+// the same -seed and one flag per Cell field) and reproduce its in-sweep
+// numbers exactly.
 func DeriveSeed(base int64, c Cell) int64 {
 	if base == 0 {
 		base = DefaultSeed

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestDerivedSeedsAreContentAddressed(t *testing.T) {
 		t.Fatalf("log-buffer override did not change the derived seed")
 	}
 	set := c
-	set.Overrides = Overrides{SetConflictPolicy: true, ConflictPolicy: config.RequesterWins}
+	set.Overrides = Overrides{ConflictPolicy: config.RequesterWins}
 	if DeriveSeed(1, c) == DeriveSeed(1, set) {
 		t.Fatalf("conflict-policy override did not change the derived seed")
 	}
@@ -304,5 +305,57 @@ func TestForEachStopsDispatchOnCancel(t *testing.T) {
 	}
 	if int(ran.Load()) != dispatched {
 		t.Fatalf("dispatched %d but ran %d", dispatched, ran.Load())
+	}
+}
+
+// TestCellConfig pins the one cell-to-machine mapping: Table III plus the
+// cell's core count and overrides, and an error — never a silent default —
+// for a negative override, an unknown conflict policy or an invalid machine.
+func TestCellConfig(t *testing.T) {
+	def := config.Default()
+	with := func(edit func(*config.Config)) config.Config {
+		c := def
+		edit(&c)
+		return c
+	}
+	cases := []struct {
+		name    string
+		cell    Cell
+		want    config.Config
+		wantErr string
+	}{
+		{"plain", Cell{Design: "DHTM", Workload: "hash"}, def, ""},
+		{"cores", Cell{Cores: 4}, with(func(c *config.Config) { c.NumCores = 4 }), ""},
+		{"logbuf", Cell{Overrides: Overrides{LogBufferEntries: 16}}, with(func(c *config.Config) { c.LogBufferEntries = 16 }), ""},
+		{"bw", Cell{Overrides: Overrides{BandwidthScale: 2}}, with(func(c *config.Config) { c.BandwidthScale = 2 }), ""},
+		{"policy", Cell{Overrides: Overrides{ConflictPolicy: config.RequesterWins}}, with(func(c *config.Config) { c.ConflictPolicy = config.RequesterWins }), ""},
+		{"negative logbuf", Cell{Overrides: Overrides{LogBufferEntries: -3}}, config.Config{}, "log-buffer entries override -3 is negative"},
+		{"negative bw", Cell{Overrides: Overrides{BandwidthScale: -1}}, config.Config{}, "bandwidth scale override -1 is negative"},
+		{"unknown policy", Cell{Overrides: Overrides{ConflictPolicy: 7}}, config.Config{}, "unknown conflict policy 7"},
+		{"too many cores", Cell{Cores: config.MaxCores + 1}, config.Config{}, "exceeds the limit"},
+	}
+	for _, tc := range cases {
+		got, err := tc.cell.Config()
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case got != tc.want:
+			t.Errorf("%s: Config() = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkCellKey measures Key, which runs on every memo lookup and seed
+// derivation.
+func BenchmarkCellKey(b *testing.B) {
+	c := Cell{Design: "DHTM", Workload: "hash", Cores: 8, TxPerCore: 24,
+		Overrides: Overrides{LogBufferEntries: 16, BandwidthScale: 2}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = c.Key()
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dhtm/internal/config"
@@ -43,25 +44,57 @@ type Compiled struct {
 // at fault and, for unknown names, the valid values.
 func (d *Document) Compile() (*Compiled, error) {
 	c := &Compiled{Doc: d, Seed: d.Seed}
+	var compile func(*Compiled) error
 	switch d.Mode {
 	case ModeExperiment:
-		return c, d.compileExperiment(c)
+		compile = d.compileExperiment
 	case ModeSweep:
-		return c, d.compileSweep(c)
+		compile = d.compileSweep
 	case ModeCrashtest:
-		return c, d.compileCrashtest(c)
+		compile = d.compileCrashtest
 	case "":
 		return nil, fmt.Errorf("scenario: mode is required (valid: %s, %s, %s)", ModeExperiment, ModeSweep, ModeCrashtest)
 	default:
 		return nil, fmt.Errorf("scenario: unknown mode %q (valid: %s, %s, %s)", d.Mode, ModeExperiment, ModeSweep, ModeCrashtest)
 	}
+	if err := d.rejectForeign(); err != nil {
+		return c, err
+	}
+	return c, compile(c)
 }
 
-// reject returns an error naming a field that is meaningless in the
-// document's mode — silently ignoring it would run a different campaign
-// than the author wrote.
-func (d *Document) reject(field string) error {
-	return fmt.Errorf("scenario: %q is not valid in mode %q", field, d.Mode)
+// rejectForeign returns an error naming the first field the document sets
+// that its mode does not accept — silently ignoring it would run a different
+// campaign than the author wrote. The override axes are sweep-only:
+// experiments fix their own overrides, and crashtest machines are Table III.
+func (d *Document) rejectForeign() error {
+	exp, sweep, crash := []Mode{ModeExperiment}, []Mode{ModeSweep}, []Mode{ModeCrashtest}
+	grids := []Mode{ModeSweep, ModeCrashtest}
+	for _, f := range []struct {
+		name  string
+		set   bool
+		modes []Mode
+	}{
+		{"experiments", len(d.Experiments) > 0, exp},
+		{"quick", d.Quick, exp},
+		{"designs", len(d.Designs) > 0 || len(d.DesignTags) > 0, grids},
+		{"workloads", len(d.Workloads) > 0 || len(d.WorkloadTags) > 0, grids},
+		{"torn", d.Torn, crash},
+		{"points", d.Points != nil, crash},
+		{"axes.ops_per_tx", len(d.Axes.OpsPerTx) > 0, grids},
+		{"axes.seed", len(d.Axes.Seed) > 0, grids},
+		{"axes.log_buffer_entries", len(d.Axes.LogBufferEntries) > 0, sweep},
+		{"axes.bandwidth_scale", len(d.Axes.BandwidthScale) > 0, sweep},
+		{"axes.conflict_policy", len(d.Axes.ConflictPolicy) > 0, sweep},
+		{"axes.reorder_window", len(d.Axes.ReorderWindow) > 0, crash},
+		{"mask_mode", d.MaskMode != "" || d.MaskSamples != 0, crash},
+		{"differential", d.Differential, crash},
+	} {
+		if f.set && !slices.Contains(f.modes, d.Mode) {
+			return fmt.Errorf("scenario: %q is not valid in mode %q", f.name, d.Mode)
+		}
+	}
+	return nil
 }
 
 // single enforces that an axis carries at most one value in modes that
@@ -80,32 +113,6 @@ func single[T any](d *Document, field string, vals []T) (T, error) {
 
 // compileExperiment resolves the experiment selection.
 func (d *Document) compileExperiment(c *Compiled) error {
-	switch {
-	case len(d.Designs) > 0 || len(d.DesignTags) > 0:
-		return d.reject("designs")
-	case len(d.Workloads) > 0 || len(d.WorkloadTags) > 0:
-		return d.reject("workloads")
-	case d.Torn:
-		return d.reject("torn")
-	case d.Points != nil:
-		return d.reject("points")
-	case len(d.Axes.OpsPerTx) > 0:
-		return d.reject("axes.ops_per_tx")
-	case len(d.Axes.Seed) > 0:
-		return d.reject("axes.seed")
-	case len(d.Axes.LogBufferEntries) > 0:
-		return d.reject("axes.log_buffer_entries")
-	case len(d.Axes.BandwidthScale) > 0:
-		return d.reject("axes.bandwidth_scale")
-	case len(d.Axes.ConflictPolicy) > 0:
-		return d.reject("axes.conflict_policy")
-	case len(d.Axes.ReorderWindow) > 0:
-		return d.reject("axes.reorder_window")
-	case d.MaskMode != "" || d.MaskSamples != 0:
-		return d.reject("mask_mode")
-	case d.Differential:
-		return d.reject("differential")
-	}
 	if err := d.Axes.validateValues(); err != nil {
 		return err
 	}
@@ -141,26 +148,11 @@ func (d *Document) compileExperiment(c *Compiled) error {
 }
 
 // compileSweep expands the design × workload × axes cross product into a
-// plan. Axis loops nest in a fixed order (design, workload, cores, tx, ops,
-// seed, logbuf, bandwidth, policy), so cell order — and therefore result
-// order — is a pure function of the document.
+// plan. Axes nest in a fixed order (design, workload, cores, tx, ops, seed,
+// logbuf, bandwidth, policy), so cell order — and therefore result order —
+// is a pure function of the document. A cell's ID names its design and
+// workload, then the term of every axis the document lists.
 func (d *Document) compileSweep(c *Compiled) error {
-	switch {
-	case len(d.Experiments) > 0:
-		return d.reject("experiments")
-	case d.Quick:
-		return d.reject("quick")
-	case d.Torn:
-		return d.reject("torn")
-	case d.Points != nil:
-		return d.reject("points")
-	case len(d.Axes.ReorderWindow) > 0:
-		return d.reject("axes.reorder_window")
-	case d.MaskMode != "" || d.MaskSamples != 0:
-		return d.reject("mask_mode")
-	case d.Differential:
-		return d.reject("differential")
-	}
 	designs, err := d.designSet()
 	if err != nil {
 		return err
@@ -169,63 +161,23 @@ func (d *Document) compileSweep(c *Compiled) error {
 	if err != nil {
 		return err
 	}
-	policies, err := parsePolicies(d.Axes.ConflictPolicy)
-	if err != nil {
-		return err
+	var policies []config.ConflictPolicy
+	for _, name := range d.Axes.ConflictPolicy {
+		p, err := config.ParseConflictPolicy(name)
+		if err != nil {
+			return fmt.Errorf("scenario: axis \"conflict_policy\": %w", err)
+		}
+		policies = append(policies, p)
 	}
 	if err := d.Axes.validateValues(); err != nil {
 		return err
 	}
 
-	plan := runner.Plan{Name: d.planName()}
-	for _, design := range designs {
-		for _, wl := range wls {
-			for _, cores := range orDefault(d.Axes.Cores) {
-				for _, tx := range orDefault(d.Axes.TxPerCore) {
-					for _, ops := range orDefault(d.Axes.OpsPerTx) {
-						for _, seed := range orDefault(d.Axes.Seed) {
-							for _, logbuf := range orDefault(d.Axes.LogBufferEntries) {
-								for _, bw := range orDefault(d.Axes.BandwidthScale) {
-									for _, policy := range orDefaultPolicy(policies) {
-										cell := runner.Cell{
-											Design: design, Workload: wl,
-											Cores: cores, TxPerCore: tx, OpsPerTx: ops, Seed: seed,
-											Overrides: runner.Overrides{
-												LogBufferEntries: logbuf,
-												BandwidthScale:   bw,
-											},
-										}
-										var parts []string
-										addPart := func(set bool, format string, v any) {
-											if set {
-												parts = append(parts, fmt.Sprintf(format, v))
-											}
-										}
-										addPart(len(d.Axes.Cores) > 0, "cores=%d", cores)
-										addPart(len(d.Axes.TxPerCore) > 0, "tx=%d", tx)
-										addPart(len(d.Axes.OpsPerTx) > 0, "ops=%d", ops)
-										addPart(len(d.Axes.Seed) > 0, "seed=%d", seed)
-										addPart(len(d.Axes.LogBufferEntries) > 0, "logbuf=%d", logbuf)
-										addPart(len(d.Axes.BandwidthScale) > 0, "bw=%g", bw)
-										if policy.set {
-											cell.Overrides.ConflictPolicy = policy.value
-											cell.Overrides.SetConflictPolicy = true
-											parts = append(parts, "policy="+policy.value.String())
-										}
-										cell.ID = design + "/" + wl
-										if len(parts) > 0 {
-											cell.ID += "/" + strings.Join(parts, "/")
-										}
-										plan.Add(cell)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	cells := d.grid(designs, wls)
+	cells = crossTerm(cells, d.Axes.LogBufferEntries, runner.AxisLogBuf, func(c *runner.Cell, v int) { c.Overrides.LogBufferEntries = v })
+	cells = crossTerm(cells, d.Axes.BandwidthScale, runner.AxisBandwidth, func(c *runner.Cell, v float64) { c.Overrides.BandwidthScale = v })
+	cells = crossTerm(cells, policies, runner.AxisPolicy, func(c *runner.Cell, v config.ConflictPolicy) { c.Overrides.ConflictPolicy = v })
+	plan := runner.Plan{Name: d.planName(), Cells: cells}
 	if err := plan.Validate(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
@@ -234,20 +186,8 @@ func (d *Document) compileSweep(c *Compiled) error {
 }
 
 // compileCrashtest expands one exploration per (design, workload, cores,
-// tx, ops, seed, reorder_window) grid point.
+// tx, ops, seed, reorder_window) grid point, in that nesting order.
 func (d *Document) compileCrashtest(c *Compiled) error {
-	switch {
-	case len(d.Experiments) > 0:
-		return d.reject("experiments")
-	case d.Quick:
-		return d.reject("quick")
-	case len(d.Axes.LogBufferEntries) > 0:
-		return d.reject("axes.log_buffer_entries")
-	case len(d.Axes.BandwidthScale) > 0:
-		return d.reject("axes.bandwidth_scale")
-	case len(d.Axes.ConflictPolicy) > 0:
-		return d.reject("axes.conflict_policy")
-	}
 	designs, err := d.designSet()
 	if err != nil {
 		return err
@@ -290,34 +230,73 @@ func (d *Document) compileCrashtest(c *Compiled) error {
 	if points.Mask != "" && !allPositive(d.Axes.ReorderWindow) {
 		return fmt.Errorf("scenario: points.mask replays in-flight writes and needs every reorder_window value > 0")
 	}
-	for _, design := range designs {
-		for _, wl := range wls {
-			for _, cores := range orDefault(d.Axes.Cores) {
-				for _, tx := range orDefault(d.Axes.TxPerCore) {
-					for _, ops := range orDefault(d.Axes.OpsPerTx) {
-						for _, seed := range orDefault(d.Axes.Seed) {
-							for _, window := range orDefault(d.Axes.ReorderWindow) {
-								base := seed
-								if base == 0 {
-									base = d.Seed
-								}
-								c.Crashtests = append(c.Crashtests, crashtest.Config{
-									Design: design, Workload: wl,
-									Cores: cores, TxPerCore: tx, OpsPerTx: ops,
-									Seed: base, Torn: d.Torn, Points: points,
-									Adversary: crashtest.AdversaryConfig{
-										Window: window, Mode: d.MaskMode, Samples: d.MaskSamples,
-									},
-									Differential: d.Differential,
-								})
-							}
-						}
-					}
-				}
-			}
+	for _, cell := range d.grid(designs, wls) {
+		base := cell.Seed
+		if base == 0 {
+			base = d.Seed
+		}
+		for _, window := range orDefault(d.Axes.ReorderWindow) {
+			c.Crashtests = append(c.Crashtests, crashtest.Config{
+				Design: cell.Design, Workload: cell.Workload,
+				Cores: cell.Cores, TxPerCore: cell.TxPerCore, OpsPerTx: cell.OpsPerTx,
+				Seed: base, Torn: d.Torn, Points: points,
+				Adversary: crashtest.AdversaryConfig{
+					Window: window, Mode: d.MaskMode, Samples: d.MaskSamples,
+				},
+				Differential: d.Differential,
+			})
 		}
 	}
 	return nil
+}
+
+// grid expands the axes every sweep and crashtest grid shares, outermost
+// first: design, workload, cores, tx, ops, seed. Each cell's ID is its
+// design and workload, then the term of every axis the document lists.
+func (d *Document) grid(designs, wls []string) []runner.Cell {
+	cells := cross([]runner.Cell{{}}, designs, func(c *runner.Cell, v string) { c.Design, c.ID = v, v })
+	cells = cross(cells, wls, func(c *runner.Cell, v string) { c.Workload, c.ID = v, c.ID+"/"+v })
+	cells = crossTerm(cells, d.Axes.Cores, runner.AxisCores, func(c *runner.Cell, v int) { c.Cores = v })
+	cells = crossTerm(cells, d.Axes.TxPerCore, runner.AxisTx, func(c *runner.Cell, v int) { c.TxPerCore = v })
+	cells = crossTerm(cells, d.Axes.OpsPerTx, runner.AxisOps, func(c *runner.Cell, v int) { c.OpsPerTx = v })
+	return crossTerm(cells, d.Axes.Seed, runner.AxisSeed, func(c *runner.Cell, v int64) { c.Seed = v })
+}
+
+// cross nests one more axis inside cells: each cell repeats once per value,
+// in order, with set applied. An absent axis is one zero value, which every
+// consumer of a cell or crashtest config reads as "use the default".
+func cross[T any](cells []runner.Cell, vals []T, set func(*runner.Cell, T)) []runner.Cell {
+	vals = orDefault(vals)
+	out := make([]runner.Cell, 0, len(cells)*len(vals))
+	for _, c := range cells {
+		for _, v := range vals {
+			next := c
+			set(&next, v)
+			out = append(out, next)
+		}
+	}
+	return out
+}
+
+// crossTerm is cross for a document axis: when the document lists it, each
+// cell's ID adds the cell's term on axis a.
+func crossTerm[T any](cells []runner.Cell, vals []T, a runner.Axis, set func(*runner.Cell, T)) []runner.Cell {
+	if len(vals) == 0 {
+		return cross(cells, vals, set)
+	}
+	return cross(cells, vals, func(c *runner.Cell, v T) {
+		set(c, v)
+		c.ID += "/" + c.Term(a)
+	})
+}
+
+// orDefault returns the axis values, or a single zero value when the axis
+// is absent.
+func orDefault[T any](vals []T) []T {
+	if len(vals) == 0 {
+		return make([]T, 1)
+	}
+	return vals
 }
 
 // planName labels the compiled plan.
@@ -374,16 +353,6 @@ func resolveSet(kind string, names, tags []string, check func(string) error,
 	return out, nil
 }
 
-// orDefault returns the axis values, or a single zero value when the axis
-// is absent (zero means "use the configured default" everywhere a cell or
-// crashtest config is consumed).
-func orDefault[T any](vals []T) []T {
-	if len(vals) == 0 {
-		return make([]T, 1)
-	}
-	return vals
-}
-
 // allPositive reports whether vals is non-empty and every value is > 0.
 func allPositive(vals []int) bool {
 	for _, v := range vals {
@@ -434,38 +403,6 @@ func (a Axes) validateValues() error {
 		}
 	}
 	return nil
-}
-
-// policyChoice is one conflict-policy grid point; unset means "keep the
-// machine default and contribute nothing to the cell identity".
-type policyChoice struct {
-	set   bool
-	value config.ConflictPolicy
-}
-
-// parsePolicies maps the document's policy names onto config values.
-func parsePolicies(names []string) ([]policyChoice, error) {
-	var out []policyChoice
-	for _, n := range names {
-		switch n {
-		case config.FirstWriterWins.String():
-			out = append(out, policyChoice{set: true, value: config.FirstWriterWins})
-		case config.RequesterWins.String():
-			out = append(out, policyChoice{set: true, value: config.RequesterWins})
-		default:
-			return nil, fmt.Errorf("scenario: unknown conflict policy %q (valid: %s, %s)",
-				n, config.FirstWriterWins, config.RequesterWins)
-		}
-	}
-	return out, nil
-}
-
-// orDefaultPolicy mirrors orDefault for the policy axis.
-func orDefaultPolicy(vals []policyChoice) []policyChoice {
-	if len(vals) == 0 {
-		return []policyChoice{{}}
-	}
-	return vals
 }
 
 // crashSafe reports whether the registry marks the design crash-safe.

@@ -233,7 +233,7 @@ func TestCompileSweepExpansion(t *testing.T) {
 		if c.OpsPerTx != 3 || c.Overrides.LogBufferEntries != 16 {
 			t.Errorf("cell %q did not inherit the axes: %+v", c.ID, c)
 		}
-		if !c.Overrides.SetConflictPolicy || c.Overrides.ConflictPolicy != config.RequesterWins {
+		if c.Overrides.ConflictPolicy != config.RequesterWins {
 			t.Errorf("cell %q did not inherit the conflict policy", c.ID)
 		}
 	}
