@@ -7,10 +7,11 @@
 // with a PersistObserver installed on the memory controller, numbering every
 // durable write (redo/undo appends, commit markers, sentinels, in-place
 // write-backs, log truncations) as a crash point; the explorer then re-runs
-// the identical workload once per selected point k, snapshots the persistent
-// image just before durable write k applies — exactly the image a power
-// failure at that instant leaves behind, with all volatile state and
-// not-yet-persisted writes dropped — optionally tears the in-flight write by
+// the identical workload once, up to the largest selected point, and on the
+// way snapshots the persistent image just before each selected point's
+// durable write k applies — exactly the image a power failure at that
+// instant leaves behind, with all volatile state and not-yet-persisted
+// writes dropped. For each point it optionally tears the in-flight write by
 // applying a prefix of its words, runs recovery.Recover on the snapshot, and
 // checks three oracles:
 //
@@ -23,7 +24,7 @@
 //  3. idempotency — running recovery a second time replays and rolls back
 //     nothing and leaves the image bit-identical.
 //
-// Exploration fans the points out across the internal/runner worker pool;
+// Judging fans the points out across the internal/runner worker pool;
 // seeds derive from the configuration content exactly as experiment cells do,
 // so any reported point is reproducible from its index alone (the
 // dhtm-crashtest command's -point flag).
@@ -58,7 +59,7 @@ var (
 	metricPhases = obs.CellPhaseHistograms(obs.Default)
 
 	// metricOracleFailures has one fixed series per failure class; the label
-	// value is the prefix explorePoint stamps on PointResult.Err.
+	// value is the prefix judgePoint stamps on PointResult.Err.
 	metricOracleFailures = func() map[string]*obs.Counter {
 		m := make(map[string]*obs.Counter)
 		for _, o := range []string{"invariant", "prefix", "idempotency", "differential", "recovery", "determinism", "panic", "other"} {
@@ -437,9 +438,11 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// exploreTasks explores every crash image of tasks, one crash point per
-// worker at a time: buildTasks emits each point's images contiguously, and
-// all of them share the point's re-run.
+// exploreTasks explores every crash image of tasks. One re-run of the
+// workload captures the pre-image of every point's window start; then the
+// points are judged in parallel, one point per worker at a time: buildTasks
+// emits each point's images contiguously, and all of them share the point's
+// pre-image.
 func (c Config) exploreTasks(ctx context.Context, runSeed int64, trace []traceEvent, tasks []task, dc *diffCtx) []PointResult {
 	var starts []int
 	for i := range tasks {
@@ -448,6 +451,7 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, trace []traceEv
 		}
 	}
 	starts = append(starts, len(tasks))
+	in := c.runToCrashes(runSeed, trace, tasks)
 	results := make([]PointResult, len(tasks))
 	var mu sync.Mutex
 	done := 0
@@ -461,7 +465,7 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, trace []traceEv
 	}
 	runner.ForEach(ctx, len(starts)-1, c.Parallel, func(g int) {
 		lo, hi := starts[g], starts[g+1]
-		c.explorePoint(runSeed, trace, tasks[lo:hi], dc, results[lo:hi], progress)
+		c.judgePoint(runSeed, in, tasks[lo:hi], dc, results[lo:hi], progress)
 	})
 	return results
 }

@@ -54,16 +54,15 @@ type diffCtx struct {
 // workload that aborts transactions for good would need a rank mapping the
 // trace alone cannot provide.
 func (c Config) newDiffCtx(runSeed int64, trace []traceEvent) (*diffCtx, error) {
-	_, p, prep, err := c.prepare(runSeed)
+	_, prep, err := c.prepare(runSeed)
 	if err != nil {
 		return nil, err
 	}
-	pd := p.Defaults()
 	dc := &diffCtx{prep: prep, gen: make([][]*txn.Transaction, c.Cores), base: prep.NewStore()}
 	dc.base.Freeze()
 	dc.baseDigest = heapDigest(dc.base)
 	for core := 0; core < c.Cores; core++ {
-		rng := rand.New(rand.NewSource(pd.Seed + int64(core)*7919))
+		rng := rand.New(rand.NewSource(prep.Params.Seed + int64(core)*7919))
 		for i := 0; i < c.TxPerCore; i++ {
 			dc.gen[core] = append(dc.gen[core], prep.Workload.Next(core, rng))
 		}

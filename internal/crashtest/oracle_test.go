@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"dhtm/internal/baselines"
 	"dhtm/internal/memdev"
+	"dhtm/internal/txn"
 	"dhtm/internal/wal"
 )
 
@@ -177,9 +180,11 @@ func TestDiffHeapMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGroupedExplorationMatchesPerTask checks that sharing one re-run among
-// a crash point's masks changes nothing: exploring every crash image with
-// its own re-run yields the same report as Explore, digests included.
+// TestGroupedExplorationMatchesPerTask checks that one crash re-run per
+// exploration, with a point's masks sharing its pre-image, changes nothing:
+// exploring every crash image on its own through the -point/-mask repro
+// path, each with its own re-run, and merging the reports yields the report
+// Explore gives, digests included.
 func TestGroupedExplorationMatchesPerTask(t *testing.T) {
 	cfg := Config{
 		Design: "DHTM", Workload: "queue", Cores: 2, TxPerCore: 2, OpsPerTx: 4,
@@ -209,16 +214,101 @@ func TestGroupedExplorationMatchesPerTask(t *testing.T) {
 	if len(tasks) <= len(points) {
 		t.Fatalf("%d images for %d points: no point fans out", len(tasks), len(points))
 	}
-	dc, err := c.newDiffCtx(runSeed, trace)
+
+	perTask := *grouped
+	perTask.Failed, perTask.Failures, perTask.FirstFailure, perTask.Repro = 0, nil, nil, ""
+	perTask.ReplayHist, perTask.RollbackHist = map[int]int{}, map[int]int{}
+	perTask.CommitDigests = map[string]string{}
+	for _, tk := range tasks {
+		one := cfg
+		one.Points = Selection{Mode: "point", Point: tk.point, Mask: fmt.Sprintf("%#x", tk.mask)}
+		rep, err := Explore(context.Background(), one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Explored != 1 || rep.Tasks != 1 || rep.TotalPoints != grouped.TotalPoints ||
+			!reflect.DeepEqual(rep.EventsByClass, grouped.EventsByClass) {
+			t.Fatalf("point %d mask %#x: explored %d, tasks %d, %d total points: not one image of the same space",
+				tk.point, tk.mask, rep.Explored, rep.Tasks, rep.TotalPoints)
+		}
+		perTask.Failed += rep.Failed
+		perTask.Failures = append(perTask.Failures, rep.Failures...)
+		if perTask.FirstFailure == nil && rep.FirstFailure != nil {
+			perTask.FirstFailure, perTask.Repro = rep.FirstFailure, rep.Repro
+		}
+		for r, n := range rep.ReplayHist {
+			perTask.ReplayHist[r] += n
+		}
+		for r, n := range rep.RollbackHist {
+			perTask.RollbackHist[r] += n
+		}
+		for key, d := range rep.CommitDigests {
+			if prev, ok := perTask.CommitDigests[key]; ok && prev != d {
+				t.Fatalf("commit sequence %q recovered to digests %s and %s", key, prev, d)
+			}
+			perTask.CommitDigests[key] = d
+		}
+	}
+	if !reflect.DeepEqual(grouped, &perTask) {
+		t.Fatalf("grouped and per-task exploration differ:\ngrouped  %+v\nper-task %+v", grouped, &perTask)
+	}
+}
+
+// divergeRuntime wraps a real runtime and, on its at-th Run call, first
+// issues one durable write the counting pass never saw, recording its event
+// index.
+type divergeRuntime struct {
+	txn.Runtime
+	env   *txn.Env
+	calls int
+	at    int
+	event uint64
+}
+
+func (d *divergeRuntime) Run(core int, c txn.Clock, tr *txn.Transaction) txn.ExecResult {
+	if d.calls++; d.calls == d.at {
+		d.event = d.env.Ctl.PersistSeq()
+		d.env.Ctl.PersistWord(wal.HeapBase+1<<26, 0xd1e5, memdev.TrafficData)
+	}
+	return d.Runtime.Run(core, c, tr)
+}
+
+// TestDeterminismFailsPointsFromDivergence checks the one crash re-run's
+// cross-check: when the re-run diverges from the counting pass at event e,
+// exactly the points at or past e fail, with the determinism text naming e,
+// and every earlier point is judged from its pre-image as usual.
+func TestDeterminismFailsPointsFromDivergence(t *testing.T) {
+	var div *divergeRuntime
+	runs := 0
+	cfg := Config{
+		Design: "ATOM", Workload: "queue", Cores: 2, TxPerCore: 2, OpsPerTx: 4,
+		Factory: func(env *txn.Env) (txn.Runtime, error) {
+			rt := baselines.NewATOM(env)
+			if runs++; runs == 1 {
+				return rt, nil // counting pass
+			}
+			div = &divergeRuntime{Runtime: rt, env: env, at: 3}
+			return div, nil
+		},
+	}
+	rep, err := Explore(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]PointResult, len(tasks))
-	for i := range tasks {
-		c.explorePoint(runSeed, trace, tasks[i:i+1], dc, results[i:i+1], func() {})
+	if div == nil || div.calls < div.at {
+		t.Fatal("the re-run never diverged")
 	}
-	perTask := c.report(runSeed, trace, len(points), results)
-	if !reflect.DeepEqual(grouped, perTask) {
-		t.Fatalf("grouped and per-task exploration differ:\ngrouped  %+v\nper-task %+v", grouped, perTask)
+	e := int(div.event)
+	if e == 0 || e >= rep.TotalPoints {
+		t.Fatalf("divergence at event %d of %d: no point on one side of it", e, rep.TotalPoints)
+	}
+	if rep.Failed != rep.TotalPoints-e {
+		t.Fatalf("%d of %d points failed, want the %d at or past event %d", rep.Failed, rep.TotalPoints, rep.TotalPoints-e, e)
+	}
+	prefix := fmt.Sprintf("determinism: event %d diverged from the counting pass", e)
+	for i, f := range rep.Failures {
+		if f.Point != e+i || !strings.HasPrefix(f.Err, prefix) {
+			t.Fatalf("failure %d: point %d %q, want point %d %q...", i, f.Point, f.Err, e+i, prefix)
+		}
 	}
 }

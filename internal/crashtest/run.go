@@ -3,6 +3,7 @@ package crashtest
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,82 +39,72 @@ func (r *recorder) PersistWrite(_ uint64, ev memdev.PersistEvent) {
 	})
 }
 
-// injector crashes a re-run at one crash point: when the first durable write
-// that may still be in flight at the crash (start, the persist-queue window's
-// lower bound; start == target when the queue is strictly ordered) is about
-// to apply, it clones the store — writes 0..start-1 are in the clone, every
-// later write is not, and all volatile state is absent by construction. The
-// driver then builds the crash image by applying the adversary's mask of
-// window writes (and the torn prefix of write target) from the recorded
-// trace, whose payloads are cross-checked here against the live run up to
-// and including target, so any determinism violation surfaces instead of
-// silently exploring the wrong image.
+// injector crashes one re-run of the workload at every selected crash point
+// at once. When the first durable write that may still be in flight at a
+// point's crash (the persist-queue window's lower bound wStart; wStart ==
+// point when the queue is strictly ordered) is about to apply, it clones the
+// store and freezes the clone: writes 0..wStart-1 are in it, every later
+// write is not, and all volatile state is absent by construction. Each
+// distinct window start is captured once, however many points share it. The
+// judge then builds every crash image from its point's pre-image and the
+// recorded trace, whose payloads are cross-checked here against the live run
+// up to and including the largest selected point, so a determinism
+// violation surfaces instead of silently exploring the wrong image.
 type injector struct {
-	trace  []traceEvent
-	start  uint64 // first write that may be in flight at the crash
-	target uint64 // the crash point itself
-	store  *memdev.Store
+	trace []traceEvent
+	last  uint64 // the largest selected crash point
+	store *memdev.Store
+	// pre maps every window start to capture to its frozen pre-image, nil
+	// until the re-run gets there.
+	pre map[uint64]*memdev.Store
 
-	snapshot *memdev.Store
-	reached  bool
-	mismatch error
+	seen     uint64 // events observed so far
+	mismatch error  // set by the first event that diverged from the trace
+	diverged uint64 // that event's index
+	// failed is why the re-run itself failed — a setup error, or a panic
+	// that cut it short — and fails every point the re-run did not reach.
+	failed string
+	w      workloads.Workload // the run's workload object
 }
 
 // PersistWrite implements memdev.PersistObserver.
 func (in *injector) PersistWrite(seq uint64, ev memdev.PersistEvent) {
-	if seq <= in.target && in.mismatch == nil {
+	if seq <= in.last && in.mismatch == nil {
 		te := in.trace[seq]
-		if te.class != ev.Class || te.addr != ev.Addr || !wordsEqual(te.words, ev.Data) {
+		if te.class != ev.Class || te.addr != ev.Addr || !slices.Equal(te.words, ev.Data) {
 			in.mismatch = fmt.Errorf("event %d diverged from the counting pass: got %s@%#x/%dw, recorded %s@%#x/%dw",
 				seq, ev.Class, ev.Addr, len(ev.Data), te.class, te.addr, len(te.words))
+			in.diverged = seq
 		}
 	}
-	if seq == in.start && in.snapshot == nil {
-		in.snapshot = in.store.Clone()
+	if _, ok := in.pre[seq]; ok {
+		pre := in.store.Clone()
+		pre.Freeze()
+		in.pre[seq] = pre
 	}
-	if seq == in.target {
-		in.reached = true
-	}
+	in.seen = seq + 1
 }
 
-// wordsEqual compares an event payload against its recorded counterpart —
-// payload values are part of the determinism contract, not just shape, since
-// the reference image is built from the counting pass's values.
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// done reports whether the crash point has been reached; the driver stops
-// issuing new transactions once it has (the snapshot and the trace segment
-// the crash image is built from are fixed from then on, so the remaining
-// work cannot change the outcome).
-func (in *injector) done() bool { return in.reached }
+// done reports whether the re-run has captured all it can: the driver stops
+// issuing new transactions once the largest point has been reached (every
+// pre-image and the trace segment each crash image is built from are fixed
+// from then on), or once the run diverged (every point at or past the
+// divergence fails, and every earlier point's pre-image is captured).
+func (in *injector) done() bool { return in.seen > in.last || in.mismatch != nil }
 
 // runOnce builds one fully isolated simulated machine and drives TxPerCore
 // transactions per core through workloads.RunPrepared — the same drive loop
 // every plain run uses, so identical seeds yield identical persist-event
-// sequences. The machine's store is a fresh copy-on-write clone of the
+// sequences. The machine's store is a fresh copy-on-write clone of prep, the
 // cached post-setup snapshot for (config, workload, seed): the counting pass
-// and every crash-point re-run start from byte-identical images, and the
-// writes of one re-run land in its private clone, never in the shared
-// snapshot. The observer returned by arm is installed after the clone is
-// built, so only the measured run's durable writes are numbered.
-func (c Config) runOnce(seed int64, arm func(*txn.Env) (memdev.PersistObserver, func() bool)) (*txn.Env, workloads.Workload, error) {
-	hw, p, prep, err := c.prepare(seed)
-	if err != nil {
-		return nil, nil, err
-	}
+// and the crash re-run start from byte-identical images, and the writes of
+// a run land in its private clone, never in the shared snapshot. The
+// observer returned by arm is installed after the clone is built, so only
+// the measured run's durable writes are numbered.
+func (c Config) runOnce(hw config.Config, prep *snapshot.Prepared, arm func(*txn.Env) (memdev.PersistObserver, func() bool)) (*txn.Env, error) {
 	env, err := txn.NewEnvOn(hw, prep.NewStore())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var rt txn.Runtime
 	if c.Factory != nil {
@@ -122,10 +113,10 @@ func (c Config) runOnce(seed int64, arm func(*txn.Env) (memdev.PersistObserver, 
 		rt, err = registry.NewRuntime(env, c.Design)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var stop func() bool
-	_, err = workloads.RunPrepared(env, rt, prep.Workload, p, c.TxPerCore, true,
+	_, err = workloads.RunPrepared(env, rt, prep.Workload, prep.Params, c.TxPerCore, true,
 		func() {
 			obs, s := arm(env)
 			env.Ctl.SetPersistObserver(obs)
@@ -133,22 +124,21 @@ func (c Config) runOnce(seed int64, arm func(*txn.Env) (memdev.PersistObserver, 
 		},
 		func() bool { return stop != nil && stop() })
 	if err != nil {
-		return nil, nil, fmt.Errorf("crashtest: %w", err)
+		return nil, fmt.Errorf("crashtest: %w", err)
 	}
-	return env, prep.Workload, nil
+	return env, nil
 }
 
 // prepare returns the exploration's machine (runner.Cell.Config for its
-// core count), the workload parameters of a run under seed, and the cached
-// post-setup snapshot for both.
-func (c Config) prepare(seed int64) (config.Config, workloads.Params, *snapshot.Prepared, error) {
+// core count) and the cached post-setup snapshot of a run under seed.
+func (c Config) prepare(seed int64) (config.Config, *snapshot.Prepared, error) {
 	hw, err := runner.Cell{Cores: c.Cores}.Config()
 	if err != nil {
-		return config.Config{}, workloads.Params{}, nil, err
+		return config.Config{}, nil, err
 	}
 	p := workloads.Params{Cores: c.Cores, OpsPerTx: c.OpsPerTx, Seed: seed}
 	prep, err := snapshot.Default.Prepare(hw, c.Workload, p)
-	return hw, p, prep, err
+	return hw, prep, err
 }
 
 // countPass measures the persist-event space: one uncrashed run with a
@@ -157,8 +147,12 @@ func (c Config) prepare(seed int64) (config.Config, workloads.Params, *snapshot.
 // because a workload that is inconsistent without any crash would fail every
 // point for the wrong reason.
 func (c Config) countPass(seed int64) ([]traceEvent, error) {
+	hw, prep, err := c.prepare(seed)
+	if err != nil {
+		return nil, err
+	}
 	rec := &recorder{}
-	env, w, err := c.runOnce(seed, func(*txn.Env) (memdev.PersistObserver, func() bool) {
+	env, err := c.runOnce(hw, prep, func(*txn.Env) (memdev.PersistObserver, func() bool) {
 		return rec, nil
 	})
 	if err != nil {
@@ -169,24 +163,64 @@ func (c Config) countPass(seed int64) ([]traceEvent, error) {
 	if _, err := recovery.Recover(final); err != nil {
 		return nil, fmt.Errorf("crashtest: baseline recovery of the uncrashed image failed: %w", err)
 	}
-	if err := w.Verify(final); err != nil {
+	if err := prep.Workload.Verify(final); err != nil {
 		return nil, fmt.Errorf("crashtest: baseline image violates workload invariants without any crash: %w", err)
 	}
 	return rec.events, nil
 }
 
-// explorePoint crash-tests one crash point: it re-runs the workload once,
-// crashes it at the point every task of tasks shares, and judges each task's
-// crash image — one per adversary mask — into the matching slot of out,
-// calling done after each. The injector's pre-image depends only on the
-// point, so all masks share the re-run (still cross-checked event by event
-// against the trace) and each builds its image from a Clone of that
-// pre-image. A panic anywhere in the re-run, recovery or an oracle (e.g.
-// recovery walking a log the adversary corrupted) is recovered and reported
-// as the failure of every image it affects: one pathological crash image
-// must not kill the sweep, and the re-run's store is a private clone so
-// nothing leaks into the shared snapshot.
-func (c Config) explorePoint(seed int64, trace []traceEvent, tasks []task, dc *diffCtx, out []PointResult, done func()) {
+// runToCrashes runs the exploration's one crash re-run for tasks, which are
+// sorted by point: the workload driven up to the largest point, with the
+// pre-image of every task's window start captured on the way. A panic in
+// the re-run is recovered: what was captured before it stays usable.
+func (c Config) runToCrashes(seed int64, trace []traceEvent, tasks []task) (in *injector) {
+	in = &injector{trace: trace, last: uint64(tasks[len(tasks)-1].point), pre: make(map[uint64]*memdev.Store)}
+	for _, tk := range tasks {
+		in.pre[tk.wStart] = nil
+	}
+	hw, prep, err := c.prepare(seed)
+	if err != nil {
+		in.failed = err.Error()
+		return in
+	}
+	in.w = prep.Workload
+	defer catchPanic(&in.failed)
+	env, err := c.runOnce(hw, prep, func(env *txn.Env) (memdev.PersistObserver, func() bool) {
+		in.store = env.Store()
+		return in, in.done
+	})
+	if err != nil {
+		in.failed = err.Error()
+		return in
+	}
+	env.Release()
+	return in
+}
+
+// pointErr returns why crash point k cannot be judged, or "" when its
+// pre-image and every event up to k match the counting pass.
+func (in *injector) pointErr(k int) string {
+	switch {
+	case in.mismatch != nil && uint64(k) >= in.diverged:
+		return "determinism: " + in.mismatch.Error()
+	case uint64(k) < in.seen:
+		return ""
+	case in.failed != "":
+		return in.failed
+	default:
+		return fmt.Sprintf("crash point %d was never reached (re-run produced fewer events)", k)
+	}
+}
+
+// judgePoint judges every crash image of one crash point — tasks, one per
+// adversary mask — into the matching slot of out, calling done after each.
+// All masks share the point's frozen pre-image from the re-run, and each
+// builds its image from a Clone of it. A panic in recovery or an oracle
+// (e.g. recovery walking a log the adversary corrupted) is recovered and
+// reported as that image's failure: one pathological crash image must not
+// kill the sweep.
+func (c Config) judgePoint(seed int64, in *injector, tasks []task, dc *diffCtx, out []PointResult, done func()) {
+	trace := in.trace
 	k := tasks[0].point
 	torn := 0
 	if c.Torn && len(trace[k].words) >= 2 {
@@ -200,12 +234,16 @@ func (c Config) explorePoint(seed int64, trace []traceEvent, tasks []task, dc *d
 			out[i].Mask = fmt.Sprintf("%#x", tk.mask)
 		}
 	}
+	runErr := in.pointErr(k)
 	var pt *pointCtx
-	var runErr string
-	func() {
-		defer catchPanic(&runErr)
-		pt, runErr = c.rerun(seed, trace, tasks[0], dc)
-	}()
+	if runErr == "" {
+		pt = &pointCtx{trace: trace, point: k, pre: in.pre[tasks[0].wStart], w: in.w, dc: dc}
+		pt.info = sync.OnceValues(func() (*traceTxs, error) { return parseTrace(trace[:k]) })
+		pt.replay = sync.OnceValues(func() (*memdev.Store, error) {
+			info, _ := pt.info() // judge asks only once info succeeded
+			return dc.replay(info.commits)
+		})
+	}
 	for i, tk := range tasks {
 		if runErr != "" {
 			out[i].Err = runErr
@@ -243,35 +281,6 @@ type pointCtx struct {
 	// committed sequence serially (differential mode only).
 	info   func() (*traceTxs, error)
 	replay func() (*memdev.Store, error)
-}
-
-// rerun re-runs the workload up to the crash point of tk, returning the
-// point's shared context or the failure every image of the point reports.
-func (c Config) rerun(seed int64, trace []traceEvent, tk task, dc *diffCtx) (*pointCtx, string) {
-	k := tk.point
-	inj := &injector{trace: trace, start: tk.wStart, target: uint64(k)}
-	env, w, err := c.runOnce(seed, func(env *txn.Env) (memdev.PersistObserver, func() bool) {
-		inj.store = env.Store()
-		return inj, inj.done
-	})
-	if err != nil {
-		return nil, err.Error()
-	}
-	env.Release()
-	if inj.mismatch != nil {
-		return nil, "determinism: " + inj.mismatch.Error()
-	}
-	if !inj.reached {
-		return nil, fmt.Sprintf("crash point %d was never reached (re-run produced fewer events)", k)
-	}
-	inj.snapshot.Freeze()
-	pt := &pointCtx{trace: trace, point: k, pre: inj.snapshot, w: w, dc: dc}
-	pt.info = sync.OnceValues(func() (*traceTxs, error) { return parseTrace(trace[:k]) })
-	pt.replay = sync.OnceValues(func() (*memdev.Store, error) {
-		info, _ := pt.info() // judge asks only once info succeeded
-		return dc.replay(info.commits)
-	})
-	return pt, ""
 }
 
 // judge builds the crash image tk's adversary mask describes, recovers it and

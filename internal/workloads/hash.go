@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"dhtm/internal/memdev"
 	"dhtm/internal/palloc"
@@ -30,6 +31,12 @@ type hashWL struct {
 	buckets    uint64
 	opsPerTx   int
 	partitions int
+
+	// baseline is a frozen clone of the post-setup image, and baselineErr
+	// its bucket check, run once on first use. Verify skips every leaf an
+	// image still shares with a valid baseline.
+	baseline    *memdev.Store
+	baselineErr func() error
 }
 
 func newHash() *hashWL { return &hashWL{} }
@@ -89,6 +96,9 @@ func (h *hashWL) Setup(heap *palloc.Heap, p Params) error {
 		}
 	}
 	heap.WriteWord(word(h.meta, 0), hashBuckets)
+	h.baseline = heap.Store().Clone()
+	h.baseline.Freeze()
+	h.baselineErr = sync.OnceValue(func() error { return h.verifyBuckets(h.baseline, memdev.NewStore()) })
 	return nil
 }
 
@@ -212,35 +222,61 @@ func (h *hashWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 	}
 }
 
-// Verify implements Workload.
+// Verify implements Workload. Every invariant is local to one bucket line,
+// a line never written reads as an empty (valid) bucket, and a leaf the
+// image shares with the baseline is byte-identical to it, so only the
+// bucket lines on leaves the image does not share with a valid baseline are
+// checked — in ascending order, so the first failing bucket is the one a
+// walk over the whole table would report.
 func (h *hashWL) Verify(store *memdev.Store) error {
 	if got := store.ReadWord(word(h.meta, 0)); got != hashBuckets {
 		return fmt.Errorf("hash: bucket count corrupted: %d != %d", got, hashBuckets)
 	}
-	for i := 0; i < hashBuckets; i++ {
-		b := line(h.buckets, i)
-		cnt, sum := unpackBucketHeader(store.ReadWord(word(b, 0)))
-		if cnt > hashSlotsPerBucket {
-			return fmt.Errorf("hash: bucket %d count %d exceeds capacity", i, cnt)
+	ref := h.baseline
+	if ref == nil || h.baselineErr() != nil {
+		ref = memdev.NewStore()
+	}
+	return h.verifyBuckets(store, ref)
+}
+
+// verifyBuckets checks every written bucket line of store on a leaf store
+// does not share with ref, in ascending address order, and returns the
+// first violation.
+func (h *hashWL) verifyBuckets(store, ref *memdev.Store) error {
+	var err error
+	end := line(h.buckets, hashBuckets)
+	store.ForEachUnsharedLine(ref, func(addr uint64, b, _ *memdev.Line) bool {
+		if addr >= h.buckets && addr < end {
+			err = h.checkBucket(addr, b)
 		}
-		var gotSum uint64
-		for s := 0; s < int(cnt); s++ {
-			key := store.ReadWord(word(b, 1+s))
-			if key == 0 {
-				return fmt.Errorf("hash: bucket %d slot %d empty but within count %d", i, s, cnt)
-			}
-			if h.bucketOf(key) != b {
-				return fmt.Errorf("hash: key %d stored in wrong bucket %d", key, i)
-			}
-			gotSum += key
+		return err == nil
+	})
+	return err
+}
+
+// checkBucket checks the invariants of the bucket line b at address addr.
+func (h *hashWL) checkBucket(addr uint64, b *memdev.Line) error {
+	i := (addr - h.buckets) / memdev.LineBytes
+	cnt, sum := unpackBucketHeader(b[0])
+	if cnt > hashSlotsPerBucket {
+		return fmt.Errorf("hash: bucket %d count %d exceeds capacity", i, cnt)
+	}
+	var gotSum uint64
+	for s, key := range b[1 : 1+cnt] {
+		if key == 0 {
+			return fmt.Errorf("hash: bucket %d slot %d empty but within count %d", i, s, cnt)
 		}
-		if gotSum != sum {
-			return fmt.Errorf("hash: bucket %d checksum %d != recorded %d", i, gotSum, sum)
+		if h.bucketOf(key) != addr {
+			return fmt.Errorf("hash: key %d stored in wrong bucket %d", key, i)
 		}
-		for s := int(cnt); s < hashSlotsPerBucket; s++ {
-			if store.ReadWord(word(b, 1+s)) != 0 {
-				return fmt.Errorf("hash: bucket %d slot %d beyond count is not empty", i, s)
-			}
+		gotSum += key
+	}
+	if gotSum != sum {
+		return fmt.Errorf("hash: bucket %d checksum %d != recorded %d", i, gotSum, sum)
+	}
+	for s := cnt; s < hashSlotsPerBucket; s++ {
+		if b[1+s] != 0 {
+			return fmt.Errorf("hash: bucket %d slot %d beyond count is not empty", i, s)
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dhtm/internal/memdev"
@@ -94,5 +96,93 @@ func TestHashSetupMatchesWordByWordBuild(t *testing.T) {
 		if g, w := got.Store().LineCount(), want.Store().LineCount(); g != w {
 			t.Fatalf("seed %d: Setup wrote %d lines, the word-by-word build %d", seed, g, w)
 		}
+	}
+}
+
+// TestHashVerifyMatchesFullWalk corrupts one bucket of a post-setup clone
+// per error class and requires Verify, which skips the leaves an image
+// shares with the set-up baseline, to report exactly the error of a walk
+// over the whole table (a hash workload with no baseline). A Save/Load
+// round trip of each image, which shares no leaf with the baseline, must be
+// caught the same way.
+func TestHashVerifyMatchesFullWalk(t *testing.T) {
+	heap := palloc.New(memdev.NewStore())
+	h := newHash()
+	if err := h.Setup(heap, Params{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	full := &hashWL{meta: h.meta, buckets: h.buckets}
+
+	// A bucket in the table's second half with room for one more key, and
+	// one in the first half, on another leaf.
+	pick := func(from int) (uint64, memdev.Line) {
+		for i := from; i < hashBuckets; i++ {
+			b := line(h.buckets, i)
+			l := h.baseline.ReadLine(b)
+			if cnt, _ := unpackBucketHeader(l[0]); cnt >= 2 && cnt < hashSlotsPerBucket {
+				return b, l
+			}
+		}
+		t.Fatal("no partly filled bucket")
+		return 0, memdev.Line{}
+	}
+	b, orig := pick(hashBuckets / 2)
+	low, lowOrig := pick(0)
+	cnt, sum := unpackBucketHeader(orig[0])
+
+	type corruption struct {
+		name, want string
+		apply      func(st *memdev.Store)
+	}
+	set := func(l memdev.Line, i int, v uint64) memdev.Line { l[i] = v; return l }
+	cases := []corruption{
+		{"meta", "bucket count corrupted", func(st *memdev.Store) { st.WriteWord(word(h.meta, 0), 7) }},
+		{"count", "exceeds capacity", func(st *memdev.Store) {
+			st.WriteLine(b, set(orig, 0, packBucketHeader(hashSlotsPerBucket+1, sum)))
+		}},
+		{"empty slot", "empty but within count", func(st *memdev.Store) { st.WriteLine(b, set(orig, 1, 0)) }},
+		{"wrong bucket", "stored in wrong bucket", func(st *memdev.Store) { st.WriteLine(b, set(orig, 1, orig[1]+1)) }},
+		{"checksum", "checksum", func(st *memdev.Store) { st.WriteLine(b, set(orig, 0, packBucketHeader(cnt, sum+1))) }},
+		{"beyond count", "beyond count is not empty", func(st *memdev.Store) { st.WriteLine(b, set(orig, int(1+cnt), orig[1])) }},
+		{"lowest bucket wins", "checksum", func(st *memdev.Store) {
+			st.WriteLine(b, set(orig, 1, 0))
+			lc, ls := unpackBucketHeader(lowOrig[0])
+			st.WriteLine(low, set(lowOrig, 0, packBucketHeader(lc, ls+1)))
+		}},
+	}
+	check := func(name string, st *memdev.Store, want string) {
+		t.Helper()
+		got, ref := h.Verify(st), full.Verify(st)
+		if want == "" {
+			if got != nil || ref != nil {
+				t.Fatalf("%s: clean image: Verify %v, full walk %v", name, got, ref)
+			}
+			return
+		}
+		if ref == nil || !strings.Contains(ref.Error(), want) {
+			t.Fatalf("%s: full walk %v, want an error containing %q", name, ref, want)
+		}
+		if got == nil || got.Error() != ref.Error() {
+			t.Fatalf("%s: Verify %v, full walk %v", name, got, ref)
+		}
+	}
+	reload := func(st *memdev.Store) *memdev.Store {
+		var buf bytes.Buffer
+		if err := st.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := memdev.NewStore()
+		if err := out.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	check("clean", h.baseline.Clone(), "")
+	check("clean reloaded", reload(h.baseline), "")
+	for _, c := range cases {
+		st := h.baseline.Clone()
+		c.apply(st)
+		check(c.name, st, c.want)
+		check(c.name+" reloaded", reload(st), c.want)
 	}
 }
