@@ -1,7 +1,7 @@
 // Command dhtm-crashtest runs the crash-point exploration subsystem: it
 // measures a workload run's persist-event space (every durable write is a
-// numbered crash point), re-runs the workload once, snapshotting the image
-// at each selected point, recovers each crash image and checks the durability
+// numbered crash point), replays the recorded writes to build the image at
+// each selected point, recovers each crash image and checks the durability
 // oracles (workload invariants, prefix consistency, recovery idempotency,
 // and — with -differential — agreement with a serial re-execution of the
 // committed transactions). With -window W the persist-queue reordering

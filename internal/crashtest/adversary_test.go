@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"dhtm/internal/baselines"
+	"dhtm/internal/memdev"
 	"dhtm/internal/txn"
+	"dhtm/internal/workloads"
 )
 
 // TestAdversaryConfigValidate covers the adversary knob validation.
@@ -89,10 +91,11 @@ func TestReorderedSweepAndMaskReplay(t *testing.T) {
 	// Find a point with a non-empty window and replay one proper-subset mask.
 	c := cfg.withDefaults()
 	runSeed := c.RunSeed()
-	trace, err := c.countPass(runSeed)
+	run, err := c.countPass(runSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := run.trace
 	points, err := pickPoints(len(trace), c.Points, runSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -147,59 +150,88 @@ func (p *panicRuntime) Run(core int, c txn.Clock, tr *txn.Transaction) txn.ExecR
 	return p.Runtime.Run(core, c, tr)
 }
 
-// TestPanicHardening seeds a runtime that panics partway through every
-// crash-point re-run (the counting pass runs the real design, so the event
-// space is healthy) and checks the sweep survives: no process crash, every
-// poisoned point reported as failed with its panic and mask, and a normal
-// exploration still runs cleanly afterwards — the shared snapshot was not
-// corrupted.
+// panicVerify wraps a workload whose Verify panics on its at-th call.
+type panicVerify struct {
+	workloads.Workload
+	calls int
+	at    int
+}
+
+func (p *panicVerify) Verify(st *memdev.Store) error {
+	if p.calls++; p.calls == p.at {
+		panic("seeded verify panic")
+	}
+	return p.Workload.Verify(st)
+}
+
+// TestPanicHardening checks that panics never take the process down: a
+// runtime that panics partway through the exploration's one run makes
+// Explore return that panic as an error; a panic while judging one crash
+// image fails only that image, with its panic and mask, and the point's
+// other images are still judged; and a normal exploration still runs
+// cleanly afterwards — the shared snapshot was not corrupted.
 func TestPanicHardening(t *testing.T) {
-	var mu sync.Mutex
-	runs := 0
 	cfg := Config{
 		Design: "ATOM", Workload: "queue", Cores: 2, TxPerCore: 2, OpsPerTx: 4,
 		Adversary: AdversaryConfig{Window: 1, Mode: "exhaustive"},
 		Points:    Selection{Mode: "stride", Samples: 6},
-		Factory: func(env *txn.Env) (txn.Runtime, error) {
-			rt := baselines.NewATOM(env)
-			mu.Lock()
-			runs++
-			first := runs == 1
-			mu.Unlock()
-			if first {
-				return rt, nil // counting pass
-			}
-			return &panicRuntime{Runtime: rt, at: 3}, nil
-		},
 	}
-	rep, err := Explore(context.Background(), cfg)
+	poisoned := cfg
+	poisoned.Factory = func(env *txn.Env) (txn.Runtime, error) {
+		return &panicRuntime{Runtime: baselines.NewATOM(env), at: 3}, nil
+	}
+	if _, err := Explore(context.Background(), poisoned); err == nil ||
+		!strings.HasPrefix(err.Error(), "crashtest: panic: seeded crashtest panic") {
+		t.Fatalf("a panicking run returned %v, want its panic as an error", err)
+	}
+
+	// Judge one fanned-out point with a workload whose Verify panics on the
+	// point's first image.
+	c := cfg.withDefaults()
+	runSeed := c.RunSeed()
+	run, err := c.countPass(runSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failed == 0 {
-		t.Fatal("panicking re-runs reported no failures")
+	points, err := pickPoints(len(run.trace), c.Points, runSeed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sawMask := false
-	for _, f := range rep.Failures {
-		if !strings.HasPrefix(f.Err, "panic: seeded crashtest panic") {
-			t.Fatalf("point %d failed for the wrong reason: %s", f.Point, f.Err)
+	tasks, err := c.buildTasks(run.trace, points, runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := run.preImages(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var group []task
+	for i := 1; i < len(tasks) && group == nil; i++ {
+		if tasks[i].point == tasks[i-1].point {
+			group = tasks[i-1 : i+1]
 		}
-		if f.Mask != "" {
-			sawMask = true
+	}
+	if group == nil {
+		t.Fatal("no point fans out into several images")
+	}
+	out := make([]PointResult, len(group))
+	judged := 0
+	c.judgePoint(runSeed, run.trace, pre, &panicVerify{Workload: run.w, at: 1}, group, nil, out, func() { judged++ })
+	if judged != len(group) {
+		t.Fatalf("%d of %d images judged", judged, len(group))
+	}
+	if !strings.HasPrefix(out[0].Err, "panic: seeded verify panic") || out[0].Mask == "" {
+		t.Fatalf("poisoned image: mask %q, error %q; want its mask and the panic", out[0].Mask, out[0].Err)
+	}
+	for _, r := range out[1:] {
+		if r.Err != "" {
+			t.Fatalf("image with mask %s failed after its sibling's panic: %s", r.Mask, r.Err)
 		}
-	}
-	if !sawMask {
-		t.Error("no failure carried its adversary mask")
-	}
-	if !strings.Contains(rep.Repro, "-mask") || !strings.Contains(rep.Repro, "-window 1") {
-		t.Errorf("repro command lacks the adversary state: %s", rep.Repro)
 	}
 
 	// The shared post-setup snapshot must be intact: the same configuration
-	// without the poisoned factory explores cleanly.
-	clean := cfg
-	clean.Factory = nil
-	crep, err := Explore(context.Background(), clean)
+	// explores cleanly.
+	crep, err := Explore(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

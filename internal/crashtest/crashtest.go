@@ -6,14 +6,15 @@
 // package proves it at *every* instant: a counting pass runs the workload once
 // with a PersistObserver installed on the memory controller, numbering every
 // durable write (redo/undo appends, commit markers, sentinels, in-place
-// write-backs, log truncations) as a crash point; the explorer then re-runs
-// the identical workload once, up to the largest selected point, and on the
-// way snapshots the persistent image just before each selected point's
-// durable write k applies — exactly the image a power failure at that
-// instant leaves behind, with all volatile state and not-yet-persisted
-// writes dropped. For each point it optionally tears the in-flight write by
-// applying a prefix of its words, runs recovery.Recover on the snapshot, and
-// checks three oracles:
+// write-backs, log truncations, each with its payload) as a crash point. The
+// explorer then replays that trace onto the run's starting image and
+// snapshots the persistent image just before each selected point's durable
+// write k applies — exactly the image a power failure at that instant
+// leaves behind, with all volatile state and not-yet-persisted writes
+// dropped. The replay must end at the run's final image, which guards that
+// the trace is the complete record of durable writes. For each point it
+// optionally tears the in-flight write by applying a prefix of its words,
+// runs recovery.Recover on the snapshot, and checks three oracles:
 //
 //  1. invariants — the workload's own Verify holds on the recovered image;
 //  2. prefix consistency — the recovered image equals a reference image
@@ -62,7 +63,7 @@ var (
 	// value is the prefix judgePoint stamps on PointResult.Err.
 	metricOracleFailures = func() map[string]*obs.Counter {
 		m := make(map[string]*obs.Counter)
-		for _, o := range []string{"invariant", "prefix", "idempotency", "differential", "recovery", "determinism", "panic", "other"} {
+		for _, o := range []string{"invariant", "prefix", "idempotency", "differential", "recovery", "panic", "other"} {
 			m[o] = obs.Default.Counter("dhtm_crashtest_oracle_failures_total",
 				"Crash images that violated an oracle, by failure class.", obs.L("oracle", o))
 		}
@@ -408,15 +409,20 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	runSeed := cfg.RunSeed()
 	start := time.Now()
 
-	trace, err := cfg.countPass(runSeed)
+	run, err := cfg.countPass(runSeed)
 	if err != nil {
 		return nil, err
 	}
+	trace := run.trace
 	points, err := pickPoints(len(trace), cfg.Points, runSeed)
 	if err != nil {
 		return nil, err
 	}
 	tasks, err := cfg.buildTasks(trace, points, runSeed)
+	if err != nil {
+		return nil, err
+	}
+	pre, err := run.preImages(tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +433,7 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	results := cfg.exploreTasks(ctx, runSeed, trace, tasks, dc)
+	results := cfg.exploreTasks(ctx, runSeed, run, pre, tasks, dc)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("crashtest: exploration cancelled: %w", err)
 	}
@@ -438,12 +444,11 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// exploreTasks explores every crash image of tasks. One re-run of the
-// workload captures the pre-image of every point's window start; then the
-// points are judged in parallel, one point per worker at a time: buildTasks
-// emits each point's images contiguously, and all of them share the point's
-// pre-image.
-func (c Config) exploreTasks(ctx context.Context, runSeed int64, trace []traceEvent, tasks []task, dc *diffCtx) []PointResult {
+// exploreTasks judges every crash image of tasks from the pre-images of
+// their window starts, in parallel, one point per worker at a time:
+// buildTasks emits each point's images contiguously, and all of them share
+// the point's pre-image.
+func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, pre map[uint64]*memdev.Store, tasks []task, dc *diffCtx) []PointResult {
 	var starts []int
 	for i := range tasks {
 		if i == 0 || tasks[i].point != tasks[i-1].point {
@@ -451,7 +456,6 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, trace []traceEv
 		}
 	}
 	starts = append(starts, len(tasks))
-	in := c.runToCrashes(runSeed, trace, tasks)
 	results := make([]PointResult, len(tasks))
 	var mu sync.Mutex
 	done := 0
@@ -465,7 +469,7 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, trace []traceEv
 	}
 	runner.ForEach(ctx, len(starts)-1, c.Parallel, func(g int) {
 		lo, hi := starts[g], starts[g+1]
-		c.judgePoint(runSeed, in, tasks[lo:hi], dc, results[lo:hi], progress)
+		c.judgePoint(runSeed, run.trace, pre, run.w, tasks[lo:hi], dc, results[lo:hi], progress)
 	})
 	return results
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dhtm/internal/baselines"
@@ -82,10 +81,11 @@ func testDiffCtx(t *testing.T) *diffCtx {
 	t.Helper()
 	cfg := Config{Design: "DHTM", Workload: "hash", Cores: 2, TxPerCore: 2, OpsPerTx: 4, Differential: true}.withDefaults()
 	runSeed := cfg.RunSeed()
-	trace, err := cfg.countPass(runSeed)
+	run, err := cfg.countPass(runSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := run.trace
 	dc, err := cfg.newDiffCtx(runSeed, trace)
 	if err != nil {
 		t.Fatal(err)
@@ -180,11 +180,11 @@ func TestDiffHeapMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGroupedExplorationMatchesPerTask checks that one crash re-run per
-// exploration, with a point's masks sharing its pre-image, changes nothing:
-// exploring every crash image on its own through the -point/-mask repro
-// path, each with its own re-run, and merging the reports yields the report
-// Explore gives, digests included.
+// TestGroupedExplorationMatchesPerTask checks that shared pre-images change
+// nothing: exploring every crash image on its own through the -point/-mask
+// repro path, each from its own replay of the trace, and merging the reports
+// yields the report Explore gives, with a point's masks sharing its
+// pre-image, digests included.
 func TestGroupedExplorationMatchesPerTask(t *testing.T) {
 	cfg := Config{
 		Design: "DHTM", Workload: "queue", Cores: 2, TxPerCore: 2, OpsPerTx: 4,
@@ -199,10 +199,11 @@ func TestGroupedExplorationMatchesPerTask(t *testing.T) {
 
 	c := cfg.withDefaults()
 	runSeed := c.RunSeed()
-	trace, err := c.countPass(runSeed)
+	run, err := c.countPass(runSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := run.trace
 	points, err := pickPoints(len(trace), c.Points, runSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -255,60 +256,35 @@ func TestGroupedExplorationMatchesPerTask(t *testing.T) {
 }
 
 // divergeRuntime wraps a real runtime and, on its at-th Run call, first
-// issues one durable write the counting pass never saw, recording its event
-// index.
+// writes the store directly, behind the controller, so the write reaches the
+// durable image without a persist event.
 type divergeRuntime struct {
 	txn.Runtime
 	env   *txn.Env
 	calls int
 	at    int
-	event uint64
 }
 
 func (d *divergeRuntime) Run(core int, c txn.Clock, tr *txn.Transaction) txn.ExecResult {
 	if d.calls++; d.calls == d.at {
-		d.event = d.env.Ctl.PersistSeq()
-		d.env.Ctl.PersistWord(wal.HeapBase+1<<26, 0xd1e5, memdev.TrafficData)
+		d.env.Store().WriteWord(wal.HeapBase+1<<26, 0xd1e5)
 	}
 	return d.Runtime.Run(core, c, tr)
 }
 
-// TestDeterminismFailsPointsFromDivergence checks the one crash re-run's
-// cross-check: when the re-run diverges from the counting pass at event e,
-// exactly the points at or past e fail, with the determinism text naming e,
-// and every earlier point is judged from its pre-image as usual.
-func TestDeterminismFailsPointsFromDivergence(t *testing.T) {
-	var div *divergeRuntime
-	runs := 0
+// TestIncompleteTraceFailsExploration checks the guard every crash image
+// relies on: a durable write that bypasses the persist observer leaves the
+// trace short of the run's final image, and Explore fails instead of
+// judging images the run never had.
+func TestIncompleteTraceFailsExploration(t *testing.T) {
 	cfg := Config{
 		Design: "ATOM", Workload: "queue", Cores: 2, TxPerCore: 2, OpsPerTx: 4,
 		Factory: func(env *txn.Env) (txn.Runtime, error) {
-			rt := baselines.NewATOM(env)
-			if runs++; runs == 1 {
-				return rt, nil // counting pass
-			}
-			div = &divergeRuntime{Runtime: rt, env: env, at: 3}
-			return div, nil
+			return &divergeRuntime{Runtime: baselines.NewATOM(env), env: env, at: 3}, nil
 		},
 	}
-	rep, err := Explore(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if div == nil || div.calls < div.at {
-		t.Fatal("the re-run never diverged")
-	}
-	e := int(div.event)
-	if e == 0 || e >= rep.TotalPoints {
-		t.Fatalf("divergence at event %d of %d: no point on one side of it", e, rep.TotalPoints)
-	}
-	if rep.Failed != rep.TotalPoints-e {
-		t.Fatalf("%d of %d points failed, want the %d at or past event %d", rep.Failed, rep.TotalPoints, rep.TotalPoints-e, e)
-	}
-	prefix := fmt.Sprintf("determinism: event %d diverged from the counting pass", e)
-	for i, f := range rep.Failures {
-		if f.Point != e+i || !strings.HasPrefix(f.Err, prefix) {
-			t.Fatalf("failure %d: point %d %q, want point %d %q...", i, f.Point, f.Err, e+i, prefix)
-		}
+	_, err := Explore(context.Background(), cfg)
+	if err == nil || err.Error() != "crashtest: the persist trace does not reproduce the run's final image" {
+		t.Fatalf("exploration of an incomplete trace returned %v", err)
 	}
 }

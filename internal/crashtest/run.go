@@ -1,9 +1,9 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"time"
 
@@ -39,94 +39,14 @@ func (r *recorder) PersistWrite(_ uint64, ev memdev.PersistEvent) {
 	})
 }
 
-// injector crashes one re-run of the workload at every selected crash point
-// at once. When the first durable write that may still be in flight at a
-// point's crash (the persist-queue window's lower bound wStart; wStart ==
-// point when the queue is strictly ordered) is about to apply, it clones the
-// store and freezes the clone: writes 0..wStart-1 are in it, every later
-// write is not, and all volatile state is absent by construction. Each
-// distinct window start is captured once, however many points share it. The
-// judge then builds every crash image from its point's pre-image and the
-// recorded trace, whose payloads are cross-checked here against the live run
-// up to and including the largest selected point, so a determinism
-// violation surfaces instead of silently exploring the wrong image.
-type injector struct {
+// pass is the record of an exploration's one run: every durable write it
+// made, in order, together with the durable images before the first and
+// after the last of them. Every crash image is built from it.
+type pass struct {
+	w     workloads.Workload // the run's workload object
 	trace []traceEvent
-	last  uint64 // the largest selected crash point
-	store *memdev.Store
-	// pre maps every window start to capture to its frozen pre-image, nil
-	// until the re-run gets there.
-	pre map[uint64]*memdev.Store
-
-	seen     uint64 // events observed so far
-	mismatch error  // set by the first event that diverged from the trace
-	diverged uint64 // that event's index
-	// failed is why the re-run itself failed — a setup error, or a panic
-	// that cut it short — and fails every point the re-run did not reach.
-	failed string
-	w      workloads.Workload // the run's workload object
-}
-
-// PersistWrite implements memdev.PersistObserver.
-func (in *injector) PersistWrite(seq uint64, ev memdev.PersistEvent) {
-	if seq <= in.last && in.mismatch == nil {
-		te := in.trace[seq]
-		if te.class != ev.Class || te.addr != ev.Addr || !slices.Equal(te.words, ev.Data) {
-			in.mismatch = fmt.Errorf("event %d diverged from the counting pass: got %s@%#x/%dw, recorded %s@%#x/%dw",
-				seq, ev.Class, ev.Addr, len(ev.Data), te.class, te.addr, len(te.words))
-			in.diverged = seq
-		}
-	}
-	if _, ok := in.pre[seq]; ok {
-		pre := in.store.Clone()
-		pre.Freeze()
-		in.pre[seq] = pre
-	}
-	in.seen = seq + 1
-}
-
-// done reports whether the re-run has captured all it can: the driver stops
-// issuing new transactions once the largest point has been reached (every
-// pre-image and the trace segment each crash image is built from are fixed
-// from then on), or once the run diverged (every point at or past the
-// divergence fails, and every earlier point's pre-image is captured).
-func (in *injector) done() bool { return in.seen > in.last || in.mismatch != nil }
-
-// runOnce builds one fully isolated simulated machine and drives TxPerCore
-// transactions per core through workloads.RunPrepared — the same drive loop
-// every plain run uses, so identical seeds yield identical persist-event
-// sequences. The machine's store is a fresh copy-on-write clone of prep, the
-// cached post-setup snapshot for (config, workload, seed): the counting pass
-// and the crash re-run start from byte-identical images, and the writes of
-// a run land in its private clone, never in the shared snapshot. The
-// observer returned by arm is installed after the clone is built, so only
-// the measured run's durable writes are numbered.
-func (c Config) runOnce(hw config.Config, prep *snapshot.Prepared, arm func(*txn.Env) (memdev.PersistObserver, func() bool)) (*txn.Env, error) {
-	env, err := txn.NewEnvOn(hw, prep.NewStore())
-	if err != nil {
-		return nil, err
-	}
-	var rt txn.Runtime
-	if c.Factory != nil {
-		rt, err = c.Factory(env)
-	} else {
-		rt, err = registry.NewRuntime(env, c.Design)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var stop func() bool
-	_, err = workloads.RunPrepared(env, rt, prep.Workload, prep.Params, c.TxPerCore, true,
-		func() {
-			obs, s := arm(env)
-			env.Ctl.SetPersistObserver(obs)
-			stop = s
-		},
-		func() bool { return stop != nil && stop() })
-	if err != nil {
-		return nil, fmt.Errorf("crashtest: %w", err)
-	}
-	return env, nil
+	start *memdev.Store // frozen: the image the first recorded write applies to
+	final *memdev.Store // frozen: the run's final image, unrecovered
 }
 
 // prepare returns the exploration's machine (runner.Cell.Config for its
@@ -141,118 +61,126 @@ func (c Config) prepare(seed int64) (config.Config, *snapshot.Prepared, error) {
 	return hw, prep, err
 }
 
-// countPass measures the persist-event space: one uncrashed run with a
-// recording observer. It also sanity-checks the baseline — the final durable
-// image must recover as a no-op and satisfy the workload's invariants —
-// because a workload that is inconsistent without any crash would fail every
-// point for the wrong reason.
-func (c Config) countPass(seed int64) ([]traceEvent, error) {
+// countPass measures the persist-event space: one uncrashed run of TxPerCore
+// transactions per core through workloads.RunPrepared, the drive loop every
+// plain run uses, with a recording observer. The machine's store is a fresh
+// copy-on-write clone of the cached post-setup snapshot for (config,
+// workload, seed), so the run's writes land in its private clone, never in
+// the shared snapshot. The observer is installed once the runtime is built,
+// so only the measured run's durable writes are numbered. A panic in the run
+// is returned as an error rather than taking the process down.
+//
+// countPass also sanity-checks the baseline — the final durable image must
+// recover as a no-op and satisfy the workload's invariants — because a
+// workload that is inconsistent without any crash would fail every point
+// for the wrong reason.
+func (c Config) countPass(seed int64) (*pass, error) {
 	hw, prep, err := c.prepare(seed)
+	if err != nil {
+		return nil, err
+	}
+	env, err := txn.NewEnvOn(hw, prep.NewStore())
+	if err != nil {
+		return nil, err
+	}
+	var rt txn.Runtime
+	if c.Factory != nil {
+		rt, err = c.Factory(env)
+	} else {
+		rt, err = registry.NewRuntime(env, c.Design)
+	}
 	if err != nil {
 		return nil, err
 	}
 	rec := &recorder{}
-	env, err := c.runOnce(hw, prep, func(*txn.Env) (memdev.PersistObserver, func() bool) {
-		return rec, nil
-	})
-	if err != nil {
-		return nil, err
+	env.Ctl.SetPersistObserver(rec)
+	p := &pass{w: prep.Workload, start: frozenClone(env.Store())}
+	var panicked string
+	func() {
+		defer catchPanic(&panicked)
+		_, err = workloads.RunPrepared(env, rt, prep.Workload, prep.Params, c.TxPerCore, true)
+	}()
+	if panicked != "" {
+		return nil, errors.New("crashtest: " + panicked)
 	}
-	final := env.Store().Clone()
+	if err != nil {
+		return nil, fmt.Errorf("crashtest: %w", err)
+	}
+	p.trace, p.final = rec.events, frozenClone(env.Store())
 	env.Release()
-	if _, err := recovery.Recover(final); err != nil {
+
+	img := p.final.Clone()
+	if _, err := recovery.Recover(img); err != nil {
 		return nil, fmt.Errorf("crashtest: baseline recovery of the uncrashed image failed: %w", err)
 	}
-	if err := prep.Workload.Verify(final); err != nil {
+	if err := p.w.Verify(img); err != nil {
 		return nil, fmt.Errorf("crashtest: baseline image violates workload invariants without any crash: %w", err)
 	}
-	return rec.events, nil
+	return p, nil
 }
 
-// runToCrashes runs the exploration's one crash re-run for tasks, which are
-// sorted by point: the workload driven up to the largest point, with the
-// pre-image of every task's window start captured on the way. A panic in
-// the re-run is recovered: what was captured before it stays usable.
-func (c Config) runToCrashes(seed int64, trace []traceEvent, tasks []task) (in *injector) {
-	in = &injector{trace: trace, last: uint64(tasks[len(tasks)-1].point), pre: make(map[uint64]*memdev.Store)}
+// frozenClone returns a frozen copy of st's current image.
+func frozenClone(st *memdev.Store) *memdev.Store {
+	img := st.Clone()
+	img.Freeze()
+	return img
+}
+
+// preImages replays the trace onto the start image and, at every window
+// start tasks need, freezes a copy: the image in which writes [0, wStart)
+// are durable and no later one is — all volatile state is absent by
+// construction. Each distinct window start is captured once, however many
+// points share it. The replay must end at the run's final image: that is
+// what makes the trace the complete record of durable writes every crash
+// image is built from.
+func (p *pass) preImages(tasks []task) (map[uint64]*memdev.Store, error) {
+	pre := make(map[uint64]*memdev.Store)
 	for _, tk := range tasks {
-		in.pre[tk.wStart] = nil
+		pre[tk.wStart] = nil
 	}
-	hw, prep, err := c.prepare(seed)
-	if err != nil {
-		in.failed = err.Error()
-		return in
+	st := p.start.Clone()
+	for i, ev := range p.trace {
+		if _, ok := pre[uint64(i)]; ok {
+			pre[uint64(i)] = frozenClone(st)
+		}
+		applyEvent(st, ev)
 	}
-	in.w = prep.Workload
-	defer catchPanic(&in.failed)
-	env, err := c.runOnce(hw, prep, func(env *txn.Env) (memdev.PersistObserver, func() bool) {
-		in.store = env.Store()
-		return in, in.done
-	})
-	if err != nil {
-		in.failed = err.Error()
-		return in
+	if !st.Equal(p.final) {
+		return nil, errors.New("crashtest: the persist trace does not reproduce the run's final image")
 	}
-	env.Release()
-	return in
-}
-
-// pointErr returns why crash point k cannot be judged, or "" when its
-// pre-image and every event up to k match the counting pass.
-func (in *injector) pointErr(k int) string {
-	switch {
-	case in.mismatch != nil && uint64(k) >= in.diverged:
-		return "determinism: " + in.mismatch.Error()
-	case uint64(k) < in.seen:
-		return ""
-	case in.failed != "":
-		return in.failed
-	default:
-		return fmt.Sprintf("crash point %d was never reached (re-run produced fewer events)", k)
-	}
+	return pre, nil
 }
 
 // judgePoint judges every crash image of one crash point — tasks, one per
 // adversary mask — into the matching slot of out, calling done after each.
-// All masks share the point's frozen pre-image from the re-run, and each
-// builds its image from a Clone of it. A panic in recovery or an oracle
-// (e.g. recovery walking a log the adversary corrupted) is recovered and
-// reported as that image's failure: one pathological crash image must not
-// kill the sweep.
-func (c Config) judgePoint(seed int64, in *injector, tasks []task, dc *diffCtx, out []PointResult, done func()) {
-	trace := in.trace
+// All masks share the point's frozen pre-image from pre, and each builds
+// its image from a Clone of it. A panic in recovery or an oracle (e.g.
+// recovery walking a log the adversary corrupted) is recovered and reported
+// as that image's failure: one pathological crash image must not kill the
+// sweep.
+func (c Config) judgePoint(seed int64, trace []traceEvent, pre map[uint64]*memdev.Store, w workloads.Workload, tasks []task, dc *diffCtx, out []PointResult, done func()) {
 	k := tasks[0].point
 	torn := 0
 	if c.Torn && len(trace[k].words) >= 2 {
 		// A deterministic, seed-derived proper prefix of the in-flight words.
 		torn = 1 + int(runner.Mix64(uint64(seed)^uint64(k))%uint64(len(trace[k].words)-1))
 	}
+	pt := &pointCtx{trace: trace, point: k, pre: pre[tasks[0].wStart], w: w, dc: dc}
+	pt.info = sync.OnceValues(func() (*traceTxs, error) { return parseTrace(trace[:k]) })
+	pt.replay = sync.OnceValues(func() (*memdev.Store, error) {
+		info, _ := pt.info() // judge asks only once info succeeded
+		return dc.replay(info.commits)
+	})
 	for i, tk := range tasks {
 		out[i] = PointResult{Point: k, Class: trace[k].class.String(), TornWords: torn}
 		if n := k - int(tk.wStart); n > 0 {
 			out[i].Window = n
 			out[i].Mask = fmt.Sprintf("%#x", tk.mask)
 		}
-	}
-	runErr := in.pointErr(k)
-	var pt *pointCtx
-	if runErr == "" {
-		pt = &pointCtx{trace: trace, point: k, pre: in.pre[tasks[0].wStart], w: in.w, dc: dc}
-		pt.info = sync.OnceValues(func() (*traceTxs, error) { return parseTrace(trace[:k]) })
-		pt.replay = sync.OnceValues(func() (*memdev.Store, error) {
-			info, _ := pt.info() // judge asks only once info succeeded
-			return dc.replay(info.commits)
-		})
-	}
-	for i, tk := range tasks {
-		if runErr != "" {
-			out[i].Err = runErr
-		} else {
-			func() {
-				defer catchPanic(&out[i].Err)
-				pt.judge(tk, &out[i])
-			}()
-		}
+		func() {
+			defer catchPanic(&out[i].Err)
+			pt.judge(tk, &out[i])
+		}()
 		done()
 	}
 }
@@ -291,7 +219,7 @@ func (pt *pointCtx) judge(tk task, res *PointResult) {
 	// retires its subset of the in-flight window [wStart, k) — in issue
 	// order, since the queue keeps same-address writes coherent — and the
 	// interrupted write k itself contributes at most a torn prefix. Payloads
-	// come from the cross-checked trace, identical to the live run's.
+	// come from the recorded trace.
 	k, trace := pt.point, pt.trace
 	pre := pt.pre.Clone()
 	for i := 0; i < k-int(tk.wStart); i++ {

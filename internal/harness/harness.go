@@ -107,7 +107,7 @@ func execute(cell runner.Cell, tc probe.Config) (workloads.RunResult, error) {
 		txPerCore = 16
 	}
 	start = time.Now()
-	res, err := workloads.RunPrepared(env, rt, prep.Workload, p, txPerCore, true, nil, nil)
+	res, err := workloads.RunPrepared(env, rt, prep.Workload, p, txPerCore, true)
 	trace.Add(obs.PhaseRun, time.Since(start))
 	res.Phases = trace
 	metricSwitches.Add(res.Sched.Switches)

@@ -2,7 +2,10 @@ package runner
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,7 +97,8 @@ func TestRunNeverMemoizes(t *testing.T) {
 }
 
 // TestConcurrentSweepsSimulateOnce checks that two concurrent runs of the
-// same plan through one memo simulate each cell exactly once between them.
+// same plan through one memo simulate each cell exactly once between them,
+// and that only the simulating sweep reports a cell uncached.
 func TestConcurrentSweepsSimulateOnce(t *testing.T) {
 	m := testMemo(DefaultMemoEntries)
 	var sims atomic.Int64
@@ -126,6 +130,13 @@ func TestConcurrentSweepsSimulateOnce(t *testing.T) {
 		if !reflect.DeepEqual(sets[0].Results[i].Run, sets[1].Results[i].Run) {
 			t.Fatalf("cell %d: the two sweeps disagree", i)
 		}
+		if sets[0].Results[i].Cached == sets[1].Results[i].Cached {
+			t.Fatalf("cell %d: cached=%v in both sweeps, want exactly one to report its own simulation", i, sets[0].Results[i].Cached)
+		}
+	}
+	// Every lookup that did not simulate was a hit or joined a flight.
+	if got := m.Metrics(); got.Computes != n || got.MemHits+got.Shared != n {
+		t.Fatalf("metrics = %+v, want %d computes and %d hits or shared", got, n, n)
 	}
 }
 
@@ -201,5 +212,89 @@ func TestKeyCoversEveryField(t *testing.T) {
 	visit("", reflect.ValueOf(&base).Elem())
 	if base.Key() != want {
 		t.Fatalf("perturbations were not undone: %q, want %q", base.Key(), want)
+	}
+}
+
+// TestMissOnUnknownKey checks that a cell the memo never held is a miss: it
+// simulates, is not reported avoided, and moves the miss and compute
+// counters by one each.
+func TestMissOnUnknownKey(t *testing.T) {
+	m := testMemo(DefaultMemoEntries)
+	var calls atomic.Int64
+	res, avoided, err := m.get(Cell{Design: "DHTM", Workload: "unknown", Seed: 5}, fakeExec(&calls))
+	if err != nil || avoided || calls.Load() != 1 || res.Committed != 5 {
+		t.Fatalf("unknown cell: err=%v avoided=%v calls=%d commits=%d", err, avoided, calls.Load(), res.Committed)
+	}
+	if got := m.Metrics(); got != (MemoMetrics{Misses: 1, Computes: 1}) {
+		t.Fatalf("metrics = %+v, want one miss and one compute", got)
+	}
+}
+
+// TestComputeErrorsAreNotCached checks that a failed simulation reaches its
+// caller but leaves nothing behind, so a retry simulates again.
+func TestComputeErrorsAreNotCached(t *testing.T) {
+	m := testMemo(DefaultMemoEntries)
+	cell := Cell{Design: "DHTM", Workload: "errors", Seed: 3}
+	boom := errors.New("boom")
+	_, avoided, err := m.get(cell, func(Cell) (workloads.RunResult, error) { return workloads.RunResult{}, boom })
+	if !errors.Is(err, boom) || avoided {
+		t.Fatalf("failed cell: err=%v avoided=%v, want the simulation's error", err, avoided)
+	}
+	var calls atomic.Int64
+	res, avoided, err := m.get(cell, fakeExec(&calls))
+	if err != nil || avoided || res.Committed != 3 {
+		t.Fatalf("retry after error: err=%v avoided=%v commits=%d", err, avoided, res.Committed)
+	}
+}
+
+// TestLRUEviction checks the capacity bound: once a memo holds more cells
+// than its capacity, the least recently used one is evicted and simulates
+// again, while a recently used one stays.
+func TestLRUEviction(t *testing.T) {
+	m := testMemo(3)
+	var calls atomic.Int64
+	for i, step := range []struct {
+		design string
+		held   bool
+	}{
+		{"a", false}, {"b", false}, {"a", true}, // a is now more recent than b
+		{"c", false}, {"d", false}, // a fourth cell evicts b, the least recently used
+		{"a", true}, {"b", false},
+	} {
+		_, avoided, err := m.get(Cell{Design: step.design, Workload: "lru", Seed: 1}, fakeExec(&calls))
+		if err != nil || avoided != step.held {
+			t.Fatalf("step %d (cell %s): err=%v held=%v, want held=%v", i, step.design, err, avoided, step.held)
+		}
+	}
+}
+
+// TestTierMetricLabels checks DefaultMemo's exposition in obs.Default: its
+// counters are the dhtm_resultstore_* families, the memory tier is labelled
+// tier="mem", and no series of the deleted disk tier remains.
+func TestTierMetricLabels(t *testing.T) {
+	cell := Cell{Design: "DHTM", Workload: "labels", Seed: 1}
+	var calls atomic.Int64
+	DefaultMemo.get(cell, fakeExec(&calls)) // miss
+	DefaultMemo.get(cell, fakeExec(&calls)) // hit
+	m := DefaultMemo.Metrics()
+
+	var buf strings.Builder
+	if err := obs.Default.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, want := range []string{
+		fmt.Sprintf(`dhtm_resultstore_hits_total{tier="mem"} %d`, m.MemHits),
+		fmt.Sprintf(`dhtm_resultstore_misses_total{tier="mem"} %d`, m.Misses),
+		fmt.Sprintf(`dhtm_resultstore_computes_total %d`, m.Computes),
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition missing %q\n%s", want, text)
+		}
+	}
+	for _, absent := range []string{`tier="disk"`, "dhtm_resultstore_read_seconds", "dhtm_resultstore_write_seconds"} {
+		if strings.Contains(text, absent) {
+			t.Errorf("memory-only memo exposes %s\n%s", absent, text)
+		}
 	}
 }

@@ -105,7 +105,7 @@ func runSnapshotted(t *testing.T, c *snapshot.Cache, cfg config.Config, design s
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
-	res, err := workloads.RunPrepared(env, rt, prep.Workload, p, txPerCore, true, nil, nil)
+	res, err := workloads.RunPrepared(env, rt, prep.Workload, p, txPerCore, true)
 	if err != nil {
 		t.Fatalf("RunPrepared: %v", err)
 	}

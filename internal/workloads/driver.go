@@ -66,7 +66,7 @@ func Run(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, fini
 	if err := w.Setup(heap, p); err != nil {
 		return RunResult{}, fmt.Errorf("workloads: setting up %s: %w", w.Name(), err)
 	}
-	return RunPrepared(env, rt, w, p, txPerCore, finish, nil, nil)
+	return RunPrepared(env, rt, w, p, txPerCore, finish)
 }
 
 // RunPrepared is Run for an environment whose store already contains the
@@ -77,21 +77,10 @@ func Run(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, fini
 // must carry the same values the image was set up with; RunPrepared
 // re-defaults it, so passing the pre-default parameter set of an equal key is
 // fine.
-//
-// arm and stop are instrumentation hooks: arm runs before the measured run
-// begins (the crash-point explorer installs its persist observer there, so
-// setup writes are not numbered), and stop is polled before each transaction
-// so an instrument that has captured what it needs can end the run early.
-// Either may be nil. Sharing this drive loop with Run is what guarantees
-// instrumented runs replay the exact event sequence of plain runs at equal
-// seeds.
-func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, finish bool, arm func(), stop func() bool) (RunResult, error) {
+func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, finish bool) (RunResult, error) {
 	p = p.Defaults()
 	if p.Cores != env.Cfg.NumCores {
 		p.Cores = env.Cfg.NumCores
-	}
-	if arm != nil {
-		arm()
 	}
 
 	eng := engine.New(env.Cfg.NumCores)
@@ -106,9 +95,6 @@ func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore i
 	eng.Run(func(core int, c *engine.Clock) {
 		rng := rand.New(rand.NewSource(p.Seed + int64(core)*7919))
 		for i := 0; i < txPerCore; i++ {
-			if stop != nil && stop() {
-				break
-			}
 			t := w.Next(core, rng)
 			rt.Run(core, c, t)
 			// Non-transactional work between transactions (building the next
