@@ -272,29 +272,31 @@ func TestLRUEviction(t *testing.T) {
 // counters are the dhtm_resultstore_* families, the memory tier is labelled
 // tier="mem", and no series of the deleted disk tier remains.
 func TestTierMetricLabels(t *testing.T) {
-	cell := Cell{Design: "DHTM", Workload: "labels", Seed: 1}
-	var calls atomic.Int64
-	DefaultMemo.get(cell, fakeExec(&calls)) // miss
-	DefaultMemo.get(cell, fakeExec(&calls)) // hit
-	m := DefaultMemo.Metrics()
+	t.Run("mem", func(t *testing.T) {
+		cell := Cell{Design: "DHTM", Workload: "labels", Seed: 1}
+		var calls atomic.Int64
+		DefaultMemo.get(cell, fakeExec(&calls)) // miss
+		DefaultMemo.get(cell, fakeExec(&calls)) // hit
+		m := DefaultMemo.Metrics()
 
-	var buf strings.Builder
-	if err := obs.Default.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		fmt.Sprintf(`dhtm_resultstore_hits_total{tier="mem"} %d`, m.MemHits),
-		fmt.Sprintf(`dhtm_resultstore_misses_total{tier="mem"} %d`, m.Misses),
-		fmt.Sprintf(`dhtm_resultstore_computes_total %d`, m.Computes),
-	} {
-		if !strings.Contains(text, want+"\n") {
-			t.Errorf("exposition missing %q\n%s", want, text)
+		var buf strings.Builder
+		if err := obs.Default.WriteText(&buf); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, absent := range []string{`tier="disk"`, "dhtm_resultstore_read_seconds", "dhtm_resultstore_write_seconds"} {
-		if strings.Contains(text, absent) {
-			t.Errorf("memory-only memo exposes %s\n%s", absent, text)
+		text := buf.String()
+		for _, want := range []string{
+			fmt.Sprintf(`dhtm_resultstore_hits_total{tier="mem"} %d`, m.MemHits),
+			fmt.Sprintf(`dhtm_resultstore_misses_total{tier="mem"} %d`, m.Misses),
+			fmt.Sprintf(`dhtm_resultstore_computes_total %d`, m.Computes),
+		} {
+			if !strings.Contains(text, want+"\n") {
+				t.Errorf("exposition missing %q\n%s", want, text)
+			}
 		}
-	}
+		for _, absent := range []string{`tier="disk"`, "dhtm_resultstore_read_seconds", "dhtm_resultstore_write_seconds"} {
+			if strings.Contains(text, absent) {
+				t.Errorf("memory-only memo exposes %s\n%s", absent, text)
+			}
+		}
+	})
 }
