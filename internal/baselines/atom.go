@@ -1,10 +1,8 @@
 package baselines
 
 import (
-	"dhtm/internal/htm"
 	"dhtm/internal/memdev"
 	"dhtm/internal/txn"
-	"dhtm/internal/wal"
 )
 
 // ATOM is the state-of-the-art hardware-durability baseline the paper
@@ -32,57 +30,32 @@ func (a *ATOM) Name() string { return "ATOM" }
 // Run implements txn.Runtime.
 func (a *ATOM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 	res := txn.ExecResult{Start: c.Now()}
-	log := a.env.Registry.Log(core)
-	txid := log.BeginTx()
+	txid := a.env.Registry.Log(core).BeginTx()
 
 	held := a.acquire(core, c, t)
 
-	var undoPersistAt uint64
-	ltx := &lockedTx{b: a.lockBase, core: core, clock: c,
-		dirty: htm.NewLineSet(32), read: htm.NewLineSet(32)}
-	ltx.onWrite = func(la uint64, first bool, _, _ uint64) {
-		if !first {
-			return
-		}
-		// Hardware undo logging: the old value is captured and streamed to
-		// the durable log by the cache controller; only bandwidth is
-		// consumed, the core does not stall.
-		img := a.h.LineSnapshot
-		if a.preImage != nil {
-			img = a.preImage
-		}
-		rec := &wal.Record{Type: wal.RecUndo, TxID: txid, LineAddr: la, Data: img(core, la)}
-		if done, err := log.Append(rec, c.Now()); err == nil {
-			a.env.Stats.LogRecords++
-			if done > undoPersistAt {
-				undoPersistAt = done
-			}
-		}
+	img := a.h.LineSnapshot
+	if a.preImage != nil {
+		img = a.preImage
 	}
+	u := &undoLog{env: a.env, core: core}
+	ptx := a.txs[core]
+	ptx.Begin(c, func(la uint64, first bool) {
+		// Hardware undo logging: the cache controller captures the old
+		// value on the first store to each line; a transaction under locks
+		// cannot abort, so a record that does not fit is dropped.
+		if first {
+			_ = u.record(txid, la, img(core, la), c.Now())
+		}
+	})
 
-	_, _, _ = txn.Attempt(t.Body, ltx)
+	_, _, _ = txn.Attempt(t.Body, ptx)
 
-	// Commit: the undo log must be durable, then every modified line is
-	// persisted in place; only after that can the commit record be written
-	// and the locks released (write-ahead ordering for undo logging).
-	c.AdvanceTo(undoPersistAt)
-	done := c.Now()
-	for _, la := range ltx.dirty.Keys() {
-		if d := a.h.FlushLine(core, la, c.Now()); d > done {
-			done = d
-		}
-	}
-	c.AdvanceTo(done)
-	if d, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(d)
-	}
-	if d, err := log.Append(&wal.Record{Type: wal.RecComplete, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(d)
-	}
-	a.release(core, c, held)
-	log.EndTx(txid)
+	// Commit: the undo sequence persists the write set in place before the
+	// commit record; the locks are released only after the complete record.
+	u.commit(c, txid, ptx.Writes.Keys(), func() { a.release(core, c, held) })
 
-	a.finish(core, c, &res, ltx.dirty.Len(), ltx.read.Len())
+	a.finish(core, c, &res, ptx)
 	return res
 }
 

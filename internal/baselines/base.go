@@ -63,8 +63,15 @@ func (b *htmBase) InTx(core int) bool { return b.Ctxs[core].State == htm.Active 
 
 // OnConflict implements hier.Arbiter with the configured resolution policy.
 func (b *htmBase) OnConflict(requester, owner int, addr uint64, write, requesterTx bool, at uint64) bool {
-	if b.Ctxs[owner].State != htm.Active {
+	o := b.Ctxs[owner]
+	if o.State != htm.Active {
 		return true
+	}
+	if o.Committing {
+		// Past its commit point the owner cannot abort: a transactional
+		// requester aborts instead (LogTM NACKs it), and the fallback's lock
+		// store proceeds (the fallback then waits for the commit).
+		return !requesterTx
 	}
 	if htm.OwnerShouldAbort(b.Cfg.ConflictPolicy, requesterTx) {
 		b.Abort(owner, stats.AbortConflict, at)
@@ -105,36 +112,4 @@ func (b *htmBase) commitVisibility(core int) {
 	})
 	ctx.Sig.Clear()
 	ctx.State = htm.Committed
-}
-
-// persistFallback is the durable baselines' fallback persist sequence:
-// Mnemosyne-style redo records for every dirty line, a fence, the commit
-// record, in-place flushes so the log can be truncated, and the complete
-// record.
-func (b *htmBase) persistFallback(core int, c txn.Clock, txid uint64, dirty *htm.LineSet) {
-	log := b.Env.Registry.Log(core)
-	persist := c.Now()
-	for _, la := range dirty.Keys() {
-		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: b.H.LineSnapshot(core, la)}
-		if done, err := log.Append(rec, c.Now()); err == nil && done > persist {
-			persist = done
-		}
-		c.Advance(b.Cfg.FlushIssueLatency)
-	}
-	c.AdvanceTo(persist)
-	c.Advance(b.Cfg.FenceLatency)
-	if done, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(done)
-	}
-	flushed := c.Now()
-	for _, la := range dirty.Keys() {
-		if done := b.H.FlushLine(core, la, c.Now()); done > flushed {
-			flushed = done
-		}
-	}
-	c.AdvanceTo(flushed)
-	if done, err := log.Append(&wal.Record{Type: wal.RecComplete, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(done)
-	}
-	log.EndTx(txid)
 }

@@ -17,15 +17,20 @@ type lockBase struct {
 	cfg   config.Config
 	h     *hier.Hierarchy
 	table *locks.Table
+	txs   []*htm.PlainTx // per core
 }
 
 func newLockBase(env *txn.Env) *lockBase {
-	return &lockBase{
+	b := &lockBase{
 		env:   env,
 		cfg:   env.Cfg,
 		h:     env.Hier,
 		table: locks.NewTable(env.Cfg, lockTableBase, lockTableSlots),
 	}
+	for i := 0; i < env.Cfg.NumCores; i++ {
+		b.txs = append(b.txs, htm.NewPlainTx(env.Hier, i))
+	}
+	return b
 }
 
 // acquire takes every lock in the transaction's lock set (sorted and
@@ -41,47 +46,9 @@ func (b *lockBase) release(core int, c txn.Clock, addrs []uint64) {
 	b.table.ReleaseAll(b.h, core, c, addrs)
 }
 
-// lockedTx performs plain (non-speculative) timed accesses for a lock-based
-// design and tracks the dirty-line set for logging and statistics.
-type lockedTx struct {
-	b     *lockBase
-	core  int
-	clock txn.Clock
-	dirty *htm.LineSet
-	read  *htm.LineSet
-	// onWrite, when non-nil, runs before each store with the line address and
-	// whether this is the first store to that line in the transaction; the
-	// designs hook their logging here.
-	onWrite func(lineAddr uint64, first bool, addr, val uint64)
-}
-
-// Read implements txn.Tx.
-func (t *lockedTx) Read(addr uint64) uint64 {
-	v, r := t.b.h.Load(t.core, addr, t.clock.Now(), false)
-	t.clock.AdvanceTo(r.Done)
-	t.read.Add(t.b.h.Align(addr))
-	return v
-}
-
-// Write implements txn.Tx.
-func (t *lockedTx) Write(addr uint64, val uint64) {
-	la := t.b.h.Align(addr)
-	seen := t.dirty.Contains(la)
-	if t.onWrite != nil {
-		t.onWrite(la, !seen, addr, val)
-	}
-	r := t.b.h.Store(t.core, addr, val, t.clock.Now(), false)
-	t.clock.AdvanceTo(r.Done)
-	t.dirty.Add(la)
-}
-
-// finish records per-transaction statistics common to the lock-based designs.
-func (b *lockBase) finish(core int, c txn.Clock, res *txn.ExecResult, dirty, read int) {
-	cst := b.env.Stats.Core(core)
-	cst.Commits++
-	cst.WriteSetLines += uint64(dirty)
-	cst.ReadSetLines += uint64(read)
-	cst.TxCycles += c.Now() - res.Start
+// finish records the committed transaction's statistics and ends it.
+func (b *lockBase) finish(core int, c txn.Clock, res *txn.ExecResult, t *htm.PlainTx) {
+	t.Commit(b.env.Stats.Core(core), res.Start)
 	res.End = c.Now()
 	res.Committed = true
 }

@@ -13,26 +13,26 @@ import (
 // combination as a previously unstudied design point. Its defining cost is
 // that, with undo logging, the whole write set must be persisted in place in
 // the commit critical path before the transaction can complete; its aborts
-// also pay for walking the undo log.
+// also pay for walking the undo log. Hardware transactions and the software
+// fallback both go through ATOM's undo sequence (undoLog).
 type LogTMATOM struct {
 	*htmBase
-	// undoPersistAt tracks, per core, when the last undo record becomes
-	// durable (commit must wait for it before writing data in place).
-	undoPersistAt []uint64
-	undoRecords   []int
+	undo []undoLog // per core
 }
 
 // NewLogTMATOM builds the runtime and installs its arbiter.
 func NewLogTMATOM(env *txn.Env) *LogTMATOM {
-	l := &LogTMATOM{htmBase: newHTMBase(env, true)}
-	l.undoPersistAt = make([]uint64, env.Cfg.NumCores)
-	l.undoRecords = make([]int, env.Cfg.NumCores)
+	l := &LogTMATOM{htmBase: newHTMBase(env, true), undo: make([]undoLog, env.Cfg.NumCores)}
+	for i := range l.undo {
+		l.undo[i] = undoLog{env: env, core: i}
+	}
 	l.Hooks = htm.Hooks{
-		Start:   l.start,
-		Write:   l.write,
-		Commit:  l.commitInPlace,
-		Abort:   l.abortUndo,
-		Persist: l.persistFallback,
+		Start:         l.start,
+		Write:         l.write,
+		Commit:        l.commit,
+		Abort:         l.abortUndo,
+		Persist:       l.persist,
+		FallbackStore: l.fallbackStore,
 	}
 	return l
 }
@@ -43,8 +43,7 @@ func (l *LogTMATOM) Name() string { return "LogTM-ATOM" }
 // start opens the attempt's undo log transaction.
 func (l *LogTMATOM) start(core int) {
 	l.Ctxs[core].TxID = l.Env.Registry.Log(core).BeginTx()
-	l.undoPersistAt[core] = 0
-	l.undoRecords[core] = 0
+	l.undo[core].reset()
 }
 
 // write issues a transactional store and, on the first store to each line,
@@ -63,14 +62,7 @@ func (l *LogTMATOM) write(core int, c txn.Clock, addr, val uint64) {
 		// marker, recovery would roll back over newer committed data — a bug
 		// the crash-point explorer caught.
 		l.Read(core, c, addr)
-		rec := &wal.Record{Type: wal.RecUndo, TxID: ctx.TxID, LineAddr: la, Data: l.H.LineSnapshot(core, la)}
-		if done, err := l.Env.Registry.Log(core).Append(rec, c.Now()); err == nil {
-			l.Env.Stats.LogRecords++
-			l.undoRecords[core]++
-			if done > l.undoPersistAt[core] {
-				l.undoPersistAt[core] = done
-			}
-		} else {
+		if err := l.undo[core].record(ctx.TxID, la, l.H.LineSnapshot(core, la), c.Now()); err != nil {
 			l.Abort(core, stats.AbortLogOverflow, c.Now())
 			txn.AbortNow(stats.AbortLogOverflow)
 		}
@@ -78,51 +70,34 @@ func (l *LogTMATOM) write(core int, c txn.Clock, addr, val uint64) {
 	l.Store(core, c, addr, val)
 }
 
-// commitInPlace waits for the undo log to be durable, makes the write set
-// visible, then persists every write-set line in place — from the L1 and from
-// overflowed LLC lines — before the commit record is written. This in-place
-// persistence is on the critical path, which is exactly the overhead DHTM's
-// redo logging removes.
-func (l *LogTMATOM) commitInPlace(core int, c txn.Clock) bool {
+// commit runs the undo sequence while the transaction still holds its read
+// and write sets: conflicting requesters keep aborting until the commit and
+// complete records are durable — the in-place persistence on the critical
+// path that DHTM's redo commit removes — and only then are the R/W bits
+// released. Past this point the transaction cannot abort (Ctx.Committing).
+func (l *LogTMATOM) commit(core int, c txn.Clock) bool {
 	ctx := l.Ctxs[core]
-	log := l.Env.Registry.Log(core)
-	c.AdvanceTo(l.undoPersistAt[core])
-
-	// With undo logging the write set may not become visible until it is
-	// durable in place (another thread could otherwise consume and commit a
-	// value that a crash would roll back). The flush therefore happens while
-	// the transaction still holds its write set — conflicting requesters keep
-	// aborting during this window, which is the cost DHTM's redo commit
-	// removes — and visibility is granted afterwards.
-	done := c.Now()
-	for _, la := range ctx.WriteLines.Keys() {
-		var d uint64
-		if ln := l.H.L1(core).Peek(la); ln != nil && ln.Valid() {
-			d, _ = l.H.WriteBackL1Line(core, la, c.Now())
-		} else if ll := l.H.LLC().Peek(la); ll != nil && ll.Valid() {
-			d, _ = l.H.WriteBackLLCLine(la, c.Now())
-		} else {
-			d = l.H.PersistLineInPlace(la, l.H.LineSnapshot(core, la), c.Now())
-		}
-		if d > done {
-			done = d
-		}
-	}
-	c.AdvanceTo(done)
-	l.commitVisibility(core)
-	if d, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: l.Ctxs[core].TxID}, c.Now()); err == nil {
-		c.AdvanceTo(d)
-	}
-	if d, err := log.Append(&wal.Record{Type: wal.RecComplete, TxID: l.Ctxs[core].TxID}, c.Now()); err == nil {
-		c.AdvanceTo(d)
-	}
-	log.EndTx(l.Ctxs[core].TxID)
-	// Reset the undo bookkeeping so an abort during the *next* attempt's
-	// begin (before it allocates a txid) cannot charge this transaction's
-	// walk cost again or log a spurious abort marker for it.
-	l.undoRecords[core] = 0
-	l.undoPersistAt[core] = 0
+	ctx.Committing = true
+	l.undo[core].commit(c, ctx.TxID, ctx.WriteLines.Keys(), func() {
+		ctx.Committing = false
+		l.commitVisibility(core)
+	})
 	return true
+}
+
+// fallbackStore undo-logs a fallback store: the logging hardware serves the
+// fallback too. A fallback cannot abort, so a record that does not fit is
+// dropped, as in ATOM.
+func (l *LogTMATOM) fallbackStore(core int, c txn.Clock, la uint64, first bool) {
+	if first {
+		_ = l.undo[core].record(l.Ctxs[core].TxID, la, l.H.LineSnapshot(core, la), c.Now())
+	}
+}
+
+// persist commits a fallback transaction through the undo sequence; the
+// runtime releases the global lock afterwards.
+func (l *LogTMATOM) persist(core int, c txn.Clock, txid uint64, dirty *htm.LineSet) {
+	l.undo[core].commit(c, txid, dirty.Keys(), nil)
 }
 
 // abortUndo is the design-specific abort work: the undo log must be walked
@@ -131,8 +106,9 @@ func (l *LogTMATOM) commitInPlace(core int, c txn.Clock) bool {
 // completion time), and the log is logically cleared with an abort record.
 func (l *LogTMATOM) abortUndo(core int, at uint64, _ int) {
 	log := l.Env.Registry.Log(core)
-	if l.undoRecords[core] > 0 {
-		n := uint64(l.undoRecords[core])
+	u := &l.undo[core]
+	if u.records > 0 {
+		n := uint64(u.records)
 		// Reading the undo records back and restoring the old values costs a
 		// line transfer each way per record.
 		cost := n * (2*l.Cfg.LineTransferCycles() + l.Cfg.NVMWriteLatency/4)
@@ -150,6 +126,5 @@ func (l *LogTMATOM) abortUndo(core int, at uint64, _ int) {
 	// transaction's live undo records back over later committed values
 	// (stale pre-images). Found by the crash-point explorer.
 	log.EndTx(l.Ctxs[core].TxID)
-	l.undoRecords[core] = 0
-	l.undoPersistAt[core] = 0
+	u.reset()
 }

@@ -97,6 +97,37 @@ func (s *SdTM) commitDurable(core int, c txn.Clock) bool {
 	return true
 }
 
+// persistFallback is sdTM's fallback persist sequence: Mnemosyne-style redo
+// records for every dirty line, a fence, the commit record, in-place flushes
+// so the log can be truncated, and the complete record.
+func (s *SdTM) persistFallback(core int, c txn.Clock, txid uint64, dirty *htm.LineSet) {
+	log := s.Env.Registry.Log(core)
+	persist := c.Now()
+	for _, la := range dirty.Keys() {
+		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: s.H.LineSnapshot(core, la)}
+		if done, err := log.Append(rec, c.Now()); err == nil && done > persist {
+			persist = done
+		}
+		c.Advance(s.Cfg.FlushIssueLatency)
+	}
+	c.AdvanceTo(persist)
+	c.Advance(s.Cfg.FenceLatency)
+	if done, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
+		c.AdvanceTo(done)
+	}
+	flushed := c.Now()
+	for _, la := range dirty.Keys() {
+		if done := s.H.FlushLine(core, la, c.Now()); done > flushed {
+			flushed = done
+		}
+	}
+	c.AdvanceTo(flushed)
+	if done, err := log.Append(&wal.Record{Type: wal.RecComplete, TxID: txid}, c.Now()); err == nil {
+		c.AdvanceTo(done)
+	}
+	log.EndTx(txid)
+}
+
 // isSoftLogLine reports whether a line belongs to the in-cache software log
 // region (those lines inflate the write set but are not data to log).
 func (s *SdTM) isSoftLogLine(la uint64) bool {

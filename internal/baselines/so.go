@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"dhtm/internal/htm"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
 )
@@ -48,9 +47,8 @@ func (s *SO) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 		c.Advance(s.cfg.FlushIssueLatency)
 	}
 
-	ltx := &lockedTx{b: s.lockBase, core: core, clock: c,
-		dirty: htm.NewLineSet(32), read: htm.NewLineSet(32)}
-	ltx.onWrite = func(la uint64, first bool, _, _ uint64) {
+	ptx := s.txs[core]
+	ptx.Begin(c, func(la uint64, _ bool) {
 		// Composing the word-granular log entry (address + value into the
 		// write-combining buffer) is program work on every store.
 		c.Advance(s.cfg.SoftLogStoreLatency)
@@ -62,11 +60,11 @@ func (s *SO) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 		}
 		pending = la
 		havePending = true
-	}
+	})
 
 	// Lock-based designs cannot abort: the body runs exactly once. An
 	// explicit error simply means the transaction made no semantic change.
-	_, _, _ = txn.Attempt(t.Body, ltx)
+	_, _, _ = txn.Attempt(t.Body, ptx)
 
 	// Commit: flush the last pending entry, drain all log writes (sfence),
 	// persist the commit record, then publish by releasing the locks.
@@ -84,7 +82,7 @@ func (s *SO) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 	// appears inside the measured window.
 	log.EndTx(txid)
 
-	s.finish(core, c, &res, ltx.dirty.Len(), ltx.read.Len())
+	s.finish(core, c, &res, ptx)
 	return res
 }
 

@@ -26,7 +26,7 @@ type Options struct {
 	// transaction, i.e. an L1-limited DHTM (the PTM-like configuration).
 	DisableOverflow bool
 	// DisableLogBuffer bypasses the coalescing log buffer and emits one
-	// word-granular redo record per store (Figure 2b's strawman).
+	// redo record per store (Figure 2b's strawman).
 	DisableLogBuffer bool
 	// InstantPersist makes log and data writes take zero time while keeping
 	// them functionally correct; used for the §VI.D idealised-DHTM ablation.
@@ -144,9 +144,8 @@ func (d *DHTM) write(core int, c txn.Clock, addr uint64, val uint64) {
 	d.Store(core, c, addr, val)
 	var err error
 	if d.opt.DisableLogBuffer {
-		// Word-granular logging: one (address, value) record per store.
-		err = d.appendLog(core, &wal.Record{Type: wal.RecRedo, TxID: d.Ctxs[core].TxID, LineAddr: addr,
-			Data: memdev.Line{val}}, c.Now())
+		// No coalescing: one redo record per store, carrying the whole line.
+		err = d.emitRedo(core, d.H.Align(addr), c.Now())
 	} else if evicted, has := d.cores[core].buf.Touch(d.H.Align(addr)); has {
 		err = d.emitRedo(core, evicted, c.Now())
 	}

@@ -206,13 +206,13 @@ func TestDisableOverflowFallsBack(t *testing.T) {
 }
 
 // TestLogBufferCoalescingReducesRecords compares the default coalescing
-// configuration against word-granular logging on the same access pattern.
+// configuration against one record per store on the same access pattern.
 func TestLogBufferCoalescingReducesRecords(t *testing.T) {
 	run := func(opt Options) uint64 {
 		env, d := newDHTM(t, 1, opt)
 		runOn(d, func(tx txn.Tx) error {
 			// Eight stores per line over eight lines: coalescing should emit
-			// one record per line, word-granular logging one per store.
+			// one record per line, the no-buffer ablation one per store.
 			for i := 0; i < 8; i++ {
 				for w := 0; w < 8; w++ {
 					tx.Write(wal.HeapBase+uint64(i)*64+uint64(w)*8, uint64(i*w))
@@ -223,9 +223,9 @@ func TestLogBufferCoalescingReducesRecords(t *testing.T) {
 		return env.Stats.LogRecords
 	}
 	coalesced := run(Options{})
-	wordGranular := run(Options{DisableLogBuffer: true})
-	if coalesced >= wordGranular {
-		t.Fatalf("coalescing (%d records) did not reduce log records vs word-granular (%d)", coalesced, wordGranular)
+	perStore := run(Options{DisableLogBuffer: true})
+	if coalesced >= perStore {
+		t.Fatalf("coalescing (%d records) did not reduce log records vs one per store (%d)", coalesced, perStore)
 	}
 }
 

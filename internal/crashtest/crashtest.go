@@ -194,8 +194,7 @@ type Config struct {
 // Mnemosyne-style software logging whose in-place persistence is deferred
 // past the simulated window (their logs truncate before data reaches
 // memory), so arbitrary-point recovery is undefined for them by
-// construction; NP is volatile; DHTM-nobuf emits word-granular records
-// whose line-aligned case recovery cannot yet distinguish from full lines.
+// construction; NP is volatile.
 func Supported() []string {
 	return registry.CrashSafeDesignNames()
 }

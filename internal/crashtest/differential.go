@@ -2,7 +2,6 @@ package crashtest
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"dhtm/internal/memdev"
@@ -10,6 +9,7 @@ import (
 	"dhtm/internal/snapshot"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
+	"dhtm/internal/workloads"
 )
 
 // The differential oracle. Every crash-safe design promises the same thing:
@@ -62,9 +62,9 @@ func (c Config) newDiffCtx(runSeed int64, trace []traceEvent) (*diffCtx, error) 
 	dc.base.Freeze()
 	dc.baseDigest = heapDigest(dc.base)
 	for core := 0; core < c.Cores; core++ {
-		rng := rand.New(rand.NewSource(prep.Params.Seed + int64(core)*7919))
+		next := workloads.Stream(prep.Workload, prep.Params, core)
 		for i := 0; i < c.TxPerCore; i++ {
-			dc.gen[core] = append(dc.gen[core], prep.Workload.Next(core, rng))
+			dc.gen[core] = append(dc.gen[core], next())
 		}
 	}
 	info, err := parseTrace(trace)

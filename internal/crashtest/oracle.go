@@ -64,6 +64,7 @@ func parseTrace(prefix []traceEvent) (*traceTxs, error) {
 	info := &traceTxs{txs: make(map[txKey]*txState)}
 	var buf []uint64
 	var pending []wal.Record
+	undo := false
 	activate := func() {
 		for _, rec := range pending {
 			k := txKey{thread: rec.Thread, txid: rec.TxID}
@@ -77,6 +78,7 @@ func parseTrace(prefix []traceEvent) (*traceTxs, error) {
 				info.redo = append(info.redo, redoEntry{key: k, rec: rec})
 			case wal.RecUndo:
 				st.undo = append(st.undo, rec)
+				undo = true
 			case wal.RecCommit:
 				st.committed = true
 				info.commits = append(info.commits, k)
@@ -106,6 +108,13 @@ func parseTrace(prefix []traceEvent) (*traceTxs, error) {
 		case ev.class == memdev.TrafficLogMeta:
 			activate()
 		}
+	}
+	if len(info.redo) > 0 && undo {
+		// The reference image replays every committed redo record in persist
+		// order, taking a completed transaction's replay to be idempotent. An
+		// in-place undo commit after it breaks that: the replay would write
+		// the older redo image over the newer undo-logged value.
+		return nil, fmt.Errorf("trace holds both redo and undo records; the reference image needs one logging discipline")
 	}
 	return info, nil
 }
@@ -143,7 +152,7 @@ func expectedImage(pre *memdev.Store, info *traceTxs) *memdev.Store {
 	for _, k := range rollback {
 		undo := txs[k].undo
 		for i := len(undo) - 1; i >= 0; i-- {
-			applyRec(exp, undo[i])
+			exp.WriteLine(undo[i].LineAddr, undo[i].Data)
 		}
 	}
 
@@ -153,21 +162,10 @@ func expectedImage(pre *memdev.Store, info *traceTxs) *memdev.Store {
 	// recovery must restore them.
 	for _, e := range redo {
 		if txs[e.key].committed {
-			applyRec(exp, e.rec)
+			exp.WriteLine(e.rec.LineAddr, e.rec.Data)
 		}
 	}
 	return exp
-}
-
-// applyRec writes a record's payload in place: line-granular records carry a
-// full line, word-granular ones (unaligned addresses) a single word — the
-// same dispatch recovery's replay uses.
-func applyRec(st *memdev.Store, rec wal.Record) {
-	if rec.LineAddr%memdev.LineBytes == 0 {
-		st.WriteLine(rec.LineAddr, rec.Data)
-	} else {
-		st.WriteWord(rec.LineAddr, rec.Data[0])
-	}
 }
 
 // diffHeap compares the workload-heap region of two images and describes the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dhtm/internal/baselines"
@@ -286,5 +287,35 @@ func TestIncompleteTraceFailsExploration(t *testing.T) {
 	_, err := Explore(context.Background(), cfg)
 	if err == nil || err.Error() != "crashtest: the persist trace does not reproduce the run's final image" {
 		t.Fatalf("exploration of an incomplete trace returned %v", err)
+	}
+}
+
+// TestParseTraceRejectsMixedLogging feeds parseTrace a trace in which one
+// transaction logs redo records and another undo records. The reference
+// image replays committed redo over everything in persist order, which is
+// sound only when one logging discipline writes the whole trace, so the
+// parse must fail; each half alone parses.
+func TestParseTraceRejectsMixedLogging(t *testing.T) {
+	appendRecs := func(trace []traceEvent, recs ...wal.Record) []traceEvent {
+		for _, r := range recs {
+			trace = append(trace, traceEvent{class: r.Type.TrafficClass(), words: r.Encode()})
+			trace = append(trace, traceEvent{class: memdev.TrafficLogMeta, words: []uint64{0}})
+		}
+		return trace
+	}
+	redo := appendRecs(nil,
+		wal.Record{Type: wal.RecRedo, Thread: 0, TxID: 1, LineAddr: wal.HeapBase, Data: memdev.Line{1}},
+		wal.Record{Type: wal.RecCommit, Thread: 0, TxID: 1})
+	undo := appendRecs(nil,
+		wal.Record{Type: wal.RecUndo, Thread: 1, TxID: 1, LineAddr: wal.HeapBase, Data: memdev.Line{1}},
+		wal.Record{Type: wal.RecCommit, Thread: 1, TxID: 1})
+	for name, trace := range map[string][]traceEvent{"redo": redo, "undo": undo} {
+		if info, err := parseTrace(trace); err != nil || len(info.commits) != 1 {
+			t.Errorf("%s-only trace: info %+v, err %v", name, info, err)
+		}
+	}
+	_, err := parseTrace(append(append([]traceEvent(nil), redo...), undo...))
+	if err == nil || !strings.Contains(err.Error(), "both redo and undo") {
+		t.Fatalf("mixed trace parsed with err = %v, want a mixed-logging error", err)
 	}
 }

@@ -332,14 +332,18 @@ func TestFlushAndWriteBackHelpers(t *testing.T) {
 	if done <= sr.Done {
 		t.Fatalf("FlushLine reported no latency")
 	}
+	// The undo designs flush a transactional line before their commit
+	// record and release it after: FlushLine must keep the write bit.
 	h.Store(0, 0x60000, 12, done, true)
-	if d, ok := h.WriteBackL1Line(0, 0x60000, done); !ok || store.ReadWord(0x60000) != 12 || d <= done {
-		t.Fatalf("WriteBackL1Line did not persist the new value")
+	done = h.FlushLine(0, 0x60000, done)
+	if l := h.L1(0).Peek(0x60000); store.ReadWord(0x60000) != 12 || l == nil || !l.W || l.Dirty {
+		t.Fatalf("FlushLine did not persist a transactional line and keep its write bit")
+	}
+	h.Store(0, 0x60000, 13, done, true)
+	if !h.CompleteL1Line(0, 0x60000) || store.ReadWord(0x60000) != 13 {
+		t.Fatalf("CompleteL1Line did not persist the new value")
 	}
 	if l := h.L1(0).Peek(0x60000); l == nil || l.W || l.Dirty {
-		t.Fatalf("WriteBackL1Line did not clean the cached line")
-	}
-	if !h.CompleteL1Line(0, 0x60000) {
-		t.Fatalf("CompleteL1Line did not find the line")
+		t.Fatalf("CompleteL1Line did not clean the cached line")
 	}
 }

@@ -28,48 +28,6 @@ func (h *Hierarchy) FlushLine(core int, addr uint64, at uint64) uint64 {
 	return at
 }
 
-// WriteBackL1Line writes core's L1 copy of the line containing addr back in
-// place to persistent memory (and refreshes the inclusive LLC copy), clearing
-// the transactional write bit and the dirty bit but keeping the line cached.
-// This is the per-line step of DHTM's commit-completion phase. It reports
-// whether the line was present.
-func (h *Hierarchy) WriteBackL1Line(core int, addr uint64, at uint64) (uint64, bool) {
-	la := h.Align(addr)
-	l := h.l1s[core].Peek(la)
-	if l == nil || !l.Valid() {
-		return at, false
-	}
-	done := h.ctl.WriteLine(la, l.Data, at, memdev.TrafficData)
-	l.W = false
-	l.Dirty = false
-	if ll := h.llc.Peek(la); ll != nil {
-		ll.Data = l.Data
-		ll.Dirty = false
-	}
-	return done, true
-}
-
-// WriteBackLLCLine writes the LLC copy of the line containing addr back in
-// place to persistent memory, transitioning it to a clean, unowned state —
-// the overflow-list processing step of DHTM's commit completion. It reports
-// whether an LLC copy existed.
-func (h *Hierarchy) WriteBackLLCLine(addr uint64, at uint64) (uint64, bool) {
-	la := h.Align(addr)
-	ll := h.llc.Peek(la)
-	if ll == nil || !ll.Valid() {
-		return at, false
-	}
-	done := at
-	if ll.Dirty {
-		done = h.ctl.WriteLine(la, ll.Data, at, memdev.TrafficData)
-	}
-	ll.Dirty = false
-	ll.Owner = cache.NoOwner
-	ll.Sharers = 0
-	ll.State = cache.Shared
-	return done, true
-}
-
 // CompleteL1Line applies the functional effect of a commit-completion
 // write-back whose timing was already reserved at commit: core's L1 copy of
 // the line is written to persistent memory and to the inclusive LLC copy, and

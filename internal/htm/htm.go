@@ -209,6 +209,11 @@ type Ctx struct {
 	Sig    *Signature
 	Doomed bool
 	Reason stats.AbortReason
+	// Committing marks an Active transaction that passed its commit point
+	// and is still persisting its write set in place (LogTM-ATOM's undo
+	// commit): it can no longer abort, and a fallback waits for it to
+	// finish before running its body.
+	Committing bool
 
 	// WriteLines and ReadLines track the distinct cache lines touched by the
 	// current transaction. The hardware equivalents are the W/R bits plus the
@@ -242,6 +247,7 @@ func NewCtx(cfg config.Config) *Ctx {
 func (c *Ctx) BeginReset() {
 	c.State = Active
 	c.Doomed = false
+	c.Committing = false
 	c.Sig.Clear()
 	c.WriteLines.Clear()
 	c.ReadLines.Clear()

@@ -38,6 +38,12 @@ type Hooks struct {
 	// is released: txid is its log transaction (opened before the body ran)
 	// and dirty its written lines. Nil means a volatile fallback.
 	Persist func(core int, c txn.Clock, txid uint64, dirty *LineSet)
+	// FallbackStore runs before each store of a fallback transaction with
+	// the line address and whether it is the first store to that line: the
+	// hardware logs the store, and the core pays nothing. Nil means the
+	// fallback logs in software, so each store pays FlushIssueLatency to
+	// issue its log write.
+	FallbackStore func(core int, c txn.Clock, la uint64, first bool)
 	// GrowLog doubles the core's durable log after a log-overflow abort.
 	GrowLog bool
 }
@@ -57,7 +63,7 @@ type Runtime struct {
 
 	lockAddr uint64
 	txs      []*tx
-	ftxs     []*FallbackTx
+	ftxs     []*PlainTx
 }
 
 // NewRuntime builds the shared runtime over env. lockAddr is the persistent
@@ -67,7 +73,7 @@ func NewRuntime(env *txn.Env, lockAddr uint64) *Runtime {
 	for i := 0; i < env.Cfg.NumCores; i++ {
 		rt.Ctxs = append(rt.Ctxs, NewCtx(env.Cfg))
 		rt.txs = append(rt.txs, &tx{rt: rt, core: i})
-		rt.ftxs = append(rt.ftxs, &FallbackTx{rt: rt, core: i, dirty: NewLineSet(16), read: NewLineSet(16)})
+		rt.ftxs = append(rt.ftxs, NewPlainTx(env.Hier, i))
 	}
 	return rt
 }
@@ -93,10 +99,7 @@ func (rt *Runtime) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult
 					ctx.Overflowed.Clear()
 					ctx.State = Idle
 				}
-				cst.Commits++
-				cst.WriteSetLines += uint64(ctx.WriteLines.Len())
-				cst.ReadSetLines += uint64(ctx.ReadLines.Len())
-				cst.TxCycles += c.Now() - res.Start
+				cst.RecordCommit(ctx.WriteLines.Len(), ctx.ReadLines.Len(), c.Now()-res.Start)
 				res.Committed = true
 				res.End = c.Now()
 				return res
@@ -219,10 +222,10 @@ func (rt *Runtime) Store(core int, c txn.Clock, addr, val uint64) {
 // Abort takes core's Active transaction to its abort point: it is doomed,
 // speculative L1 lines are invalidated and read bits cleared, overflowed LLC
 // lines are invalidated, and the design's abort work runs. It is idempotent:
-// only an Active transaction is aborted.
+// only an Active transaction that is not past its commit point is aborted.
 func (rt *Runtime) Abort(core int, reason stats.AbortReason, at uint64) {
 	ctx := rt.Ctxs[core]
-	if ctx.State != Active {
+	if ctx.State != Active || ctx.Committing {
 		return
 	}
 	ctx.Doom(reason)
@@ -254,21 +257,31 @@ func (rt *Runtime) fallback(core int, c txn.Clock, t *txn.Transaction, start uin
 	// The lock store conflicts with every hardware transaction's read set,
 	// aborting them.
 	c.AdvanceTo(locks.SpinAcquire(rt.H, core, c, rt.lockAddr, 1, txn.Backoff(rt.Cfg, 1)))
+	// A transaction past its commit point survived the lock store; the body
+	// may touch its write set only once it has finished committing. Each
+	// wait step must move the clock, or the committing core never runs.
+	for _, o := range rt.Ctxs {
+		for o.Committing {
+			c.Advance(max(rt.Cfg.BackoffBase, 1))
+		}
+	}
 	if rt.Hooks.Persist != nil {
 		// Opened before the body: other cores read the current txid while
 		// the body runs.
 		ctx.TxID = rt.Env.Registry.Log(core).BeginTx()
 	}
 	ftx := rt.ftxs[core]
-	ftx.clock = c
-	ftx.dirty.Clear()
-	ftx.read.Clear()
+	ftx.Begin(c, nil)
+	ftx.storeCost = rt.Cfg.FlushIssueLatency
+	if fs := rt.Hooks.FallbackStore; fs != nil {
+		ftx.before = func(la uint64, first bool) { fs(core, c, la, first) }
+		ftx.storeCost = 0
+	}
 	// The fallback may not fail: an explicit abort commits what the body
 	// wrote before it.
 	_, _, _ = txn.Attempt(t.Body, ftx)
-	ftx.clock = nil
 	if rt.Hooks.Persist != nil {
-		rt.Hooks.Persist(core, c, ctx.TxID, ftx.dirty)
+		rt.Hooks.Persist(core, c, ctx.TxID, ftx.Writes)
 	}
 	sr := rt.H.Store(core, rt.lockAddr, 0, c.Now(), false)
 	c.AdvanceTo(sr.Done)
@@ -276,10 +289,7 @@ func (rt *Runtime) fallback(core int, c txn.Clock, t *txn.Transaction, start uin
 	cst := rt.Env.Stats.Core(core)
 	cst.Fallbacks++
 	cst.AbortsByReason[stats.AbortFallback]++
-	cst.Commits++
-	cst.WriteSetLines += uint64(ftx.dirty.Len())
-	cst.ReadSetLines += uint64(ftx.read.Len())
-	cst.TxCycles += c.Now() - start
+	ftx.Commit(cst, start)
 }
 
 // SignatureContains implements hier.Arbiter.
@@ -321,29 +331,58 @@ func (t *tx) Write(addr uint64, val uint64) {
 	t.rt.Store(t.core, t.clock, addr, val)
 }
 
-// FallbackTx is the software fallback's txn.Tx: plain timed accesses under
-// the global lock, tracking the read and dirty line sets. Each store also
-// pays the issue cost of its software log write.
-type FallbackTx struct {
-	rt    *Runtime
-	core  int
-	clock txn.Clock
-	dirty *LineSet
-	read  *LineSet
+// PlainTx is a txn.Tx of plain (non-speculative) timed accesses for code
+// that runs under a lock: SO's and ATOM's transactions and the HTM software
+// fallback. Reads and Writes are the distinct lines it read and wrote.
+type PlainTx struct {
+	h             *hier.Hierarchy
+	core          int
+	clock         txn.Clock
+	Reads, Writes *LineSet
+	// before runs before each store with the line address and whether it
+	// is the line's first store; storeCost is charged after each store.
+	before    func(la uint64, first bool)
+	storeCost uint64
+}
+
+// NewPlainTx builds core's plain transaction over h.
+func NewPlainTx(h *hier.Hierarchy, core int) *PlainTx {
+	return &PlainTx{h: h, core: core, Reads: NewLineSet(16), Writes: NewLineSet(16)}
+}
+
+// Begin starts a transaction timed by c with empty line sets; before, when
+// non-nil, runs ahead of each store (designs hook their logging there).
+func (t *PlainTx) Begin(c txn.Clock, before func(la uint64, first bool)) {
+	t.clock, t.before = c, before
+	t.Reads.Clear()
+	t.Writes.Clear()
+}
+
+// Commit records the transaction, begun at cycle start, as committed in cst
+// and drops its clock.
+func (t *PlainTx) Commit(cst *stats.CoreStats, start uint64) {
+	cst.RecordCommit(t.Writes.Len(), t.Reads.Len(), t.clock.Now()-start)
+	t.clock = nil
 }
 
 // Read implements txn.Tx.
-func (t *FallbackTx) Read(addr uint64) uint64 {
-	v, r := t.rt.H.Load(t.core, addr, t.clock.Now(), false)
+func (t *PlainTx) Read(addr uint64) uint64 {
+	v, r := t.h.Load(t.core, addr, t.clock.Now(), false)
 	t.clock.AdvanceTo(r.Done)
-	t.read.Add(t.rt.H.Align(addr))
+	t.Reads.Add(t.h.Align(addr))
 	return v
 }
 
 // Write implements txn.Tx.
-func (t *FallbackTx) Write(addr uint64, val uint64) {
-	r := t.rt.H.Store(t.core, addr, val, t.clock.Now(), false)
+func (t *PlainTx) Write(addr uint64, val uint64) {
+	la := t.h.Align(addr)
+	if t.before != nil {
+		t.before(la, !t.Writes.Contains(la))
+	}
+	r := t.h.Store(t.core, addr, val, t.clock.Now(), false)
 	t.clock.AdvanceTo(r.Done)
-	t.dirty.Add(t.rt.H.Align(addr))
-	t.clock.Advance(t.rt.Cfg.FlushIssueLatency)
+	t.Writes.Add(la)
+	if t.storeCost != 0 {
+		t.clock.Advance(t.storeCost)
+	}
 }

@@ -94,6 +94,9 @@ func Recover(store *memdev.Store) (*Report, error) {
 				images[key] = img
 				order = append(order, key)
 			}
+			if (rec.Type == wal.RecRedo || rec.Type == wal.RecUndo) && rec.LineAddr%memdev.LineBytes != 0 {
+				return rep, fmt.Errorf("recovery: thread %d tx %d: %v record at unaligned address %#x", t, rec.TxID, rec.Type, rec.LineAddr)
+			}
 			switch rec.Type {
 			case wal.RecRedo:
 				img.Redo = append(img.Redo, rec)
@@ -130,7 +133,7 @@ func Recover(store *memdev.Store) (*Report, error) {
 			// its in-place updates back, newest record first.
 			rep.RolledBack = append(rep.RolledBack, key)
 			for i := len(img.Undo) - 1; i >= 0; i-- {
-				applyRecord(store, img.Undo[i])
+				store.WriteLine(img.Undo[i].LineAddr, img.Undo[i].Data)
 				rep.LinesRestored++
 			}
 		default:
@@ -146,7 +149,7 @@ func Recover(store *memdev.Store) (*Report, error) {
 	for _, key := range ordered {
 		img := images[key]
 		for _, rec := range img.Redo {
-			applyRecord(store, rec)
+			store.WriteLine(rec.LineAddr, rec.Data)
 			rep.LinesRestored++
 		}
 		rep.Replayed = append(rep.Replayed, key)
@@ -161,17 +164,6 @@ func Recover(store *memdev.Store) (*Report, error) {
 		store.WriteWord(reg.Overflow(t).CountAddr, 0)
 	}
 	return rep, nil
-}
-
-// applyRecord writes a redo/undo record's payload in place. Line-granular
-// records carry a full line; word-granular records (the no-log-buffer
-// ablation) carry a single word at an unaligned line offset.
-func applyRecord(store *memdev.Store, rec wal.Record) {
-	if rec.LineAddr%memdev.LineBytes == 0 {
-		store.WriteLine(rec.LineAddr, rec.Data)
-		return
-	}
-	store.WriteWord(rec.LineAddr, rec.Data[0])
 }
 
 // topoOrder orders the replay candidates so that every transaction is

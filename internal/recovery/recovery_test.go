@@ -147,46 +147,29 @@ func TestSentinelOrdering(t *testing.T) {
 	}
 }
 
-// TestReplayWordGranular checks replay of the no-log-buffer ablation's
-// word-granular redo records: an unaligned LineAddr carries a single word in
-// Data[0], and replay must patch exactly that word, leaving the rest of the
-// line untouched.
-func TestReplayWordGranular(t *testing.T) {
-	store, reg := buildImage(t)
-	store.WriteLine(0x70000, memdev.Line{10, 11, 12, 13, 14, 15, 16, 17})
-	log := reg.Log(0)
-	txid := log.BeginTx()
-	appendAll(t, log,
-		// Words 3 and 5 of the line, logged store-by-store.
-		&wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: 0x70018, Data: memdev.Line{333}},
-		&wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: 0x70028, Data: memdev.Line{555}},
-		&wal.Record{Type: wal.RecCommit, TxID: txid},
-	)
-	rep, err := Recover(store)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if len(rep.Replayed) != 1 || rep.LinesRestored != 2 {
-		t.Fatalf("replay bookkeeping wrong: %+v", rep)
-	}
-	if got, want := store.ReadLine(0x70000), (memdev.Line{10, 11, 12, 333, 14, 555, 16, 17}); got != want {
-		t.Fatalf("word-granular replay produced %v, want %v", got, want)
-	}
-}
-
-// TestUndoRollbackWordGranular checks the same dispatch on the undo path: an
-// unaligned undo record restores one word only.
-func TestUndoRollbackWordGranular(t *testing.T) {
-	store, reg := buildImage(t)
-	store.WriteLine(0x78000, memdev.Line{1, 2, 3, 4})
-	log := reg.Log(1)
-	txid := log.BeginTx()
-	appendAll(t, log, &wal.Record{Type: wal.RecUndo, TxID: txid, LineAddr: 0x78008, Data: memdev.Line{99}})
-	if _, err := Recover(store); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if got, want := store.ReadLine(0x78000), (memdev.Line{1, 99, 3, 4}); got != want {
-		t.Fatalf("word-granular rollback produced %v, want %v", got, want)
+// TestUnalignedRecordIsAnError checks that recovery refuses a redo or undo
+// record whose line address is not line-aligned: every record carries a
+// whole line, so such an address can only come from a corrupt log, and
+// recovery must return an error rather than write a line at the wrong place.
+func TestUnalignedRecordIsAnError(t *testing.T) {
+	for _, typ := range []wal.RecordType{wal.RecRedo, wal.RecUndo} {
+		t.Run(typ.String(), func(t *testing.T) {
+			store, reg := buildImage(t)
+			store.WriteLine(0x70000, memdev.Line{10, 11, 12})
+			log := reg.Log(1)
+			txid := log.BeginTx()
+			appendAll(t, log,
+				&wal.Record{Type: typ, TxID: txid, LineAddr: 0x70018, Data: memdev.Line{333}},
+				&wal.Record{Type: wal.RecCommit, TxID: txid},
+			)
+			_, err := Recover(store)
+			if err == nil || !strings.Contains(err.Error(), "unaligned address 0x70018") {
+				t.Fatalf("Recover over an unaligned %v record: err = %v, want an unaligned-address error", typ, err)
+			}
+			if got := store.ReadLine(0x70000); got != (memdev.Line{10, 11, 12}) {
+				t.Fatalf("Recover wrote the heap before failing: %v", got)
+			}
+		})
 	}
 }
 

@@ -74,10 +74,10 @@ type Design struct {
 	Tags []string `json:"tags"`
 	// CrashSafe marks designs whose durability protocol recovery.Recover
 	// replays at arbitrary crash points — the set the crash-point explorer
-	// accepts. The others are excluded by construction: SO and sdTM defer
-	// in-place persistence past the simulated window, NP is volatile, and
-	// DHTM-nobuf emits word-granular records whose line-aligned case recovery
-	// cannot yet distinguish from full lines.
+	// accepts: DHTM and its ablations (redo logging) and ATOM and
+	// LogTM-ATOM (one undo-logging sequence). The others are excluded by
+	// construction: SO and sdTM defer in-place persistence past the
+	// simulated window, and NP is volatile.
 	CrashSafe bool `json:"crash_safe"`
 	// New instantiates the design's runtime over a fresh environment.
 	New func(env *txn.Env) txn.Runtime `json:"-"`
@@ -156,8 +156,9 @@ var designs = []Design{
 	},
 	{
 		Name:        DesignDHTMNoBuf,
-		Description: "DHTM without the coalescing log buffer: one word-granular redo record per store (Figure 2b's strawman).",
+		Description: "DHTM without the coalescing log buffer: one redo record per store (Figure 2b's strawman).",
 		Tags:        []string{TagHTM, TagHWPersist, TagAblation},
+		CrashSafe:   true,
 		New:         func(env *txn.Env) txn.Runtime { return core.New(env, core.Options{DisableLogBuffer: true}) },
 	},
 }

@@ -96,6 +96,15 @@ func New(n int) *Stats {
 // Core returns the per-core counters for core i.
 func (s *Stats) Core(i int) *CoreStats { return &s.Cores[i] }
 
+// RecordCommit counts one committed transaction: its write- and read-set
+// sizes in distinct lines and the cycles from its start to its commit.
+func (c *CoreStats) RecordCommit(writeLines, readLines int, cycles uint64) {
+	c.Commits++
+	c.WriteSetLines += uint64(writeLines)
+	c.ReadSetLines += uint64(readLines)
+	c.TxCycles += cycles
+}
+
 // Snapshot returns a deep copy of the counters. The copy shares no memory
 // with s, so it stays valid after the simulated system that produced s is
 // discarded and can be read while another run reuses the original.

@@ -69,6 +69,15 @@ func Run(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, fini
 	return RunPrepared(env, rt, w, p, txPerCore, finish)
 }
 
+// Stream returns core's transaction generator for a run of w with
+// parameters p: its i-th call yields the core's i-th transaction. The drive
+// loop and every serial replay of a run draw from it, so both see the same
+// transactions.
+func Stream(w Workload, p Params, core int) func() *txn.Transaction {
+	rng := rand.New(rand.NewSource(p.Defaults().Seed + int64(core)*7919))
+	return func() *txn.Transaction { return w.Next(core, rng) }
+}
+
 // RunPrepared is Run for an environment whose store already contains the
 // workload's post-Setup image (a copy-on-write clone of a cached setup
 // snapshot): it skips Setup and goes straight to the measured run. w must be
@@ -93,10 +102,9 @@ func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore i
 		eng.SetSampler(rec.NextDue(), rec.Sample)
 	}
 	eng.Run(func(core int, c *engine.Clock) {
-		rng := rand.New(rand.NewSource(p.Seed + int64(core)*7919))
+		next := Stream(w, p, core)
 		for i := 0; i < txPerCore; i++ {
-			t := w.Next(core, rng)
-			rt.Run(core, c, t)
+			rt.Run(core, c, next())
 			// Non-transactional work between transactions (building the next
 			// request); background completion phases overlap with it.
 			c.Advance(p.ThinkCycles)

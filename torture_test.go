@@ -9,7 +9,8 @@ import (
 )
 
 // TestTortureExhaustive is the crash-point sweep: for DHTM, the L1-limited
-// DHTM-L1 and ATOM on the hash and queue micro-benchmarks (4 cores), every
+// DHTM-L1, DHTM-nobuf (one redo record per store) and ATOM on the hash and
+// queue micro-benchmarks (4 cores), every
 // durable write of the run is a crash point; the explorer crashes, recovers
 // and judges each one against the three oracles (workload invariants,
 // trace-derived prefix consistency, recovery idempotency). In -short mode a
@@ -19,7 +20,7 @@ func TestTortureExhaustive(t *testing.T) {
 	if testing.Short() {
 		sel = crashtest.Selection{Mode: "stride", Samples: 64}
 	}
-	for _, design := range []string{"DHTM", "DHTM-L1", "ATOM"} {
+	for _, design := range []string{"DHTM", "DHTM-L1", "DHTM-nobuf", "ATOM"} {
 		for _, workload := range []string{"hash", "queue"} {
 			design, workload := design, workload
 			t.Run(design+"/"+workload, func(t *testing.T) {
@@ -59,6 +60,42 @@ func TestTortureExhaustive(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTortureLogTMATOM explores every crash point of LogTM-ATOM on queue and
+// rbtree at 4 cores x 4 tx, the size at which it used to fail: it released
+// its write set before its commit record was durable, and its fallback
+// wrote redo records into a log its hardware transactions fill with undo
+// records. Both now go through ATOM's undo sequence. In -short mode a
+// strided sample stands in for the full space.
+func TestTortureLogTMATOM(t *testing.T) {
+	sel := crashtest.Selection{Mode: "all"}
+	if testing.Short() {
+		sel = crashtest.Selection{Mode: "stride", Samples: 64}
+	}
+	for _, workload := range []string{"queue", "rbtree"} {
+		workload := workload
+		t.Run(workload, func(t *testing.T) {
+			t.Parallel()
+			rep, err := crashtest.Torture(context.Background(), crashtest.Config{
+				Design: "LogTM-ATOM", Workload: workload,
+				Cores: 4, TxPerCore: 4, Seed: 42,
+				Points: sel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rolled := 0
+			for r, n := range rep.RollbackHist {
+				if r > 0 {
+					rolled += n
+				}
+			}
+			if rolled == 0 {
+				t.Errorf("no crash point required rollback; the event space misses mid-transaction windows")
+			}
+		})
 	}
 }
 
