@@ -201,7 +201,7 @@ func TestPanicHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := run.preImages(tasks)
+	pre, err := run.preImages(tasks, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestPanicHardening(t *testing.T) {
 	}
 	out := make([]PointResult, len(group))
 	judged := 0
-	c.judgePoint(runSeed, run.trace, pre, &panicVerify{Workload: run.w, at: 1}, group, nil, out, func() { judged++ })
+	c.judgePoint(runSeed, run, pre, &panicVerify{Workload: run.w, at: 1}, group, nil, out, func() { judged++ })
 	if judged != len(group) {
 		t.Fatalf("%d of %d images judged", judged, len(group))
 	}

@@ -421,13 +421,13 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, err := run.preImages(tasks)
+	pre, err := run.preImages(tasks, cfg.Differential)
 	if err != nil {
 		return nil, err
 	}
 	var dc *diffCtx
 	if cfg.Differential {
-		if dc, err = cfg.newDiffCtx(runSeed, trace); err != nil {
+		if dc, err = cfg.newDiffCtx(runSeed, run); err != nil {
 			return nil, err
 		}
 	}
@@ -447,7 +447,7 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 // their window starts, in parallel, one point per worker at a time:
 // buildTasks emits each point's images contiguously, and all of them share
 // the point's pre-image.
-func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, pre map[uint64]*memdev.Store, tasks []task, dc *diffCtx) []PointResult {
+func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, pre map[uint64]preImage, tasks []task, dc *diffCtx) []PointResult {
 	var starts []int
 	for i := range tasks {
 		if i == 0 || tasks[i].point != tasks[i-1].point {
@@ -468,7 +468,7 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, pre 
 	}
 	runner.ForEach(ctx, len(starts)-1, c.Parallel, func(g int) {
 		lo, hi := starts[g], starts[g+1]
-		c.judgePoint(runSeed, run.trace, pre, run.w, tasks[lo:hi], dc, results[lo:hi], progress)
+		c.judgePoint(runSeed, run, pre, run.w, tasks[lo:hi], dc, results[lo:hi], progress)
 	})
 	return results
 }

@@ -3,6 +3,7 @@ package crashtest
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"dhtm/internal/memdev"
 	"dhtm/internal/runner"
@@ -38,36 +39,36 @@ import (
 // the design name, giving every design the identical transaction stream.
 
 // diffCtx is the per-exploration state of the differential oracle: the
-// prepared workload snapshot and the re-generated transaction streams.
+// prepared workload snapshot, the re-generated transaction streams and the
+// serial re-executions of the committed sequence's prefixes.
 type diffCtx struct {
 	prep *snapshot.Prepared
 	gen  [][]*txn.Transaction // [core][rank]
-	// base is a frozen clone of the post-setup snapshot and baseDigest its
-	// heap digest, the starting point of every incremental digest.
-	base       *memdev.Store
-	baseDigest uint64
+	// replays[m] re-executes the first m commits of the whole trace, once,
+	// on first use, into a frozen image: every crash point's committed
+	// sequence is a prefix of the whole trace's, so points sharing a commit
+	// count share the replay.
+	replays []func() (*memdev.Store, error)
 }
 
 // newDiffCtx regenerates the workload's transaction streams and checks the
-// full trace satisfies the oracle's preconditions: every generated
+// full trace of run satisfies the oracle's preconditions: every generated
 // transaction committed, per thread in ascending txid order. A design or
 // workload that aborts transactions for good would need a rank mapping the
 // trace alone cannot provide.
-func (c Config) newDiffCtx(runSeed int64, trace []traceEvent) (*diffCtx, error) {
+func (c Config) newDiffCtx(runSeed int64, run *pass) (*diffCtx, error) {
 	_, prep, err := c.prepare(runSeed)
 	if err != nil {
 		return nil, err
 	}
-	dc := &diffCtx{prep: prep, gen: make([][]*txn.Transaction, c.Cores), base: prep.NewStore()}
-	dc.base.Freeze()
-	dc.baseDigest = heapDigest(dc.base)
+	dc := &diffCtx{prep: prep, gen: make([][]*txn.Transaction, c.Cores)}
 	for core := 0; core < c.Cores; core++ {
 		next := workloads.Stream(prep.Workload, prep.Params, core)
 		for i := 0; i < c.TxPerCore; i++ {
 			dc.gen[core] = append(dc.gen[core], next())
 		}
 	}
-	info, err := parseTrace(trace)
+	info, err := run.txs.prefix(len(run.trace))
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: differential oracle: %w", err)
 	}
@@ -81,7 +82,17 @@ func (c Config) newDiffCtx(runSeed int64, trace []traceEvent) (*diffCtx, error) 
 				core, counts[core], c.TxPerCore)
 		}
 	}
-	if _, err := dc.replay(info.commits); err != nil {
+	dc.replays = make([]func() (*memdev.Store, error), len(info.commits)+1)
+	for m := range dc.replays {
+		dc.replays[m] = sync.OnceValues(func() (*memdev.Store, error) {
+			st, err := dc.replay(info.commits[:m])
+			if err == nil {
+				st.Freeze()
+			}
+			return st, err
+		})
+	}
+	if _, err := dc.replays[len(info.commits)](); err != nil {
 		return nil, fmt.Errorf("crashtest: differential oracle: full trace fails preconditions: %w", err)
 	}
 	return dc, nil
@@ -140,19 +151,22 @@ func heapDigest(st *memdev.Store) uint64 {
 	return d
 }
 
-// digest returns heapDigest(st) for an image cloned from the post-setup
-// snapshot, incrementally: the digest is an XOR of per-line mixes, so
-// st's digest is the base's with the mixes of every line in leaves the two
-// images do not share swapped out (base's side) and in (st's side). Shared
-// leaves cancel exactly.
-func (d *diffCtx) digest(st *memdev.Store) uint64 {
-	dg := d.baseDigest
-	mix := func(addr uint64, mine, _ *memdev.Line) bool {
-		dg ^= lineMix(addr, mine)
+// digestOf returns heapDigest(st) for an image cloned from the pre-image,
+// incrementally: the digest is an XOR of per-line mixes, so st's digest is
+// the pre-image's with the mixes of every heap line the two images hold
+// differently swapped out (the pre-image's side) and in (st's side). Shared
+// leaves and equal lines cancel exactly, so the cost is what the crash image
+// and its recovery changed.
+func (p preImage) digestOf(st *memdev.Store) uint64 {
+	dg := p.digest
+	mix := func(addr uint64, mine, theirs *memdev.Line) bool {
+		if *mine != *theirs {
+			dg ^= lineMix(addr, mine)
+		}
 		return true
 	}
-	d.base.ForEachUnsharedLine(st, mix)
-	st.ForEachUnsharedLine(d.base, mix)
+	p.st.ForEachUnsharedLine(st, wal.HeapBase, mix)
+	st.ForEachUnsharedLine(p.st, wal.HeapBase, mix)
 	return dg
 }
 

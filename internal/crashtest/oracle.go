@@ -1,8 +1,10 @@
 package crashtest
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"dhtm/internal/memdev"
 	"dhtm/internal/wal"
@@ -14,81 +16,103 @@ type txKey struct {
 	txid   uint64
 }
 
-// txState accumulates what the trace reveals about one transaction.
+// never is the activation index of a record the trace never activates.
+const never = math.MaxInt
+
+// txState accumulates what the trace reveals about one transaction, each
+// record stamped with the index of the log-meta event that activated it.
 type txState struct {
-	committed bool
-	aborted   bool
-	undo      []wal.Record // append order
+	commitAt, abortAt int          // first commit / abort activation, or never
+	undo              []wal.Record // append order
+	undoAt            []int        // undoAt[i] activated undo[i]; ascending
 }
 
 // redoEntry is one redo record in global persist order.
 type redoEntry struct {
 	key txKey
 	rec wal.Record
+	at  int // the activating event index
 }
 
-// traceTxs is the transaction-level decoding of a persist-trace prefix: what
-// recovery could legitimately know about each transaction if power failed
-// right after the prefix, plus the committed sequence in activation order
-// (the serialization order the differential oracle replays).
+// traceTxs is the transaction-level decoding of a whole persist trace, each
+// record stamped with the event index that activated it, so the decoding of
+// any prefix is a view of it (prefix) rather than a parse of its own.
 type traceTxs struct {
 	txs  map[txKey]*txState
 	redo []redoEntry
-	// commits lists every commit-marker activation in global persist order.
-	// Per thread the txids are ascending — a core's transactions commit in
-	// issue order — which is what lets the differential oracle map the j-th
-	// committed txid of a thread back to the j-th generated transaction.
-	commits []txKey
+	// commits lists every commit-marker activation in global persist order
+	// and commitAt the event index of each. Per thread the txids are
+	// ascending — a core's transactions commit in issue order — which is
+	// what lets the differential oracle map the j-th committed txid of a
+	// thread back to the j-th generated transaction.
+	commits  []txKey
+	commitAt []int
+	// undoTxs lists the transactions with undo records, by thread then txid.
+	undoTxs []txKey
+	// firstRedo and firstUndo are the first activations of each logging
+	// discipline (never if none).
+	firstRedo, firstUndo int
+	// err is the record-decoding failure at event errAt (never if none);
+	// the parse stops there.
+	err   error
+	errAt int
 }
 
-// parseTrace decodes the log-record persist events of a trace prefix back
-// into records (the trace never loses records to truncation, torn writes or
+// parseTrace decodes the log-record persist events of a trace back into
+// records (the trace never loses records to truncation, torn writes or
 // head-pointer races) and classifies them per transaction.
 //
 // Reassembly works because a record append issues one or (on log wrap-around)
 // two consecutive record-class events followed by the head pointer's log-meta
 // persist, and no other events interleave — the token-holding core writes all
 // of them synchronously — so record-class events concatenate into a stream of
-// whole records. A decoded record is only *pending* until that head persist:
-// the recovery manager's scan covers [tail, head), so a record whose words
-// are durable but whose head write the crash swallowed was never appended.
-// Trailing pending records at the end of the prefix are therefore dropped.
+// whole records. A decoded record is only *pending* until that head persist,
+// which activates it: the recovery manager's scan covers [tail, head), so a
+// record whose words are durable but whose head write the crash swallowed
+// was never appended. A prefix ending before a record's activation therefore
+// does not hold it.
 //
-// Under the reordering adversary the same parse stays sound for a crash at
-// point k with in-flight window [wStart, k): log-meta persists are drain
+// Under the reordering adversary the same decoding stays sound for a crash
+// at point k with in-flight window [wStart, k): log-meta persists are drain
 // class, so none sits inside the window — every activation the image can
 // contain happened before wStart, and a window record's activating meta is
 // at or beyond k. Masked-in record words are inert bytes beyond the durable
-// head that neither recovery nor this parse can observe.
-func parseTrace(prefix []traceEvent) (*traceTxs, error) {
-	info := &traceTxs{txs: make(map[txKey]*txState)}
+// head that neither recovery nor this decoding can observe.
+func parseTrace(trace []traceEvent) *traceTxs {
+	info := &traceTxs{txs: make(map[txKey]*txState), firstRedo: never, firstUndo: never, errAt: never}
 	var buf []uint64
 	var pending []wal.Record
-	undo := false
-	activate := func() {
+	activate := func(at int) {
 		for _, rec := range pending {
 			k := txKey{thread: rec.Thread, txid: rec.TxID}
 			st := info.txs[k]
 			if st == nil {
-				st = &txState{}
+				st = &txState{commitAt: never, abortAt: never}
 				info.txs[k] = st
 			}
 			switch rec.Type {
 			case wal.RecRedo:
-				info.redo = append(info.redo, redoEntry{key: k, rec: rec})
+				info.redo = append(info.redo, redoEntry{key: k, rec: rec, at: at})
+				info.firstRedo = min(info.firstRedo, at)
 			case wal.RecUndo:
+				if len(st.undo) == 0 {
+					info.undoTxs = append(info.undoTxs, k)
+				}
 				st.undo = append(st.undo, rec)
-				undo = true
+				st.undoAt = append(st.undoAt, at)
+				info.firstUndo = min(info.firstUndo, at)
 			case wal.RecCommit:
-				st.committed = true
+				st.commitAt = min(st.commitAt, at)
 				info.commits = append(info.commits, k)
+				info.commitAt = append(info.commitAt, at)
 			case wal.RecAbort:
-				st.aborted = true
+				st.abortAt = min(st.abortAt, at)
 			}
 		}
 		pending = pending[:0]
 	}
-	for _, ev := range prefix {
+scan:
+	for i, ev := range trace {
 		switch {
 		case wal.IsRecordClass(ev.class):
 			buf = append(buf, ev.words...)
@@ -100,36 +124,64 @@ func parseTrace(prefix []traceEvent) (*traceTxs, error) {
 				}
 				rec, n, err := wal.DecodeRecord(buf, 0)
 				if err != nil {
-					return nil, fmt.Errorf("decoding trace record: %w", err)
+					info.err, info.errAt = fmt.Errorf("decoding trace record: %w", err), i
+					break scan
 				}
 				buf = buf[:copy(buf, buf[n:])]
 				pending = append(pending, rec)
 			}
 		case ev.class == memdev.TrafficLogMeta:
-			activate()
+			activate(i)
 		}
 	}
-	if len(info.redo) > 0 && undo {
+	slices.SortFunc(info.undoTxs, func(a, b txKey) int {
+		return cmp.Or(cmp.Compare(a.thread, b.thread), cmp.Compare(a.txid, b.txid))
+	})
+	return info
+}
+
+// txPrefix is the decoding of the trace prefix [0, k): what recovery could
+// legitimately know about each transaction if power failed right before
+// event k, plus the committed sequence in activation order (the
+// serialization order the differential oracle replays).
+type txPrefix struct {
+	all *traceTxs
+	k   int
+	// redo and commits are the prefixes of all.redo and all.commits
+	// activated before k.
+	redo    []redoEntry
+	commits []txKey
+}
+
+// prefix returns the decoding of trace prefix [0, k), failing as a parse of
+// that prefix alone would: on a record that does not decode, or when both
+// logging disciplines appear in it.
+func (t *traceTxs) prefix(k int) (*txPrefix, error) {
+	if t.errAt < k {
+		return nil, t.err
+	}
+	if t.firstRedo < k && t.firstUndo < k {
 		// The reference image replays every committed redo record in persist
 		// order, taking a completed transaction's replay to be idempotent. An
 		// in-place undo commit after it breaks that: the replay would write
 		// the older redo image over the newer undo-logged value.
 		return nil, fmt.Errorf("trace holds both redo and undo records; the reference image needs one logging discipline")
 	}
-	return info, nil
+	nRedo, _ := slices.BinarySearchFunc(t.redo, k, func(e redoEntry, k int) int { return cmp.Compare(e.at, k) })
+	nCommits, _ := slices.BinarySearch(t.commitAt, k)
+	return &txPrefix{all: t, k: k, redo: t.redo[:nRedo], commits: t.commits[:nCommits]}, nil
 }
 
 // expectedImage computes the reference durable image for a crash whose
 // masked pre-recovery image is pre, independently of the durable logs the
 // recovery manager reads: it applies the same semantics recovery promises to
-// the parsed trace — uncommitted undo-logged transactions are rolled back
-// (newest record first) and the redo records of every transaction whose
+// the decoded trace prefix — uncommitted undo-logged transactions are rolled
+// back (newest record first) and the redo records of every transaction whose
 // commit marker persisted inside the prefix are replayed in global persist
 // order, which for any line shared across transactions is exactly sentinel
 // dependency order, because a dependent transaction can only log a line
 // after its dependency's commit persisted.
-func expectedImage(pre *memdev.Store, info *traceTxs) *memdev.Store {
-	txs, redo := info.txs, info.redo
+func expectedImage(pre *memdev.Store, info *txPrefix) *memdev.Store {
 	exp := pre.Clone()
 
 	// Roll back uncommitted, unaborted undo-logged transactions, newest
@@ -137,22 +189,14 @@ func expectedImage(pre *memdev.Store, info *traceTxs) *memdev.Store {
 	// commit record, so concurrent uncommitted transactions touch disjoint
 	// lines and the cross-transaction order is immaterial; it is fixed
 	// (thread, then txid) for determinism.
-	var rollback []txKey
-	for k, st := range txs {
-		if !st.committed && !st.aborted && len(st.undo) > 0 {
-			rollback = append(rollback, k)
+	for _, key := range info.all.undoTxs {
+		st := info.all.txs[key]
+		if st.commitAt < info.k || st.abortAt < info.k {
+			continue
 		}
-	}
-	sort.Slice(rollback, func(i, j int) bool {
-		if rollback[i].thread != rollback[j].thread {
-			return rollback[i].thread < rollback[j].thread
-		}
-		return rollback[i].txid < rollback[j].txid
-	})
-	for _, k := range rollback {
-		undo := txs[k].undo
-		for i := len(undo) - 1; i >= 0; i-- {
-			exp.WriteLine(undo[i].LineAddr, undo[i].Data)
+		n, _ := slices.BinarySearch(st.undoAt, info.k)
+		for i := n - 1; i >= 0; i-- {
+			exp.WriteLine(st.undo[i].LineAddr, st.undo[i].Data)
 		}
 	}
 
@@ -160,8 +204,8 @@ func expectedImage(pre *memdev.Store, info *traceTxs) *memdev.Store {
 	// order. Transactions that already completed in place replay
 	// idempotently; committed-but-incomplete ones are restored exactly as
 	// recovery must restore them.
-	for _, e := range redo {
-		if txs[e.key].committed {
+	for _, e := range info.redo {
+		if info.all.txs[e.key].commitAt < info.k {
 			exp.WriteLine(e.rec.LineAddr, e.rec.Data)
 		}
 	}
@@ -179,8 +223,8 @@ func expectedImage(pre *memdev.Store, info *traceTxs) *memdev.Store {
 func diffHeap(got, want *memdev.Store) string {
 	var msg string
 	scan := func(a, b *memdev.Store, flipped bool) {
-		a.ForEachUnsharedLine(b, func(addr uint64, mine, theirs *memdev.Line) bool {
-			if addr < wal.HeapBase || *mine == *theirs {
+		a.ForEachUnsharedLine(b, wal.HeapBase, func(addr uint64, mine, theirs *memdev.Line) bool {
+			if *mine == *theirs {
 				return true
 			}
 			i := 0

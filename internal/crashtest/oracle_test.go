@@ -77,8 +77,9 @@ func heapLines(st *memdev.Store) []uint64 {
 	return out
 }
 
-// testDiffCtx builds the differential context of a small hash exploration.
-func testDiffCtx(t *testing.T) *diffCtx {
+// testDiffCtx builds the differential context of a small hash exploration
+// and a frozen copy of its post-setup image.
+func testDiffCtx(t *testing.T) (*diffCtx, *memdev.Store) {
 	t.Helper()
 	cfg := Config{Design: "DHTM", Workload: "hash", Cores: 2, TxPerCore: 2, OpsPerTx: 4, Differential: true}.withDefaults()
 	runSeed := cfg.RunSeed()
@@ -86,12 +87,11 @@ func testDiffCtx(t *testing.T) *diffCtx {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := run.trace
-	dc, err := cfg.newDiffCtx(runSeed, trace)
+	dc, err := cfg.newDiffCtx(runSeed, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dc
+	return dc, frozenClone(dc.prep.NewStore())
 }
 
 // TestIncrementalDigestMatchesHeapDigest checks the differential oracle's
@@ -99,21 +99,22 @@ func testDiffCtx(t *testing.T) *diffCtx {
 // post-setup snapshot, clones of clones, images sharing nothing with it and
 // a real serial re-execution.
 func TestIncrementalDigestMatchesHeapDigest(t *testing.T) {
-	dc := testDiffCtx(t)
-	hot := heapLines(dc.base)
+	dc, base := testDiffCtx(t)
+	hot := heapLines(base)
 	if len(hot) == 0 {
 		t.Fatal("post-setup image has no heap lines")
 	}
+	from := preImage{st: base, digest: heapDigest(base)}
 	rng := rand.New(rand.NewSource(1))
 	check := func(name string, st *memdev.Store) {
 		t.Helper()
-		if got, want := dc.digest(st), heapDigest(st); got != want {
+		if got, want := from.digestOf(st), heapDigest(st); got != want {
 			t.Fatalf("%s: incremental digest %016x, full walk %016x", name, got, want)
 		}
 	}
-	check("untouched clone", dc.base.Clone())
+	check("untouched clone", base.Clone())
 	for round := 0; round < 20; round++ {
-		a := dc.base.Clone()
+		a := base.Clone()
 		scribble(rng, a, hot, 1+rng.Intn(64))
 		check(fmt.Sprintf("round %d clone", round), a)
 		b := a.Clone()
@@ -144,13 +145,13 @@ func TestIncrementalDigestMatchesHeapDigest(t *testing.T) {
 // lower address than a mismatch on a line got populated must still lose to
 // the got-side one, because got's pass runs first.
 func TestDiffHeapMatchesNaive(t *testing.T) {
-	dc := testDiffCtx(t)
-	hot := heapLines(dc.base)
+	_, base := testDiffCtx(t)
+	hot := heapLines(base)
 	rng := rand.New(rand.NewSource(2))
 	mismatches := 0
 	for round := 0; round < 200; round++ {
-		got := dc.base.Clone()
-		want := dc.base.Clone()
+		got := base.Clone()
+		want := base.Clone()
 		scribble(rng, got, hot, rng.Intn(8))
 		if rng.Intn(2) == 0 {
 			want = got.Clone()
@@ -168,8 +169,8 @@ func TestDiffHeapMatchesNaive(t *testing.T) {
 		t.Fatal("no round produced a mismatch")
 	}
 
-	got := dc.base.Clone()
-	want := dc.base.Clone()
+	got := base.Clone()
+	want := base.Clone()
 	// Both lines lie past everything the setup image populated.
 	low := hot[len(hot)-1] + 64*memdev.LineBytes
 	high := low + 0x10_0000
@@ -310,11 +311,12 @@ func TestParseTraceRejectsMixedLogging(t *testing.T) {
 		wal.Record{Type: wal.RecUndo, Thread: 1, TxID: 1, LineAddr: wal.HeapBase, Data: memdev.Line{1}},
 		wal.Record{Type: wal.RecCommit, Thread: 1, TxID: 1})
 	for name, trace := range map[string][]traceEvent{"redo": redo, "undo": undo} {
-		if info, err := parseTrace(trace); err != nil || len(info.commits) != 1 {
+		if info, err := parseTrace(trace).prefix(len(trace)); err != nil || len(info.commits) != 1 {
 			t.Errorf("%s-only trace: info %+v, err %v", name, info, err)
 		}
 	}
-	_, err := parseTrace(append(append([]traceEvent(nil), redo...), undo...))
+	mixed := append(append([]traceEvent(nil), redo...), undo...)
+	_, err := parseTrace(mixed).prefix(len(mixed))
 	if err == nil || !strings.Contains(err.Error(), "both redo and undo") {
 		t.Fatalf("mixed trace parsed with err = %v, want a mixed-logging error", err)
 	}

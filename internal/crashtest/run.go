@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"dhtm/internal/config"
@@ -45,6 +44,7 @@ func (r *recorder) PersistWrite(_ uint64, ev memdev.PersistEvent) {
 type pass struct {
 	w     workloads.Workload // the run's workload object
 	trace []traceEvent
+	txs   *traceTxs     // the trace's transaction-level decoding
 	start *memdev.Store // frozen: the image the first recorded write applies to
 	final *memdev.Store // frozen: the run's final image, unrecovered
 }
@@ -107,6 +107,7 @@ func (c Config) countPass(seed int64) (*pass, error) {
 		return nil, fmt.Errorf("crashtest: %w", err)
 	}
 	p.trace, p.final = rec.events, frozenClone(env.Store())
+	p.txs = parseTrace(p.trace)
 	env.Release()
 
 	img := p.final.Clone()
@@ -126,24 +127,43 @@ func frozenClone(st *memdev.Store) *memdev.Store {
 	return img
 }
 
+// preImage is a frozen crash pre-image — writes [0, wStart) durable, nothing
+// later — and, when asked for, its heap digest.
+type preImage struct {
+	st     *memdev.Store
+	digest uint64
+}
+
 // preImages replays the trace onto the start image and, at every window
 // start tasks need, freezes a copy: the image in which writes [0, wStart)
 // are durable and no later one is — all volatile state is absent by
 // construction. Each distinct window start is captured once, however many
-// points share it. The replay must end at the run's final image: that is
+// points share it. With digests, each copy carries its heapDigest, kept
+// current across the replay by swapping out and in the mixes of the lines
+// each write touches. The replay must end at the run's final image: that is
 // what makes the trace the complete record of durable writes every crash
 // image is built from.
-func (p *pass) preImages(tasks []task) (map[uint64]*memdev.Store, error) {
-	pre := make(map[uint64]*memdev.Store)
+func (p *pass) preImages(tasks []task, digests bool) (map[uint64]preImage, error) {
+	pre := make(map[uint64]preImage)
 	for _, tk := range tasks {
-		pre[tk.wStart] = nil
+		pre[tk.wStart] = preImage{}
 	}
 	st := p.start.Clone()
+	var dg uint64
+	if digests {
+		dg = heapDigest(p.start)
+	}
 	for i, ev := range p.trace {
 		if _, ok := pre[uint64(i)]; ok {
-			pre[uint64(i)] = frozenClone(st)
+			pre[uint64(i)] = preImage{st: frozenClone(st), digest: dg}
+		}
+		if digests {
+			dg ^= eventMix(st, ev)
 		}
 		applyEvent(st, ev)
+		if digests {
+			dg ^= eventMix(st, ev)
+		}
 	}
 	if !st.Equal(p.final) {
 		return nil, errors.New("crashtest: the persist trace does not reproduce the run's final image")
@@ -158,19 +178,11 @@ func (p *pass) preImages(tasks []task) (map[uint64]*memdev.Store, error) {
 // recovery walking a log the adversary corrupted) is recovered and reported
 // as that image's failure: one pathological crash image must not kill the
 // sweep.
-func (c Config) judgePoint(seed int64, trace []traceEvent, pre map[uint64]*memdev.Store, w workloads.Workload, tasks []task, dc *diffCtx, out []PointResult, done func()) {
-	k := tasks[0].point
-	torn := 0
-	if c.Torn && len(trace[k].words) >= 2 {
-		// A deterministic, seed-derived proper prefix of the in-flight words.
-		torn = 1 + int(runner.Mix64(uint64(seed)^uint64(k))%uint64(len(trace[k].words)-1))
-	}
+func (c Config) judgePoint(seed int64, run *pass, pre map[uint64]preImage, w workloads.Workload, tasks []task, dc *diffCtx, out []PointResult, done func()) {
+	k, trace := tasks[0].point, run.trace
+	torn := c.tornWords(seed, trace, k)
 	pt := &pointCtx{trace: trace, point: k, pre: pre[tasks[0].wStart], w: w, dc: dc}
-	pt.info = sync.OnceValues(func() (*traceTxs, error) { return parseTrace(trace[:k]) })
-	pt.replay = sync.OnceValues(func() (*memdev.Store, error) {
-		info, _ := pt.info() // judge asks only once info succeeded
-		return dc.replay(info.commits)
-	})
+	pt.info, pt.infoErr = run.txs.prefix(k)
 	for i, tk := range tasks {
 		out[i] = PointResult{Point: k, Class: trace[k].class.String(), TornWords: torn}
 		if n := k - int(tk.wStart); n > 0 {
@@ -185,6 +197,16 @@ func (c Config) judgePoint(seed int64, trace []traceEvent, pre map[uint64]*memde
 	}
 }
 
+// tornWords is how many words of the write interrupted at point k reach
+// memory: in torn mode a deterministic, seed-derived proper prefix of a
+// multi-word write, otherwise none.
+func (c Config) tornWords(seed int64, trace []traceEvent, k int) int {
+	if !c.Torn || len(trace[k].words) < 2 {
+		return 0
+	}
+	return 1 + int(runner.Mix64(uint64(seed)^uint64(k))%uint64(len(trace[k].words)-1))
+}
+
 // catchPanic, deferred, turns a panic into a "panic:" failure in *errStr.
 func catchPanic(errStr *string) {
 	if r := recover(); r != nil {
@@ -197,40 +219,42 @@ func catchPanic(errStr *string) {
 }
 
 // pointCtx is what every crash image of one point shares: the frozen
-// pre-image holding writes [0, wStart) and the mask-independent reference
-// inputs, each computed once on first use.
+// pre-image holding writes [0, wStart) and the mask-independent decoding of
+// the trace prefix [0, point).
 type pointCtx struct {
-	trace []traceEvent
-	point int
-	pre   *memdev.Store // frozen: writes [0, wStart) durable, nothing later
-	w     workloads.Workload
-	dc    *diffCtx
-	// info decodes the trace prefix [0, point); replay re-executes its
-	// committed sequence serially (differential mode only).
-	info   func() (*traceTxs, error)
-	replay func() (*memdev.Store, error)
+	trace   []traceEvent
+	point   int
+	pre     preImage
+	w       workloads.Workload
+	dc      *diffCtx
+	info    *txPrefix
+	infoErr error
 }
 
-// judge builds the crash image tk's adversary mask describes, recovers it and
-// judges the recovered image against the oracles, recording the outcome in
-// res.
-func (pt *pointCtx) judge(tk task, res *PointResult) {
-	// Build the crash image: the pre-image holds writes [0, wStart); the mask
-	// retires its subset of the in-flight window [wStart, k) — in issue
-	// order, since the queue keeps same-address writes coherent — and the
-	// interrupted write k itself contributes at most a torn prefix. Payloads
-	// come from the recorded trace.
+// crashImage builds the crash image tk's adversary mask describes, with the
+// first torn words of the interrupted write: the pre-image holds writes
+// [0, wStart); the mask retires its subset of the in-flight window
+// [wStart, k) — in issue order, since the queue keeps same-address writes
+// coherent — and the interrupted write k itself contributes at most a torn
+// prefix. Payloads come from the recorded trace.
+func (pt *pointCtx) crashImage(tk task, torn int) *memdev.Store {
 	k, trace := pt.point, pt.trace
-	pre := pt.pre.Clone()
+	pre := pt.pre.st.Clone()
 	for i := 0; i < k-int(tk.wStart); i++ {
 		if tk.mask>>uint(i)&1 == 1 {
 			applyEvent(pre, trace[int(tk.wStart)+i])
 		}
 	}
-	for i := 0; i < res.TornWords && i < len(trace[k].words); i++ {
+	for i := 0; i < torn && i < len(trace[k].words); i++ {
 		pre.WriteWord(trace[k].addr+uint64(i*8), trace[k].words[i])
 	}
+	return pre
+}
 
+// judge builds the crash image of tk, recovers it and judges the recovered
+// image against the oracles, recording the outcome in res.
+func (pt *pointCtx) judge(tk task, res *PointResult) {
+	pre := pt.crashImage(tk, res.TornWords)
 	img := pre.Clone()
 	report, err := recovery.Recover(img)
 	if err != nil {
@@ -253,12 +277,11 @@ func (pt *pointCtx) judge(tk task, res *PointResult) {
 	// The reference is mask-independent — log-meta persists drain the queue,
 	// so no window write can change which records recovery sees activated —
 	// but the pre-image it corrects is the masked one.
-	info, err := pt.info()
-	if err != nil {
-		res.Err = "reference image: " + err.Error()
+	if pt.infoErr != nil {
+		res.Err = "reference image: " + pt.infoErr.Error()
 		return
 	}
-	if diff := diffHeap(img, expectedImage(pre, info)); diff != "" {
+	if diff := diffHeap(img, expectedImage(pre, pt.info)); diff != "" {
 		res.Err = "prefix oracle: " + diff
 		return
 	}
@@ -284,7 +307,7 @@ func (pt *pointCtx) judge(tk task, res *PointResult) {
 	// re-execution of exactly the committed transaction sequence, on a store
 	// that never saw this design's machinery — the cross-design ground truth.
 	if pt.dc != nil {
-		replay, err := pt.replay()
+		replay, err := pt.dc.replays[len(pt.info.commits)]()
 		if err != nil {
 			res.Err = "differential oracle: " + err.Error()
 			return
@@ -293,9 +316,21 @@ func (pt *pointCtx) judge(tk task, res *PointResult) {
 			res.Err = "differential oracle: recovered image diverges from serial re-execution of the committed sequence: " + diff
 			return
 		}
-		res.commitKey = commitKey(info.commits)
-		res.digest = pt.dc.digest(img)
+		res.commitKey = commitKey(pt.info.commits)
+		res.digest = pt.pre.digestOf(img)
 	}
+}
+
+// eventMix is the XOR of the heap-digest mixes of the lines ev writes, as st
+// holds them: XOR-ing it into st's digest before and after ev applies moves
+// the digest across the write.
+func eventMix(st *memdev.Store, ev traceEvent) uint64 {
+	var dg uint64
+	for la := ev.addr &^ (memdev.LineBytes - 1); la < ev.addr+uint64(len(ev.words)*8); la += memdev.LineBytes {
+		l := st.ReadLine(la)
+		dg ^= lineMix(la, &l)
+	}
+	return dg
 }
 
 // applyEvent retires one recorded durable write into a crash image.

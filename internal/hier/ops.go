@@ -80,15 +80,6 @@ func (h *Hierarchy) InvalidateLLCLine(addr uint64) {
 	}
 }
 
-// InvalidateL1Line drops core's L1 copy of the line containing addr.
-func (h *Hierarchy) InvalidateL1Line(core int, addr uint64) {
-	la := h.Align(addr)
-	if h.watchMask != 0 {
-		h.wakeCopy(core, la)
-	}
-	h.l1s[core].Invalidate(la)
-}
-
 // ReleaseOwnership clears any stale directory ownership core holds on the
 // line containing addr without touching the data. Designs use it when
 // cleaning up after aborts so later accesses are not forwarded to an L1 that

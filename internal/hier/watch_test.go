@@ -73,10 +73,8 @@ func TestWatchWakesOnEveryInvalidation(t *testing.T) {
 	})
 	t.Run("explicit invalidations", func(t *testing.T) {
 		h, w := setup()
-		h.InvalidateL1Line(0, line)
-		expect(t, w, "another core's L1 line", false)
-		h.InvalidateL1Line(1, line)
-		expect(t, w, "InvalidateL1Line", true)
+		h.InvalidateLLCLine(other)
+		expect(t, w, "InvalidateLLCLine of another line", false)
 		h.InvalidateLLCLine(line)
 		expect(t, w, "InvalidateLLCLine", true)
 	})
@@ -129,7 +127,7 @@ func TestReplayHits(t *testing.T) {
 	if got := h.st.Core(1).L1Hits - base; got != 41 {
 		t.Fatalf("replayed %d hits, want 41", got)
 	}
-	h.InvalidateL1Line(1, 0x50000)
+	h.L1(1).Invalidate(0x50000)
 	h.ReplayHits(1, 0x50000, 2)
 	if h.L1(1).Peek(0x50000) != nil {
 		t.Fatal("ReplayHits reinstalled an invalidated line")

@@ -77,7 +77,7 @@ func checkPair(t *testing.T, a, b *Store, ma, mb model) {
 	}
 	visited := make(map[uint64]bool)
 	last, first := uint64(0), true
-	a.ForEachUnsharedLine(b, func(addr uint64, mine, theirs *Line) bool {
+	a.ForEachUnsharedLine(b, 0, func(addr uint64, mine, theirs *Line) bool {
 		if !first && addr <= last {
 			t.Fatalf("unshared walk out of order: %#x after %#x", addr, last)
 		}
@@ -97,6 +97,103 @@ func checkPair(t *testing.T, a, b *Store, ma, mb model) {
 		if ol, ok := mb[addr]; (!ok || ol != l) && !visited[addr] {
 			t.Fatalf("unshared walk skipped %#x: a %v, b %v (b populated %v)", addr, l, ol, ok)
 		}
+	}
+	checkFloors(t, a, b, slices.Sorted(maps.Keys(visited)))
+}
+
+// checkFloors checks that ForEachUnsharedLine with an address floor visits
+// exactly the lines at or above it of the floorless walk all, for floors at
+// and just past every visited line and at the geometry's edges up to the
+// top of the address space.
+func checkFloors(t *testing.T, a, b *Store, all []uint64) {
+	t.Helper()
+	floors := []uint64{0, 1, 1 << leafByteShift, 1 << dirByteShift, rootDirs << dirByteShift,
+		1<<64 - 1<<dirByteShift, 1<<64 - 1<<leafByteShift, 1<<64 - LineBytes, 1<<64 - 1}
+	for _, addr := range all {
+		floors = append(floors, addr, addr+1, addr&^(1<<leafByteShift-1), addr&^(1<<dirByteShift-1))
+	}
+	for _, from := range floors {
+		var got []uint64
+		a.ForEachUnsharedLine(b, from, func(addr uint64, _, _ *Line) bool {
+			got = append(got, addr)
+			return true
+		})
+		var want []uint64
+		for _, addr := range all {
+			if addr >= from {
+				want = append(want, addr)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("unshared walk from %#x visited %x, want %x", from, got, want)
+		}
+	}
+}
+
+// TestNoOpWriteKeepsLeafShared checks that a write which leaves an already
+// written line unchanged copies nothing — on the clone and on its source,
+// in the first leaves, at the root table's 2 GB edge and in the top
+// directory of the 64-bit space — while a write that changes the line, or
+// populates a never-written one, still copies.
+func TestNoOpWriteKeepsLeafShared(t *testing.T) {
+	for _, addr := range []uint64{0, 1 << leafByteShift, rootDirs << dirByteShift, 1<<64 - 1<<dirByteShift, 1<<64 - LineBytes} {
+		// Two more lines of addr's leaf (XOR stays inside it at the top of
+		// the space, where adding would wrap around).
+		zeroed, unwritten := addr^LineBytes, addr^2*LineBytes
+		s := NewStore()
+		s.WriteLine(addr, Line{1, 2, 3})
+		s.WriteWord(zeroed, 0) // zero data, but written
+		c := s.Clone()
+		for _, st := range []*Store{c, s} {
+			st.WriteWord(addr+8, 2)
+			st.WriteLine(addr, Line{1, 2, 3})
+			st.WriteWord(zeroed, 0)
+			st.WriteLine(zeroed, Line{})
+			if c.leafOf(addr) != s.leafOf(addr) || c.dirAt(addr>>dirByteShift) != s.dirAt(addr>>dirByteShift) {
+				t.Fatalf("%#x: a no-op write copied a shared leaf", addr)
+			}
+			if st.LineCount() != 2 {
+				t.Fatalf("%#x: no-op writes left %d populated lines, want 2", addr, st.LineCount())
+			}
+		}
+
+		// A zero written to a zero-filled line that was never written
+		// populates it, so it copies; the clone's image moves, the source's
+		// does not.
+		c.WriteWord(unwritten, 0)
+		if c.leafOf(addr) == s.leafOf(addr) || c.LineCount() != 3 || s.LineCount() != 2 {
+			t.Fatalf("%#x: populating a zero line: shared %v, counts %d/%d", addr,
+				c.leafOf(addr) == s.leafOf(addr), c.LineCount(), s.LineCount())
+		}
+		c = s.Clone()
+		c.WriteWord(addr+8, 7)
+		if c.leafOf(addr) == s.leafOf(addr) {
+			t.Fatalf("%#x: a changing write left the leaf shared", addr)
+		}
+		if s.ReadWord(addr+8) != 2 || c.ReadWord(addr+8) != 7 {
+			t.Fatalf("%#x: copy-on-write leaked: source %d, clone %d", addr, s.ReadWord(addr+8), c.ReadWord(addr+8))
+		}
+	}
+}
+
+// TestNoOpWriteToFrozenStorePanics checks that freezing still forbids every
+// write, including one that would change nothing.
+func TestNoOpWriteToFrozenStorePanics(t *testing.T) {
+	s := NewStore()
+	s.WriteLine(LineBytes, Line{5})
+	s.Freeze()
+	for name, write := range map[string]func(){
+		"WriteWord": func() { s.WriteWord(LineBytes, 5) },
+		"WriteLine": func() { s.WriteLine(LineBytes, Line{5}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no-op %s to a frozen store did not panic", name)
+				}
+			}()
+			write()
+		}()
 	}
 }
 

@@ -31,7 +31,8 @@ type Line [WordsPerLine]uint64
 // Geometry of the store's two-level table. A leaf is one contiguous slab of
 // 64 lines (4 KB of data), allocated on first touch; a directory maps 512
 // leaves (2 MB of address space) and carries their ownership bits. A first
-// write after a Clone copies one leaf plus, at most, its directory.
+// write after a Clone that changes a line copies one leaf plus, at most, its
+// directory.
 const (
 	leafLineShift = 6 // 64 lines per leaf
 	leafLines     = 1 << leafLineShift
@@ -84,13 +85,15 @@ var editTokens atomic.Uint64
 //
 // Stores support copy-on-write cloning: Clone shares the root table, the
 // directories and the leaves between the two images in O(1), and the first
-// write on either side copies just the path it touches — the root table, one
-// 4 KB directory and one 4 KB leaf. Ownership is an edit token: a directory
-// whose owner matches the store's token (and the leaves its owned bits mark)
-// belong to this store alone, and Clone un-owns everything on both sides by
-// dropping their tokens. A store can additionally be frozen into an
-// immutable snapshot image (Freeze), after which writes panic and Clone is
-// safe to call from multiple goroutines concurrently.
+// write on either side that changes a line copies just the path it touches —
+// the root table, one 4 KB directory and one 4 KB leaf. A write that leaves
+// an already written line as it is copies nothing, so the leaf stays shared.
+// Ownership is an edit token: a directory whose owner matches the store's
+// token (and the leaves its owned bits mark) belong to this store alone, and
+// Clone un-owns everything on both sides by dropping their tokens. A store
+// can additionally be frozen into an immutable snapshot image (Freeze), after
+// which writes panic and Clone is safe to call from multiple goroutines
+// concurrently.
 type Store struct {
 	root []*dir          // indexed by directory number, grown on demand
 	far  map[uint64]*dir // directories at or above rootDirs (cold fallback)
@@ -139,9 +142,10 @@ func (s *Store) leafOf(addr uint64) *leaf {
 	return s.dirAt(addr >> dirByteShift).leaves[(addr>>leafByteShift)&dirLeafMask]
 }
 
-// writable returns the leaf containing addr, held exclusively by this store
-// (as is its directory), so the caller may mutate it. The fast path — an
-// owned leaf in an owned root directory — is three loads and a mask.
+// writable returns the leaf containing addr if this store holds it
+// exclusively (as it does its directory), so the caller may mutate it, and
+// nil otherwise. It is the write fast path — an owned leaf in an owned root
+// directory — three loads and a mask.
 func (s *Store) writable(addr uint64) *leaf {
 	if i := addr >> dirByteShift; i < uint64(len(s.root)) {
 		if d := s.root[i]; d.owner == s.edit {
@@ -151,7 +155,18 @@ func (s *Store) writable(addr uint64) *leaf {
 			}
 		}
 	}
-	return s.writableSlow(addr)
+	return nil
+}
+
+// writtenLine returns the line at addr if a write to this live store could
+// leave it unchanged — the line was written before — and nil otherwise
+// (never written, or the store is frozen, where every write must panic). A
+// write that changes nothing need not copy a shared leaf.
+func (s *Store) writtenLine(addr uint64) *Line {
+	if l := s.leafOf(addr); l != nil && !s.frozen && l.isWritten(lineSlot(addr)) {
+		return &l.lines[lineSlot(addr)]
+	}
+	return nil
 }
 
 // writableSlow handles the cold write cases: frozen images (panic), shared
@@ -223,6 +238,11 @@ func (s *Store) ownDir(d *dir) *dir {
 	return cp
 }
 
+// isWritten reports whether line slot of l has ever been written.
+func (l *leaf) isWritten(slot uint64) bool {
+	return l.written[slot>>6]&(1<<(slot&63)) != 0
+}
+
 // markWritten sets the written bit for the line slot of l, maintaining the
 // populated-line count.
 func (s *Store) markWritten(l *leaf, slot uint64) {
@@ -244,6 +264,12 @@ func (s *Store) ReadWord(addr uint64) uint64 {
 // WriteWord stores an 8-byte word at addr (addr must be 8-byte aligned).
 func (s *Store) WriteWord(addr uint64, val uint64) {
 	l, slot := s.writable(addr), lineSlot(addr)
+	if l == nil {
+		if cur := s.writtenLine(addr); cur != nil && cur[wordIndex(addr)] == val {
+			return
+		}
+		l = s.writableSlow(addr)
+	}
 	s.markWritten(l, slot)
 	l.lines[slot][wordIndex(addr)] = val
 }
@@ -260,6 +286,12 @@ func (s *Store) ReadLine(addr uint64) Line {
 // WriteLine replaces the entire line containing addr.
 func (s *Store) WriteLine(addr uint64, data Line) {
 	l, slot := s.writable(addr), lineSlot(addr)
+	if l == nil {
+		if cur := s.writtenLine(addr); cur != nil && *cur == data {
+			return
+		}
+		l = s.writableSlow(addr)
+	}
 	s.markWritten(l, slot)
 	l.lines[slot] = data
 }
@@ -267,17 +299,17 @@ func (s *Store) WriteLine(addr uint64, data Line) {
 // LineCount reports how many distinct lines have ever been written.
 func (s *Store) LineCount() int { return s.populated }
 
-// forEachDir visits every allocated directory in ascending order until f
-// returns false.
-func (s *Store) forEachDir(f func(i uint64, d *dir) bool) {
-	for i, d := range s.root {
-		if d != &emptyDir && !f(uint64(i), d) {
+// forEachDir visits every allocated directory numbered from or above in
+// ascending order until f returns false.
+func (s *Store) forEachDir(from uint64, f func(i uint64, d *dir) bool) {
+	for i := from; i < uint64(len(s.root)); i++ {
+		if d := s.root[i]; d != &emptyDir && !f(i, d) {
 			return
 		}
 	}
 	if len(s.far) > 0 {
 		for _, i := range slices.Sorted(maps.Keys(s.far)) {
-			if !f(i, s.far[i]) {
+			if i >= from && !f(i, s.far[i]) {
 				return
 			}
 		}
@@ -302,7 +334,7 @@ func (l *leaf) forEachWritten(f func(slot int) bool) bool {
 // ForEachLine visits every populated line in ascending address order.
 // The callback receives a copy of the line data.
 func (s *Store) ForEachLine(f func(addr uint64, data Line)) {
-	s.forEachDir(func(i uint64, d *dir) bool {
+	s.forEachDir(0, func(i uint64, d *dir) bool {
 		for j, l := range d.leaves {
 			if l == nil {
 				continue
@@ -322,30 +354,39 @@ func (s *Store) ForEachLine(f func(addr uint64, data Line)) {
 var zeroLine Line
 
 // ForEachUnsharedLine visits, in ascending address order, every populated
-// line of s that lies in a leaf s and o do not share, together with o's line
-// at the same address (zero when o never wrote it), until f returns false.
-// Shared leaves — the same slab reached from both tables — are identical by
-// construction and are skipped, so comparing two images cloned from a common
-// ancestor costs the leaves either side wrote since, not the image size.
-// Both lines are read-only views valid only for the call.
-func (s *Store) ForEachUnsharedLine(o *Store, f func(addr uint64, mine, theirs *Line) bool) {
-	s.forEachDir(func(i uint64, d *dir) bool {
+// line of s at or above address from that lies in a leaf s and o do not
+// share, together with o's line at the same address (zero when o never
+// wrote it), until f returns false. Shared leaves — the same slab reached
+// from both tables — are identical by construction and are skipped, as are
+// whole directories and leaves below from, so comparing two images cloned
+// from a common ancestor costs the leaves either side wrote since in the
+// range asked for, not the image size. Both lines are read-only views valid
+// only for the call.
+func (s *Store) ForEachUnsharedLine(o *Store, from uint64, f func(addr uint64, mine, theirs *Line) bool) {
+	// Floors compare shifted indices: an end address of the top directory or
+	// leaf would overflow the 64-bit space.
+	fromLeaf := from >> leafByteShift
+	s.forEachDir(from>>dirByteShift, func(i uint64, d *dir) bool {
 		od := o.dirAt(i)
 		if od == d {
 			return true
 		}
 		for j, l := range d.leaves {
 			ol := od.leaves[j]
-			if l == nil || l == ol {
+			if l == nil || l == ol || i<<dirLeafShift|uint64(j) < fromLeaf {
 				continue
 			}
 			base := i<<dirByteShift | uint64(j)<<leafByteShift
 			if !l.forEachWritten(func(slot int) bool {
+				addr := base + uint64(slot)<<6
+				if addr < from {
+					return true
+				}
 				theirs := &zeroLine
 				if ol != nil {
 					theirs = &ol.lines[slot]
 				}
-				return f(base+uint64(slot)<<6, &l.lines[slot], theirs)
+				return f(addr, &l.lines[slot], theirs)
 			}) {
 				return false
 			}
@@ -436,7 +477,7 @@ func (s *Store) Equal(o *Store) bool {
 // covers reports whether every non-zero line of s reads the same in o.
 func (s *Store) covers(o *Store) bool {
 	eq := true
-	s.ForEachUnsharedLine(o, func(_ uint64, mine, theirs *Line) bool {
+	s.ForEachUnsharedLine(o, 0, func(_ uint64, mine, theirs *Line) bool {
 		eq = *mine == *theirs || *mine == Line{}
 		return eq
 	})

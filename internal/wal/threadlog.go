@@ -205,18 +205,29 @@ func (l *ThreadLog) Scan(store *memdev.Store) ([]Record, error) {
 	if liveWords < 0 {
 		liveWords += l.SizeWords
 	}
-	// Copy the live region into a flat slice so records that wrap decode
-	// contiguously.
-	flat := make([]uint64, liveWords)
-	for i := 0; i < liveWords; i++ {
-		flat[i] = l.readWord(store, (tail+i)%l.SizeWords)
-	}
-	var recs []Record
-	for idx := 0; idx < len(flat); {
-		rec, n, err := decode(flat, idx)
-		if err != nil {
-			return recs, err
+	// Records are decoded one at a time from the image through a buffer
+	// that holds the largest, so records that wrap decode contiguously and
+	// a corrupt head, tail or log size costs the words actually read —
+	// zeroed space ends the scan — not the span it claims.
+	word := func(i int) uint64 { // the i-th live word, i < liveWords
+		if i < l.SizeWords-tail {
+			return l.readWord(store, tail+i)
 		}
+		return l.readWord(store, i-(l.SizeWords-tail))
+	}
+	var buf [1 + 1 + memdev.WordsPerLine]uint64
+	var recs []Record
+	for idx := 0; idx < liveWords; {
+		buf[0] = word(idx)
+		t, _, _ := unpackHeader(buf[0])
+		n := 1 + payloadWords(t)
+		if idx+n > liveWords {
+			return recs, errTruncated(t, idx)
+		}
+		for i := 1; i < n; i++ {
+			buf[i] = word(idx + i)
+		}
+		rec, _, _ := decode(buf[:n], 0) // buf holds the whole record
 		if rec.Type == RecInvalid {
 			// Zeroed space; nothing further is live.
 			break

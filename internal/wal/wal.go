@@ -171,6 +171,12 @@ func HeaderInfo(h uint64) (RecordType, int, uint64) { return unpackHeader(h) }
 // SizeWords tell a caller whether enough words have accumulated).
 func DecodeRecord(words []uint64, idx int) (Record, int, error) { return decode(words, idx) }
 
+// errTruncated reports a record of type t at word idx whose payload runs
+// past the end of the words holding it.
+func errTruncated(t RecordType, idx int) error {
+	return fmt.Errorf("wal: truncated %s record at word %d", t, idx)
+}
+
 // decode reads one record starting at the given word index within a raw word
 // slice, returning the record and the number of words consumed. A zero header
 // decodes as RecInvalid with one word consumed.
@@ -182,7 +188,7 @@ func decode(words []uint64, idx int) (Record, int, error) {
 	r := Record{Type: t, Thread: thread, TxID: txid}
 	need := payloadWords(t)
 	if idx+1+need > len(words) {
-		return Record{}, 0, fmt.Errorf("wal: truncated %s record at word %d", t, idx)
+		return Record{}, 0, errTruncated(t, idx)
 	}
 	p := words[idx+1 : idx+1+need]
 	switch t {

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -126,6 +127,51 @@ func TestThreadLogWrapAround(t *testing.T) {
 			t.Fatalf("round %d: scanned %d records, want 5", round, len(recs))
 		}
 		log.EndTx(txid)
+	}
+}
+
+// TestScanCorruptGeometryReadsOnlyHeldWords checks that a registry claiming
+// a huge log, with head and tail spanning most of it, costs Scan only the
+// words the image holds: the records decode, zeroed space ends the scan, and
+// nothing near the claimed span is allocated — on a straight and on a
+// wrapped live region.
+func TestScanCorruptGeometryReadsOnlyHeldWords(t *testing.T) {
+	ctl := newTestController()
+	reg := NewRegistry(ctl, 1, 4*1024, 64)
+	log := reg.Log(0)
+	txid := log.BeginTx()
+	for _, rec := range []*Record{{Type: RecRedo, TxID: txid, LineAddr: 0x40}, {Type: RecCommit, TxID: txid}} {
+		if _, err := log.Append(rec, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := ctl.Store()
+	const size = 1 << 60
+	entry := RegistryTableAddr + uint64(registryHeaderWords*8)
+	st.WriteWord(entry+1*8, size)
+	for _, c := range []struct {
+		head, tail uint64
+		want       int
+	}{
+		{head: size / 2, tail: 0, want: 2},
+		{head: 1 << 20, tail: size - 3, want: 0},
+	} {
+		st.WriteWord(log.MetaAddr, c.head)
+		st.WriteWord(log.MetaAddr+8, c.tail)
+		loaded, err := LoadRegistry(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recs, err := loaded.Log(0).Scan(st)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(recs) != c.want {
+			t.Fatalf("head %#x tail %#x: scanned %d records, err %v; want %d", c.head, c.tail, len(recs), err, c.want)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("head %#x tail %#x: scan allocated %d bytes", c.head, c.tail, n)
+		}
 	}
 }
 

@@ -245,10 +245,11 @@ func (h *hashWL) Verify(store *memdev.Store) error {
 func (h *hashWL) verifyBuckets(store, ref *memdev.Store) error {
 	var err error
 	end := line(h.buckets, hashBuckets)
-	store.ForEachUnsharedLine(ref, func(addr uint64, b, _ *memdev.Line) bool {
-		if addr >= h.buckets && addr < end {
-			err = h.checkBucket(addr, b)
+	store.ForEachUnsharedLine(ref, h.buckets, func(addr uint64, b, _ *memdev.Line) bool {
+		if addr >= end {
+			return false // lines ascend: no bucket line follows
 		}
+		err = h.checkBucket(addr, b)
 		return err == nil
 	})
 	return err
