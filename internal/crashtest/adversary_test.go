@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -168,8 +169,9 @@ func (p *panicVerify) Verify(st *memdev.Store) error {
 // runtime that panics partway through the exploration's one run makes
 // Explore return that panic as an error; a panic while judging one crash
 // image fails only that image, with its panic and mask, and the point's
-// other images are still judged; and a normal exploration still runs
-// cleanly afterwards — the shared snapshot was not corrupted.
+// other images are still judged, from the reset arena, exactly as from a
+// fresh one; and a normal exploration still runs cleanly afterwards — the
+// shared snapshot was not corrupted — and reports the same the second time.
 func TestPanicHardening(t *testing.T) {
 	cfg := Config{
 		Design: "ATOM", Workload: "queue", Cores: 2, TxPerCore: 2, OpsPerTx: 4,
@@ -216,7 +218,8 @@ func TestPanicHardening(t *testing.T) {
 	}
 	out := make([]PointResult, len(group))
 	judged := 0
-	c.judgePoint(runSeed, run, pre, &panicVerify{Workload: run.w, at: 1}, group, nil, out, func() { judged++ })
+	arena := new(memdev.Arena)
+	c.judgePoint(runSeed, run, pre, &panicVerify{Workload: run.w, at: 1}, group, nil, arena, out, func() { judged++ })
 	if judged != len(group) {
 		t.Fatalf("%d of %d images judged", judged, len(group))
 	}
@@ -228,15 +231,33 @@ func TestPanicHardening(t *testing.T) {
 			t.Fatalf("image with mask %s failed after its sibling's panic: %s", r.Mask, r.Err)
 		}
 	}
+	// The images after the panic were judged in the same arena, reset after
+	// the panicking one: they must read exactly as on a fresh arena, and
+	// the arena must judge on as well.
+	for _, a := range []*memdev.Arena{new(memdev.Arena), arena} {
+		want := make([]PointResult, len(group)-1)
+		c.judgePoint(runSeed, run, pre, run.w, group[1:], nil, a, want, func() {})
+		if !reflect.DeepEqual(out[1:], want) {
+			t.Fatalf("images judged after a panic in their arena: %+v, want %+v", out[1:], want)
+		}
+	}
 
 	// The shared post-setup snapshot must be intact: the same configuration
-	// explores cleanly.
-	crep, err := Explore(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	// explores cleanly, and twice in one process to the same report.
+	var reps []*Report
+	for range 2 {
+		crep, err := Explore(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crep.Failed != 0 {
+			t.Fatalf("sweep after panics failed %d images: %+v", crep.Failed, crep.FirstFailure)
+		}
+		crep.ElapsedNS = 0
+		reps = append(reps, crep)
 	}
-	if crep.Failed != 0 {
-		t.Fatalf("sweep after panics failed %d images: %+v", crep.Failed, crep.FirstFailure)
+	if !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Fatalf("two explorations of one configuration differ:\n%+v\n%+v", reps[0], reps[1])
 	}
 }
 

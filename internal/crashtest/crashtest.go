@@ -34,6 +34,7 @@ package crashtest
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -446,7 +447,9 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 // exploreTasks judges every crash image of tasks from the pre-images of
 // their window starts, in parallel, one point per worker at a time:
 // buildTasks emits each point's images contiguously, and all of them share
-// the point's pre-image.
+// the point's pre-image. Each running point holds one of Parallel node
+// arenas, which recycle the nodes its images' stores allocate and become
+// garbage when the exploration returns.
 func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, pre map[uint64]preImage, tasks []task, dc *diffCtx) []PointResult {
 	var starts []int
 	for i := range tasks {
@@ -466,9 +469,19 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, pre 
 			mu.Unlock()
 		}
 	}
-	runner.ForEach(ctx, len(starts)-1, c.Parallel, func(g int) {
+	workers := c.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	arenas := make(chan *memdev.Arena, workers)
+	for range workers {
+		arenas <- new(memdev.Arena)
+	}
+	runner.ForEach(ctx, len(starts)-1, workers, func(g int) {
 		lo, hi := starts[g], starts[g+1]
-		c.judgePoint(runSeed, run, pre, run.w, tasks[lo:hi], dc, results[lo:hi], progress)
+		arena := <-arenas
+		c.judgePoint(runSeed, run, pre, run.w, tasks[lo:hi], dc, arena, results[lo:hi], progress)
+		arenas <- arena
 	})
 	return results
 }

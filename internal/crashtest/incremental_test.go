@@ -33,7 +33,8 @@ func testPass(t *testing.T, cfg Config) (Config, int64, *pass) {
 
 // forEachCrashImage calls f with every crash image, unrecovered, that an
 // exploration of cfg judges, together with its point's context, whose
-// pre-image carries its incrementally maintained heap digest.
+// pre-image carries its incrementally maintained heap digest. The image and
+// every clone f makes of it live until f returns.
 func forEachCrashImage(t *testing.T, cfg Config, f func(pt *pointCtx, img *memdev.Store)) {
 	t.Helper()
 	c, runSeed, run := testPass(t, cfg)
@@ -49,9 +50,11 @@ func forEachCrashImage(t *testing.T, cfg Config, f func(pt *pointCtx, img *memde
 	if err != nil {
 		t.Fatal(err)
 	}
+	arena := new(memdev.Arena)
 	for _, tk := range tasks {
-		pt := &pointCtx{trace: run.trace, point: tk.point, pre: pre[tk.wStart]}
+		pt := &pointCtx{trace: run.trace, point: tk.point, pre: pre[tk.wStart], arena: arena}
 		f(pt, pt.crashImage(tk, c.tornWords(runSeed, run.trace, tk.point)))
+		arena.Reset()
 	}
 }
 

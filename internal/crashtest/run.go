@@ -174,14 +174,15 @@ func (p *pass) preImages(tasks []task, digests bool) (map[uint64]preImage, error
 // judgePoint judges every crash image of one crash point — tasks, one per
 // adversary mask — into the matching slot of out, calling done after each.
 // All masks share the point's frozen pre-image from pre, and each builds
-// its image from a Clone of it. A panic in recovery or an oracle (e.g.
-// recovery walking a log the adversary corrupted) is recovered and reported
-// as that image's failure: one pathological crash image must not kill the
-// sweep.
-func (c Config) judgePoint(seed int64, run *pass, pre map[uint64]preImage, w workloads.Workload, tasks []task, dc *diffCtx, out []PointResult, done func()) {
+// its image from a clone of it in arena, which is reset after every image:
+// no store of one image outlives its judging. A panic in recovery or an
+// oracle (e.g. recovery walking a log the adversary corrupted) is recovered
+// and reported as that image's failure: one pathological crash image must
+// not kill the sweep.
+func (c Config) judgePoint(seed int64, run *pass, pre map[uint64]preImage, w workloads.Workload, tasks []task, dc *diffCtx, arena *memdev.Arena, out []PointResult, done func()) {
 	k, trace := tasks[0].point, run.trace
 	torn := c.tornWords(seed, trace, k)
-	pt := &pointCtx{trace: trace, point: k, pre: pre[tasks[0].wStart], w: w, dc: dc}
+	pt := &pointCtx{trace: trace, point: k, pre: pre[tasks[0].wStart], w: w, dc: dc, arena: arena}
 	pt.info, pt.infoErr = run.txs.prefix(k)
 	for i, tk := range tasks {
 		out[i] = PointResult{Point: k, Class: trace[k].class.String(), TornWords: torn}
@@ -190,6 +191,7 @@ func (c Config) judgePoint(seed int64, run *pass, pre map[uint64]preImage, w wor
 			out[i].Mask = fmt.Sprintf("%#x", tk.mask)
 		}
 		func() {
+			defer arena.Reset()
 			defer catchPanic(&out[i].Err)
 			pt.judge(tk, &out[i])
 		}()
@@ -219,14 +221,16 @@ func catchPanic(errStr *string) {
 }
 
 // pointCtx is what every crash image of one point shares: the frozen
-// pre-image holding writes [0, wStart) and the mask-independent decoding of
-// the trace prefix [0, point).
+// pre-image holding writes [0, wStart), the mask-independent decoding of
+// the trace prefix [0, point) and the worker's arena, which every store
+// judge makes allocates from.
 type pointCtx struct {
 	trace   []traceEvent
 	point   int
 	pre     preImage
 	w       workloads.Workload
 	dc      *diffCtx
+	arena   *memdev.Arena
 	info    *txPrefix
 	infoErr error
 }
@@ -236,10 +240,12 @@ type pointCtx struct {
 // [0, wStart); the mask retires its subset of the in-flight window
 // [wStart, k) — in issue order, since the queue keeps same-address writes
 // coherent — and the interrupted write k itself contributes at most a torn
-// prefix. Payloads come from the recorded trace.
+// prefix. Payloads come from the recorded trace. The image is a clone of
+// the pre-image in the point's arena, and so is every clone judge makes
+// of it.
 func (pt *pointCtx) crashImage(tk task, torn int) *memdev.Store {
 	k, trace := pt.point, pt.trace
-	pre := pt.pre.st.Clone()
+	pre := pt.arena.CloneIn(pt.pre.st)
 	for i := 0; i < k-int(tk.wStart); i++ {
 		if tk.mask>>uint(i)&1 == 1 {
 			applyEvent(pre, trace[int(tk.wStart)+i])

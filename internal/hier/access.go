@@ -435,7 +435,10 @@ func (h *Hierarchy) evictL1Victim(core int, victim *cache.Line, at uint64) {
 	}
 }
 
+// wordShift is log2 of the 8-byte word size.
+const wordShift = 3
+
 // wordIdx returns the word offset of addr within its line.
 func (h *Hierarchy) wordIdx(addr uint64) int {
-	return int(addr%uint64(h.cfg.LineSize)) / 8
+	return int((addr & h.lineMask) >> wordShift)
 }

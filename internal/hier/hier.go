@@ -115,6 +115,10 @@ type Hierarchy struct {
 	cfg config.Config
 	arb Arbiter
 	st  *stats.Stats
+	// lineMask is cfg.LineSize-1 (a power of two minus one, as cache.New
+	// requires): Align and wordIdx read it instead of copying cfg into
+	// a value-receiver Config method.
+	lineMask uint64
 
 	l1s []*cache.Cache
 	llc *cache.Cache
@@ -133,47 +137,61 @@ type Waker interface {
 	Wake(core int)
 }
 
-// cacheGeom keys the recycling pools: caches are interchangeable exactly when
+// cacheGeom keys the free lists: caches are interchangeable exactly when
 // their geometry matches.
 type cacheGeom struct{ size, ways, line int }
 
-// cachePools recycles cache arrays across cells. An 8 MB LLC is a ~14 MB Line
+// cacheFree recycles cache arrays across cells. An 8 MB LLC is a ~14 MB Line
 // slab whose allocation and zeroing dominated cell construction; with O(1)
-// generation-based Clear, a pooled array is indistinguishable from a fresh
-// one, so sweeps reuse arrays instead of re-allocating per cell. The map is
-// cacheGeom → *sync.Pool.
-var cachePools sync.Map
+// generation-based Clear, a recycled array is indistinguishable from a fresh
+// one, so sweeps reuse arrays instead of re-allocating per cell. It is a
+// free list per geometry, not a sync.Pool: a garbage collection does not
+// empty it, so whether an array is reused does not depend on GC timing. An
+// array is only allocated when its geometry's list is empty, so each list
+// holds at most as many arrays as were ever live at once.
+var cacheFree = struct {
+	sync.Mutex
+	lists map[cacheGeom][]*cache.Cache
+}{lists: make(map[cacheGeom][]*cache.Cache)}
 
 // newPooledCache returns a cleared cache of the given geometry, recycled when
 // one is available.
 func newPooledCache(size, ways, line int) *cache.Cache {
-	pv, _ := cachePools.LoadOrStore(cacheGeom{size, ways, line}, &sync.Pool{})
-	if c, ok := pv.(*sync.Pool).Get().(*cache.Cache); ok {
-		c.Clear()
-		return c
+	g := cacheGeom{size, ways, line}
+	cacheFree.Lock()
+	free := cacheFree.lists[g]
+	var c *cache.Cache
+	if n := len(free); n > 0 {
+		c, cacheFree.lists[g] = free[n-1], free[:n-1]
 	}
-	return cache.New(size, ways, line)
+	cacheFree.Unlock()
+	if c == nil {
+		return cache.New(size, ways, line)
+	}
+	c.Clear()
+	return c
 }
 
-// recycleCache returns a cache array to its geometry's pool.
+// recycleCache returns a cache array to its geometry's free list.
 func recycleCache(c *cache.Cache) {
 	g := cacheGeom{size: c.Lines() * c.LineSize(), ways: c.Ways(), line: c.LineSize()}
-	if pv, ok := cachePools.Load(g); ok {
-		pv.(*sync.Pool).Put(c)
-	}
+	cacheFree.Lock()
+	cacheFree.lists[g] = append(cacheFree.lists[g], c)
+	cacheFree.Unlock()
 }
 
 // New builds the hierarchy described by cfg on top of the given memory
 // controller. The arbiter defaults to NopArbiter until SetArbiter is called.
-// Cache arrays are drawn from per-geometry recycling pools; call Release when
+// Cache arrays are drawn from per-geometry free lists; call Release when
 // the hierarchy is done to return them.
 func New(cfg config.Config, ctl *memdev.Controller, st *stats.Stats) *Hierarchy {
 	h := &Hierarchy{
-		cfg: cfg,
-		arb: NopArbiter{},
-		st:  st,
-		llc: newPooledCache(cfg.LLCSize, cfg.LLCWays, cfg.LineSize),
-		ctl: ctl,
+		cfg:      cfg,
+		arb:      NopArbiter{},
+		st:       st,
+		lineMask: uint64(cfg.LineSize - 1),
+		llc:      newPooledCache(cfg.LLCSize, cfg.LLCWays, cfg.LineSize),
+		ctl:      ctl,
 
 		watchLine: make([]uint64, cfg.NumCores),
 	}
@@ -183,7 +201,7 @@ func New(cfg config.Config, ctl *memdev.Controller, st *stats.Stats) *Hierarchy 
 	return h
 }
 
-// Release returns the hierarchy's cache arrays to the recycling pools. The
+// Release returns the hierarchy's cache arrays to the free lists. The
 // hierarchy must not be used afterwards.
 func (h *Hierarchy) Release() {
 	if h.llc == nil {
@@ -219,7 +237,7 @@ func (h *Hierarchy) L1(core int) *cache.Cache { return h.l1s[core] }
 func (h *Hierarchy) LLC() *cache.Cache { return h.llc }
 
 // Align returns the line-aligned address for addr.
-func (h *Hierarchy) Align(addr uint64) uint64 { return h.cfg.LineAddr(addr) }
+func (h *Hierarchy) Align(addr uint64) uint64 { return addr &^ h.lineMask }
 
 // Crash discards all volatile state (every cache) while leaving persistent
 // memory untouched. It is the failure model used by the recovery tests.

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"runtime"
 	"testing"
 
 	"dhtm/internal/cache"
@@ -318,6 +319,34 @@ func TestCrashDiscardsCaches(t *testing.T) {
 	}
 	if store.ReadWord(0x50000) != 0 {
 		t.Fatalf("unwritten-back data survived the crash in NVM")
+	}
+}
+
+// TestReleasedCachesSurviveGC checks that a released hierarchy's cache
+// arrays serve the next hierarchy of the same geometry, cleared, even after
+// garbage collections, and that the free list grows no longer than the
+// number of arrays that were live at once.
+func TestReleasedCachesSurviveGC(t *testing.T) {
+	h, _ := newHier(2)
+	h.Store(0, 0x50000, 123, 0, false)
+	llc, l1 := h.LLC(), h.L1(0)
+	h.Release()
+	runtime.GC()
+	runtime.GC()
+	h2, _ := newHier(2)
+	if h2.LLC() != llc || (h2.L1(0) != l1 && h2.L1(1) != l1) {
+		t.Fatal("a garbage collection dropped the released cache arrays")
+	}
+	if h2.LLC().Peek(0x50000) != nil || h2.L1(0).Peek(0x50000) != nil || h2.L1(1).Peek(0x50000) != nil {
+		t.Fatal("a recycled cache array kept its contents")
+	}
+	h2.Release()
+	g := cacheGeom{size: llc.Lines() * llc.LineSize(), ways: llc.Ways(), line: llc.LineSize()}
+	cacheFree.Lock()
+	n := len(cacheFree.lists[g])
+	cacheFree.Unlock()
+	if n != 1 {
+		t.Fatalf("%d LLC arrays on the free list, but only one was ever live", n)
 	}
 }
 

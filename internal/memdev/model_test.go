@@ -199,56 +199,123 @@ func TestNoOpWriteToFrozenStorePanics(t *testing.T) {
 
 // TestStoreMatchesModel drives random writes, clone chains and freezes
 // against the naive map model, checking every read-side view after each
-// step.
+// step. The arena families also clone frozen stores into an arena and
+// reset it: the arena's stores — every store cloned from one, too — die at
+// the reset, a write to one of them panics, and every store made since
+// must read exactly as its model, whatever the recycled nodes held before.
 func TestStoreMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			stores := []*Store{NewStore()}
-			models := []model{{}}
-			for step := 0; step < 400; step++ {
-				i := rng.Intn(len(stores))
-				st, m := stores[i], models[i]
-				switch op := rng.Intn(10); {
-				case op < 6 && !st.Frozen():
-					a := modelAddr(rng)
-					la := a &^ (LineBytes - 1)
-					l := m[la]
-					if op < 3 {
-						var data Line
-						if rng.Intn(3) != 0 {
-							data[rng.Intn(WordsPerLine)] = rng.Uint64()
-						}
-						st.WriteLine(a, data)
-						l = data
-					} else {
-						w := rng.Uint64()
-						if rng.Intn(4) == 0 {
-							w = 0 // zero data still populates the line
-						}
-						st.WriteWord(a&^7, w)
-						l[(a%LineBytes)/8] = w
-					}
-					m[la] = l
-				case op < 8 && len(stores) < 12:
-					stores = append(stores, st.Clone())
-					models = append(models, maps.Clone(m))
-				case op == 8 && !st.Frozen():
-					st.Freeze()
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Fatal("write to a frozen store did not panic")
-							}
-						}()
-						st.WriteWord(modelAddr(rng)&^7, 1)
-					}()
-				}
-				checkModel(t, st, m, rng)
-				j := rng.Intn(len(stores))
-				checkPair(t, st, stores[j], m, models[j])
-				checkPair(t, stores[j], st, models[j], m)
-			}
-		})
+	for _, family := range []string{"", "arena-"} {
+		for seed := int64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprint(family, seed), func(t *testing.T) {
+				testStoreModel(t, seed, family != "")
+			})
+		}
 	}
+}
+
+// testStoreModel runs one seed of TestStoreMatchesModel.
+func testStoreModel(t *testing.T, seed int64, withArena bool) {
+	rng := rand.New(rand.NewSource(seed))
+	arena := new(Arena)
+	stores := []*Store{NewStore()}
+	models := []model{{}}
+	inArena := []bool{false}
+	ops := 10 // writes, clones and freezes
+	if withArena {
+		ops = 12 // and CloneIn and Reset
+	}
+	for step := 0; step < 400; step++ {
+		i := rng.Intn(len(stores))
+		st, m := stores[i], models[i]
+		switch op := rng.Intn(ops); {
+		case op < 6 && !st.Frozen():
+			a := modelAddr(rng)
+			la := a &^ (LineBytes - 1)
+			l := m[la]
+			if op < 3 {
+				var data Line
+				if rng.Intn(3) != 0 {
+					data[rng.Intn(WordsPerLine)] = rng.Uint64()
+				}
+				st.WriteLine(a, data)
+				l = data
+			} else {
+				w := rng.Uint64()
+				if rng.Intn(4) == 0 {
+					w = 0 // zero data still populates the line
+				}
+				st.WriteWord(a&^7, w)
+				l[(a%LineBytes)/8] = w
+			}
+			m[la] = l
+		case op < 8 && len(stores) < 12:
+			stores = append(stores, st.Clone())
+			models = append(models, maps.Clone(m))
+			inArena = append(inArena, inArena[i])
+		case op == 8 && !st.Frozen():
+			st.Freeze()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("write to a frozen store did not panic")
+					}
+				}()
+				st.WriteWord(modelAddr(rng)&^7, 1)
+			}()
+		case op < 11 && withArena && len(stores) < 12:
+			st.Freeze() // CloneIn clones frozen images only
+			stores = append(stores, arena.CloneIn(st))
+			models = append(models, maps.Clone(m))
+			inArena = append(inArena, true)
+		case op == 11 && withArena && rng.Intn(3) == 0:
+			// Each live store of the arena first writes the word its dead
+			// write will target, so it owns that leaf at the Reset.
+			var dead []*Store
+			var at []uint64
+			for j, d := range stores {
+				if inArena[j] && !d.Frozen() {
+					a := modelAddr(rng) &^ 7
+					d.WriteWord(a, rng.Uint64())
+					dead, at = append(dead, d), append(at, a)
+				}
+			}
+			arena.Reset()
+			for k, d := range dead {
+				checkDeadWritePanics(t, d, at[k])
+			}
+			var keep []int
+			for j := range stores {
+				if !inArena[j] {
+					keep = append(keep, j)
+				}
+			}
+			stores, models, inArena = pick(stores, keep), pick(models, keep), pick(inArena, keep)
+			continue
+		}
+		checkModel(t, st, m, rng)
+		j := rng.Intn(len(stores))
+		checkPair(t, st, stores[j], m, models[j])
+		checkPair(t, stores[j], st, models[j], m)
+	}
+}
+
+// checkDeadWritePanics checks that a write at addr to a store whose arena
+// was reset panics, even when it would leave the word as it reads.
+func checkDeadWritePanics(t *testing.T, st *Store, addr uint64) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("write at %#x to a store whose arena was reset did not panic", addr)
+		}
+	}()
+	st.WriteWord(addr, st.ReadWord(addr))
+}
+
+// pick returns the elements of xs at the indices keep.
+func pick[T any](xs []T, keep []int) []T {
+	out := make([]T, len(keep))
+	for i, j := range keep {
+		out[i] = xs[j]
+	}
+	return out
 }

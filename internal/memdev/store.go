@@ -94,6 +94,12 @@ var editTokens atomic.Uint64
 // can additionally be frozen into an immutable snapshot image (Freeze), after
 // which writes panic and Clone is safe to call from multiple goroutines
 // concurrently.
+//
+// A store takes the directories and leaves its writes copy or first touch
+// from the heap, unless it was made by Arena.CloneIn or cloned from such a
+// store: then they come from that arena, and the store lives only until the
+// arena's next Reset. Reads of a store after that return undefined data, and
+// writes panic.
 type Store struct {
 	root []*dir          // indexed by directory number, grown on demand
 	far  map[uint64]*dir // directories at or above rootDirs (cold fallback)
@@ -111,6 +117,12 @@ type Store struct {
 	// holds token 0, so Clone performs no writes to it and may run
 	// concurrently.
 	frozen bool
+
+	// arena, when set, supplies the directories and leaves this store's
+	// writes allocate; epoch is the arena's epoch when the store was made,
+	// and a store whose epoch is behind its arena's is dead.
+	arena *Arena
+	epoch uint64
 }
 
 // NewStore returns an empty persistent-memory image.
@@ -160,21 +172,24 @@ func (s *Store) writable(addr uint64) *leaf {
 
 // writtenLine returns the line at addr if a write to this live store could
 // leave it unchanged — the line was written before — and nil otherwise
-// (never written, or the store is frozen, where every write must panic). A
-// write that changes nothing need not copy a shared leaf.
+// (never written, or the store is frozen or dead, where every write must
+// panic). A write that changes nothing need not copy a shared leaf.
 func (s *Store) writtenLine(addr uint64) *Line {
-	if l := s.leafOf(addr); l != nil && !s.frozen && l.isWritten(lineSlot(addr)) {
+	if l := s.leafOf(addr); l != nil && !s.frozen && !s.dead() && l.isWritten(lineSlot(addr)) {
 		return &l.lines[lineSlot(addr)]
 	}
 	return nil
 }
 
-// writableSlow handles the cold write cases: frozen images (panic), shared
-// root tables, directories and leaves (copy them), and first-touch
-// allocation.
+// writableSlow handles the cold write cases: frozen images and stores whose
+// arena was reset (panic), shared root tables, directories and leaves (copy
+// them), and first-touch allocation.
 func (s *Store) writableSlow(addr uint64) *leaf {
 	if s.frozen {
 		panic(fmt.Sprintf("memdev: write at %#x to frozen store image", addr))
+	}
+	if s.dead() {
+		panic(fmt.Sprintf("memdev: write at %#x to a store whose arena was reset", addr))
 	}
 	if s.edit == 0 {
 		s.edit = editTokens.Add(1)
@@ -197,11 +212,9 @@ func (s *Store) writableSlow(addr uint64) *leaf {
 	j := (addr >> leafByteShift) & dirLeafMask
 	w, b := j>>6, uint64(1)<<(j&63)
 	if d.owned[w]&b == 0 {
-		l := new(leaf)
-		if old := d.leaves[j]; old != nil {
-			*l = *old // shared with another image: copy the 4 KB slab
-		}
-		d.leaves[j] = l
+		// A leaf shared with another image is copied (4 KB); a first touch
+		// gets an empty one.
+		d.leaves[j] = copyNode(s.arena.leafSlab(), d.leaves[j])
 		d.owned[w] |= b
 	}
 	return d.leaves[j]
@@ -229,11 +242,12 @@ func (s *Store) ownDir(d *dir) *dir {
 	if d.owner == s.edit {
 		return d
 	}
-	cp := new(dir)
-	if d != &emptyDir {
-		*cp = *d
-		cp.owned = [dirLeaves / 64]uint64{}
+	src := d
+	if d == &emptyDir {
+		src = nil
 	}
+	cp := copyNode(s.arena.dirSlab(), src)
+	cp.owned = [dirLeaves / 64]uint64{}
 	cp.owner = s.edit
 	return cp
 }
@@ -400,10 +414,11 @@ func (s *Store) ForEachUnsharedLine(o *Store, from uint64, f func(addr uint64, m
 // on either side copies just what it touches. Cloning a frozen store writes
 // nothing to it, so concurrent Clone calls on a frozen image are safe;
 // cloning a live store is single-goroutine only (it drops the source's edit
-// token so later source writes copy too). The far map — directories outside
-// the 2 GB simulated range — is copied eagerly; it is almost always empty.
+// token so later source writes copy too). The clone shares the source's
+// arena, if any. The far map — directories outside the 2 GB simulated
+// range — is copied eagerly; it is almost always empty.
 func (s *Store) Clone() *Store {
-	c := &Store{root: s.root, populated: s.populated, rootShared: true}
+	c := &Store{root: s.root, populated: s.populated, rootShared: true, arena: s.arena, epoch: s.epoch}
 	if len(s.far) > 0 {
 		c.far = maps.Clone(s.far)
 	}
