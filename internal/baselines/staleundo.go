@@ -29,12 +29,17 @@ import (
 // the committed write missing.
 type StaleUndoATOM struct {
 	*ATOM
+	// Stale counts the stale pre-images handed out: cached images that
+	// differ from coherent memory, each one an undo record the seeded bug
+	// actually poisoned. A test built on the fixture needs it above zero.
+	Stale int
 }
 
 // NewStaleUndoATOM builds the broken fixture: ATOM whose undo pre-images
 // come from a per-core cache filled the first time each line is logged.
 func NewStaleUndoATOM(env *txn.Env) *StaleUndoATOM {
 	a := NewATOM(env)
+	s := &StaleUndoATOM{ATOM: a}
 	prev := make([]map[uint64]memdev.Line, env.Cfg.NumCores)
 	for i := range prev {
 		prev[i] = make(map[uint64]memdev.Line)
@@ -43,14 +48,18 @@ func NewStaleUndoATOM(env *txn.Env) *StaleUndoATOM {
 		// BUG (seeded): reuse the pre-image cached when this core first
 		// logged la instead of re-snapshotting coherent memory. Stale as
 		// soon as any transaction has committed to la since.
+		fresh := a.h.LineSnapshot(core, la)
 		img, ok := prev[core][la]
 		if !ok {
-			img = a.h.LineSnapshot(core, la)
+			img = fresh
 			prev[core][la] = img
+		}
+		if img != fresh {
+			s.Stale++
 		}
 		return img
 	}
-	return &StaleUndoATOM{ATOM: a}
+	return s
 }
 
 // Name implements txn.Runtime.

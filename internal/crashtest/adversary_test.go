@@ -261,41 +261,44 @@ func TestPanicHardening(t *testing.T) {
 	}
 }
 
-// TestDifferentialCatchesStaleUndo is the oracle's teeth test: the
-// StaleUndoATOM fixture reuses stale undo pre-images, which every
-// self-referential oracle accepts — the recovered image is a structurally
-// valid former state (Verify passes) and recovery faithfully applies the
-// poisoned records it was given (the prefix oracle agrees, idempotency
-// holds). The differential oracle's serial re-execution of the committed
-// transactions catches it. Seed 6 deterministically produces the triggering
-// schedule (one core re-logging a line another commit updated in between).
-func TestDifferentialCatchesStaleUndo(t *testing.T) {
-	cfg := Config{
-		Design: "StaleUndoATOM", Workload: "hash", Cores: 4, TxPerCore: 4, OpsPerTx: 8,
-		Seed:         6,
+// staleUndoConfig is the StaleUndoATOM fixture on hash, differential, with
+// the given reordering window: 2 cores × 32 transactions of 8 operations at
+// seed 4, whose schedule has a core re-log a line that a commit updated
+// since the core first logged it. stale reports how many stale pre-images
+// the last run built from the config handed out; the tests require it above
+// zero, so a schedule change cannot make them pass without the bug firing.
+func staleUndoConfig(window int) (cfg Config, stale func() int) {
+	var fx *baselines.StaleUndoATOM
+	cfg = Config{
+		Design: "StaleUndoATOM", Workload: "hash", Cores: 2, TxPerCore: 32, OpsPerTx: 8,
+		Seed:         4,
 		Differential: true,
+		Adversary:    AdversaryConfig{Window: window, Mode: "exhaustive"},
 		Factory: func(env *txn.Env) (txn.Runtime, error) {
-			return baselines.NewStaleUndoATOM(env), nil
+			fx = baselines.NewStaleUndoATOM(env)
+			return fx, nil
 		},
 	}
-	rep, err := Explore(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	return cfg, func() int { return fx.Stale }
+}
+
+// checkStaleUndoCaught requires that the fixture handed out stale
+// pre-images, that rep failed and that the differential oracle raised every
+// failure, then that the same configuration without that oracle passes:
+// every other oracle is blind to the seeded bug.
+func checkStaleUndoCaught(t *testing.T, cfg Config, rep *Report, stale func() int) {
+	t.Helper()
+	if stale() == 0 {
+		t.Fatal("the fixture handed out no stale pre-image: the schedule does not trigger the seeded bug")
 	}
 	if rep.Failed == 0 {
-		t.Fatal("differential oracle missed the stale-undo fixture")
+		t.Fatalf("differential oracle missed the stale-undo fixture's %d stale pre-images", stale())
 	}
 	for _, f := range rep.Failures {
 		if !strings.HasPrefix(f.Err, "differential oracle:") {
 			t.Fatalf("point %d caught by %q — the fixture is supposed to fool every non-differential oracle", f.Point, f.Err)
 		}
 	}
-	if !strings.Contains(rep.Repro, "-differential") {
-		t.Errorf("repro command misses -differential: %s", rep.Repro)
-	}
-
-	// Without the differential oracle the same broken design sails through:
-	// that blindness is exactly what the oracle exists to fix.
 	blind := cfg
 	blind.Differential = false
 	brep, err := Explore(context.Background(), blind)
@@ -304,6 +307,26 @@ func TestDifferentialCatchesStaleUndo(t *testing.T) {
 	}
 	if brep.Failed != 0 {
 		t.Fatalf("non-differential sweep unexpectedly failed %d points: %+v", brep.Failed, brep.FirstFailure)
+	}
+}
+
+// TestDifferentialCatchesStaleUndo is the oracle's teeth test: the
+// StaleUndoATOM fixture reuses stale undo pre-images, which every
+// self-referential oracle accepts — the recovered image is a structurally
+// valid former state (Verify passes) and recovery faithfully applies the
+// poisoned records it was given (the prefix oracle agrees, idempotency
+// holds). The differential oracle's serial re-execution of the committed
+// transactions catches it; without that oracle the same broken design sails
+// through, the blindness the oracle exists to fix.
+func TestDifferentialCatchesStaleUndo(t *testing.T) {
+	cfg, stale := staleUndoConfig(0)
+	rep, err := Explore(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStaleUndoCaught(t, cfg, rep, stale)
+	if !strings.Contains(rep.Repro, "-differential") {
+		t.Errorf("repro command misses -differential: %s", rep.Repro)
 	}
 }
 
@@ -374,19 +397,12 @@ func TestDifferentialSweepAgrees(t *testing.T) {
 // not Explored — once a reordering window fans each point out.
 func TestTortureSummaryUnits(t *testing.T) {
 	for _, window := range []int{0, 1} {
-		cfg := Config{
-			Design: "StaleUndoATOM", Workload: "hash", Cores: 4, TxPerCore: 4, OpsPerTx: 8,
-			Seed:         6,
-			Differential: true,
-			Adversary:    AdversaryConfig{Window: window, Mode: "exhaustive"},
-			Factory: func(env *txn.Env) (txn.Runtime, error) {
-				return baselines.NewStaleUndoATOM(env), nil
-			},
-		}
+		cfg, stale := staleUndoConfig(window)
 		rep, err := Torture(context.Background(), cfg)
 		if err == nil {
 			t.Fatalf("window %d: stale-undo fixture passed", window)
 		}
+		checkStaleUndoCaught(t, cfg, rep, stale)
 		want := fmt.Sprintf("%d of %d crash points failed", rep.Failed, rep.Explored)
 		if window > 0 {
 			if rep.Tasks <= rep.Explored {

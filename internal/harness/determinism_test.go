@@ -30,15 +30,15 @@ func TestFig5CellGolden(t *testing.T) {
 		}
 	}
 	check("TotalCommits", s.TotalCommits(), 64)
-	check("TotalAborts", s.TotalAborts(), 13)
-	check("TotalCycles", s.TotalCycles(), 317575)
-	check("LogBytes", s.LogBytes, 158008)
-	check("DataWriteBytes", s.DataWriteBytes, 113088)
-	check("DataReadBytes", s.DataReadBytes, 185088)
-	check("LogRecords", s.LogRecords, 1848)
-	check("SentinelRecords", s.SentinelRecords, 8)
+	check("TotalAborts", s.TotalAborts(), 0)
+	check("TotalCycles", s.TotalCycles(), 323114)
+	check("LogBytes", s.LogBytes, 162032)
+	check("DataWriteBytes", s.DataWriteBytes, 116352)
+	check("DataReadBytes", s.DataReadBytes, 195264)
+	check("LogRecords", s.LogRecords, 1882)
+	check("SentinelRecords", s.SentinelRecords, 0)
 
-	wantFinal := []uint64{278337, 308295, 298818, 302091, 317575, 292464, 287238, 311467}
+	wantFinal := []uint64{323114, 298000, 288220, 294730, 314042, 307280, 301027, 318854}
 	if len(s.Cores) != len(wantFinal) {
 		t.Fatalf("run used %d cores, want %d", len(s.Cores), len(wantFinal))
 	}

@@ -141,8 +141,9 @@ func (rt *Runtime) Finish(core int, c txn.Clock) {
 }
 
 // begin waits for the previous transaction's completion phase, resets the
-// context and subscribes to the fallback lock, retrying while the lock is
-// held or the subscription loses a conflict.
+// context and subscribes to the fallback lock, retrying while the
+// subscription loses a conflict or finds the lock held; after finding it
+// held, it waits for the release with plain loads before the retry.
 func (rt *Runtime) begin(core int, c txn.Clock) {
 	ctx := rt.Ctxs[core]
 	for {
@@ -164,10 +165,15 @@ func (rt *Runtime) begin(core int, c txn.Clock) {
 			rt.Abort(core, stats.AbortConflict, c.Now())
 			c.Advance(rt.Cfg.BackoffBase)
 		case v != 0:
-			// A fallback transaction holds the lock; retry once it has
-			// likely drained.
+			// A fallback transaction holds the lock: abort this attempt
+			// once, then wait for the release outside any transaction, so
+			// the wait opens no log transaction and appends no record.
 			rt.Abort(core, stats.AbortConflict, c.Now())
-			c.Advance(txn.Backoff(rt.Cfg, 2))
+			for v != 0 {
+				c.Advance(txn.Backoff(rt.Cfg, 2))
+				v, r = rt.H.Load(core, rt.lockAddr, c.Now(), false)
+				c.AdvanceTo(r.Done)
+			}
 		default:
 			if rt.Hooks.Start != nil {
 				rt.Hooks.Start(core)

@@ -9,6 +9,7 @@ import (
 	"dhtm/internal/core"
 	"dhtm/internal/engine"
 	"dhtm/internal/htm"
+	"dhtm/internal/memdev"
 	"dhtm/internal/stats"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
@@ -194,5 +195,71 @@ func TestFallbackCountsOwnSets(t *testing.T) {
 					cs.Fallbacks, cs.ReadSetLines, cs.WriteSetLines, cs.TxCycles, reads, writes)
 			}
 		})
+	}
+}
+
+// abortRecords counts the abort records persisted into one thread log's
+// region.
+type abortRecords struct {
+	lo, hi uint64
+	n      int
+}
+
+// PersistWrite implements memdev.PersistObserver.
+func (a *abortRecords) PersistWrite(_ uint64, ev memdev.PersistEvent) {
+	if ev.Class == memdev.TrafficLogAbort && ev.Addr >= a.lo && ev.Addr < a.hi {
+		a.n++
+	}
+}
+
+// TestBeginSpinAppendsOneAbort: while core 1 holds the fallback lock for
+// many backoff periods, DHTM core 0 finds it held at begin, aborts that
+// attempt once and then waits for the release without opening a log
+// transaction, so its log gets exactly one abort record.
+func TestBeginSpinAppendsOneAbort(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumCores = 2
+	cfg.MaxRetries = 1
+	env, err := txn.NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := core.New(env, core.Options{})
+	log := env.Registry.Log(0)
+	rec := &abortRecords{lo: log.Base, hi: log.Base + uint64(log.MaxWords)*8}
+	env.Ctl.SetPersistObserver(rec)
+	hold := 100 * txn.Backoff(cfg, 2)
+	var res [2]txn.ExecResult
+	engine.New(2).Run(func(id int, c *engine.Clock) {
+		var body func(tx txn.Tx) error
+		if id == 1 {
+			// Abort in hardware, then hold the fallback lock for hold cycles.
+			body = func(tx txn.Tx) error {
+				if _, plain := tx.(*htm.PlainTx); !plain {
+					return errExplicit
+				}
+				tx.Write(wal.HeapBase, 1)
+				c.Advance(hold)
+				return nil
+			}
+		} else {
+			// Begin once core 1 holds the lock.
+			c.Advance(hold / 10)
+			body = func(tx txn.Tx) error {
+				tx.Write(wal.HeapBase+memdev.LineBytes, 2)
+				return nil
+			}
+		}
+		res[id] = d.Run(id, c, &txn.Transaction{Body: body})
+		d.Finish(id, c)
+	})
+	if env.Stats.Core(1).Fallbacks != 1 || env.Stats.Core(0).Fallbacks != 0 {
+		t.Fatalf("fallbacks %d/%d, want core 1 only", env.Stats.Core(0).Fallbacks, env.Stats.Core(1).Fallbacks)
+	}
+	if !res[0].Committed || res[0].End < res[1].End {
+		t.Fatalf("core 0 committed %v at %d, before core 1's fallback ended at %d", res[0].Committed, res[0].End, res[1].End)
+	}
+	if rec.n != 1 {
+		t.Fatalf("core 0 appended %d abort records while the lock was held, want 1", rec.n)
 	}
 }

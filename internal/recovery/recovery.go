@@ -80,13 +80,13 @@ func Recover(store *memdev.Store) (*Report, error) {
 	var order []TxKey // stable ordering of discovery (log order within thread)
 
 	for t := 0; t < reg.Threads(); t++ {
-		log := reg.Log(t)
-		recs, err := log.Scan(store)
-		if err != nil {
-			return rep, fmt.Errorf("recovery: scanning thread %d log: %w", t, err)
-		}
-		rep.LogsScanned++
-		for _, rec := range recs {
+		// An unaligned record is reported only once the whole log decoded:
+		// a log that is also truncated reports the truncation.
+		var bad error
+		err := reg.Log(t).Walk(store, func(rec wal.Record) {
+			if bad != nil {
+				return
+			}
 			key := TxKey{Thread: t, TxID: rec.TxID}
 			img, ok := images[key]
 			if !ok {
@@ -95,7 +95,8 @@ func Recover(store *memdev.Store) (*Report, error) {
 				order = append(order, key)
 			}
 			if (rec.Type == wal.RecRedo || rec.Type == wal.RecUndo) && rec.LineAddr%memdev.LineBytes != 0 {
-				return rep, fmt.Errorf("recovery: thread %d tx %d: %v record at unaligned address %#x", t, rec.TxID, rec.Type, rec.LineAddr)
+				bad = fmt.Errorf("recovery: thread %d tx %d: %v record at unaligned address %#x", t, rec.TxID, rec.Type, rec.LineAddr)
+				return
 			}
 			switch rec.Type {
 			case wal.RecRedo:
@@ -113,6 +114,13 @@ func Recover(store *memdev.Store) (*Report, error) {
 					img.DependsOn = append(img.DependsOn, TxKey{Thread: rec.DepThread, TxID: rec.DepTxID})
 				}
 			}
+		})
+		if err != nil {
+			return rep, fmt.Errorf("recovery: scanning thread %d log: %w", t, err)
+		}
+		rep.LogsScanned++
+		if bad != nil {
+			return rep, bad
 		}
 	}
 	rep.Transactions = len(images)

@@ -171,6 +171,22 @@ func TestUnalignedRecordIsAnError(t *testing.T) {
 			}
 		})
 	}
+	// A log that also ends in a truncated record reports the truncation: a
+	// log is decoded whole before its records are judged.
+	t.Run("truncated", func(t *testing.T) {
+		store, reg := buildImage(t)
+		log := reg.Log(1)
+		txid := log.BeginTx()
+		appendAll(t, log,
+			&wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: 0x70018},
+			&wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: 0x70040},
+		)
+		store.WriteWord(log.MetaAddr, store.ReadWord(log.MetaAddr)-1)
+		_, err := Recover(store)
+		if err == nil || !strings.Contains(err.Error(), "recovery: scanning thread 1 log: wal: truncated") {
+			t.Fatalf("Recover over an unaligned record then a truncated one: err = %v, want the truncation", err)
+		}
+	})
 }
 
 // TestSentinelCycleError checks the error return for a sentinel dependency

@@ -144,17 +144,22 @@ func TestRenderMatchesServeTables(t *testing.T) {
 // TestRunCrashtestFailureSummary checks the failure Run returns counts crash
 // images over the report's Tasks once a reordering window fans each crash
 // point out into several images, and crash points over Explored otherwise.
+// The StaleUndoATOM fixture runs at a size and seed (2 cores × 32
+// transactions of 8 operations on hash, seed 4) where it hands out stale
+// pre-images that only the differential oracle catches.
 func TestRunCrashtestFailureSummary(t *testing.T) {
 	for _, window := range []int{0, 1} {
+		var fx *baselines.StaleUndoATOM
 		c := &scenario.Compiled{
 			Doc: &scenario.Document{Mode: scenario.ModeCrashtest},
 			Crashtests: []crashtest.Config{{
-				Design: "StaleUndoATOM", Workload: "hash", Cores: 4, TxPerCore: 4, OpsPerTx: 8,
-				Seed:         6,
+				Design: "StaleUndoATOM", Workload: "hash", Cores: 2, TxPerCore: 32, OpsPerTx: 8,
+				Seed:         4,
 				Differential: true,
 				Adversary:    crashtest.AdversaryConfig{Window: window, Mode: "exhaustive"},
 				Factory: func(env *txn.Env) (txn.Runtime, error) {
-					return baselines.NewStaleUndoATOM(env), nil
+					fx = baselines.NewStaleUndoATOM(env)
+					return fx, nil
 				},
 			}},
 		}
@@ -162,7 +167,15 @@ func TestRunCrashtestFailureSummary(t *testing.T) {
 		if err == nil {
 			t.Fatalf("window %d: stale-undo fixture passed", window)
 		}
+		if fx.Stale == 0 {
+			t.Fatalf("window %d: the fixture handed out no stale pre-image", window)
+		}
 		rep := res.Crashtests[0]
+		for _, f := range rep.Failures {
+			if !strings.HasPrefix(f.Err, "differential oracle:") {
+				t.Fatalf("window %d: point %d caught by %q, not the differential oracle", window, f.Point, f.Err)
+			}
+		}
 		want := fmt.Sprintf("StaleUndoATOM/hash: %d of %d crash points failed; reproduce: ", rep.Failed, rep.Explored)
 		if window > 0 {
 			if rep.Tasks <= rep.Explored {
@@ -172,6 +185,11 @@ func TestRunCrashtestFailureSummary(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("window %d: error %q lacks %q", window, err, want)
+		}
+
+		c.Crashtests[0].Differential = false
+		if _, err := scenario.Run(context.Background(), c, scenario.RunOptions{}); err != nil {
+			t.Fatalf("window %d: non-differential run failed: %v", window, err)
 		}
 	}
 }

@@ -194,12 +194,23 @@ func (l *ThreadLog) readWord(store *memdev.Store, off int) uint64 {
 }
 
 // Scan decodes every live record (tail to head) from the given persistent
-// memory image. It is used by the recovery manager and by tests.
+// memory image into a slice: the records Walk passes on, and its error.
 func (l *ThreadLog) Scan(store *memdev.Store) ([]Record, error) {
+	var recs []Record
+	err := l.Walk(store, func(rec Record) { recs = append(recs, rec) })
+	return recs, err
+}
+
+// Walk decodes every live record (tail to head) from the given persistent
+// memory image and passes each to fn in log order. A corrupt head or tail
+// is an error before any record; a truncated record is an error after fn
+// has seen every record before it. The recovery manager walks each log
+// without collecting its records.
+func (l *ThreadLog) Walk(store *memdev.Store, fn func(Record)) error {
 	head := int(store.ReadWord(l.MetaAddr))
 	tail := int(store.ReadWord(l.MetaAddr + 8))
 	if head < 0 || head >= l.SizeWords || tail < 0 || tail >= l.SizeWords {
-		return nil, fmt.Errorf("wal: thread %d log has corrupt head/tail %d/%d", l.Thread, head, tail)
+		return fmt.Errorf("wal: thread %d log has corrupt head/tail %d/%d", l.Thread, head, tail)
 	}
 	liveWords := head - tail
 	if liveWords < 0 {
@@ -216,13 +227,12 @@ func (l *ThreadLog) Scan(store *memdev.Store) ([]Record, error) {
 		return l.readWord(store, i-(l.SizeWords-tail))
 	}
 	var buf [1 + 1 + memdev.WordsPerLine]uint64
-	var recs []Record
 	for idx := 0; idx < liveWords; {
 		buf[0] = word(idx)
 		t, _, _ := unpackHeader(buf[0])
 		n := 1 + payloadWords(t)
 		if idx+n > liveWords {
-			return recs, errTruncated(t, idx)
+			return errTruncated(t, idx)
 		}
 		for i := 1; i < n; i++ {
 			buf[i] = word(idx + i)
@@ -232,10 +242,10 @@ func (l *ThreadLog) Scan(store *memdev.Store) ([]Record, error) {
 			// Zeroed space; nothing further is live.
 			break
 		}
-		recs = append(recs, rec)
+		fn(rec)
 		idx += n
 	}
-	return recs, nil
+	return nil
 }
 
 // Reset empties the log (used after recovery has replayed it, and by the

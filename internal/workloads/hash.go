@@ -31,6 +31,8 @@ type hashWL struct {
 	buckets    uint64
 	opsPerTx   int
 	partitions int
+	// span is the number of buckets in one window of one partition.
+	span uint64
 
 	// baseline is a frozen clone of the post-setup image, and baselineErr
 	// its bucket check, run once on first use. Verify skips every leaf an
@@ -51,10 +53,17 @@ const (
 	hashBuckets        = 16384
 	hashBucketMask     = hashBuckets - 1
 	hashSlotsPerBucket = 7
-	// hashKeySpace holds keys 1..hashKeySpace, twice the table's slots. It
-	// is a multiple of hashBuckets, which keyInWindow's accept test relies
-	// on.
-	hashKeySpace = hashBuckets * hashSlotsPerBucket * 2
+	// hashKeysPerBucket is the number of keys of the key space in each
+	// bucket: twice its slots.
+	hashKeysPerBucket = hashSlotsPerBucket * 2
+	// hashKeySpace holds keys 1..hashKeySpace, hashKeysPerBucket for every
+	// bucket.
+	hashKeySpace = hashBuckets * hashKeysPerBucket
+	// hashBucketMultiplier is bucketIndex's odd multiplier, and
+	// hashBucketInverse its inverse modulo 2^64, so
+	// bucketIndex(b*hashBucketInverse) == b for every bucket b.
+	hashBucketMultiplier = 0x9e3779b97f4a7c15
+	hashBucketInverse    = 0xf1de83e19937733d
 )
 
 // Setup implements Workload. It fills the table half full in a local
@@ -67,6 +76,10 @@ func (h *hashWL) Setup(heap *palloc.Heap, p Params) error {
 		h.opsPerTx = 64
 	}
 	h.partitions = p.Partitions
+	if hashBuckets%h.partitions != 0 || hashBuckets/h.partitions%hashWindowsPerPartition != 0 {
+		return fmt.Errorf("hash: %d partitions of %d windows do not tile %d buckets", h.partitions, hashWindowsPerPartition, hashBuckets)
+	}
+	h.span = uint64(hashBuckets / h.partitions / hashWindowsPerPartition)
 	h.meta = heap.AllocLines(1)
 	h.buckets = heap.AllocLines(hashBuckets)
 
@@ -111,57 +124,31 @@ func unpackBucketHeader(h uint64) (count, sum uint64) { return h & 0xffff, h >> 
 
 // bucketIndex maps a key to its bucket's index. It depends only on key
 // modulo hashBuckets.
-func bucketIndex(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) & hashBucketMask }
+func bucketIndex(key uint64) uint64 { return (key * hashBucketMultiplier) & hashBucketMask }
 
 // bucketOf maps a key to its bucket's line address.
 func (h *hashWL) bucketOf(key uint64) uint64 {
 	return line(h.buckets, int(bucketIndex(key)))
 }
 
-// partitionOf maps a key to the coarse lock partition its bucket belongs to.
-func (h *hashWL) partitionOf(key uint64) uint64 {
-	return bucketIndex(key) * uint64(h.partitions) / hashBuckets
-}
-
 // hashWindowsPerPartition subdivides every lock partition into windows; a
 // transaction's keys all fall into one window.
 const hashWindowsPerPartition = 8
 
-// windowOf maps a key to its window index within its partition.
-func (h *hashWL) windowOf(key uint64) uint64 {
-	bucketsPerPart := uint64(hashBuckets / h.partitions)
-	return (bucketIndex(key) % bucketsPerPart) * hashWindowsPerPartition / bucketsPerPart
-}
-
-// keyInWindow draws a key whose bucket falls inside the given partition and
-// window. Rejection sampling here dominates transaction generation (~1/128
-// of draws are accepted at the default geometry), so the accept test matters:
-// when the partition and window grids align — partitions divides hashBuckets
-// and hashWindowsPerPartition divides the partition size, true for every
-// power-of-two configuration — the accepted bucket indices form one
-// contiguous range and each draw needs a single subtract-and-compare instead
-// of four divisions. The test runs on the raw draw r: because hashKeySpace
-// is a multiple of hashBuckets, the key r%hashKeySpace+1 lands in the bucket
-// of r+1, so the modulo is paid only on accept. The draw and accept
-// sequence is provably identical to the general predicate, so golden
-// tables do not move.
-func (h *hashWL) keyInWindow(rng *rand.Rand, part, window uint64) uint64 {
-	bucketsPerPart := uint64(hashBuckets / h.partitions)
-	if hashBuckets == bucketsPerPart*uint64(h.partitions) && bucketsPerPart%hashWindowsPerPartition == 0 {
-		span := bucketsPerPart / hashWindowsPerPartition
-		lo := part*bucketsPerPart + window*span
-		for {
-			if r := rng.Uint64(); bucketIndex(r+1)-lo < span {
-				return r%hashKeySpace + 1
-			}
-		}
+// windowKey maps i in [0, span·hashKeysPerBucket) one to one onto the keys
+// whose bucket falls inside the given partition and window. Partitions and
+// windows tile the table, so the window's buckets are the span indices from
+// lo, and every bucket b holds exactly hashKeysPerBucket keys: the residue
+// b·hashBucketInverse mod hashBuckets plus each multiple of hashBuckets, the
+// residue 0 standing in for the key hashKeySpace. i picks key
+// i%hashKeysPerBucket of bucket lo+i/hashKeysPerBucket.
+func (h *hashWL) windowKey(part, window, i uint64) uint64 {
+	lo := (part*hashWindowsPerPartition + window) * h.span
+	key := (lo+i/hashKeysPerBucket)*hashBucketInverse&hashBucketMask + i%hashKeysPerBucket*hashBuckets
+	if key == 0 {
+		return hashKeySpace
 	}
-	for {
-		key := rng.Uint64()%hashKeySpace + 1
-		if h.partitionOf(key) == part && h.windowOf(key) == window {
-			return key
-		}
-	}
+	return key
 }
 
 // Next implements Workload.
@@ -180,8 +167,10 @@ func (h *hashWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 	maskWords := (h.opsPerTx + 63) / 64
 	buf := make([]uint64, h.opsPerTx+maskWords)
 	keys, insertMask := buf[:h.opsPerTx], buf[h.opsPerTx:]
+	// One draw per key, uniform over the window's keys.
+	windowKeys := int64(h.span * hashKeysPerBucket)
 	for i := range keys {
-		keys[i] = h.keyInWindow(rng, part, window)
+		keys[i] = h.windowKey(part, window, uint64(rng.Int63n(windowKeys)))
 		if rng.Intn(2) == 0 {
 			insertMask[i/64] |= 1 << (i % 64)
 		}

@@ -10,53 +10,61 @@ import (
 	"dhtm/internal/palloc"
 )
 
-// TestKeyInWindowFastPathMatchesPredicate proves the contiguous-range accept
-// test used by keyInWindow's fast path is equivalent to the general
-// partition+window predicate for every key in the key space, across aligned
-// geometries, and that testing the raw draw r (the bucket of r+1) decides
-// exactly as testing the key r%hashKeySpace+1 it returns. Equivalence of the
-// per-draw accept decision is what guarantees the rng draw sequence — and
-// therefore every golden table — is unchanged.
-func TestKeyInWindowFastPathMatchesPredicate(t *testing.T) {
-	for _, partitions := range []int{1, 2, 4, 8, 16, 32} {
-		h := &hashWL{partitions: partitions}
-		bucketsPerPart := uint64(hashBuckets / h.partitions)
-		if hashBuckets != bucketsPerPart*uint64(h.partitions) || bucketsPerPart%hashWindowsPerPartition != 0 {
-			t.Fatalf("partitions=%d: geometry unexpectedly unaligned", partitions)
-		}
-		span := bucketsPerPart / hashWindowsPerPartition
-		for key := uint64(1); key <= hashKeySpace; key++ {
-			idx := bucketIndex(key)
-			part := h.partitionOf(key)
-			window := h.windowOf(key)
-			lo := part*bucketsPerPart + window*span
-			// The fast path accepts key for (part, window) iff idx-lo < span;
-			// the general predicate accepts iff partitionOf/windowOf match.
-			// Check both directions: the key is accepted for its own
-			// (part, window) and for no adjacent window.
-			if idx-lo >= span {
-				t.Fatalf("partitions=%d key=%d: fast path rejects its own window (idx=%d lo=%d span=%d)",
-					partitions, key, idx, lo, span)
+// TestWindowKeyIsBijection enumerates, for every (partition, window) of the
+// default geometry, i → windowKey over [0, span·hashKeysPerBucket) and
+// requires it to be one to one onto exactly the keys in [1, hashKeySpace]
+// whose bucket lies in that window: Next's single draw per key is then
+// uniform over the window's keys. It also checks hashBucketInverse inverts
+// bucketIndex's multiplier.
+func TestWindowKeyIsBijection(t *testing.T) {
+	if m := uint64(hashBucketMultiplier); m*hashBucketInverse != 1 {
+		t.Fatalf("hashBucketMultiplier × hashBucketInverse = %#x, want 1", m*hashBucketInverse)
+	}
+	h := newHash()
+	if err := h.Setup(palloc.New(memdev.NewStore()), Params{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	parts := uint64(h.partitions)
+	if parts != 16 || h.span*parts*hashWindowsPerPartition != hashBuckets {
+		t.Fatalf("geometry %d partitions × %d windows × %d buckets, want 16 × %d tiling %d",
+			parts, hashWindowsPerPartition, h.span, hashWindowsPerPartition, hashBuckets)
+	}
+	// The window (part·windows + window) of every key in the key space.
+	inWindow := make([]int, parts*hashWindowsPerPartition)
+	for key := uint64(1); key <= hashKeySpace; key++ {
+		inWindow[bucketIndex(key)/h.span]++
+	}
+	seen := make([]bool, hashKeySpace+1)
+	for part := uint64(0); part < parts; part++ {
+		for window := uint64(0); window < hashWindowsPerPartition; window++ {
+			w := part*hashWindowsPerPartition + window
+			n := h.span * hashKeysPerBucket
+			if uint64(inWindow[w]) != n {
+				t.Fatalf("window %d/%d holds %d keys, draws range over %d", part, window, inWindow[w], n)
 			}
-			otherW := (window + 1) % hashWindowsPerPartition
-			otherLo := part*bucketsPerPart + otherW*span
-			if otherW != window && idx-otherLo < span {
-				t.Fatalf("partitions=%d key=%d: fast path accepts window %d, belongs to %d",
-					partitions, key, otherW, window)
+			for i := uint64(0); i < n; i++ {
+				key := h.windowKey(part, window, i)
+				if key < 1 || key > hashKeySpace {
+					t.Fatalf("window %d/%d: i=%d gives key %d outside [1, %d]", part, window, i, key, hashKeySpace)
+				}
+				if got := bucketIndex(key) / h.span; got != w {
+					t.Fatalf("window %d/%d: i=%d gives key %d in window %d", part, window, i, key, got)
+				}
+				if seen[key] {
+					t.Fatalf("window %d/%d: i=%d gives key %d a second time", part, window, i, key)
+				}
+				seen[key] = true
 			}
 		}
 	}
+}
 
-	// The raw-draw test: r+1 and r%hashKeySpace+1 share a bucket for every
-	// r, including the wrap of r+1 at the top of the range.
-	raw := []uint64{0, 1, hashKeySpace - 1, hashKeySpace, hashKeySpace + 1, 1<<63 - 1, 1 << 63, 1<<64 - 2, 1<<64 - 1}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1<<20; i++ {
-		raw = append(raw, rng.Uint64())
-	}
-	for _, r := range raw {
-		if got, want := bucketIndex(r+1), bucketIndex(r%hashKeySpace+1); got != want {
-			t.Fatalf("r=%d: raw draw tests bucket %d, its key lands in bucket %d", r, got, want)
+// TestHashSetupRejectsUntiledPartitions: partition counts whose windows do
+// not tile the table are refused rather than drawn from a wrong window.
+func TestHashSetupRejectsUntiledPartitions(t *testing.T) {
+	for _, parts := range []int{3, 4096} {
+		if err := newHash().Setup(palloc.New(memdev.NewStore()), Params{Seed: 1, Partitions: parts}); err == nil {
+			t.Errorf("%d partitions accepted", parts)
 		}
 	}
 }
