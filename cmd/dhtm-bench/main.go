@@ -27,9 +27,9 @@
 // The -exp/-quick/-tx/-cores flags build an experiment-mode scenario
 // document in process; -scenario loads one (experiment, sweep or crashtest
 // mode) from a file instead. Either way the document compiles and runs
-// through scenario.Run, and stdout carries exactly the rendered tables —
-// byte-identical to what dhtm-serve's /api/v1/jobs/{id}/tables endpoint
-// returns for the same document. Wall-clock timings go to stderr and -json.
+// through scenario.Run, and stdout carries exactly the rendered tables
+// (scenario.Result.Render), byte-identical on every run of the same
+// document. Wall-clock timings go to stderr and -json.
 package main
 
 import (
@@ -78,8 +78,8 @@ type document struct {
 // stderr line.
 func telemetrySummary() (runner.MemoMetrics, snapshot.Metrics) {
 	m, sm := runner.DefaultMemo.Metrics(), snapshot.Default.Metrics()
-	fmt.Fprintf(os.Stderr, "dhtm-bench: telemetry: memo %d hits / %d simulated / %d shared; snapshots %d hits / %d misses / %d clones / %d cached images\n",
-		m.MemHits, m.Computes, m.Shared, sm.Hits, sm.Misses, sm.Clones, sm.Entries)
+	fmt.Fprintf(os.Stderr, "dhtm-bench: telemetry: memo %d hits / %d simulated; snapshots %d hits / %d misses / %d clones / %d cached images\n",
+		m.MemHits, m.Computes, sm.Hits, sm.Misses, sm.Clones, sm.Entries)
 	return m, sm
 }
 
@@ -98,7 +98,7 @@ func run() int {
 	csvOut := flag.Bool("csv", false, "emit CSV rows on stdout instead of aligned tables")
 	progress := flag.Bool("progress", false, "report per-cell completion on stderr")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	scenarioPath := flag.String("scenario", "", "run a scenario file (experiment, sweep or crashtest mode); output is the rendered tables, byte-identical to dhtm-serve's /tables for the same file")
+	scenarioPath := flag.String("scenario", "", "run a scenario file (experiment, sweep or crashtest mode); output is the rendered tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	metricsOut := flag.String("metrics", "", "write the run's metrics registry in Prometheus text format to this file at exit")

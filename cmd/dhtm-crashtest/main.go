@@ -11,8 +11,8 @@
 // point index (plus -window/-mask when the adversary was in play).
 //
 // The flags build a crashtest-mode scenario document, so they are validated
-// and executed exactly like a scenario file run with dhtm-bench -scenario or
-// POSTed to dhtm-serve; reports print in registry (paper) design order.
+// and executed exactly like a scenario file run with dhtm-bench -scenario;
+// reports print in registry (paper) design order.
 //
 // Examples:
 //

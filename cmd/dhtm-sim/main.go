@@ -3,7 +3,7 @@
 // the run at the last transaction's commit point, simulates a power failure
 // and writes the persistent-memory image to a file that cmd/dhtm-recover can
 // replay. Grids of cells are scenario documents: run them with
-// dhtm-bench -scenario or POST them to dhtm-serve.
+// dhtm-bench -scenario.
 //
 // Examples:
 //

@@ -38,8 +38,8 @@ import (
 type Design string
 
 // The evaluated designs (§V of the paper). The names are re-exported from
-// internal/registry — the one catalog NewSystem, the harness, the CLIs and
-// dhtm-serve all resolve against — so the public set cannot drift from what
+// internal/registry — the one catalog NewSystem, the harness and the CLIs
+// all resolve against — so the public set cannot drift from what
 // the rest of the tree runs.
 const (
 	DHTM        Design = registry.DesignDHTM
@@ -65,7 +65,7 @@ func Designs() []Design {
 
 // DesignCatalog describes one runnable design: its name, a one-line
 // description, classification tags and whether the crash-point explorer
-// supports it. It mirrors what dhtm-serve's /api/v1/catalog returns.
+// supports it. It mirrors the registry entry of the design.
 type DesignCatalog struct {
 	Name        Design
 	Description string

@@ -202,9 +202,8 @@ func Supported() []string {
 
 // Validate rejects selections that could never resolve against any
 // persist-event space — the pre-run subset of pickPoints' checks, so
-// submit-time validation (scenario compilation, serve job specs) can fail
-// fast instead of queueing an exploration that dies after its counting
-// pass.
+// scenario compilation can fail fast instead of starting an exploration
+// that dies after its counting pass.
 func (s Selection) Validate() error {
 	switch s.Mode {
 	case "", "all":

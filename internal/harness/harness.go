@@ -299,7 +299,7 @@ func Experiments() []Experiment {
 }
 
 // ExperimentIDs lists every experiment ID in paper order (the valid values
-// of dhtm-bench -exp and the serve API's experiment selection).
+// of dhtm-bench -exp and a scenario document's experiment selection).
 func ExperimentIDs() []string {
 	exps := Experiments()
 	ids := make([]string, len(exps))

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -118,5 +119,53 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(ch1, ch2) {
 		t.Fatal("two traced runs produced different Chrome trace bytes")
+	}
+}
+
+// TestRunPlanTracedBypassesMemo pins how tracing and the cell memo meet in
+// RunPlan: an untraced run reads through runner.DefaultMemo, so repeating it
+// answers every cell from the memo without a timeline; a traced run of the
+// same plan simulates and records every cell, never touches the memo, and
+// reproduces the untraced numbers.
+func TestRunPlanTracedBypassesMemo(t *testing.T) {
+	plan := runner.Plan{Name: "traced"}
+	for _, d := range []string{DesignATOM, DesignDHTM} {
+		plan.Add(runner.Cell{ID: d + "/hash", Design: d, Workload: "hash", Cores: 2, TxPerCore: 2})
+	}
+	opts := runner.Options{Parallel: 2, Seed: 17}
+	run := func(trace probe.Config) *runner.ResultSet {
+		t.Helper()
+		rs, err := RunPlan(context.Background(), plan, trace, opts)
+		if err == nil {
+			err = rs.Err()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+
+	run(probe.Config{})
+	untraced := run(probe.Config{})
+	for _, r := range untraced.Results {
+		if !r.Cached || r.Run.Timeline != nil {
+			t.Fatalf("%s: repeated untraced run: cached=%v timeline=%v, want a memo hit without a timeline",
+				r.Cell.ID, r.Cached, r.Run.Timeline != nil)
+		}
+	}
+
+	before := runner.DefaultMemo.Metrics()
+	for i, r := range run(probe.Config{Interval: 256}).Results {
+		if r.Cached || r.Run.Timeline == nil {
+			t.Fatalf("%s: traced run: cached=%v timeline=%v, want a fresh simulation with a timeline",
+				r.Cell.ID, r.Cached, r.Run.Timeline != nil)
+		}
+		if u := untraced.Results[i].Run; r.Run.Committed != u.Committed || r.Run.Cycles != u.Cycles {
+			t.Fatalf("%s: traced run committed %d in %d cycles, untraced %d in %d",
+				r.Cell.ID, r.Run.Committed, r.Run.Cycles, u.Committed, u.Cycles)
+		}
+	}
+	if after := runner.DefaultMemo.Metrics(); after != before {
+		t.Fatalf("traced runs went through the memo: %+v, then %+v", before, after)
 	}
 }

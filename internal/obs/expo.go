@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -106,13 +105,4 @@ func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }
 // round-trip representation, integers without a decimal point.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Handler returns an http.Handler serving the registry as a Prometheus
-// scrape endpoint.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WriteText(w)
-	})
 }

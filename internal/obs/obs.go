@@ -15,11 +15,11 @@
 //     re-registration (same name, different kind or buckets) panics — that is
 //     a programming error, not a runtime condition.
 //  3. Exposition is deterministic: families sort by name, series by label
-//     signature, so /metrics output is diffable and golden-testable.
+//     signature, so -metrics dumps are diffable and golden-testable.
 //
-// The process-wide Default registry is what dhtm-serve exposes at /metrics
-// and the CLIs dump with -metrics; subsystems that need isolated counters
-// (per-store, per-cache, tests) create their own Registry.
+// The process-wide Default registry is what the CLIs dump with -metrics;
+// subsystems that need isolated counters (per-store, per-cache, tests)
+// create their own Registry.
 package obs
 
 import (
@@ -34,7 +34,7 @@ import (
 
 // Default is the process-wide registry. Package-level instrumentation
 // (runner cells, crashtest points, the snapshot Default cache) registers
-// here; dhtm-serve renders it at GET /metrics.
+// here; the CLIs dump it with -metrics.
 var Default = NewRegistry()
 
 // Label is one name="value" pair on a metric series.
@@ -265,10 +265,6 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Inc adds one; Dec subtracts one.
-func (g *Gauge) Inc() { g.Add(1) }
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -357,7 +353,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // DurationBuckets covers 100µs to ~52s doubling per bucket — the range of a
-// simulation cell, a job, or an HTTP request.
+// simulation cell or of a whole experiment.
 var DurationBuckets = ExpBuckets(100e-6, 2, 20)
 
 // IOBuckets covers 2µs to ~32s in ×4 steps — the range of one

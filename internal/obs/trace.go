@@ -33,15 +33,11 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// PhaseNames lists every phase name in execution order (the label values of
-// the dhtm_cell_phase_seconds histogram family).
-func PhaseNames() []string { return phaseNames[:] }
-
 // CellTrace accumulates one cell's per-phase wall-clock breakdown. It is a
 // fixed array — building one is a single small allocation and recording a
 // phase is one add — and is written by the one goroutine executing the cell,
-// then read after completion (the runner's progress callback and serve's
-// per-job aggregation), so it needs no internal locking.
+// then read after completion (the runner's progress callback), so it needs
+// no internal locking.
 type CellTrace struct {
 	ns [NumPhases]int64
 }

@@ -4,7 +4,7 @@
 // per-system signals (WAL occupancy, persist-queue backlog, abort rates,
 // bandwidth-class bytes, cache miss counters) into preallocated columns.
 //
-// Where internal/obs measures the *service* in wall-clock time, probe
+// Where internal/obs measures the *simulator* in host wall-clock time, probe
 // measures the *simulated hardware* in simulated cycles; together they make
 // a cell inspectable both as a waveform (this package) and as aggregate
 // counters (stats.Stats).

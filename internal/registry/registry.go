@@ -4,7 +4,7 @@
 // factory — and every layer of the repo resolves names against this one
 // table: the public dhtm package (NewSystem), the harness (NewRuntime and
 // the experiment grids), the scenario compiler, the CLIs' flag validation
-// and error listings, and dhtm-serve's /api/v1/catalog. Adding a design or
+// and error listings, and dhtm.Catalog. Adding a design or
 // workload here is the only step required to make it runnable, listable and
 // validatable everywhere at once; nothing else in the tree enumerates the
 // sets by hand.
@@ -63,39 +63,39 @@ const (
 
 // Design is one registered transactional-memory design: everything a caller
 // needs to instantiate it, list it, or decide whether a subsystem supports
-// it. The JSON shape is what /api/v1/catalog serves.
+// it.
 type Design struct {
 	// Name is the identifier accepted everywhere a design is named (flags,
 	// cells, scenario documents, the public dhtm.Config).
-	Name string `json:"name"`
+	Name string
 	// Description is a one-line summary of the design point.
-	Description string `json:"description"`
+	Description string
 	// Tags classify the design (visibility, durability, role).
-	Tags []string `json:"tags"`
+	Tags []string
 	// CrashSafe marks designs whose durability protocol recovery.Recover
 	// replays at arbitrary crash points — the set the crash-point explorer
 	// accepts: DHTM and its ablations (redo logging) and ATOM and
 	// LogTM-ATOM (one undo-logging sequence). The others are excluded by
 	// construction: SO and sdTM defer in-place persistence past the
 	// simulated window, and NP is volatile.
-	CrashSafe bool `json:"crash_safe"`
+	CrashSafe bool
 	// New instantiates the design's runtime over a fresh environment.
-	New func(env *txn.Env) txn.Runtime `json:"-"`
+	New func(env *txn.Env) txn.Runtime
 }
 
 // Workload is one registered benchmark.
 type Workload struct {
 	// Name is the identifier accepted everywhere a workload is named.
-	Name string `json:"name"`
+	Name string
 	// Description is a one-line summary of what the workload exercises.
-	Description string `json:"description"`
+	Description string
 	// Tags classify the workload (micro or oltp, plus structure hints).
-	Tags []string `json:"tags"`
+	Tags []string
 	// OLTP reports whether the workload uses the OLTP transaction budget
 	// (larger transactions, fewer of them per core).
-	OLTP bool `json:"oltp"`
+	OLTP bool
 	// New builds a fresh instance of the workload.
-	New func() workloads.Workload `json:"-"`
+	New func() workloads.Workload
 }
 
 // designs lists every runnable design in the order of the paper (§V). This

@@ -16,28 +16,28 @@ import (
 const DefaultMemoEntries = 4096
 
 // DefaultMemo is the process-wide cell memo that harness grids read through,
-// so cells repeated across experiments, sweeps and dhtm-serve jobs simulate
-// once per process. Its counters land in obs.Default under the
+// so cells repeated across experiments and scenario grids simulate once per
+// process. Its counters land in obs.Default under the
 // dhtm_resultstore_* families.
-var DefaultMemo = newMemo(obs.Default, DefaultMemoEntries)
+var DefaultMemo = NewMemo(obs.Default, DefaultMemoEntries)
 
 // Memo answers repeated cells from memory. A cell's result is a pure
 // function of its Key() and seed for a given simulator binary, and a memo
 // lives no longer than its process, so the pair is a complete cache key.
-// The memo is a bounded LRU with singleflight: concurrent requests for the
-// same cell share one simulation. Failed simulations are never cached.
+// The memo is a bounded LRU. Failed simulations are never cached. Concurrent
+// requests for a cell the memo does not yet hold each simulate it; the
+// results are identical, and the first one stored is kept.
 //
 // The key does not cover the ExecFunc, so a memo must only ever be handed
 // one executor.
 type Memo struct {
 	capacity int
 
-	mu     sync.Mutex
-	lru    *list.List // of *memoEntry, most recently used first
-	byKey  map[memoKey]*list.Element
-	flight map[memoKey]*flight
+	mu    sync.Mutex
+	lru   *list.List // of *memoEntry, most recently used first
+	byKey map[memoKey]*list.Element
 
-	hits, misses, computes, shared *obs.Counter
+	hits, misses, computes *obs.Counter
 }
 
 // memoKey addresses one result.
@@ -51,39 +51,27 @@ type memoEntry struct {
 	res workloads.RunResult
 }
 
-// flight is one in-progress simulation; waiters block on done and then
-// read res and err.
-type flight struct {
-	done chan struct{}
-	res  workloads.RunResult
-	err  error
-}
-
 // MemoMetrics are a memo's monotone counters. Computes counts the
-// simulations that actually ran; Shared counts callers that waited on
-// another caller's in-flight simulation instead of starting their own.
+// simulations that actually ran.
 type MemoMetrics struct {
 	MemHits  uint64 `json:"mem_hits"`
 	Misses   uint64 `json:"misses"`
 	Computes uint64 `json:"computes"`
-	Shared   uint64 `json:"shared"`
 }
 
-// newMemo returns a memo of the given capacity whose counters live in reg.
-func newMemo(reg *obs.Registry, capacity int) *Memo {
+// NewMemo returns an empty memo of the given capacity whose counters live in
+// reg.
+func NewMemo(reg *obs.Registry, capacity int) *Memo {
 	return &Memo{
 		capacity: capacity,
 		lru:      list.New(),
 		byKey:    make(map[memoKey]*list.Element),
-		flight:   make(map[memoKey]*flight),
 		hits: reg.Counter("dhtm_resultstore_hits_total",
 			"Cells answered from the memo without simulating, by cache tier.", obs.L("tier", "mem")),
 		misses: reg.Counter("dhtm_resultstore_misses_total",
 			"Cells the memo did not hold, by cache tier.", obs.L("tier", "mem")),
 		computes: reg.Counter("dhtm_resultstore_computes_total",
 			"Cell simulations the memo ran."),
-		shared: reg.Counter("dhtm_resultstore_shared_total",
-			"Callers that waited on another caller's in-flight simulation."),
 	}
 }
 
@@ -93,13 +81,11 @@ func (m *Memo) Metrics() MemoMetrics {
 		MemHits:  m.hits.Value(),
 		Misses:   m.misses.Value(),
 		Computes: m.computes.Value(),
-		Shared:   m.shared.Value(),
 	}
 }
 
 // Run is runner.Run with every cell read through the memo: a held cell is
-// answered without simulating (Result.Cached), and concurrent requests for
-// the same cell, within or across plans, simulate it once.
+// answered without simulating (Result.Cached).
 func (m *Memo) Run(ctx context.Context, plan Plan, exec ExecFunc, opts Options) (*ResultSet, error) {
 	return run(ctx, plan, exec, opts, m)
 }
@@ -117,45 +103,30 @@ func (m *Memo) get(cell Cell, exec ExecFunc) (workloads.RunResult, bool, error) 
 		m.hits.Inc()
 		return detach(res), true, nil
 	}
-	if f, ok := m.flight[k]; ok {
-		m.mu.Unlock()
-		m.shared.Inc()
-		<-f.done
-		if f.err != nil {
-			return workloads.RunResult{}, false, f.err
-		}
-		return withoutTrace(detach(f.res)), true, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	m.flight[k] = f
 	m.mu.Unlock()
 
 	m.misses.Inc()
 	m.computes.Inc()
 	res, err := exec(cell)
-	if err == nil {
-		res = detach(res)
-	}
-	f.res, f.err = res, err
-
-	m.mu.Lock()
-	delete(m.flight, k)
-	if err == nil {
-		m.putLocked(k, withoutTrace(res))
-	}
-	m.mu.Unlock()
-	close(f.done)
-
 	if err != nil {
 		return workloads.RunResult{}, false, err
 	}
+	res = detach(res)
+	m.mu.Lock()
+	m.putLocked(k, withoutTrace(res))
+	m.mu.Unlock()
 	return detach(res), false, nil
 }
 
 // putLocked inserts a result as the most recently used entry, evicting the
-// least recently used ones beyond capacity. The caller holds m.mu and no
-// entry for k exists: a key has an entry or a flight, never both.
+// least recently used ones beyond capacity. The caller holds m.mu. If a
+// concurrent caller already stored k, its entry is kept: both simulated the
+// same deterministic cell.
 func (m *Memo) putLocked(k memoKey, res workloads.RunResult) {
+	if el, ok := m.byKey[k]; ok {
+		m.lru.MoveToFront(el)
+		return
+	}
 	m.byKey[k] = m.lru.PushFront(&memoEntry{key: k, res: res})
 	for m.lru.Len() > m.capacity {
 		last := m.lru.Back()

@@ -18,7 +18,7 @@ import (
 
 // testMemo is a memo with private counters, so assertions see exactly this
 // test's lookups.
-func testMemo(capacity int) *Memo { return newMemo(obs.NewRegistry(), capacity) }
+func testMemo(capacity int) *Memo { return NewMemo(obs.NewRegistry(), capacity) }
 
 // TestRunReadsThroughStore checks the read-through layer: a cold sweep
 // simulates every cell, a warm sweep of the same plan answers every cell
@@ -96,10 +96,10 @@ func TestRunNeverMemoizes(t *testing.T) {
 	}
 }
 
-// TestConcurrentSweepsSimulateOnce checks that two concurrent runs of the
-// same plan through one memo simulate each cell exactly once between them,
-// and that only the simulating sweep reports a cell uncached.
-func TestConcurrentSweepsSimulateOnce(t *testing.T) {
+// TestConcurrentSweepsAgree checks that two concurrent runs of the same plan
+// through one memo agree cell for cell, and that the memo then holds exactly
+// one entry per key: a cell both sweeps simulated is stored once.
+func TestConcurrentSweepsAgree(t *testing.T) {
 	m := testMemo(DefaultMemoEntries)
 	var sims atomic.Int64
 	slow := func(c Cell) (workloads.RunResult, error) {
@@ -123,20 +123,23 @@ func TestConcurrentSweepsSimulateOnce(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	if sims.Load() != n {
-		t.Fatalf("concurrent sweeps simulated %d cells, want exactly %d", sims.Load(), n)
+	if t.Failed() {
+		return
 	}
 	for i := 0; i < n; i++ {
 		if !reflect.DeepEqual(sets[0].Results[i].Run, sets[1].Results[i].Run) {
 			t.Fatalf("cell %d: the two sweeps disagree", i)
 		}
-		if sets[0].Results[i].Cached == sets[1].Results[i].Cached {
-			t.Fatalf("cell %d: cached=%v in both sweeps, want exactly one to report its own simulation", i, sets[0].Results[i].Cached)
-		}
 	}
-	// Every lookup that did not simulate was a hit or joined a flight.
-	if got := m.Metrics(); got.Computes != n || got.MemHits+got.Shared != n {
-		t.Fatalf("metrics = %+v, want %d computes and %d hits or shared", got, n, n)
+	if got := sims.Load(); got < n || got > 2*n {
+		t.Fatalf("concurrent sweeps simulated %d cells, want between %d and %d", got, n, 2*n)
+	}
+	if m.lru.Len() != n || len(m.byKey) != n {
+		t.Fatalf("memo holds %d entries (%d keys), want one per cell (%d)", m.lru.Len(), len(m.byKey), n)
+	}
+	// Every lookup either simulated or was answered from a held entry.
+	if got := m.Metrics(); got.Computes != uint64(sims.Load()) || got.MemHits+got.Computes != 2*n {
+		t.Fatalf("metrics = %+v after %d simulations, want computes+hits = %d", got, sims.Load(), 2*n)
 	}
 }
 

@@ -25,8 +25,9 @@ import (
 	"dhtm/internal/workloads"
 )
 
-// Sweep metrics land in obs.Default: every sweep in the process (CLI runs,
-// serve jobs, crash-test counting passes) rolls into one telemetry plane.
+// Sweep metrics land in obs.Default: every sweep in the process (experiment
+// grids, scenario sweeps, crash-test counting passes) rolls into one
+// telemetry plane.
 // Counters are monotone totals, so per-plan numbers stay in ResultSet.
 var (
 	metricCellsStarted = obs.Default.Counter("dhtm_runner_cells_started_total",
@@ -270,9 +271,8 @@ type Result struct {
 	// sweep; sibling cells still run and report. Cells skipped because the
 	// sweep's context was cancelled carry ErrCancelled.
 	Err error `json:"-"`
-	// Cached reports that the result came from a Memo — a held result or a
-	// concurrent sweep's in-flight simulation — rather than a simulation
-	// this sweep ran itself.
+	// Cached reports that the result came from a Memo's held result rather
+	// than a simulation this sweep ran itself.
 	Cached bool `json:"cached,omitempty"`
 	// Elapsed is host wall-clock time spent simulating the cell.
 	Elapsed time.Duration `json:"elapsed_ns"`

@@ -16,8 +16,7 @@ import (
 // mode sections is populated. Compilation is pure and deterministic — the
 // same document always expands to the same experiments, the same plan cells
 // in the same order, or the same crashtest configurations — which is what
-// makes a scenario file produce byte-identical tables on a CLI and on the
-// campaign service.
+// makes a scenario file produce byte-identical tables on every run.
 type Compiled struct {
 	// Doc is the source document.
 	Doc *Document

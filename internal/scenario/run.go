@@ -44,16 +44,16 @@ type RunOptions struct {
 // ExperimentOutcome is one experiment's result within an experiment-mode
 // run.
 type ExperimentOutcome struct {
-	ID    string         `json:"id"`
-	Title string         `json:"title"`
-	Table *harness.Table `json:"table,omitempty"`
-	Error string         `json:"error,omitempty"`
+	ID    string
+	Title string
+	Table *harness.Table
+	Error string
 	// Cells are the executed cells with their derived seeds (nil when the
 	// plan itself failed), so any cell can be re-run individually.
-	Cells []runner.Cell `json:"-"`
+	Cells []runner.Cell
 	// Elapsed is the experiment's wall-clock time. It stays out of the
 	// rendering so the rendered bytes are deterministic.
-	Elapsed time.Duration `json:"-"`
+	Elapsed time.Duration
 }
 
 // render writes the outcome's table, or its one-line failure.
@@ -70,9 +70,8 @@ func (o ExperimentOutcome) render(w io.Writer) {
 // that completed.
 type Result struct {
 	Experiments []ExperimentOutcome
-	// Name labels the sweep table (the plan name).
-	Name       string
-	Sweep      []SweepOutcome
+	// Sweep is the sweep-mode results table, labelled with the plan name.
+	Sweep      *harness.Table
 	Crashtests []*crashtest.Report
 	// Timelines are the probe recordings of the cells in plan order; empty
 	// unless RunOptions.Trace is on.
@@ -81,15 +80,14 @@ type Result struct {
 
 // Render writes the run's tables: one per experiment (or its failure
 // line), the sweep table, or one summary per crash report. It is the single
-// renderer of every surface — CLI stdout and dhtm-serve's /tables — and
-// carries no wall-clock time, so the same document renders the same bytes
-// everywhere.
+// renderer of every CLI's scenario output and carries no wall-clock time, so
+// the same document renders the same bytes on every run.
 func (r *Result) Render(w io.Writer) {
 	for _, o := range r.Experiments {
 		o.render(w)
 	}
 	if r.Sweep != nil {
-		SweepTable(r.Name, r.Sweep).Render(w)
+		r.Sweep.Render(w)
 	}
 	for _, rep := range r.Crashtests {
 		renderReport(w, rep)
@@ -116,16 +114,6 @@ func Run(ctx context.Context, c *Compiled, opts RunOptions) (*Result, error) {
 	default:
 		return r, r.runCrashtests(ctx, c, opts)
 	}
-}
-
-// Cells counts the simulation cells a compiled campaign runs — 0 in
-// crashtest mode, whose unit of progress is the crash point.
-func (c *Compiled) Cells() int {
-	n := len(c.Plan.Cells)
-	for _, e := range c.Experiments {
-		n += len(e.Plan(c.Options).Cells)
-	}
-	return n
 }
 
 func (r *Result) runExperiments(ctx context.Context, c *Compiled, opts RunOptions) error {
@@ -176,10 +164,9 @@ func (r *Result) runSweep(ctx context.Context, c *Compiled, opts RunOptions) err
 	if err != nil {
 		return err
 	}
-	r.Name = plan.Name
-	r.Sweep = SweepOutcomes(rs)
+	r.Sweep = sweepTable(plan.Name, rs)
 	r.Timelines = timelinesOf(rs)
-	SweepTable(r.Name, r.Sweep).Render(opts.Out)
+	r.Sweep.Render(opts.Out)
 	return rs.Err()
 }
 

@@ -3,21 +3,15 @@ package scenario_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"dhtm/internal/baselines"
 	"dhtm/internal/crashtest"
 	"dhtm/internal/harness"
 	"dhtm/internal/runner"
 	"dhtm/internal/scenario"
-	"dhtm/internal/serve"
 	"dhtm/internal/txn"
 )
 
@@ -80,64 +74,6 @@ func TestRunExperimentMatchesHarness(t *testing.T) {
 		if len(o.Cells) == 0 || o.Cells[0].Seed == 0 {
 			t.Fatalf("%s: executed cells missing or unseeded: %+v", o.ID, o.Cells)
 		}
-	}
-}
-
-// TestRenderMatchesServeTables checks the one-renderer contract for crash
-// reports: Result.Render of a tiny crashtest document is byte-identical to
-// what dhtm-serve's /tables returns for the same document bytes.
-func TestRenderMatchesServeTables(t *testing.T) {
-	const body = `{"format_version": 1, "mode": "crashtest",
-		"designs": ["DHTM", "ATOM"], "workloads": ["queue"],
-		"axes": {"cores": [2], "tx_per_core": [1], "ops_per_tx": [4]},
-		"points": {"mode": "stride", "samples": 8}}`
-	res, err := scenario.Run(context.Background(), compile(t, body), scenario.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var local bytes.Buffer
-	res.Render(&local)
-	if !strings.Contains(local.String(), "ATOM/queue (cores=2 tx=1") {
-		t.Fatalf("unexpected crash report rendering:\n%s", local.String())
-	}
-
-	srv, err := serve.New(serve.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
-	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st serve.Status
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/tables")
-		if err != nil {
-			t.Fatal(err)
-		}
-		served, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			if string(served) != local.String() {
-				t.Fatalf("/tables differs from Result.Render:\n--- served ---\n%s\n--- local ---\n%s", served, local.String())
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job did not finish: status %d: %s", resp.StatusCode, served)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -1,18 +1,15 @@
 // Package scenario defines the declarative campaign document of the
 // reproduction: one versioned JSON format that describes *what to run* —
 // an experiment selection, a design × workload × machine-knob sweep grid,
-// or a crash-point exploration — independently of *where it runs*. The
-// same file compiles to the same work whether it is handed to a CLI
-// (dhtm-bench -scenario) or POSTed to dhtm-serve's /api/v1/jobs, and every
-// surface executes it through the one Run and renders it through the one
-// Result.Render, so a campaign authored on a laptop runs identically against
-// the campaign service, cell seeds and rendered tables included. The
-// dhtm-bench and dhtm-crashtest flag grids are documents too, built in
-// process.
+// or a crash-point exploration — independently of *how it is started*. A
+// file handed to dhtm-bench -scenario and the dhtm-bench and dhtm-crashtest
+// flag grids, which are documents built in process, all execute through the
+// one Run and render through the one Result.Render, so the same document
+// produces the same cell seeds and rendered tables on every run.
 //
 // Every name in a document (designs, workloads, tags, experiments) is
 // validated against internal/registry and internal/harness at compile time,
-// so a queued scenario can only fail by simulating, never by parsing. The
+// so a compiled scenario can only fail by simulating, never by parsing. The
 // format is pinned by FormatVersion: a reader never guesses at a document
 // written by a different schema.
 package scenario

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"dhtm/internal/config"
 	"dhtm/internal/crashtest"
 	"dhtm/internal/harness"
+	"dhtm/internal/obs"
+	"dhtm/internal/runner"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -129,8 +132,8 @@ func compileErr(t *testing.T, body string) error {
 }
 
 // TestCompileRejections checks that every invalid document dies at compile
-// time with an error naming the problem — a queued scenario can only fail by
-// simulating.
+// time with an error naming the problem — a compiled scenario can only fail
+// by simulating.
 func TestCompileRejections(t *testing.T) {
 	cases := []struct {
 		name, body, want string
@@ -379,7 +382,11 @@ func TestCompileCrashtest(t *testing.T) {
 
 // TestExampleScenariosCompile keeps the shipped example files honest: every
 // scenario under examples/scenarios must parse and compile against the
-// current registry and experiment catalog.
+// current registry and experiment catalog, and running it must render
+// exactly testdata/examples/<name>.txt — the stdout of
+// `dhtm-bench -scenario examples/scenarios/<name>.json`. Regenerate with
+// `go test -run ExampleScenariosCompile -update ./internal/scenario` only
+// for a deliberate, announced change of tables.
 func TestExampleScenariosCompile(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "scenarios")
 	entries, err := os.ReadDir(dir)
@@ -388,7 +395,8 @@ func TestExampleScenariosCompile(t *testing.T) {
 	}
 	n := 0
 	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".json" {
+		name, ok := strings.CutSuffix(e.Name(), ".json")
+		if !ok {
 			continue
 		}
 		n++
@@ -397,8 +405,35 @@ func TestExampleScenariosCompile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := doc.Compile(); err != nil {
+			c, err := doc.Compile()
+			if err != nil {
 				t.Fatal(err)
+			}
+			// A memo of its own, as in a dhtm-bench process per document: a
+			// sweep cell held from an earlier document or an earlier -count
+			// run would render as cached.
+			saved := runner.DefaultMemo
+			runner.DefaultMemo = runner.NewMemo(obs.NewRegistry(), runner.DefaultMemoEntries)
+			defer func() { runner.DefaultMemo = saved }()
+			res, err := Run(context.Background(), c, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			res.Render(&got)
+			golden := filepath.Join("testdata", "examples", name+".txt")
+			if *updateGolden {
+				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("rendering differs from %s:\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
 			}
 		})
 	}

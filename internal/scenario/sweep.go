@@ -7,42 +7,9 @@ import (
 	"dhtm/internal/runner"
 )
 
-// SweepOutcome is one cell's result in a sweep campaign — the shared
-// machine-readable shape the serve API stores per cell and the CLIs emit,
-// and the row source of SweepTable. Keeping one type (and one renderer)
-// here is what makes a sweep scenario's table byte-identical whether it
-// came from dhtm-bench -scenario or from dhtm-serve's /tables endpoint.
-type SweepOutcome struct {
-	Cell       runner.Cell `json:"cell"`
-	Cached     bool        `json:"cached,omitempty"`
-	Committed  uint64      `json:"committed"`
-	Cycles     uint64      `json:"cycles"`
-	Throughput float64     `json:"throughput_tx_per_mcycle"`
-	Error      string      `json:"error,omitempty"`
-}
-
-// SweepOutcomes flattens a completed result set into outcomes, in plan
-// order.
-func SweepOutcomes(rs *runner.ResultSet) []SweepOutcome {
-	out := make([]SweepOutcome, len(rs.Results))
-	for i, r := range rs.Results {
-		o := SweepOutcome{Cell: r.Cell, Cached: r.Cached}
-		if r.Err != nil {
-			o.Error = r.Err.Error()
-		} else {
-			o.Committed = r.Run.Committed
-			o.Cycles = r.Run.Cycles
-			o.Throughput = r.Run.Throughput()
-		}
-		out[i] = o
-	}
-	return out
-}
-
-// SweepTable renders sweep outcomes in the harness table format. Every
-// surface that shows a sweep (serve's /tables, the CLIs' scenario mode)
-// goes through this one function.
-func SweepTable(name string, outcomes []SweepOutcome) *harness.Table {
+// sweepTable renders a completed sweep's results, in plan order, in the
+// harness table format.
+func sweepTable(name string, rs *runner.ResultSet) *harness.Table {
 	if name == "" {
 		name = "sweep"
 	}
@@ -51,18 +18,25 @@ func SweepTable(name string, outcomes []SweepOutcome) *harness.Table {
 		Title:   "sweep results",
 		Columns: []string{"cell", "design", "workload", "seed", "committed", "cycles", "tx/Mcycle", "cached", "error"},
 	}
-	for _, o := range outcomes {
-		cached := ""
-		if o.Cached {
+	for _, r := range rs.Results {
+		var committed, cycles uint64
+		var throughput float64
+		cached, failure := "", ""
+		if r.Cached {
 			cached = "yes"
 		}
+		if r.Err != nil {
+			failure = r.Err.Error()
+		} else {
+			committed, cycles, throughput = r.Run.Committed, r.Run.Cycles, r.Run.Throughput()
+		}
 		t.Rows = append(t.Rows, []string{
-			o.Cell.ID, o.Cell.Design, o.Cell.Workload,
-			fmt.Sprintf("%d", o.Cell.Seed),
-			fmt.Sprintf("%d", o.Committed),
-			fmt.Sprintf("%d", o.Cycles),
-			fmt.Sprintf("%.3f", o.Throughput),
-			cached, o.Error,
+			r.Cell.ID, r.Cell.Design, r.Cell.Workload,
+			fmt.Sprintf("%d", r.Cell.Seed),
+			fmt.Sprintf("%d", committed),
+			fmt.Sprintf("%d", cycles),
+			fmt.Sprintf("%.3f", throughput),
+			cached, failure,
 		})
 	}
 	return t

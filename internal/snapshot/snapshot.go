@@ -87,7 +87,7 @@ type Cache struct {
 	order   []Key // insertion order, for eviction
 
 	// Counters live in an obs registry (private for NewCache, obs.Default for
-	// the package Default), so Metrics() and /metrics read the same series
+	// the package Default), so Metrics() and -metrics read the same series
 	// Prepare and NewStore increment.
 	hits         *obs.Counter
 	misses       *obs.Counter
@@ -139,7 +139,7 @@ func NewCacheIn(reg *obs.Registry, maxEntries int) *Cache {
 // Default is the process-wide cache shared by the harness, the crash-point
 // explorer and the benchmarks, so repeated identical cells across experiment
 // grids amortize their setup cost. Its counters land in obs.Default — the
-// registry dhtm-serve exposes at /metrics and the CLIs dump with -metrics.
+// registry the CLIs dump with -metrics.
 var Default = NewCacheIn(obs.Default, 0)
 
 // Prepare returns the prepared image for (cfg, workload, p), running the

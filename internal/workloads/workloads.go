@@ -80,8 +80,8 @@ type Workload interface {
 // The exported constructors below are the only way to build a workload.
 // Name-based lookup deliberately lives elsewhere: internal/registry is the
 // single catalog mapping names (and descriptions and tags) to these
-// constructors, so this package cannot drift from the listings the CLIs and
-// the serve API print.
+// constructors, so this package cannot drift from the listings the CLIs
+// print.
 
 // NewQueue builds the concurrent persistent queue micro-benchmark.
 func NewQueue() Workload { return newQueue() }
