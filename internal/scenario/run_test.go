@@ -77,6 +77,30 @@ func TestRunExperimentMatchesHarness(t *testing.T) {
 	}
 }
 
+// TestRenderMatchesServeTables checks the one-renderer contract for crash
+// reports: Result.Render of a tiny crashtest document is byte-identical to
+// the tables Run serves on RunOptions.Out as each report completes, which is
+// what dhtm-bench -scenario prints.
+func TestRenderMatchesServeTables(t *testing.T) {
+	const body = `{"format_version": 1, "mode": "crashtest",
+		"designs": ["DHTM", "ATOM"], "workloads": ["queue"],
+		"axes": {"cores": [2], "tx_per_core": [1], "ops_per_tx": [4]},
+		"points": {"mode": "stride", "samples": 8}}`
+	var served bytes.Buffer
+	res, err := scenario.Run(context.Background(), compile(t, body), scenario.RunOptions{Out: &served})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local bytes.Buffer
+	res.Render(&local)
+	if !strings.Contains(local.String(), "ATOM/queue (cores=2 tx=1") {
+		t.Fatalf("unexpected crash report rendering:\n%s", local.String())
+	}
+	if served.String() != local.String() {
+		t.Fatalf("streamed tables differ from Result.Render:\n--- served ---\n%s\n--- local ---\n%s", served.String(), local.String())
+	}
+}
+
 // TestRunCrashtestFailureSummary checks the failure Run returns counts crash
 // images over the report's Tasks once a reordering window fans each crash
 // point out into several images, and crash points over Explored otherwise.
