@@ -49,18 +49,6 @@ func NewRuntime(env *txn.Env, design string) (txn.Runtime, error) {
 	return registry.NewRuntime(env, design)
 }
 
-// Engine scheduling work of every computed cell, process-wide. These count
-// host-side work only (the simulated machine is identical with or without
-// parking), so they live here and not in stats.CoreStats.
-var (
-	metricSwitches = obs.Default.Counter("dhtm_engine_switches_total",
-		"Core coroutine switches made by the engine's event loop.")
-	metricParks = obs.Default.Counter("dhtm_engine_parks_total",
-		"Times a spinning core parked until the line it polls could change.")
-	metricPollsSkipped = obs.Default.Counter("dhtm_engine_polls_skipped_total",
-		"Spin polls parked cores slept through instead of running.")
-)
-
 // Execute is the cell-runner callback: it builds a fully isolated machine
 // for the cell (runner.Cell.Config: Table III plus the cell's core count
 // and overrides) and runs it to completion. The setup phase is amortized through
@@ -110,9 +98,6 @@ func execute(cell runner.Cell, tc probe.Config) (workloads.RunResult, error) {
 	res, err := workloads.RunPrepared(env, rt, prep.Workload, p, txPerCore, true)
 	trace.Add(obs.PhaseRun, time.Since(start))
 	res.Phases = trace
-	metricSwitches.Add(res.Sched.Switches)
-	metricParks.Add(res.Sched.Parks)
-	metricPollsSkipped.Add(res.Sched.SkippedPolls)
 	return res, err
 }
 

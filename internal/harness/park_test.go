@@ -8,20 +8,23 @@ import (
 
 	"dhtm/internal/obs"
 	"dhtm/internal/probe"
+	"dhtm/internal/registry"
 	"dhtm/internal/runner"
+	"dhtm/internal/txn"
+	"dhtm/internal/workloads"
 )
 
 // TestParkingMatchesTracedRun checks that parking spinning cores changes
 // nothing simulated. A traced run (sampler installed) must poll every spin
 // iteration, because its probes read hit counters mid-run; an untraced run
 // parks. Both must produce identical Stats and cycles for every lock-taking
-// design on a contended micro-benchmark and on TPC-C, and every design must
-// actually park somewhere, so the comparison is not vacuous.
+// design on a contended micro-benchmark, on TPC-C and on TATP, and every
+// design must actually park somewhere, so the comparison is not vacuous.
 func TestParkingMatchesTracedRun(t *testing.T) {
 	traced := ExecuteWith(probe.Config{Interval: 5000})
 	for _, d := range []string{DesignSO, DesignATOM, DesignLogTMATOM, DesignDHTM, DesignNP, DesignSdTM} {
 		var parks uint64
-		for _, w := range []string{"hash", "tpcc"} {
+		for _, w := range []string{"hash", "tpcc", "tatp"} {
 			cell := runner.Cell{ID: d + "/" + w, Design: d, Workload: w, Cores: 8, TxPerCore: 4, Seed: 11}
 			plain, err := Execute(cell)
 			if err != nil {
@@ -45,31 +48,59 @@ func TestParkingMatchesTracedRun(t *testing.T) {
 			parks += plain.Sched.Parks
 		}
 		if parks == 0 {
-			t.Errorf("%s never parked on hash or tpcc", d)
+			t.Errorf("%s never parked on hash, tpcc or tatp", d)
 		}
 	}
 }
 
 // TestEngineCountersExported pins the obs names of the engine's scheduling
-// counters and checks that a computed cell adds its counts to them.
+// counters and checks that a computed cell adds its counts to them, both
+// through Execute and through a plain workloads.Run, the path dhtm-sim
+// takes.
 func TestEngineCountersExported(t *testing.T) {
 	names := []string{"dhtm_engine_switches_total", "dhtm_engine_parks_total", "dhtm_engine_polls_skipped_total"}
 	value := func(name string) uint64 { return obs.Default.Counter(name, "").Value() }
-	before := make([]uint64, len(names))
-	for i, n := range names {
-		before[i] = value(n)
+	cell := runner.Cell{ID: "SO/tpcc", Design: DesignSO, Workload: "tpcc", Cores: 4, TxPerCore: 2, Seed: 3}
+	plainRun := func(cell runner.Cell) (workloads.RunResult, error) {
+		cfg, err := cell.Config()
+		if err != nil {
+			return workloads.RunResult{}, err
+		}
+		env, err := txn.NewEnv(cfg)
+		if err != nil {
+			return workloads.RunResult{}, err
+		}
+		rt, err := NewRuntime(env, cell.Design)
+		if err != nil {
+			return workloads.RunResult{}, err
+		}
+		w, err := registry.NewWorkload(cell.Workload)
+		if err != nil {
+			return workloads.RunResult{}, err
+		}
+		p := workloads.Params{Cores: cfg.NumCores, Seed: cell.Seed}
+		return workloads.Run(env, rt, w, p, cell.TxPerCore, true)
 	}
-	res, err := Execute(runner.Cell{ID: "SO/tpcc", Design: DesignSO, Workload: "tpcc", Cores: 4, TxPerCore: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sched.Parks == 0 {
-		t.Fatal("contended SO/tpcc cell never parked")
-	}
-	want := []uint64{res.Sched.Switches, res.Sched.Parks, res.Sched.SkippedPolls}
-	for i, n := range names {
-		if got := value(n) - before[i]; got != want[i] {
-			t.Errorf("%s grew by %d, want %d", n, got, want[i])
+	for _, run := range []struct {
+		name string
+		exec func(runner.Cell) (workloads.RunResult, error)
+	}{{"Execute", Execute}, {"workloads.Run", plainRun}} {
+		before := make([]uint64, len(names))
+		for i, n := range names {
+			before[i] = value(n)
+		}
+		res, err := run.exec(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sched.Parks == 0 {
+			t.Fatalf("%s: contended SO/tpcc cell never parked", run.name)
+		}
+		want := []uint64{res.Sched.Switches, res.Sched.Parks, res.Sched.SkippedPolls}
+		for i, n := range names {
+			if got := value(n) - before[i]; got != want[i] {
+				t.Errorf("%s: %s grew by %d, want %d", run.name, n, got, want[i])
+			}
 		}
 	}
 	var buf bytes.Buffer

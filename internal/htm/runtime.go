@@ -142,8 +142,10 @@ func (rt *Runtime) Finish(core int, c txn.Clock) {
 
 // begin waits for the previous transaction's completion phase, resets the
 // context and subscribes to the fallback lock, retrying while the
-// subscription loses a conflict or finds the lock held; after finding it
-// held, it waits for the release with plain loads before the retry.
+// subscription loses a conflict or finds the lock held. After finding it
+// held, it aborts once and waits for the release in locks.SpinWait, the
+// poll-and-park loop of every simulated lock, with its first poll one
+// backoff period after the subscription completed.
 func (rt *Runtime) begin(core int, c txn.Clock) {
 	ctx := rt.Ctxs[core]
 	for {
@@ -169,11 +171,9 @@ func (rt *Runtime) begin(core int, c txn.Clock) {
 			// once, then wait for the release outside any transaction, so
 			// the wait opens no log transaction and appends no record.
 			rt.Abort(core, stats.AbortConflict, c.Now())
-			for v != 0 {
-				c.Advance(txn.Backoff(rt.Cfg, 2))
-				v, r = rt.H.Load(core, rt.lockAddr, c.Now(), false)
-				c.AdvanceTo(r.Done)
-			}
+			b := txn.Backoff(rt.Cfg, 2)
+			c.Advance(b)
+			locks.SpinWait(rt.H, core, c, rt.lockAddr, b)
 		default:
 			if rt.Hooks.Start != nil {
 				rt.Hooks.Start(core)

@@ -2,6 +2,7 @@ package htm_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"dhtm/internal/baselines"
@@ -212,11 +213,22 @@ func (a *abortRecords) PersistWrite(_ uint64, ev memdev.PersistEvent) {
 	}
 }
 
-// TestBeginSpinAppendsOneAbort: while core 1 holds the fallback lock for
-// many backoff periods, DHTM core 0 finds it held at begin, aborts that
-// attempt once and then waits for the release without opening a log
-// transaction, so its log gets exactly one abort record.
-func TestBeginSpinAppendsOneAbort(t *testing.T) {
+// beginSpin is the fallback-lock wait of TestBeginSpinAppendsOneAbort: one
+// run of its two-core program on a fresh DHTM machine.
+type beginSpin struct {
+	env     *txn.Env
+	res     [2]txn.ExecResult
+	final   []uint64
+	counts  engine.Counts
+	records int // abort records core 0 appended to its log
+}
+
+// runBeginSpin runs the program: core 1 aborts in hardware and then holds
+// the fallback lock for many backoff periods, while core 0 begins once the
+// lock is held. With sampled set, a sampler that never fires is installed,
+// which makes every spin poll instead of park.
+func runBeginSpin(t *testing.T, sampled bool) beginSpin {
+	t.Helper()
 	cfg := config.Default()
 	cfg.NumCores = 2
 	cfg.MaxRetries = 1
@@ -229,8 +241,12 @@ func TestBeginSpinAppendsOneAbort(t *testing.T) {
 	rec := &abortRecords{lo: log.Base, hi: log.Base + uint64(log.MaxWords)*8}
 	env.Ctl.SetPersistObserver(rec)
 	hold := 100 * txn.Backoff(cfg, 2)
-	var res [2]txn.ExecResult
-	engine.New(2).Run(func(id int, c *engine.Clock) {
+	out := beginSpin{env: env}
+	eng := engine.New(2)
+	if sampled {
+		eng.SetSampler(1<<62, func(uint64) uint64 { return 0 })
+	}
+	out.final = eng.Run(func(id int, c *engine.Clock) {
 		var body func(tx txn.Tx) error
 		if id == 1 {
 			// Abort in hardware, then hold the fallback lock for hold cycles.
@@ -250,16 +266,41 @@ func TestBeginSpinAppendsOneAbort(t *testing.T) {
 				return nil
 			}
 		}
-		res[id] = d.Run(id, c, &txn.Transaction{Body: body})
+		out.res[id] = d.Run(id, c, &txn.Transaction{Body: body})
 		d.Finish(id, c)
 	})
+	out.counts = eng.Counts()
+	out.records = rec.n
+	return out
+}
+
+// TestBeginSpinAppendsOneAbort: while core 1 holds the fallback lock for
+// many backoff periods, DHTM core 0 finds it held at begin, aborts that
+// attempt once and then waits for the release without opening a log
+// transaction, so its log gets exactly one abort record. The wait parks,
+// and the machine it leaves equals that of a run whose wait polls.
+func TestBeginSpinAppendsOneAbort(t *testing.T) {
+	got := runBeginSpin(t, false)
+	env, res := got.env, got.res
 	if env.Stats.Core(1).Fallbacks != 1 || env.Stats.Core(0).Fallbacks != 0 {
 		t.Fatalf("fallbacks %d/%d, want core 1 only", env.Stats.Core(0).Fallbacks, env.Stats.Core(1).Fallbacks)
 	}
 	if !res[0].Committed || res[0].End < res[1].End {
 		t.Fatalf("core 0 committed %v at %d, before core 1's fallback ended at %d", res[0].Committed, res[0].End, res[1].End)
 	}
-	if rec.n != 1 {
-		t.Fatalf("core 0 appended %d abort records while the lock was held, want 1", rec.n)
+	if got.records != 1 {
+		t.Fatalf("core 0 appended %d abort records while the lock was held, want 1", got.records)
+	}
+	if got.counts.Parks < 1 || got.counts.SkippedPolls == 0 {
+		t.Fatalf("core 0's wait did not park: %+v", got.counts)
+	}
+	ref := runBeginSpin(t, true)
+	if ref.counts.Parks != 0 {
+		t.Fatalf("sampled run parked %d times", ref.counts.Parks)
+	}
+	if !reflect.DeepEqual(got.env.Stats, ref.env.Stats) || !reflect.DeepEqual(got.final, ref.final) ||
+		got.res != ref.res || got.records != ref.records {
+		t.Fatalf("parked wait differs from polling: final clocks %v vs %v, results %+v vs %+v\n%+v\nvs\n%+v",
+			got.final, ref.final, got.res, ref.res, got.env.Stats, ref.env.Stats)
 	}
 }

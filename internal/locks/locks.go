@@ -65,20 +65,36 @@ func (t *Table) Acquire(h *hier.Hierarchy, core int, c txn.Clock, addr uint64) {
 // lock table and the HTM fallback locks): it polls the word at addr until it
 // reads 0, stores val there and returns the cycle that store completes. The
 // read and the write happen without yielding, which models an atomic
-// exchange. A poll that reads a held lock waits backoff cycles past its
-// completion before the next one; the holder keeps making progress because
-// the simulation always runs the core with the smallest clock.
+// exchange.
+func SpinAcquire(h *hier.Hierarchy, core int, c txn.Clock, addr, val, backoff uint64) uint64 {
+	r := spin(h, core, c, addr, backoff)
+	return h.Store(core, addr, val, r.Done, false).Done
+}
+
+// SpinWait polls the word at addr with plain loads until it reads 0 and
+// advances core's clock to that poll's completion; it takes nothing. The
+// HTM begin path uses it to wait out a fallback transaction's lock.
+func SpinWait(h *hier.Hierarchy, core int, c txn.Clock, addr, backoff uint64) {
+	c.AdvanceTo(spin(h, core, c, addr, backoff).Done)
+}
+
+// spin is the one spin loop in the simulator: it polls the word at addr
+// from core's current clock until it reads 0 and returns that poll's
+// result, leaving the clock where the poll was issued. A poll that reads a
+// held lock waits backoff cycles past its completion before the next one;
+// the holder keeps making progress because the simulation always runs the
+// core with the smallest clock.
 //
 // A poll that hits in core's L1 and reads "held" changes nothing but core's
 // hit counter and its L1's LRU order, and every later poll reads the same
 // value until another core invalidates that L1 copy. So instead of polling,
 // core parks until the hierarchy sees such an invalidation and then replays
 // the skipped polls' hits; the simulated machine is identical either way.
-func SpinAcquire(h *hier.Hierarchy, core int, c txn.Clock, addr, val, backoff uint64) uint64 {
+func spin(h *hier.Hierarchy, core int, c txn.Clock, addr, backoff uint64) hier.Result {
 	for {
 		v, r := h.Load(core, addr, c.Now(), false)
 		if v == 0 {
-			return h.Store(core, addr, val, r.Done, false).Done
+			return r
 		}
 		if r.Level != 1 {
 			c.AdvanceTo(r.Done + backoff)

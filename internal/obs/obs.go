@@ -310,33 +310,6 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1) from the
-// bucket counts, using the bucket upper bound as the estimate — the same
-// resolution a Prometheus histogram_quantile has. It exists for in-process
-// summaries (CLI exit lines, the dashboard's p99); exposition carries the
-// raw buckets.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen >= rank {
-			if i < len(h.upper) {
-				return h.upper[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // ExpBuckets returns n strictly ascending bucket bounds starting at start
 // and growing by factor: start, start*factor, ..., start*factor^(n-1).
 func ExpBuckets(start, factor float64, n int) []float64 {

@@ -180,21 +180,3 @@ func TestRegistryConflictsPanic(t *testing.T) {
 	expectPanic("empty name", func() { r.Counter("", "x") })
 	expectPanic("bad buckets", func() { r.Histogram("h2_seconds", "h", []float64{2, 1}) })
 }
-
-// TestQuantile sanity-checks the in-process quantile estimate.
-func TestQuantile(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8})
-	for i := 0; i < 99; i++ {
-		h.Observe(1.5) // bucket le=2
-	}
-	h.Observe(6) // bucket le=8
-	if got := h.Quantile(0.5); got != 2 {
-		t.Fatalf("p50 = %g, want 2", got)
-	}
-	if got := h.Quantile(0.999); got != 8 {
-		t.Fatalf("p99.9 = %g, want 8", got)
-	}
-	if got := (&Histogram{}).Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %g, want 0", got)
-	}
-}

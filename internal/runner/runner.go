@@ -21,7 +21,6 @@ import (
 
 	"dhtm/internal/config"
 	"dhtm/internal/obs"
-	"dhtm/internal/stats"
 	"dhtm/internal/workloads"
 )
 
@@ -337,19 +336,6 @@ func (rs *ResultSet) Err() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// MergedStats aggregates the counters of every successful cell into one
-// Stats, in plan order (Merge is order-independent, so parallel and serial
-// sweeps agree).
-func (rs *ResultSet) MergedStats() *stats.Stats {
-	agg := stats.New(0)
-	for _, r := range rs.Results {
-		if r.Err == nil && r.Run.Stats != nil {
-			agg.Merge(r.Run.Stats)
-		}
-	}
-	return agg
 }
 
 // Elapsed sums host time across cells (total simulation work, which under

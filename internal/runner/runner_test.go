@@ -216,25 +216,6 @@ func TestResultStatsAreSnapshotted(t *testing.T) {
 	}
 }
 
-// TestMergedStats checks sweep-wide aggregation skips failed cells.
-func TestMergedStats(t *testing.T) {
-	exec := func(c Cell) (workloads.RunResult, error) {
-		if c.ID == "d0/w" {
-			return workloads.RunResult{}, errors.New("down")
-		}
-		st := stats.New(1)
-		st.Core(0).Commits = 4
-		return workloads.RunResult{Stats: st}, nil
-	}
-	rs, err := Run(context.Background(), grid(3), exec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rs.MergedStats().TotalCommits(); got != 8 {
-		t.Fatalf("merged commits = %d, want 8 (two successful cells)", got)
-	}
-}
-
 // TestForEachCoversEveryIndexConcurrently checks the raw fan-out primitive:
 // every index runs exactly once, at any worker-pool size (including larger
 // than n and the GOMAXPROCS default), and an empty range is a no-op.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -172,6 +173,9 @@ func (d *Document) compileSweep(c *Compiled) error {
 		return err
 	}
 
+	if err := checkSize(append(d.gridLens(designs, wls), len(d.Axes.LogBufferEntries), len(d.Axes.BandwidthScale), len(policies))...); err != nil {
+		return err
+	}
 	cells := d.grid(designs, wls)
 	cells = crossTerm(cells, d.Axes.LogBufferEntries, runner.AxisLogBuf, func(c *runner.Cell, v int) { c.Overrides.LogBufferEntries = v })
 	cells = crossTerm(cells, d.Axes.BandwidthScale, runner.AxisBandwidth, func(c *runner.Cell, v float64) { c.Overrides.BandwidthScale = v })
@@ -229,6 +233,9 @@ func (d *Document) compileCrashtest(c *Compiled) error {
 	if points.Mask != "" && !allPositive(d.Axes.ReorderWindow) {
 		return fmt.Errorf("scenario: points.mask replays in-flight writes and needs every reorder_window value > 0")
 	}
+	if err := checkSize(append(d.gridLens(designs, wls), len(d.Axes.ReorderWindow))...); err != nil {
+		return err
+	}
 	for _, cell := range d.grid(designs, wls) {
 		base := cell.Seed
 		if base == 0 {
@@ -247,6 +254,38 @@ func (d *Document) compileCrashtest(c *Compiled) error {
 		}
 	}
 	return nil
+}
+
+// MaxCells caps the cells of a sweep, or the explorations of a crashtest
+// grid, that one document may compile into. The shipped examples need at
+// most a few dozen; without a cap, a document of a few hundred bytes can
+// list axes whose cross product allocates hundreds of megabytes of cells
+// before anything runs.
+const MaxCells = 10000
+
+// checkSize rejects a grid whose cross product exceeds MaxCells. lens are
+// its axes' lengths; an absent axis (length 0) counts once. The product is
+// taken before any cell is allocated, and an overflowing one is rejected
+// too.
+func checkSize(lens ...int) error {
+	n := uint64(1)
+	for _, l := range lens {
+		hi, lo := bits.Mul64(n, uint64(max(l, 1)))
+		if hi != 0 {
+			return fmt.Errorf("scenario: the document expands into 2^64 or more cells (limit %d)", MaxCells)
+		}
+		n = lo
+	}
+	if n > MaxCells {
+		return fmt.Errorf("scenario: the document expands into %d cells (limit %d)", n, MaxCells)
+	}
+	return nil
+}
+
+// gridLens returns the lengths of the axes grid expands, in its order.
+func (d *Document) gridLens(designs, wls []string) []int {
+	a := d.Axes
+	return []int{len(designs), len(wls), len(a.Cores), len(a.TxPerCore), len(a.OpsPerTx), len(a.Seed)}
 }
 
 // grid expands the axes every sweep and crashtest grid shares, outermost

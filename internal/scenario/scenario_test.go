@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,6 +176,8 @@ func TestCompileRejections(t *testing.T) {
 		{"oversized reorder window", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"axes":{"reorder_window":[17]}}`, "reorder_window"},
 		{"bad mask mode", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"mask_mode":"chaos"}`, "adversary mode"},
 		{"mask without window", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"points":{"mode":"point","point":3,"mask":"0x1"}}`, "needs every reorder_window value > 0"},
+		{"sweep over the cell cap", `{"format_version":1,"mode":"sweep","designs":["DHTM"],"workloads":["hash"],"axes":{"cores":[1,2,3,4,5,6,7,8,9,10],"tx_per_core":[1,2,3,4,5,6,7,8,9,10],"ops_per_tx":[1,2,3,4,5,6,7,8,9,10],"seed":[1,2,3,4,5,6,7,8,9,10,11]}}`, "expands into 11000 cells (limit 10000)"},
+		{"crashtest over the cell cap", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"axes":{"cores":[1,2,3,4,5,6,7,8,9,10],"tx_per_core":[1,2,3,4,5,6,7,8,9,10],"ops_per_tx":[1,2,3,4,5,6,7,8,9,10],"reorder_window":[0,1,2,3,4,5,6,7,8,9,10]}}`, "expands into 11000 cells (limit 10000)"},
 		{"exhaustive window too wide", `{"format_version":1,"mode":"crashtest","designs":["DHTM"],"workloads":["hash"],"mask_mode":"exhaustive","axes":{"reorder_window":[13]}}`, "exhaustive"},
 	}
 	for _, tc := range cases {
@@ -183,6 +187,25 @@ func TestCompileRejections(t *testing.T) {
 				t.Fatalf("Compile error = %v, want it to mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCompileRejectsOverflowingGrid checks that a grid whose cell count
+// overflows 64 bits is rejected, not wrapped below the cap.
+func TestCompileRejectsOverflowingGrid(t *testing.T) {
+	seq := func(n int) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = strconv.Itoa(i + 1)
+		}
+		return "[" + strings.Join(vals, ",") + "]"
+	}
+	// 64 · 5000^5 cells: more than 2^64.
+	body := fmt.Sprintf(`{"format_version":1,"mode":"sweep","designs":["DHTM"],"workloads":["hash"],"axes":{"cores":%s,`+
+		`"tx_per_core":%[2]s,"ops_per_tx":%[2]s,"seed":%[2]s,"log_buffer_entries":%[2]s,"bandwidth_scale":%[2]s}}`, seq(64), seq(5000))
+	err := compileErr(t, body)
+	if err == nil || !strings.Contains(err.Error(), "2^64 or more cells") {
+		t.Fatalf("Compile error = %v, want an overflowing cell count", err)
 	}
 }
 

@@ -52,7 +52,8 @@ type ExecResult struct {
 // Clock is the subset of the engine clock a runtime needs: the current cycle
 // plus the ability to advance (which yields the scheduling token), and the
 // park/wake pair spin loops use to sleep until the value they poll may have
-// changed (locks.SpinAcquire is the one caller).
+// changed (the spin loop behind locks.SpinAcquire and locks.SpinWait is the
+// one caller).
 type Clock interface {
 	Core() int
 	Now() uint64

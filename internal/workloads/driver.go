@@ -41,6 +41,18 @@ type RunResult struct {
 	Sched engine.Counts `json:"-"`
 }
 
+// Engine scheduling work of every run, process-wide. These count host-side
+// work only (the simulated machine is identical with or without parking),
+// so they live here and not in stats.CoreStats.
+var (
+	metricSwitches = obs.Default.Counter("dhtm_engine_switches_total",
+		"Core coroutine switches made by the engine's event loop.")
+	metricParks = obs.Default.Counter("dhtm_engine_parks_total",
+		"Times a spinning core parked until the line it polls could change.")
+	metricPollsSkipped = obs.Default.Counter("dhtm_engine_polls_skipped_total",
+		"Spin polls parked cores slept through instead of running.")
+)
+
 // Throughput returns committed transactions per million cycles.
 func (r RunResult) Throughput() float64 {
 	if r.Cycles == 0 {
@@ -124,6 +136,9 @@ func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore i
 		Cycles:    env.Stats.TotalCycles(),
 		Sched:     eng.Counts(),
 	}
+	metricSwitches.Add(res.Sched.Switches)
+	metricParks.Add(res.Sched.Parks)
+	metricPollsSkipped.Add(res.Sched.SkippedPolls)
 	if rec := env.Probe; rec != nil {
 		rec.Finish(res.Cycles)
 		res.Timeline = rec.Timeline()
