@@ -53,12 +53,8 @@ func TestCommitWritesRedoAndCommitRecords(t *testing.T) {
 		}})
 		// No Finish: the transaction is committed but not complete.
 	})
-	recs, err := env.Registry.Log(0).Scan(env.Store())
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
 	var redo, commit, complete int
-	for _, r := range recs {
+	if err := env.Registry.Log(0).Walk(env.Store(), func(r wal.Record, _ int) {
 		switch r.Type {
 		case wal.RecRedo:
 			redo++
@@ -67,6 +63,8 @@ func TestCommitWritesRedoAndCommitRecords(t *testing.T) {
 		case wal.RecComplete:
 			complete++
 		}
+	}); err != nil {
+		t.Fatalf("Walk: %v", err)
 	}
 	if redo != 2 || commit != 1 || complete != 0 {
 		t.Fatalf("log has redo=%d commit=%d complete=%d, want 2/1/0", redo, commit, complete)
@@ -96,12 +94,12 @@ func TestCompletionWritesDataInPlace(t *testing.T) {
 	if got := env.Store().ReadWord(addr); got != 99 {
 		t.Fatalf("completion did not write data in place: %d", got)
 	}
-	recs, err := env.Registry.Log(0).Scan(env.Store())
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
+	live := 0
+	if err := env.Registry.Log(0).Walk(env.Store(), func(wal.Record, int) { live++ }); err != nil {
+		t.Fatalf("Walk: %v", err)
 	}
-	if len(recs) != 0 {
-		t.Fatalf("log not truncated after completion: %d records live", len(recs))
+	if live != 0 {
+		t.Fatalf("log not truncated after completion: %d records live", live)
 	}
 }
 

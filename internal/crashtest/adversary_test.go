@@ -392,14 +392,18 @@ func TestDifferentialSweepAgrees(t *testing.T) {
 	}
 }
 
-// TestTortureSummaryUnits checks Torture's failure summary counts in the
-// unit Failed counts: crash points at window 0, crash images — over Tasks,
-// not Explored — once a reordering window fans each point out.
+// TestTortureSummaryUnits checks that the failure summary of a failing
+// exploration counts in the unit Failed counts: crash points at window 0,
+// crash images — over Tasks, not Explored — once a reordering window fans
+// each point out.
 func TestTortureSummaryUnits(t *testing.T) {
 	for _, window := range []int{0, 1} {
 		cfg, stale := staleUndoConfig(window)
-		rep, err := Torture(context.Background(), cfg)
-		if err == nil {
+		rep, err := Explore(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("window %d: %v", window, err)
+		}
+		if rep.Failed == 0 {
 			t.Fatalf("window %d: stale-undo fixture passed", window)
 		}
 		checkStaleUndoCaught(t, cfg, rep, stale)
@@ -410,8 +414,8 @@ func TestTortureSummaryUnits(t *testing.T) {
 			}
 			want = fmt.Sprintf("%d of %d crash images failed", rep.Failed, rep.Tasks)
 		}
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("window %d: error %q lacks %q", window, err, want)
+		if got := rep.FailureSummary(); got != want {
+			t.Errorf("window %d: summary %q, want %q", window, got, want)
 		}
 	}
 }

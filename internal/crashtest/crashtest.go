@@ -396,7 +396,7 @@ type Report struct {
 
 // Explore measures the configuration's persist-event space and crash-tests
 // the selected points, returning the aggregated report. Oracle violations are
-// recorded per point, not returned as an error; use Torture to fail on them.
+// recorded per point, not returned as an error: Report.Failed counts them.
 // Cancelling ctx stops the exploration after the in-flight points finish and
 // returns the context's error instead of a partial (and therefore
 // misleading) report.
@@ -577,21 +577,6 @@ func (c Config) buildTasks(trace []traceEvent, points []int, runSeed int64) ([]t
 		}
 	}
 	return tasks, nil
-}
-
-// Torture is the sweep-test entry point: it explores the configured space and
-// returns an error (alongside the report) if any point violated an oracle.
-func Torture(ctx context.Context, cfg Config) (*Report, error) {
-	rep, err := Explore(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Failed > 0 {
-		f := rep.FirstFailure
-		return rep, fmt.Errorf("crashtest: %s/%s: %s; first at point %d (%s): %s — reproduce: %s",
-			rep.Design, rep.Workload, rep.FailureSummary(), f.Point, f.Class, f.Err, rep.Repro)
-	}
-	return rep, nil
 }
 
 // FailureSummary renders "N of M crash points failed", counting in the unit

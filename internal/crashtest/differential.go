@@ -154,19 +154,15 @@ func heapDigest(st *memdev.Store) uint64 {
 // digestOf returns heapDigest(st) for an image cloned from the pre-image,
 // incrementally: the digest is an XOR of per-line mixes, so st's digest is
 // the pre-image's with the mixes of every heap line the two images hold
-// differently swapped out (the pre-image's side) and in (st's side). Shared
-// leaves and equal lines cancel exactly, so the cost is what the crash image
-// and its recovery changed.
+// differently swapped out (the pre-image's side) and in (st's side). Lines
+// the two hold alike cancel exactly, so the cost is what the crash image and
+// its recovery changed.
 func (p preImage) digestOf(st *memdev.Store) uint64 {
 	dg := p.digest
-	mix := func(addr uint64, mine, theirs *memdev.Line) bool {
-		if *mine != *theirs {
-			dg ^= lineMix(addr, mine)
-		}
+	st.Diff(p.st, wal.HeapBase, func(addr uint64, mine, theirs *memdev.Line, _ bool) bool {
+		dg ^= lineMix(addr, mine) ^ lineMix(addr, theirs)
 		return true
-	}
-	p.st.ForEachUnsharedLine(st, wal.HeapBase, mix)
-	st.ForEachUnsharedLine(p.st, wal.HeapBase, mix)
+	})
 	return dg
 }
 

@@ -217,31 +217,30 @@ func expectedImage(pre *memdev.Store, info *txPrefix) *memdev.Store {
 // logs, registry, lock tables, software scratch — are intentionally outside
 // the oracle: recovery truncates logs and ignores lock state, and the
 // reference image does neither. Only leaves the images do not share are
-// walked — shared ones cannot mismatch — in two passes, got's populated
-// lines then want's, so the reported word is the one two walks over every
-// populated line would report.
+// walked — shared ones cannot mismatch — in one pass. The reported word is
+// the one two walks over every populated line, got's then want's, would
+// report: the first mismatch on a line got wrote, else the first on a line
+// only want wrote.
 func diffHeap(got, want *memdev.Store) string {
-	var msg string
-	scan := func(a, b *memdev.Store, flipped bool) {
-		a.ForEachUnsharedLine(b, wal.HeapBase, func(addr uint64, mine, theirs *memdev.Line) bool {
-			if *mine == *theirs {
-				return true
-			}
-			i := 0
-			for mine[i] == theirs[i] {
-				i++
-			}
-			g, w := mine[i], theirs[i]
-			if flipped {
-				g, w = w, g
-			}
-			msg = fmt.Sprintf("heap word %#x: recovered %#x, reference %#x", addr+uint64(i*8), g, w)
-			return false
-		})
-	}
-	scan(got, want, false)
+	var msg, wantOnly string
+	got.Diff(want, wal.HeapBase, func(addr uint64, g, w *memdev.Line, gotWrote bool) bool {
+		if *g == *w || !gotWrote && wantOnly != "" {
+			return true
+		}
+		i := 0
+		for g[i] == w[i] {
+			i++
+		}
+		m := fmt.Sprintf("heap word %#x: recovered %#x, reference %#x", addr+uint64(i*8), g[i], w[i])
+		if !gotWrote {
+			wantOnly = m
+			return true
+		}
+		msg = m
+		return false
+	})
 	if msg == "" {
-		scan(want, got, true)
+		msg = wantOnly
 	}
 	return msg
 }

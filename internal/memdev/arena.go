@@ -51,6 +51,11 @@ func (a *Arena) Reset() {
 	a.epoch++
 }
 
+// Used reports how many directories and leaves the arena has handed out
+// since its last Reset: one per node its stores' writes copied or first
+// touched.
+func (a *Arena) Used() int { return a.dirs.used + a.leaves.used }
+
 // dead reports whether the store's arena was Reset since it was made.
 func (s *Store) dead() bool { return s.arena != nil && s.epoch != s.arena.epoch }
 

@@ -133,10 +133,6 @@ func (c *Controller) SetPersistObserver(o PersistObserver) {
 	c.obsSeq = 0
 }
 
-// PersistSeq returns the number of durable writes observed since the observer
-// was installed.
-func (c *Controller) PersistSeq() uint64 { return c.obsSeq }
-
 // notify delivers one pre-apply persist event to the observer.
 func (c *Controller) notify(class TrafficClass, addr uint64, data []uint64, charged bool) {
 	c.obs.PersistWrite(c.obsSeq, PersistEvent{Class: class, Addr: addr, Data: data, Charged: charged})

@@ -105,8 +105,8 @@ func TestFrozenStorePanicsOnWrite(t *testing.T) {
 	s := NewStore()
 	s.WriteWord(0x1000, 7)
 	s.Freeze()
-	if !s.Frozen() {
-		t.Fatalf("Frozen() false after Freeze")
+	if !s.frozen {
+		t.Fatalf("not frozen after Freeze")
 	}
 	if s.ReadWord(0x1000) != 7 {
 		t.Fatalf("read broken after Freeze")

@@ -200,8 +200,8 @@ func TestPersistObserver(t *testing.T) {
 	if store.ReadWord(0x1000) != 1 || store.ReadWord(0x3008) != 8 || store.ReadWord(0x5000) != 13 {
 		t.Errorf("functional writes missing after observed persists")
 	}
-	if got := ctl.PersistSeq(); got != uint64(len(want)) {
-		t.Errorf("PersistSeq = %d, want %d", got, len(want))
+	if got := ctl.obsSeq; got != uint64(len(want)) {
+		t.Errorf("persist sequence = %d, want %d", got, len(want))
 	}
 	// Removing the observer restarts the sequence and stops delivery.
 	ctl.SetPersistObserver(nil)

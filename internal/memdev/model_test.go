@@ -60,8 +60,8 @@ func checkModel(t *testing.T, st *Store, m model, rng *rand.Rand) {
 	}
 }
 
-// checkPair checks Equal and ForEachUnsharedLine of two stores against
-// their models.
+// checkPair checks Equal and the Diff walk of two stores against their
+// models.
 func checkPair(t *testing.T, a, b *Store, ma, mb model) {
 	t.Helper()
 	nonZeroSame := func(x, y model) bool {
@@ -77,34 +77,43 @@ func checkPair(t *testing.T, a, b *Store, ma, mb model) {
 	}
 	visited := make(map[uint64]bool)
 	last, first := uint64(0), true
-	a.ForEachUnsharedLine(b, 0, func(addr uint64, mine, theirs *Line) bool {
+	a.Diff(b, 0, func(addr uint64, mine, theirs *Line, mineWrote bool) bool {
 		if !first && addr <= last {
-			t.Fatalf("unshared walk out of order: %#x after %#x", addr, last)
+			t.Fatalf("diff walk out of order: %#x after %#x", addr, last)
 		}
 		last, first = addr, false
-		if l, ok := ma[addr]; !ok || *mine != l {
-			t.Fatalf("unshared walk %#x: mine %v, model %v (populated %v)", addr, *mine, l, ok)
+		l, inA := ma[addr]
+		ol, inB := mb[addr]
+		if *mine != l || *theirs != ol {
+			t.Fatalf("diff walk %#x: lines %v / %v, model %v / %v", addr, *mine, *theirs, l, ol)
 		}
-		if *theirs != mb[addr] {
-			t.Fatalf("unshared walk %#x: theirs %v, model %v", addr, *theirs, mb[addr])
+		if mineWrote != inA {
+			t.Fatalf("diff walk %#x: mineWrote %v, model wrote %v", addr, mineWrote, inA)
+		}
+		if inA == inB && l == ol {
+			t.Fatalf("diff walk %#x: visited a line both stores hold alike", addr)
 		}
 		visited[addr] = true
 		return true
 	})
-	// Completeness: every line of a that b lacks or holds differently must
-	// be visited; only lines both images hold identically may be skipped.
-	for addr, l := range ma {
-		if ol, ok := mb[addr]; (!ok || ol != l) && !visited[addr] {
-			t.Fatalf("unshared walk skipped %#x: a %v, b %v (b populated %v)", addr, l, ol, ok)
+	// Completeness: every line the two images hold differently — different
+	// data, or written on one side only — must be visited.
+	for _, m := range []model{ma, mb} {
+		for addr := range m {
+			l, inA := ma[addr]
+			ol, inB := mb[addr]
+			if (inA != inB || l != ol) && !visited[addr] {
+				t.Fatalf("diff walk skipped %#x: a %v (%v), b %v (%v)", addr, l, inA, ol, inB)
+			}
 		}
 	}
 	checkFloors(t, a, b, slices.Sorted(maps.Keys(visited)))
 }
 
-// checkFloors checks that ForEachUnsharedLine with an address floor visits
-// exactly the lines at or above it of the floorless walk all, for floors at
-// and just past every visited line and at the geometry's edges up to the
-// top of the address space.
+// checkFloors checks that a Diff walk with an address floor visits exactly
+// the lines at or above it of the floorless walk all, for floors at and just
+// past every visited line and at the geometry's edges up to the top of the
+// address space.
 func checkFloors(t *testing.T, a, b *Store, all []uint64) {
 	t.Helper()
 	floors := []uint64{0, 1, 1 << leafByteShift, 1 << dirByteShift, rootDirs << dirByteShift,
@@ -114,7 +123,7 @@ func checkFloors(t *testing.T, a, b *Store, all []uint64) {
 	}
 	for _, from := range floors {
 		var got []uint64
-		a.ForEachUnsharedLine(b, from, func(addr uint64, _, _ *Line) bool {
+		a.Diff(b, from, func(addr uint64, _, _ *Line, _ bool) bool {
 			got = append(got, addr)
 			return true
 		})
@@ -125,7 +134,7 @@ func checkFloors(t *testing.T, a, b *Store, all []uint64) {
 			}
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("unshared walk from %#x visited %x, want %x", from, got, want)
+			t.Fatalf("diff walk from %#x visited %x, want %x", from, got, want)
 		}
 	}
 }
@@ -228,7 +237,7 @@ func testStoreModel(t *testing.T, seed int64, withArena bool) {
 		i := rng.Intn(len(stores))
 		st, m := stores[i], models[i]
 		switch op := rng.Intn(ops); {
-		case op < 6 && !st.Frozen():
+		case op < 6 && !st.frozen:
 			a := modelAddr(rng)
 			la := a &^ (LineBytes - 1)
 			l := m[la]
@@ -252,7 +261,7 @@ func testStoreModel(t *testing.T, seed int64, withArena bool) {
 			stores = append(stores, st.Clone())
 			models = append(models, maps.Clone(m))
 			inArena = append(inArena, inArena[i])
-		case op == 8 && !st.Frozen():
+		case op == 8 && !st.frozen:
 			st.Freeze()
 			func() {
 				defer func() {
@@ -273,7 +282,7 @@ func testStoreModel(t *testing.T, seed int64, withArena bool) {
 			var dead []*Store
 			var at []uint64
 			for j, d := range stores {
-				if inArena[j] && !d.Frozen() {
+				if inArena[j] && !d.frozen {
 					a := modelAddr(rng) &^ 7
 					d.WriteWord(a, rng.Uint64())
 					dead, at = append(dead, d), append(at, a)

@@ -313,100 +313,113 @@ func (s *Store) WriteLine(addr uint64, data Line) {
 // LineCount reports how many distinct lines have ever been written.
 func (s *Store) LineCount() int { return s.populated }
 
-// forEachDir visits every allocated directory numbered from or above in
-// ascending order until f returns false.
-func (s *Store) forEachDir(from uint64, f func(i uint64, d *dir) bool) {
-	for i := from; i < uint64(len(s.root)); i++ {
-		if d := s.root[i]; d != &emptyDir && !f(i, d) {
-			return
-		}
-	}
-	if len(s.far) > 0 {
-		for _, i := range slices.Sorted(maps.Keys(s.far)) {
-			if i >= from && !f(i, s.far[i]) {
-				return
-			}
-		}
-	}
-}
-
-// forEachWritten visits the written line slots of l in ascending order
-// until f returns false.
-func (l *leaf) forEachWritten(f func(slot int) bool) bool {
-	for w, word := range l.written {
-		for word != 0 {
-			slot := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if !f(slot) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ForEachLine visits every populated line in ascending address order.
 // The callback receives a copy of the line data.
 func (s *Store) ForEachLine(f func(addr uint64, data Line)) {
-	s.forEachDir(0, func(i uint64, d *dir) bool {
+	visit := func(i uint64, d *dir) {
 		for j, l := range d.leaves {
 			if l == nil {
 				continue
 			}
 			base := i<<dirByteShift | uint64(j)<<leafByteShift
-			l.forEachWritten(func(slot int) bool {
-				f(base+uint64(slot)<<6, l.lines[slot])
-				return true
-			})
+			for w, word := range l.written {
+				for ; word != 0; word &= word - 1 {
+					slot := w<<6 + bits.TrailingZeros64(word)
+					f(base+uint64(slot)<<6, l.lines[slot])
+				}
+			}
 		}
-		return true
-	})
+	}
+	for i, d := range s.root {
+		if d != &emptyDir {
+			visit(uint64(i), d)
+		}
+	}
+	for _, i := range slices.Sorted(maps.Keys(s.far)) {
+		visit(i, s.far[i])
+	}
 }
 
-// zeroLine stands in for a line the other image of ForEachUnsharedLine
-// never allocated.
+// zeroLine stands in, in a Diff walk, for a line a side never wrote.
 var zeroLine Line
 
-// ForEachUnsharedLine visits, in ascending address order, every populated
-// line of s at or above address from that lies in a leaf s and o do not
-// share, together with o's line at the same address (zero when o never
-// wrote it), until f returns false. Shared leaves — the same slab reached
-// from both tables — are identical by construction and are skipped, as are
-// whole directories and leaves below from, so comparing two images cloned
-// from a common ancestor costs the leaves either side wrote since in the
-// range asked for, not the image size. Both lines are read-only views valid
-// only for the call.
-func (s *Store) ForEachUnsharedLine(o *Store, from uint64, f func(addr uint64, mine, theirs *Line) bool) {
+// Diff walks the union of s's and o's directories and leaves once, in
+// ascending address order from address from, and calls f with both sides of
+// every line the two stores hold differently — different data, or written
+// on one side only — until f returns false. mineWrote says whether s wrote the
+// line; a side that never wrote it reads as a zero line. Only leaves the two
+// do not share are walked — a shared leaf, the same slab reached from both
+// tables, is identical by construction — and whole directories and leaves
+// below from are skipped, so comparing two images cloned from a common
+// ancestor costs the leaves either side wrote since in the range asked for,
+// not the image size. Both lines are read-only views valid only for the
+// call.
+func (s *Store) Diff(o *Store, from uint64, f func(addr uint64, mine, theirs *Line, mineWrote bool) bool) {
 	// Floors compare shifted indices: an end address of the top directory or
 	// leaf would overflow the 64-bit space.
-	fromLeaf := from >> leafByteShift
-	s.forEachDir(from>>dirByteShift, func(i uint64, d *dir) bool {
-		od := o.dirAt(i)
-		if od == d {
-			return true
+	fromDir := from >> dirByteShift
+	for i := fromDir; i < uint64(max(len(s.root), len(o.root))); i++ {
+		if !diffDir(i, s.dirAt(i), o.dirAt(i), from, f) {
+			return
 		}
-		for j, l := range d.leaves {
-			ol := od.leaves[j]
-			if l == nil || l == ol || i<<dirLeafShift|uint64(j) < fromLeaf {
-				continue
+	}
+	if len(s.far)+len(o.far) == 0 {
+		return
+	}
+	far := slices.AppendSeq(slices.Collect(maps.Keys(s.far)), maps.Keys(o.far))
+	slices.Sort(far)
+	for _, i := range slices.Compact(far) {
+		if i >= fromDir && !diffDir(i, s.dirAt(i), o.dirAt(i), from, f) {
+			return
+		}
+	}
+}
+
+// diffDir is Diff over directory i, d on the receiver's side and od on the
+// other's, and reports whether the walk goes on.
+func diffDir(i uint64, d, od *dir, from uint64, f func(addr uint64, mine, theirs *Line, mineWrote bool) bool) bool {
+	if d == od {
+		return true
+	}
+	fromLeaf := from >> leafByteShift
+	for j := range d.leaves {
+		l, ol := d.leaves[j], od.leaves[j]
+		if l == ol || i<<dirLeafShift|uint64(j) < fromLeaf {
+			continue
+		}
+		base := i<<dirByteShift | uint64(j)<<leafByteShift
+		for w := range leafLines / 64 {
+			var mw, ow uint64
+			if l != nil {
+				mw = l.written[w]
 			}
-			base := i<<dirByteShift | uint64(j)<<leafByteShift
-			if !l.forEachWritten(func(slot int) bool {
+			if ol != nil {
+				ow = ol.written[w]
+			}
+			for word := mw | ow; word != 0; word &= word - 1 {
+				slot := w<<6 + bits.TrailingZeros64(word)
 				addr := base + uint64(slot)<<6
 				if addr < from {
-					return true
+					continue
 				}
-				theirs := &zeroLine
-				if ol != nil {
+				b := uint64(1) << (slot & 63)
+				if mw&ow&b != 0 && l.lines[slot] == ol.lines[slot] {
+					continue
+				}
+				mine, theirs := &zeroLine, &zeroLine
+				if mw&b != 0 {
+					mine = &l.lines[slot]
+				}
+				if ow&b != 0 {
 					theirs = &ol.lines[slot]
 				}
-				return f(addr, &l.lines[slot], theirs)
-			}) {
-				return false
+				if !f(addr, mine, theirs, mw&b != 0) {
+					return false
+				}
 			}
 		}
-		return true
-	})
+	}
+	return true
 }
 
 // Clone returns an independent image with identical contents in O(1): both
@@ -439,9 +452,6 @@ func (s *Store) Freeze() {
 	s.frozen = true
 	s.edit = 0
 }
-
-// Frozen reports whether the store has been frozen into an immutable image.
-func (s *Store) Frozen() bool { return s.frozen }
 
 // snapshot is the gob wire format for a Store image.
 type snapshot struct {
@@ -486,14 +496,9 @@ func (s *Store) Load(r io.Reader) error {
 // are treated as absent). Leaves the two images share are skipped, so the
 // cost is the leaves either side wrote since their common ancestor.
 func (s *Store) Equal(o *Store) bool {
-	return s.covers(o) && o.covers(s)
-}
-
-// covers reports whether every non-zero line of s reads the same in o.
-func (s *Store) covers(o *Store) bool {
 	eq := true
-	s.ForEachUnsharedLine(o, 0, func(_ uint64, mine, theirs *Line) bool {
-		eq = *mine == *theirs || *mine == Line{}
+	s.Diff(o, 0, func(_ uint64, mine, theirs *Line, _ bool) bool {
+		eq = *mine == *theirs
 		return eq
 	})
 	return eq

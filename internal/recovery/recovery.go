@@ -14,9 +14,11 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"dhtm/internal/memdev"
 	"dhtm/internal/wal"
@@ -31,18 +33,48 @@ type TxKey struct {
 // String implements fmt.Stringer.
 func (k TxKey) String() string { return fmt.Sprintf("t%d/tx%d", k.Thread, k.TxID) }
 
-// TxImage is everything recovery learned about one logged transaction.
-type TxImage struct {
-	Key       TxKey
-	Redo      []wal.Record
-	Undo      []wal.Record
-	Committed bool
-	Complete  bool
-	Aborted   bool
-	// DependsOn lists committed transactions whose updates this transaction
+// txImage is everything recovery learned about one logged transaction. Its
+// redo and undo records are chains through the one slice of line
+// references a recovery run keeps, so a transaction holds no records of its
+// own.
+type txImage struct {
+	key TxKey
+	// redo and redoLast are its first and last redo records in log order,
+	// and undo its newest undo record: indices into the references, -1 for
+	// none.
+	redo, redoLast, undo         int
+	committed, complete, aborted bool
+	// dependsOn lists committed transactions whose updates this transaction
 	// consumed (from sentinel records); they must be replayed first.
-	DependsOn []TxKey
+	dependsOn []TxKey
 }
+
+// lineRef locates the line of one redo or undo record without holding it:
+// recovery reads the line from the log only when it writes it back.
+type lineRef struct {
+	addr uint64 // the logged line's address
+	log  *wal.ThreadLog
+	off  int // the record's data-area offset in log
+	next int // the next record of its chain, -1 at the end
+}
+
+// scratch is a recovery run's working memory: the transactions it found, in
+// order of discovery (log order within a thread), their index by key, and
+// the line references their chains run through. Runs recycle it through a
+// pool, so recovering many images reuses one set of slices: crash
+// exploration recovers every judged image twice, and fresh slices per run
+// cost it half again its allocated bytes.
+type scratch struct {
+	txs   []txImage
+	index map[TxKey]int
+	refs  []lineRef
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{index: make(map[TxKey]int)} }}
+
+// errLineInLog rejects a record whose line lies in a registered log's data
+// area: writing it back could change the logged lines recovery reads later.
+var errLineInLog = errors.New("record line lies in a log")
 
 // Report summarises one recovery run. The JSON field names are part of the
 // tooling contract (dhtm-recover -json feeds scripts and crashtest repros).
@@ -70,48 +102,74 @@ func (r *Report) String() string {
 // Recover runs the recovery manager against a persistent-memory image,
 // mutating it in place so that it reflects every committed transaction and no
 // uncommitted one. It is idempotent: running it twice yields the same image.
+//
+// Recovery walks each log once and keeps, per redo or undo record, only the
+// line's address and where the record lies in the log; it reads a logged
+// line only when it rolls the line back or replays it. A record whose line
+// is not line-aligned, or lies in a registered log's data area (where
+// writing it back could change a line recovery has yet to read), makes the
+// image corrupt: Recover returns an error before it writes anything.
 func Recover(store *memdev.Store) (*Report, error) {
 	reg, err := wal.LoadRegistry(store)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{}
-	images := make(map[TxKey]*TxImage)
-	var order []TxKey // stable ordering of discovery (log order within thread)
+	sc := scratchPool.Get().(*scratch)
+	defer func() {
+		sc.txs, sc.refs = sc.txs[:0], sc.refs[:0]
+		clear(sc.index)
+		scratchPool.Put(sc)
+	}()
 
 	for t := 0; t < reg.Threads(); t++ {
-		// An unaligned record is reported only once the whole log decoded:
-		// a log that is also truncated reports the truncation.
+		// A bad record is reported only once the whole log decoded: a log
+		// that is also truncated reports the truncation.
 		var bad error
-		err := reg.Log(t).Walk(store, func(rec wal.Record) {
+		log := reg.Log(t)
+		err := log.Walk(store, func(rec wal.Record, off int) {
 			if bad != nil {
 				return
 			}
 			key := TxKey{Thread: t, TxID: rec.TxID}
-			img, ok := images[key]
+			i, ok := sc.index[key]
 			if !ok {
-				img = &TxImage{Key: key}
-				images[key] = img
-				order = append(order, key)
+				i = len(sc.txs)
+				sc.index[key] = i
+				sc.txs = append(sc.txs, txImage{key: key, redo: -1, redoLast: -1, undo: -1})
 			}
-			if (rec.Type == wal.RecRedo || rec.Type == wal.RecUndo) && rec.LineAddr%memdev.LineBytes != 0 {
-				bad = fmt.Errorf("recovery: thread %d tx %d: %v record at unaligned address %#x", t, rec.TxID, rec.Type, rec.LineAddr)
-				return
+			tx := &sc.txs[i]
+			if rec.Type == wal.RecRedo || rec.Type == wal.RecUndo {
+				switch {
+				case rec.LineAddr%memdev.LineBytes != 0:
+					bad = fmt.Errorf("recovery: thread %d tx %d: %v record at unaligned address %#x", t, rec.TxID, rec.Type, rec.LineAddr)
+					return
+				case reg.InLogData(rec.LineAddr):
+					bad = fmt.Errorf("recovery: thread %d tx %d: %v record at %#x: %w", t, rec.TxID, rec.Type, rec.LineAddr, errLineInLog)
+					return
+				}
 			}
 			switch rec.Type {
 			case wal.RecRedo:
-				img.Redo = append(img.Redo, rec)
+				sc.refs = append(sc.refs, lineRef{addr: rec.LineAddr, log: log, off: off, next: -1})
+				if tx.redoLast < 0 {
+					tx.redo = len(sc.refs) - 1
+				} else {
+					sc.refs[tx.redoLast].next = len(sc.refs) - 1
+				}
+				tx.redoLast = len(sc.refs) - 1
 			case wal.RecUndo:
-				img.Undo = append(img.Undo, rec)
+				sc.refs = append(sc.refs, lineRef{addr: rec.LineAddr, log: log, off: off, next: tx.undo})
+				tx.undo = len(sc.refs) - 1
 			case wal.RecCommit:
-				img.Committed = true
+				tx.committed = true
 			case wal.RecComplete:
-				img.Complete = true
+				tx.complete = true
 			case wal.RecAbort:
-				img.Aborted = true
+				tx.aborted = true
 			case wal.RecSentinel:
 				if rec.DepTxID != 0 {
-					img.DependsOn = append(img.DependsOn, TxKey{Thread: rec.DepThread, TxID: rec.DepTxID})
+					tx.dependsOn = append(tx.dependsOn, TxKey{Thread: rec.DepThread, TxID: rec.DepTxID})
 				}
 			}
 		})
@@ -123,43 +181,45 @@ func Recover(store *memdev.Store) (*Report, error) {
 			return rep, bad
 		}
 	}
-	rep.Transactions = len(images)
+	rep.Transactions = len(sc.txs)
+
+	// writeBack writes the lines of the chain starting at reference r.
+	writeBack := func(r int) {
+		for ; r >= 0; r = sc.refs[r].next {
+			ref := &sc.refs[r]
+			store.WriteLine(ref.addr, ref.log.LineAt(store, ref.off))
+			rep.LinesRestored++
+		}
+	}
 
 	// Classify.
 	var candidates []TxKey
-	for _, key := range order {
-		img := images[key]
+	for i := range sc.txs {
+		tx := &sc.txs[i]
 		switch {
-		case img.Committed && !img.Complete:
-			candidates = append(candidates, key)
-		case img.Committed:
+		case tx.committed && !tx.complete:
+			candidates = append(candidates, tx.key)
+		case tx.committed:
 			rep.SkippedComplete++
-		case img.Aborted:
+		case tx.aborted:
 			rep.SkippedAborted++
-		case len(img.Undo) > 0:
+		case tx.undo >= 0:
 			// Undo-logged (ATOM-style) transaction that never committed: roll
 			// its in-place updates back, newest record first.
-			rep.RolledBack = append(rep.RolledBack, key)
-			for i := len(img.Undo) - 1; i >= 0; i-- {
-				store.WriteLine(img.Undo[i].LineAddr, img.Undo[i].Data)
-				rep.LinesRestored++
-			}
+			rep.RolledBack = append(rep.RolledBack, tx.key)
+			writeBack(tx.undo)
 		default:
 			rep.SkippedActive++
 		}
 	}
 
 	// Replay committed-but-incomplete transactions in dependency order.
-	ordered, err := topoOrder(candidates, images)
+	ordered, err := topoOrder(candidates, func(k TxKey) []TxKey { return sc.txs[sc.index[k]].dependsOn })
 	if err != nil {
 		return rep, err
 	}
 	for _, key := range ordered {
-		img := images[key]
-		for _, rec := range img.Redo {
-			store.WriteLine(rec.LineAddr, rec.Data)
-			rep.LinesRestored++
-		}
+		writeBack(sc.txs[sc.index[key]].redo)
 		rep.Replayed = append(rep.Replayed, key)
 	}
 
@@ -177,7 +237,7 @@ func Recover(store *memdev.Store) (*Report, error) {
 // topoOrder orders the replay candidates so that every transaction is
 // replayed after all transactions it depends on. Dependencies on transactions
 // that are not replay candidates (already complete, or aborted) are ignored.
-func topoOrder(candidates []TxKey, images map[TxKey]*TxImage) ([]TxKey, error) {
+func topoOrder(candidates []TxKey, dependsOn func(TxKey) []TxKey) ([]TxKey, error) {
 	candidateSet := make(map[TxKey]bool, len(candidates))
 	for _, k := range candidates {
 		candidateSet[k] = true
@@ -188,7 +248,7 @@ func topoOrder(candidates []TxKey, images map[TxKey]*TxImage) ([]TxKey, error) {
 		indegree[k] = 0
 	}
 	for _, k := range candidates {
-		for _, dep := range images[k].DependsOn {
+		for _, dep := range dependsOn(k) {
 			if !candidateSet[dep] || dep == k {
 				continue
 			}

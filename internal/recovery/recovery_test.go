@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -123,6 +125,39 @@ func TestUndoRollback(t *testing.T) {
 	}
 }
 
+// TestRecordChainsKeepLogOrder checks that each transaction's records are
+// written back in the order recovery owes them when two transactions'
+// records interleave in one log: a committed transaction's redo records
+// oldest first, so its last value of a line wins, and an uncommitted one's
+// undo records newest first, so the oldest logged value wins.
+func TestRecordChainsKeepLogOrder(t *testing.T) {
+	store, reg := buildImage(t)
+	const redoLine, undoLine = 0x50000, 0x50040
+	store.WriteLine(undoLine, memdev.Line{99})
+	log := reg.Log(0)
+	committed, active := log.BeginTx(), log.BeginTx()
+	appendAll(t, log,
+		&wal.Record{Type: wal.RecRedo, TxID: committed, LineAddr: redoLine, Data: memdev.Line{1}},
+		&wal.Record{Type: wal.RecUndo, TxID: active, LineAddr: undoLine, Data: memdev.Line{3}},
+		&wal.Record{Type: wal.RecRedo, TxID: committed, LineAddr: redoLine, Data: memdev.Line{2}},
+		&wal.Record{Type: wal.RecUndo, TxID: active, LineAddr: undoLine, Data: memdev.Line{4}},
+		&wal.Record{Type: wal.RecCommit, TxID: committed},
+	)
+	rep, err := Recover(store)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(rep.Replayed) != 1 || len(rep.RolledBack) != 1 || rep.LinesRestored != 4 {
+		t.Fatalf("report %+v, want one replayed, one rolled back, 4 lines", rep)
+	}
+	if got := store.ReadLine(redoLine); got[0] != 2 {
+		t.Fatalf("replayed line %v, want the newest redo value 2", got)
+	}
+	if got := store.ReadLine(undoLine); got[0] != 3 {
+		t.Fatalf("rolled-back line %v, want the oldest undo value 3", got)
+	}
+}
+
 // TestSentinelOrdering checks that a dependent transaction is replayed after
 // the transaction it consumed data from, so its newer value wins.
 func TestSentinelOrdering(t *testing.T) {
@@ -187,6 +222,94 @@ func TestUnalignedRecordIsAnError(t *testing.T) {
 			t.Fatalf("Recover over an unaligned record then a truncated one: err = %v, want the truncation", err)
 		}
 	})
+}
+
+// TestLineInLogIsAnError checks that recovery refuses a redo or undo record
+// whose line lies in a registered log's data area — its own log's or
+// another thread's, at the first line of the area or straddling its end —
+// and writes nothing: recovery reads a logged line only when it writes it
+// back, so writing such a line could change a line it has yet to read.
+func TestLineInLogIsAnError(t *testing.T) {
+	for _, typ := range []wal.RecordType{wal.RecRedo, wal.RecUndo} {
+		t.Run(typ.String(), func(t *testing.T) {
+			_, reg := buildImage(t)
+			own, other := reg.Log(1), reg.Log(0)
+			for _, addr := range []uint64{
+				own.Base,
+				other.Base,
+				other.Base + uint64(other.SizeWords*8) - memdev.LineBytes,
+			} {
+				store, reg := buildImage(t)
+				log := reg.Log(1)
+				txid := log.BeginTx()
+				appendAll(t, log,
+					&wal.Record{Type: typ, TxID: txid, LineAddr: addr, Data: memdev.Line{333}},
+					&wal.Record{Type: wal.RecCommit, TxID: txid},
+				)
+				before := store.Clone()
+				_, err := Recover(store)
+				if !errors.Is(err, errLineInLog) || !strings.Contains(err.Error(), fmt.Sprintf("%v record at %#x", typ, addr)) {
+					t.Fatalf("Recover over a %v record at %#x: err = %v, want a line-in-log error", typ, addr, err)
+				}
+				if !store.Equal(before) {
+					t.Fatalf("Recover wrote the image before failing on %#x", addr)
+				}
+			}
+			// The line just past a log's data area is not in it.
+			if reg.InLogData(other.Base + uint64(other.SizeWords*8)) {
+				t.Fatal("the line past the end of a log's data area is reported in it")
+			}
+		})
+	}
+}
+
+// TestReplayWrappedRecord checks that a committed-but-incomplete
+// transaction's redo record whose line wraps around the end of its circular
+// log replays whole.
+func TestReplayWrappedRecord(t *testing.T) {
+	store, want := wrappedImage(t)
+	if _, err := Recover(store); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got := store.ReadLine(wrappedLineAddr); got != want {
+		t.Fatalf("wrapped line replayed as %v, want %v", got, want)
+	}
+}
+
+// wrappedLineAddr is the heap line wrappedImage's transaction writes.
+const wrappedLineAddr = wal.HeapBase + 0x40
+
+// wrappedImage builds a one-thread image whose 128-word log holds one
+// committed-but-incomplete transaction with a redo record that wraps around
+// the end of the buffer in the middle of its line, and returns the image
+// and the line recovery must replay.
+func wrappedImage(t *testing.T) (*memdev.Store, memdev.Line) {
+	t.Helper()
+	cfg := config.Default()
+	store := memdev.NewStore()
+	ctl := memdev.NewController(cfg, store, stats.New(cfg.NumCores))
+	log := wal.NewRegistry(ctl, 1, 128*8, 4).Log(0)
+	// Twelve redo records and a commit fill 121 words; completing the
+	// transaction moves the tail to the head.
+	first := log.BeginTx()
+	for i := range 12 {
+		appendAll(t, log, &wal.Record{Type: wal.RecRedo, TxID: first, LineAddr: wal.HeapBase + uint64(i)*memdev.LineBytes})
+	}
+	appendAll(t, log, &wal.Record{Type: wal.RecCommit, TxID: first})
+	log.EndTx(first)
+	want := memdev.Line{1, 2, 3, 4, 5, 6, 7, 8}
+	txid := log.BeginTx()
+	appendAll(t, log,
+		&wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: wrappedLineAddr, Data: want},
+		&wal.Record{Type: wal.RecCommit, TxID: txid},
+	)
+	wrapped := false
+	if err := log.Walk(store, func(rec wal.Record, off int) {
+		wrapped = wrapped || rec.Type == wal.RecRedo && off+2 < log.SizeWords && off+rec.SizeWords() > log.SizeWords
+	}); err != nil || !wrapped {
+		t.Fatalf("no redo line wraps around the log (walk error %v)", err)
+	}
+	return store, want
 }
 
 // TestSentinelCycleError checks the error return for a sentinel dependency

@@ -171,6 +171,26 @@ func (r *Registry) Log(t int) *ThreadLog { return r.logs[t] }
 // Overflow returns thread t's overflow list.
 func (r *Registry) Overflow(t int) *OverflowList { return r.lists[t] }
 
+// InLogData reports whether the line at lineAddr shares a byte with the data
+// area of any registered log — the SizeWords words from its Base, which
+// recovery reads records from.
+func (r *Registry) InLogData(lineAddr uint64) bool {
+	for _, l := range r.logs {
+		if l.SizeWords <= 0 {
+			continue
+		}
+		if uint64(l.SizeWords) >= 1<<61 {
+			return true // the area wraps around the whole address space
+		}
+		// Both ranges may wrap past the top of the address space, so the
+		// overlap test is modular: one starts inside the other.
+		if lineAddr-l.Base < uint64(l.SizeWords)*8 || l.Base-lineAddr < memdev.LineBytes {
+			return true
+		}
+	}
+	return false
+}
+
 // GrowLog grows thread t's log after a log-overflow abort and keeps the
 // persisted registry entry in sync so recovery sees the new geometry.
 func (r *Registry) GrowLog(t, factor int) bool {

@@ -187,26 +187,18 @@ func (l *ThreadLog) Append(rec *Record, at uint64) (uint64, error) {
 	return done, nil
 }
 
-// readWord reads the i-th live word (relative to the data base, absolute
-// offset) from a store image.
+// readWord reads the word at data-area offset off from a store image.
 func (l *ThreadLog) readWord(store *memdev.Store, off int) uint64 {
 	return store.ReadWord(l.Base + uint64(off*8))
 }
 
-// Scan decodes every live record (tail to head) from the given persistent
-// memory image into a slice: the records Walk passes on, and its error.
-func (l *ThreadLog) Scan(store *memdev.Store) ([]Record, error) {
-	var recs []Record
-	err := l.Walk(store, func(rec Record) { recs = append(recs, rec) })
-	return recs, err
-}
-
 // Walk decodes every live record (tail to head) from the given persistent
-// memory image and passes each to fn in log order. A corrupt head or tail
-// is an error before any record; a truncated record is an error after fn
-// has seen every record before it. The recovery manager walks each log
-// without collecting its records.
-func (l *ThreadLog) Walk(store *memdev.Store, fn func(Record)) error {
+// memory image and passes each to fn in log order, with off, the data-area
+// offset of its header. The line of a redo or undo record is not read: fn
+// gets the record with a zero Data, and LineAt(store, off) reads it. A
+// corrupt head or tail is an error before any record; a truncated record is
+// an error after fn has seen every record before it.
+func (l *ThreadLog) Walk(store *memdev.Store, fn func(rec Record, off int)) error {
 	head := int(store.ReadWord(l.MetaAddr))
 	tail := int(store.ReadWord(l.MetaAddr + 8))
 	if head < 0 || head >= l.SizeWords || tail < 0 || tail >= l.SizeWords {
@@ -216,36 +208,58 @@ func (l *ThreadLog) Walk(store *memdev.Store, fn func(Record)) error {
 	if liveWords < 0 {
 		liveWords += l.SizeWords
 	}
-	// Records are decoded one at a time from the image through a buffer
-	// that holds the largest, so records that wrap decode contiguously and
-	// a corrupt head, tail or log size costs the words actually read —
-	// zeroed space ends the scan — not the span it claims.
-	word := func(i int) uint64 { // the i-th live word, i < liveWords
+	// Records are decoded one at a time from the image, so records that wrap
+	// decode contiguously and a corrupt head, tail or log size costs the
+	// words actually read — zeroed space ends the scan — not the span it
+	// claims.
+	offset := func(i int) int { // the data-area offset of the i-th live word
 		if i < l.SizeWords-tail {
-			return l.readWord(store, tail+i)
+			return tail + i
 		}
-		return l.readWord(store, i-(l.SizeWords-tail))
+		return i - (l.SizeWords - tail)
 	}
-	var buf [1 + 1 + memdev.WordsPerLine]uint64
 	for idx := 0; idx < liveWords; {
-		buf[0] = word(idx)
+		var buf [1 + 2]uint64 // a header and the payload words besides a line
+		off := offset(idx)
+		buf[0] = l.readWord(store, off)
 		t, _, _ := unpackHeader(buf[0])
 		n := 1 + payloadWords(t)
 		if idx+n > liveWords {
 			return errTruncated(t, idx)
 		}
-		for i := 1; i < n; i++ {
-			buf[i] = word(idx + i)
+		m := min(n, len(buf))
+		if t == RecRedo || t == RecUndo {
+			m = 2 // the line address; LineAt reads the line
 		}
-		rec, _, _ := decode(buf[:n], 0) // buf holds the whole record
+		for i := 1; i < m; i++ {
+			buf[i] = l.readWord(store, offset(idx+i))
+		}
+		rec := decodeFields(buf[0], buf[1:])
 		if rec.Type == RecInvalid {
 			// Zeroed space; nothing further is live.
 			break
 		}
-		fn(rec)
+		fn(rec, off)
 		idx += n
 	}
 	return nil
+}
+
+// LineAt reads the line of the redo or undo record whose header Walk passed
+// on at data-area offset off, wrapping around the end of the circular buffer
+// as the record does.
+func (l *ThreadLog) LineAt(store *memdev.Store, off int) memdev.Line {
+	var line memdev.Line
+	for i := range line {
+		// A walked redo or undo record fits in the buffer, so its words
+		// wrap at most once.
+		o := off + 2 + i
+		if o >= l.SizeWords {
+			o -= l.SizeWords
+		}
+		line[i] = l.readWord(store, o)
+	}
+	return line
 }
 
 // Reset empties the log (used after recovery has replayed it, and by the

@@ -184,20 +184,30 @@ func decode(words []uint64, idx int) (Record, int, error) {
 	if idx >= len(words) {
 		return Record{}, 0, errors.New("wal: decode past end of buffer")
 	}
-	t, thread, txid := unpackHeader(words[idx])
-	r := Record{Type: t, Thread: thread, TxID: txid}
+	t, _, _ := unpackHeader(words[idx])
 	need := payloadWords(t)
 	if idx+1+need > len(words) {
 		return Record{}, 0, errTruncated(t, idx)
 	}
 	p := words[idx+1 : idx+1+need]
+	r := decodeFields(words[idx], p)
+	if t == RecRedo || t == RecUndo {
+		copy(r.Data[:], p[1:])
+	}
+	return r, 1 + need, nil
+}
+
+// decodeFields decodes a record from its header h and the payload words p
+// that follow it, all but a redo or undo record's line.
+func decodeFields(h uint64, p []uint64) Record {
+	t, thread, txid := unpackHeader(h)
+	r := Record{Type: t, Thread: thread, TxID: txid}
 	switch t {
 	case RecRedo, RecUndo:
 		r.LineAddr = p[0]
-		copy(r.Data[:], p[1:])
 	case RecSentinel:
 		r.DepThread = int(p[0])
 		r.DepTxID = p[1]
 	}
-	return r, 1 + need, nil
+	return r
 }

@@ -102,19 +102,37 @@ func TestThreadLogTruncation(t *testing.T) {
 	}
 }
 
+// Scan decodes every live record (tail to head) from the given persistent
+// memory image into a slice, lines included: the records Walk passes on,
+// and its error.
+func (l *ThreadLog) Scan(store *memdev.Store) ([]Record, error) {
+	var recs []Record
+	err := l.Walk(store, func(rec Record, off int) {
+		if rec.Type == RecRedo || rec.Type == RecUndo {
+			rec.Data = l.LineAt(store, off)
+		}
+		recs = append(recs, rec)
+	})
+	return recs, err
+}
+
 // TestThreadLogWrapAround fills and truncates repeatedly so the circular
-// buffer wraps, checking scans stay consistent.
+// buffer wraps, checking scans stay consistent and read back every logged
+// line, including lines that wrap around the end of the buffer.
 func TestThreadLogWrapAround(t *testing.T) {
 	ctl := newTestController()
 	reg := NewRegistry(ctl, 1, 4*1024, 64) // 512 words of log
 	log := reg.Log(0)
+	wrapped := 0
 	for round := 0; round < 50; round++ {
 		txid := log.BeginTx()
+		var want []Record
 		for i := 0; i < 4; i++ {
-			rec := &Record{Type: RecRedo, TxID: txid, LineAddr: uint64(round*64 + i)}
-			if _, err := log.Append(rec, 0); err != nil {
+			rec := Record{Type: RecRedo, TxID: txid, LineAddr: uint64(round*64 + i), Data: memdev.Line{uint64(round), uint64(i), 3, 4, 5, 6, 7, 8}}
+			if _, err := log.Append(&rec, 0); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
+			want = append(want, rec)
 		}
 		if _, err := log.Append(&Record{Type: RecCommit, TxID: txid}, 0); err != nil {
 			t.Fatalf("round %d commit: %v", round, err)
@@ -126,7 +144,22 @@ func TestThreadLogWrapAround(t *testing.T) {
 		if len(recs) != 5 {
 			t.Fatalf("round %d: scanned %d records, want 5", round, len(recs))
 		}
+		for i, w := range want {
+			if recs[i] != w {
+				t.Fatalf("round %d record %d: scanned %+v, want %+v", round, i, recs[i], w)
+			}
+		}
+		if err := log.Walk(ctl.Store(), func(rec Record, off int) {
+			if rec.Type == RecRedo && off+rec.SizeWords() > log.SizeWords {
+				wrapped++
+			}
+		}); err != nil {
+			t.Fatalf("round %d walk: %v", round, err)
+		}
 		log.EndTx(txid)
+	}
+	if wrapped == 0 {
+		t.Fatal("no redo record wrapped around the end of the buffer")
 	}
 }
 

@@ -212,11 +212,11 @@ func (h *hashWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 }
 
 // Verify implements Workload. Every invariant is local to one bucket line,
-// a line never written reads as an empty (valid) bucket, and a leaf the
-// image shares with the baseline is byte-identical to it, so only the
-// bucket lines on leaves the image does not share with a valid baseline are
-// checked — in ascending order, so the first failing bucket is the one a
-// walk over the whole table would report.
+// a line never written reads as an empty (valid) bucket, and a line that
+// reads as it does in a valid baseline is valid, so only the bucket lines
+// the image wrote and holds differently from the baseline are checked — in
+// ascending order, so the first failing bucket is the one a walk over the
+// whole table would report.
 func (h *hashWL) Verify(store *memdev.Store) error {
 	if got := store.ReadWord(word(h.meta, 0)); got != hashBuckets {
 		return fmt.Errorf("hash: bucket count corrupted: %d != %d", got, hashBuckets)
@@ -228,15 +228,17 @@ func (h *hashWL) Verify(store *memdev.Store) error {
 	return h.verifyBuckets(store, ref)
 }
 
-// verifyBuckets checks every written bucket line of store on a leaf store
-// does not share with ref, in ascending address order, and returns the
-// first violation.
+// verifyBuckets checks every bucket line store wrote and holds differently
+// from ref, in ascending address order, and returns the first violation.
 func (h *hashWL) verifyBuckets(store, ref *memdev.Store) error {
 	var err error
 	end := line(h.buckets, hashBuckets)
-	store.ForEachUnsharedLine(ref, h.buckets, func(addr uint64, b, _ *memdev.Line) bool {
+	store.Diff(ref, h.buckets, func(addr uint64, b, _ *memdev.Line, written bool) bool {
 		if addr >= end {
 			return false // lines ascend: no bucket line follows
+		}
+		if !written {
+			return true // never written: an empty bucket
 		}
 		err = h.checkBucket(addr, b)
 		return err == nil

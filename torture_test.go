@@ -25,14 +25,11 @@ func TestTortureExhaustive(t *testing.T) {
 			design, workload := design, workload
 			t.Run(design+"/"+workload, func(t *testing.T) {
 				t.Parallel()
-				rep, err := crashtest.Torture(context.Background(), crashtest.Config{
+				rep := explore(t, crashtest.Config{
 					Design: design, Workload: workload,
 					Cores: 4, TxPerCore: 2, OpsPerTx: 8,
 					Points: sel,
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				if rep.TotalPoints == 0 || rep.Explored == 0 {
 					t.Fatalf("empty exploration: %d points, %d explored", rep.TotalPoints, rep.Explored)
 				}
@@ -78,14 +75,11 @@ func TestTortureLogTMATOM(t *testing.T) {
 		workload := workload
 		t.Run(workload, func(t *testing.T) {
 			t.Parallel()
-			rep, err := crashtest.Torture(context.Background(), crashtest.Config{
+			rep := explore(t, crashtest.Config{
 				Design: "LogTM-ATOM", Workload: workload,
 				Cores: 4, TxPerCore: 4, Seed: 42,
 				Points: sel,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			rolled := 0
 			for r, n := range rep.RollbackHist {
 				if r > 0 {
@@ -109,13 +103,11 @@ func TestTortureTorn(t *testing.T) {
 		design := design
 		t.Run(design, func(t *testing.T) {
 			t.Parallel()
-			if _, err := crashtest.Torture(context.Background(), crashtest.Config{
+			explore(t, crashtest.Config{
 				Design: design, Workload: "queue",
 				Cores: 4, TxPerCore: 2, OpsPerTx: 8, Torn: true,
 				Points: crashtest.Selection{Mode: "stride", Samples: 96},
-			}); err != nil {
-				t.Fatal(err)
-			}
+			})
 		})
 	}
 }
@@ -137,16 +129,13 @@ func TestTortureReordered(t *testing.T) {
 			design, workload := design, workload
 			t.Run(design+"/"+workload, func(t *testing.T) {
 				t.Parallel()
-				rep, err := crashtest.Torture(context.Background(), crashtest.Config{
+				rep := explore(t, crashtest.Config{
 					Design: design, Workload: workload,
 					Cores: 2, TxPerCore: 2, OpsPerTx: 4,
 					Adversary:    crashtest.AdversaryConfig{Window: 2, Mode: "exhaustive"},
 					Differential: true,
 					Points:       sel,
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				if rep.Tasks <= rep.Explored {
 					t.Errorf("adversary never engaged: %d points expanded to %d crash images",
 						rep.Explored, rep.Tasks)
@@ -192,6 +181,22 @@ func TestTortureReproducesPoint(t *testing.T) {
 	if runs[0].RunSeed != runs[1].RunSeed || runs[0].RunSeed == 0 {
 		t.Fatalf("run seeds differ or are zero: %d vs %d", runs[0].RunSeed, runs[1].RunSeed)
 	}
+}
+
+// explore explores cfg and fails the test if the exploration errs or any
+// crash image violated an oracle, naming the first failure and its repro.
+func explore(t *testing.T, cfg crashtest.Config) *crashtest.Report {
+	t.Helper()
+	rep, err := crashtest.Explore(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed > 0 {
+		f := rep.FirstFailure
+		t.Fatalf("%s/%s: %s; first at point %d (%s): %s — reproduce: %s",
+			rep.Design, rep.Workload, rep.FailureSummary(), f.Point, f.Class, f.Err, rep.Repro)
+	}
+	return rep
 }
 
 // withPoints returns cfg with the given point selection.
