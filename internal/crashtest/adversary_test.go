@@ -189,24 +189,7 @@ func TestPanicHardening(t *testing.T) {
 
 	// Judge one fanned-out point with a workload whose Verify panics on the
 	// point's first image.
-	c := cfg.withDefaults()
-	runSeed := c.RunSeed()
-	run, err := c.countPass(runSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := pickPoints(len(run.trace), c.Points, runSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks, err := c.buildTasks(run.trace, points, runSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := run.preImages(tasks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, runSeed, run, tasks := testTasks(t, cfg)
 	var group []task
 	for i := 1; i < len(tasks) && group == nil; i++ {
 		if tasks[i].point == tasks[i-1].point {
@@ -216,6 +199,7 @@ func TestPanicHardening(t *testing.T) {
 	if group == nil {
 		t.Fatal("no point fans out into several images")
 	}
+	pre := run.newCursor(false, 0).preImage(group[0].wStart)
 	out := make([]PointResult, len(group))
 	judged := 0
 	arena := new(memdev.Arena)

@@ -6,13 +6,14 @@
 // package proves it at *every* instant: a counting pass runs the workload once
 // with a PersistObserver installed on the memory controller, numbering every
 // durable write (redo/undo appends, commit markers, sentinels, in-place
-// write-backs, log truncations, each with its payload) as a crash point. The
-// explorer then replays that trace onto the run's starting image and
-// snapshots the persistent image just before each selected point's durable
-// write k applies — exactly the image a power failure at that instant
-// leaves behind, with all volatile state and not-yet-persisted writes
-// dropped. The replay must end at the run's final image, which guards that
-// the trace is the complete record of durable writes. For each point it
+// write-backs, log truncations, each with its payload) as a crash point. A
+// serial replay of that trace onto the run's starting image must end at the
+// run's final image, which guards that the trace is the complete record of
+// durable writes. Each judging worker then replays it forward on its own
+// store and snapshots the persistent image just before each of its points'
+// durable write k applies — exactly the image a power failure at that
+// instant leaves behind, with all volatile state and not-yet-persisted
+// writes dropped. For each point it
 // optionally tears the in-flight write by applying a prefix of its words,
 // runs recovery.Recover on the snapshot, and checks three oracles:
 //
@@ -421,10 +422,6 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, err := run.preImages(tasks, cfg.Differential)
-	if err != nil {
-		return nil, err
-	}
 	var dc *diffCtx
 	if cfg.Differential {
 		if dc, err = cfg.newDiffCtx(runSeed, run); err != nil {
@@ -432,7 +429,7 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	results := cfg.exploreTasks(ctx, runSeed, run, pre, tasks, dc)
+	results := cfg.exploreTasks(ctx, runSeed, run, tasks, dc)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("crashtest: exploration cancelled: %w", err)
 	}
@@ -443,13 +440,14 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// exploreTasks judges every crash image of tasks from the pre-images of
-// their window starts, in parallel, one point per worker at a time:
-// buildTasks emits each point's images contiguously, and all of them share
-// the point's pre-image. Each running point holds one of Parallel node
-// arenas, which recycle the nodes its images' stores allocate and become
-// garbage when the exploration returns.
-func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, pre map[uint64]preImage, tasks []task, dc *diffCtx) []PointResult {
+// exploreTasks judges every crash image of tasks in parallel, one point per
+// worker at a time: buildTasks emits each point's images contiguously, and
+// all of them share the point's pre-image. Each worker builds the
+// pre-images of the points it takes with a cursor of its own, so at most
+// one frozen pre-image per worker is alive, and holds a node arena that
+// recycles the nodes its images' stores allocate; both become garbage when
+// the exploration returns.
+func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, tasks []task, dc *diffCtx) []PointResult {
 	var starts []int
 	for i := range tasks {
 		if i == 0 || tasks[i].point != tasks[i-1].point {
@@ -472,15 +470,23 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, pre 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	arenas := make(chan *memdev.Arena, workers)
-	for range workers {
-		arenas <- new(memdev.Arena)
+	var startDigest uint64
+	if dc != nil {
+		startDigest = heapDigest(run.start)
 	}
-	runner.ForEach(ctx, len(starts)-1, workers, func(g int) {
+	type judgeWorker struct {
+		cur   *cursor
+		arena *memdev.Arena
+	}
+	ws := make([]judgeWorker, workers)
+	runner.ForEach(ctx, len(starts)-1, workers, func(w, g int) {
 		lo, hi := starts[g], starts[g+1]
-		arena := <-arenas
-		c.judgePoint(runSeed, run, pre, run.w, tasks[lo:hi], dc, arena, results[lo:hi], progress)
-		arenas <- arena
+		jw := &ws[w]
+		if jw.cur == nil {
+			jw.cur, jw.arena = run.newCursor(dc != nil, startDigest), new(memdev.Arena)
+		}
+		pre := jw.cur.preImage(tasks[lo].wStart)
+		c.judgePoint(runSeed, run, pre, run.w, tasks[lo:hi], dc, jw.arena, results[lo:hi], progress)
 	})
 	return results
 }

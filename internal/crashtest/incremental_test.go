@@ -3,6 +3,7 @@ package crashtest
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dhtm/internal/memdev"
@@ -31,11 +32,9 @@ func testPass(t *testing.T, cfg Config) (Config, int64, *pass) {
 	return c, runSeed, run
 }
 
-// forEachCrashImage calls f with every crash image, unrecovered, that an
-// exploration of cfg judges, together with its point's context, whose
-// pre-image carries its incrementally maintained heap digest. The image and
-// every clone f makes of it live until f returns.
-func forEachCrashImage(t *testing.T, cfg Config, f func(pt *pointCtx, img *memdev.Store)) {
+// testTasks runs cfg's counting pass and fans its selected points out into
+// crash images.
+func testTasks(t *testing.T, cfg Config) (Config, int64, *pass, []task) {
 	t.Helper()
 	c, runSeed, run := testPass(t, cfg)
 	points, err := pickPoints(len(run.trace), c.Points, runSeed)
@@ -46,15 +45,90 @@ func forEachCrashImage(t *testing.T, cfg Config, f func(pt *pointCtx, img *memde
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := run.preImages(tasks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return c, runSeed, run, tasks
+}
+
+// forEachCrashImage calls f with every crash image, unrecovered, that an
+// exploration of cfg judges, together with its point's context, whose
+// pre-image a cursor built with its incrementally maintained heap digest.
+// The image and every clone f makes of it live until f returns.
+func forEachCrashImage(t *testing.T, cfg Config, f func(pt *pointCtx, img *memdev.Store)) {
+	t.Helper()
+	c, runSeed, run, tasks := testTasks(t, cfg)
+	cur := run.newCursor(true, heapDigest(run.start))
 	arena := new(memdev.Arena)
+	var pt *pointCtx
 	for _, tk := range tasks {
-		pt := &pointCtx{trace: run.trace, point: tk.point, pre: pre[tk.wStart], arena: arena}
+		if pt == nil || pt.point != tk.point {
+			pt = &pointCtx{trace: run.trace, point: tk.point, pre: cur.preImage(tk.wStart), arena: arena}
+		}
 		f(pt, pt.crashImage(tk, c.tornWords(runSeed, run.trace, tk.point)))
 		arena.Reset()
+	}
+}
+
+// writtenLine is one line of a store's ForEachLine walk.
+type writtenLine struct {
+	addr uint64
+	data memdev.Line
+}
+
+// lines lists every line st ever wrote, in address order.
+func lines(st *memdev.Store) []writtenLine {
+	var out []writtenLine
+	st.ForEachLine(func(addr uint64, data memdev.Line) {
+		out = append(out, writtenLine{addr, data})
+	})
+	return out
+}
+
+// TestCursorPreImagesMatchSerialReplay checks every pre-image a judging
+// worker's cursor freezes — store and heap digest — against a serial replay
+// of the trace, at every window start of a W=2 exhaustive exploration: for
+// one cursor taking every point, for cursors taking every second or third
+// point as the workers of a pool do, and for one sent back to an earlier
+// window start, which replays from the start image again.
+func TestCursorPreImagesMatchSerialReplay(t *testing.T) {
+	for _, cfg := range incrementalConfigs {
+		_, _, run, tasks := testTasks(t, cfg)
+		// serial[i] is the image holding writes [0, i).
+		serial := []*memdev.Store{frozenClone(run.start)}
+		st := run.start.Clone()
+		for _, ev := range run.trace {
+			applyEvent(st, ev)
+			serial = append(serial, frozenClone(st))
+		}
+		var starts []uint64
+		for i, tk := range tasks {
+			if i == 0 || tk.point != tasks[i-1].point {
+				starts = append(starts, tk.wStart)
+			}
+		}
+		if len(starts) < 3 || starts[0] == starts[len(starts)-1] {
+			t.Fatalf("%s: %d window starts, from %d to %d", cfg.Design, len(starts), starts[0], starts[len(starts)-1])
+		}
+		check := func(cur *cursor, wStart uint64) {
+			t.Helper()
+			pre := cur.preImage(wStart)
+			want := serial[wStart]
+			if !slices.Equal(lines(pre.st), lines(want)) {
+				t.Fatalf("%s: pre-image at window start %d differs from the serial replay", cfg.Design, wStart)
+			}
+			if got, want := pre.digest, heapDigest(want); got != want {
+				t.Fatalf("%s: pre-image digest at window start %d is %016x, serial replay %016x", cfg.Design, wStart, got, want)
+			}
+		}
+		for workers := 1; workers <= 3; workers++ {
+			for w := range workers {
+				cur := run.newCursor(true, heapDigest(run.start))
+				for g := w; g < len(starts); g += workers {
+					check(cur, starts[g])
+				}
+			}
+		}
+		cur := run.newCursor(true, heapDigest(run.start))
+		check(cur, starts[len(starts)-1])
+		check(cur, starts[1])
 	}
 }
 

@@ -40,7 +40,9 @@ func (r *recorder) PersistWrite(_ uint64, ev memdev.PersistEvent) {
 
 // pass is the record of an exploration's one run: every durable write it
 // made, in order, together with the durable images before the first and
-// after the last of them. Every crash image is built from it.
+// after the last of them. Every crash image is built from it: the trace
+// replayed onto start ends at final (countPass checks it), so it is the
+// complete record of durable writes.
 type pass struct {
 	w     workloads.Workload // the run's workload object
 	trace []traceEvent
@@ -73,7 +75,8 @@ func (c Config) prepare(seed int64) (config.Config, *snapshot.Prepared, error) {
 // countPass also sanity-checks the baseline — the final durable image must
 // recover as a no-op and satisfy the workload's invariants — because a
 // workload that is inconsistent without any crash would fail every point
-// for the wrong reason.
+// for the wrong reason, and replays the trace onto the start image once,
+// which must end at the final image.
 func (c Config) countPass(seed int64) (*pass, error) {
 	hw, prep, err := c.prepare(seed)
 	if err != nil {
@@ -117,6 +120,13 @@ func (c Config) countPass(seed int64) (*pass, error) {
 	if err := p.w.Verify(img); err != nil {
 		return nil, fmt.Errorf("crashtest: baseline image violates workload invariants without any crash: %w", err)
 	}
+	replay := p.start.Clone()
+	for _, ev := range p.trace {
+		applyEvent(replay, ev)
+	}
+	if !replay.Equal(p.final) {
+		return nil, errors.New("crashtest: the persist trace does not reproduce the run's final image")
+	}
 	return p, nil
 }
 
@@ -134,55 +144,69 @@ type preImage struct {
 	digest uint64
 }
 
-// preImages replays the trace onto the start image and, at every window
-// start tasks need, freezes a copy: the image in which writes [0, wStart)
-// are durable and no later one is — all volatile state is absent by
-// construction. Each distinct window start is captured once, however many
-// points share it. With digests, each copy carries its heapDigest, kept
-// current across the replay by swapping out and in the mixes of the lines
-// each write touches. The replay must end at the run's final image: that is
-// what makes the trace the complete record of durable writes every crash
-// image is built from.
-func (p *pass) preImages(tasks []task, digests bool) (map[uint64]preImage, error) {
-	pre := make(map[uint64]preImage)
-	for _, tk := range tasks {
-		pre[tk.wStart] = preImage{}
+// cursor replays a pass's trace forward on a store of its own, so a
+// judging worker can build the pre-image of each point it takes without
+// anyone keeping the pre-images of the others: at is how many writes st
+// holds, and digest, when kept, is st's heapDigest, moved across each write
+// by swapping out and in the mixes of the lines it touches.
+type cursor struct {
+	run     *pass
+	st      *memdev.Store
+	at      int
+	digests bool
+	digest  uint64
+	// startDigest is heapDigest(run.start), when the cursor keeps digests.
+	startDigest uint64
+}
+
+// newCursor returns a cursor at the start of p's trace; startDigest is
+// heapDigest(p.start) when the cursor keeps digests.
+func (p *pass) newCursor(digests bool, startDigest uint64) *cursor {
+	c := &cursor{run: p, digests: digests, startDigest: startDigest}
+	c.rewind()
+	return c
+}
+
+// rewind moves the cursor back to the start image.
+func (c *cursor) rewind() {
+	c.st, c.at, c.digest = c.run.start.Clone(), 0, c.startDigest
+}
+
+// preImage replays writes up to wStart and freezes a copy: the image in
+// which writes [0, wStart) are durable and no later one is — all volatile
+// state is absent by construction. A worker's window starts ascend — it
+// takes points in ascending order, and a point's window never starts before
+// an earlier point's — so the replay only moves forward; a start behind the
+// cursor replays from the start image again.
+func (c *cursor) preImage(wStart uint64) preImage {
+	if int(wStart) < c.at {
+		c.rewind()
 	}
-	st := p.start.Clone()
-	var dg uint64
-	if digests {
-		dg = heapDigest(p.start)
-	}
-	for i, ev := range p.trace {
-		if _, ok := pre[uint64(i)]; ok {
-			pre[uint64(i)] = preImage{st: frozenClone(st), digest: dg}
+	for ; c.at < int(wStart); c.at++ {
+		ev := c.run.trace[c.at]
+		if c.digests {
+			c.digest ^= eventMix(c.st, ev)
 		}
-		if digests {
-			dg ^= eventMix(st, ev)
-		}
-		applyEvent(st, ev)
-		if digests {
-			dg ^= eventMix(st, ev)
+		applyEvent(c.st, ev)
+		if c.digests {
+			c.digest ^= eventMix(c.st, ev)
 		}
 	}
-	if !st.Equal(p.final) {
-		return nil, errors.New("crashtest: the persist trace does not reproduce the run's final image")
-	}
-	return pre, nil
+	return preImage{st: frozenClone(c.st), digest: c.digest}
 }
 
 // judgePoint judges every crash image of one crash point — tasks, one per
 // adversary mask — into the matching slot of out, calling done after each.
-// All masks share the point's frozen pre-image from pre, and each builds
-// its image from a clone of it in arena, which is reset after every image:
-// no store of one image outlives its judging. A panic in recovery or an
-// oracle (e.g. recovery walking a log the adversary corrupted) is recovered
-// and reported as that image's failure: one pathological crash image must
-// not kill the sweep.
-func (c Config) judgePoint(seed int64, run *pass, pre map[uint64]preImage, w workloads.Workload, tasks []task, dc *diffCtx, arena *memdev.Arena, out []PointResult, done func()) {
+// All masks share the point's frozen pre-image pre, and each builds its
+// image from a clone of it in arena, which is reset after every image: no
+// store of one image outlives its judging. A panic in recovery or an oracle
+// (e.g. recovery walking a log the adversary corrupted) is recovered and
+// reported as that image's failure: one pathological crash image must not
+// kill the sweep.
+func (c Config) judgePoint(seed int64, run *pass, pre preImage, w workloads.Workload, tasks []task, dc *diffCtx, arena *memdev.Arena, out []PointResult, done func()) {
 	k, trace := tasks[0].point, run.trace
 	torn := c.tornWords(seed, trace, k)
-	pt := &pointCtx{trace: trace, point: k, pre: pre[tasks[0].wStart], w: w, dc: dc, arena: arena}
+	pt := &pointCtx{trace: trace, point: k, pre: pre, w: w, dc: dc, arena: arena}
 	pt.info, pt.infoErr = run.txs.prefix(k)
 	for i, tk := range tasks {
 		out[i] = PointResult{Point: k, Class: trace[k].class.String(), TornWords: torn}

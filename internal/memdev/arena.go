@@ -1,14 +1,15 @@
 package memdev
 
-// Arena recycles the directories and leaves of short-lived stores: every
-// store made by CloneIn, and every clone of one, takes the nodes its writes
-// copy or first touch from the arena instead of the heap, and Reset hands
-// all of them out again. Nothing is freed until the arena itself is
-// unreachable. The lifetime rule is the caller's to keep: every store of an
-// arena is dead at its Reset — a write to one panics, a read returns
-// undefined data — so Reset only where none of them is used again. An
-// arena, like a live store, belongs to one goroutine at a time.
+// Arena recycles the root tables, directories and leaves of short-lived
+// stores: every store made by CloneIn, and every clone of one, takes the
+// nodes its writes copy or first touch from the arena instead of the heap,
+// and Reset hands all of them out again. Nothing is freed until the arena
+// itself is unreachable. The lifetime rule is the caller's to keep: every
+// store of an arena is dead at its Reset — a write to one panics, a read
+// returns undefined data — so Reset only where none of them is used again.
+// An arena, like a live store, belongs to one goroutine at a time.
 type Arena struct {
+	roots  slab[[rootDirs]*dir] // root tables, each sliced to the length needed
 	dirs   slab[dir]
 	leaves slab[leaf]
 	// epoch counts Resets; a store made in an earlier epoch is dead.
@@ -47,14 +48,14 @@ func (a *Arena) Reset() {
 	for _, d := range a.dirs.nodes[:a.dirs.used] {
 		d.owner = deadOwner
 	}
-	a.dirs.used, a.leaves.used = 0, 0
+	a.roots.used, a.dirs.used, a.leaves.used = 0, 0, 0
 	a.epoch++
 }
 
-// Used reports how many directories and leaves the arena has handed out
-// since its last Reset: one per node its stores' writes copied or first
-// touched.
-func (a *Arena) Used() int { return a.dirs.used + a.leaves.used }
+// Used reports how many root tables, directories and leaves the arena has
+// handed out since its last Reset: one per node its stores' writes copied
+// or first touched.
+func (a *Arena) Used() int { return a.roots.used + a.dirs.used + a.leaves.used }
 
 // dead reports whether the store's arena was Reset since it was made.
 func (s *Store) dead() bool { return s.arena != nil && s.epoch != s.arena.epoch }
@@ -74,28 +75,33 @@ func (a *Arena) leafSlab() *slab[leaf] {
 	return &a.leaves
 }
 
-// copyNode returns a node holding *src, or the zero value when src is nil:
-// the next free node of sl overwritten in full, or a new one from the heap
-// when sl is nil or has no free node left.
-func copyNode[T any](sl *slab[T], src *T) *T {
-	var n *T
-	switch {
-	case sl == nil:
-		n = new(T)
-	case sl.used < len(sl.nodes):
-		n = sl.nodes[sl.used]
-		sl.used++
-		if src == nil {
-			var zero T
-			*n = zero
-		}
-	default:
-		n = new(T)
-		sl.nodes = append(sl.nodes, n)
-		sl.used++
+// next hands out the slab's next free node as it was left — zero only if
+// it is new — growing the slab when none is free.
+func (sl *slab[T]) next() *T {
+	if sl.used == len(sl.nodes) {
+		sl.nodes = append(sl.nodes, new(T))
 	}
+	sl.used++
+	return sl.nodes[sl.used-1]
+}
+
+// copyNode returns a node holding *src, or the zero value when src is nil:
+// the next node of sl overwritten in full, or a new one from the heap when
+// sl is nil.
+func copyNode[T any](sl *slab[T], src *T) *T {
+	if sl == nil {
+		n := new(T)
+		if src != nil {
+			*n = *src
+		}
+		return n
+	}
+	n := sl.next()
 	if src != nil {
 		*n = *src
+	} else {
+		var zero T
+		*n = zero
 	}
 	return n
 }

@@ -75,8 +75,8 @@ func TestCloneSharesUntouchedSlabs(t *testing.T) {
 	}
 }
 
-// TestCloneChainAndCounts checks clone-of-clone isolation and that
-// LineCount/Equal stay correct across copy-on-write copies.
+// TestCloneChainAndCounts checks clone-of-clone isolation and that line
+// counts and Equal stay correct across copy-on-write copies.
 func TestCloneChainAndCounts(t *testing.T) {
 	s := NewStore()
 	for i := uint64(0); i < 100; i++ {
@@ -87,11 +87,11 @@ func TestCloneChainAndCounts(t *testing.T) {
 	if !s.Equal(a) || !s.Equal(b) {
 		t.Fatalf("clones not equal to source")
 	}
-	if a.LineCount() != s.LineCount() || b.LineCount() != s.LineCount() {
-		t.Fatalf("clone line counts diverge: %d %d %d", s.LineCount(), a.LineCount(), b.LineCount())
+	if lineCount(a) != lineCount(s) || lineCount(b) != lineCount(s) {
+		t.Fatalf("clone line counts diverge: %d %d %d", lineCount(s), lineCount(a), lineCount(b))
 	}
 	b.WriteWord(100*64, 1) // new line only in b
-	if b.LineCount() != s.LineCount()+1 || a.LineCount() != s.LineCount() {
+	if lineCount(b) != lineCount(s)+1 || lineCount(a) != lineCount(s) {
 		t.Fatalf("copy-on-write write miscounted lines")
 	}
 	if s.Equal(b) || !s.Equal(a) {

@@ -34,12 +34,16 @@ func modelAddr(rng *rand.Rand) uint64 {
 	return base - off - LineBytes + uint64(rng.Intn(WordsPerLine))*8
 }
 
+// lineCount is how many distinct lines st has ever written.
+func lineCount(st *Store) int {
+	n := 0
+	st.ForEachLine(func(uint64, Line) { n++ })
+	return n
+}
+
 // checkModel compares every read-side view of st with its model.
 func checkModel(t *testing.T, st *Store, m model, rng *rand.Rand) {
 	t.Helper()
-	if st.LineCount() != len(m) {
-		t.Fatalf("LineCount %d, model %d", st.LineCount(), len(m))
-	}
 	want := slices.Sorted(maps.Keys(m))
 	var got []uint64
 	st.ForEachLine(func(addr uint64, data Line) {
@@ -161,8 +165,8 @@ func TestNoOpWriteKeepsLeafShared(t *testing.T) {
 			if c.leafOf(addr) != s.leafOf(addr) || c.dirAt(addr>>dirByteShift) != s.dirAt(addr>>dirByteShift) {
 				t.Fatalf("%#x: a no-op write copied a shared leaf", addr)
 			}
-			if st.LineCount() != 2 {
-				t.Fatalf("%#x: no-op writes left %d populated lines, want 2", addr, st.LineCount())
+			if n := lineCount(st); n != 2 {
+				t.Fatalf("%#x: no-op writes left %d populated lines, want 2", addr, n)
 			}
 		}
 
@@ -170,9 +174,9 @@ func TestNoOpWriteKeepsLeafShared(t *testing.T) {
 		// populates it, so it copies; the clone's image moves, the source's
 		// does not.
 		c.WriteWord(unwritten, 0)
-		if c.leafOf(addr) == s.leafOf(addr) || c.LineCount() != 3 || s.LineCount() != 2 {
+		if c.leafOf(addr) == s.leafOf(addr) || lineCount(c) != 3 || lineCount(s) != 2 {
 			t.Fatalf("%#x: populating a zero line: shared %v, counts %d/%d", addr,
-				c.leafOf(addr) == s.leafOf(addr), c.LineCount(), s.LineCount())
+				c.leafOf(addr) == s.leafOf(addr), lineCount(c), lineCount(s))
 		}
 		c = s.Clone()
 		c.WriteWord(addr+8, 7)
@@ -206,24 +210,62 @@ func TestNoOpWriteToFrozenStorePanics(t *testing.T) {
 	}
 }
 
-// TestStoreMatchesModel drives random writes, clone chains and freezes
-// against the naive map model, checking every read-side view after each
-// step. The arena families also clone frozen stores into an arena and
+// TestStoreMatchesModel drives random writes (no-op rewrites included),
+// clone chains and freezes against the naive map model, checking every
+// read-side view after each step, and Diff and Equal against a compare of
+// every line. The arena families also clone frozen stores into an arena and
 // reset it: the arena's stores — every store cloned from one, too — die at
 // the reset, a write to one of them panics, and every store made since
 // must read exactly as its model, whatever the recycled nodes held before.
+// The Diff checks must meet each kind of unshared leaf pair mayDiffer tells
+// apart, with lines that differ.
 func TestStoreMatchesModel(t *testing.T) {
+	var kinds pairKinds
 	for _, family := range []string{"", "arena-"} {
 		for seed := int64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprint(family, seed), func(t *testing.T) {
-				testStoreModel(t, seed, family != "")
+				testStoreModel(t, seed, family != "", &kinds)
 			})
+		}
+	}
+	for kind, n := range kinds {
+		if n == 0 {
+			t.Errorf("no differing leaf pair of kind %d (same root, one the other's root, unrelated) was compared", kind)
+		}
+	}
+}
+
+// pairKinds counts the unshared leaf pairs, both written, whose contents
+// differ: [0] copies of one chain, [1] a leaf and its chain's root, [2]
+// leaves of different chains.
+type pairKinds [3]int
+
+// count adds the leaf pairs of a and b to k.
+func (k *pairKinds) count(a, b *Store) {
+	for i := range uint64(max(len(a.root), len(b.root))) {
+		d, od := a.dirAt(i), b.dirAt(i)
+		if d == od {
+			continue
+		}
+		for j, l := range d.leaves {
+			ol := od.leaves[j]
+			if l == nil || ol == nil || l == ol || l.lines == ol.lines && l.written == ol.written {
+				continue
+			}
+			switch {
+			case l.base == ol.base && l.base != nil:
+				k[0]++
+			case l.base == ol || ol.base == l:
+				k[1]++
+			default:
+				k[2]++
+			}
 		}
 	}
 }
 
 // testStoreModel runs one seed of TestStoreMatchesModel.
-func testStoreModel(t *testing.T, seed int64, withArena bool) {
+func testStoreModel(t *testing.T, seed int64, withArena bool, kinds *pairKinds) {
 	rng := rand.New(rand.NewSource(seed))
 	arena := new(Arena)
 	stores := []*Store{NewStore()}
@@ -241,6 +283,18 @@ func testStoreModel(t *testing.T, seed int64, withArena bool) {
 			a := modelAddr(rng)
 			la := a &^ (LineBytes - 1)
 			l := m[la]
+			if len(m) > 0 && rng.Intn(4) == 0 {
+				// A no-op write: a written line rewritten with its data.
+				addrs := slices.Sorted(maps.Keys(m))
+				la = addrs[rng.Intn(len(addrs))]
+				if op < 3 {
+					st.WriteLine(la, m[la])
+				} else {
+					w := rng.Intn(WordsPerLine)
+					st.WriteWord(la+uint64(w*8), m[la][w])
+				}
+				break
+			}
 			if op < 3 {
 				var data Line
 				if rng.Intn(3) != 0 {
@@ -305,6 +359,7 @@ func testStoreModel(t *testing.T, seed int64, withArena bool) {
 		j := rng.Intn(len(stores))
 		checkPair(t, st, stores[j], m, models[j])
 		checkPair(t, stores[j], st, models[j], m)
+		kinds.count(st, stores[j])
 	}
 }
 

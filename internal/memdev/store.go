@@ -52,11 +52,21 @@ const (
 // leaf is one slab of contiguous lines plus a bitmap of the lines that have
 // ever been written. The bitmap preserves the semantics of the original
 // map-based store: a line written with all-zero data is "populated" and
-// distinguishable from a never-touched (zero-filled) line, so LineCount,
-// ForEachLine and the gob image format are unchanged.
+// distinguishable from a never-touched (zero-filled) line, so ForEachLine
+// and the gob image format are unchanged.
+//
+// A leaf made by a copy-on-write copy also remembers its first ancestor:
+// base is the leaf at the root of its chain of copies (nil for a leaf first
+// touched as empty, which is its own root), and changed marks the lines
+// written since that root was copied. A leaf is copied only once no store
+// may write it in place, so base never changes after the copy, and every
+// line outside changed holds base's data and written bit. Two leaves of one
+// chain therefore differ at most in the lines either marks changed.
 type leaf struct {
 	lines   [leafLines]Line
 	written [leafLines / 64]uint64
+	base    *leaf
+	changed [leafLines / 64]uint64
 }
 
 // dir is one directory of the table.
@@ -103,9 +113,6 @@ var editTokens atomic.Uint64
 type Store struct {
 	root []*dir          // indexed by directory number, grown on demand
 	far  map[uint64]*dir // directories at or above rootDirs (cold fallback)
-	// populated counts lines whose written bit is set, i.e. distinct lines
-	// ever written.
-	populated int
 
 	// edit is this store's edit token, drawn lazily on the first write after
 	// creation or a Clone; 0 owns nothing.
@@ -212,23 +219,33 @@ func (s *Store) writableSlow(addr uint64) *leaf {
 	j := (addr >> leafByteShift) & dirLeafMask
 	w, b := j>>6, uint64(1)<<(j&63)
 	if d.owned[w]&b == 0 {
-		// A leaf shared with another image is copied (4 KB); a first touch
-		// gets an empty one.
-		d.leaves[j] = copyNode(s.arena.leafSlab(), d.leaves[j])
+		// A leaf shared with another image is copied (4 KB), keeping its
+		// chain's root as base; a first touch gets an empty one.
+		src := d.leaves[j]
+		l := copyNode(s.arena.leafSlab(), src)
+		if src != nil && src.base == nil {
+			l.base, l.changed = src, [leafLines / 64]uint64{}
+		}
+		d.leaves[j] = l
 		d.owned[w] |= b
 	}
 	return d.leaves[j]
 }
 
 // ownRoot gives the store a private root table long enough to index
-// directory i. Growth doubles the length so ascending first touches cost
-// amortized O(1) table copies.
+// directory i, from its arena if it has one. Growth doubles the length so
+// ascending first touches cost amortized O(1) table copies.
 func (s *Store) ownRoot(i uint64) {
 	n := uint64(len(s.root))
 	if i >= n {
 		n = min(max(i+1, 2*n), rootDirs)
 	}
-	root := make([]*dir, n)
+	var root []*dir
+	if s.arena != nil {
+		root = s.arena.roots.next()[:n]
+	} else {
+		root = make([]*dir, n)
+	}
 	for j := copy(root, s.root); j < len(root); j++ {
 		root[j] = &emptyDir
 	}
@@ -257,14 +274,11 @@ func (l *leaf) isWritten(slot uint64) bool {
 	return l.written[slot>>6]&(1<<(slot&63)) != 0
 }
 
-// markWritten sets the written bit for the line slot of l, maintaining the
-// populated-line count.
-func (s *Store) markWritten(l *leaf, slot uint64) {
+// markWritten sets the written and changed bits for the line slot of l.
+func (l *leaf) markWritten(slot uint64) {
 	w, b := slot>>6, uint64(1)<<(slot&63)
-	if l.written[w]&b == 0 {
-		l.written[w] |= b
-		s.populated++
-	}
+	l.written[w] |= b
+	l.changed[w] |= b
 }
 
 // ReadWord returns the 8-byte word at addr (addr must be 8-byte aligned).
@@ -284,7 +298,7 @@ func (s *Store) WriteWord(addr uint64, val uint64) {
 		}
 		l = s.writableSlow(addr)
 	}
-	s.markWritten(l, slot)
+	l.markWritten(slot)
 	l.lines[slot][wordIndex(addr)] = val
 }
 
@@ -306,12 +320,9 @@ func (s *Store) WriteLine(addr uint64, data Line) {
 		}
 		l = s.writableSlow(addr)
 	}
-	s.markWritten(l, slot)
+	l.markWritten(slot)
 	l.lines[slot] = data
 }
-
-// LineCount reports how many distinct lines have ever been written.
-func (s *Store) LineCount() int { return s.populated }
 
 // ForEachLine visits every populated line in ascending address order.
 // The callback receives a copy of the line data.
@@ -352,8 +363,9 @@ var zeroLine Line
 // tables, is identical by construction — and whole directories and leaves
 // below from are skipped, so comparing two images cloned from a common
 // ancestor costs the leaves either side wrote since in the range asked for,
-// not the image size. Both lines are read-only views valid only for the
-// call.
+// not the image size. Within a leaf, two copies of one chain compare only
+// the lines either changed since the chain's root (see leaf). Both lines are
+// read-only views valid only for the call.
 func (s *Store) Diff(o *Store, from uint64, f func(addr uint64, mine, theirs *Line, mineWrote bool) bool) {
 	// Floors compare shifted indices: an end address of the top directory or
 	// leaf would overflow the 64-bit space.
@@ -396,7 +408,7 @@ func diffDir(i uint64, d, od *dir, from uint64, f func(addr uint64, mine, theirs
 			if ol != nil {
 				ow = ol.written[w]
 			}
-			for word := mw | ow; word != 0; word &= word - 1 {
+			for word := (mw | ow) & mayDiffer(l, ol, w); word != 0; word &= word - 1 {
 				slot := w<<6 + bits.TrailingZeros64(word)
 				addr := base + uint64(slot)<<6
 				if addr < from {
@@ -422,6 +434,24 @@ func diffDir(i uint64, d, od *dir, from uint64, f func(addr uint64, mine, theirs
 	return true
 }
 
+// mayDiffer returns the lines of word w of leaves l and ol that can differ:
+// within one chain of copies only the lines either changed since the
+// chain's root, when one leaf is the other's root only the lines the copy
+// changed, and otherwise every line.
+func mayDiffer(l, ol *leaf, w int) uint64 {
+	switch {
+	case l == nil || ol == nil:
+		return ^uint64(0)
+	case l.base == ol:
+		return l.changed[w]
+	case ol.base == l:
+		return ol.changed[w]
+	case l.base == ol.base && l.base != nil:
+		return l.changed[w] | ol.changed[w]
+	}
+	return ^uint64(0)
+}
+
 // Clone returns an independent image with identical contents in O(1): both
 // images share the root table, directories and leaves, and the first write
 // on either side copies just what it touches. Cloning a frozen store writes
@@ -431,7 +461,7 @@ func diffDir(i uint64, d, od *dir, from uint64, f func(addr uint64, mine, theirs
 // arena, if any. The far map — directories outside the 2 GB simulated
 // range — is copied eagerly; it is almost always empty.
 func (s *Store) Clone() *Store {
-	c := &Store{root: s.root, populated: s.populated, rootShared: true, arena: s.arena, epoch: s.epoch}
+	c := &Store{root: s.root, rootShared: true, arena: s.arena, epoch: s.epoch}
 	if len(s.far) > 0 {
 		c.far = maps.Clone(s.far)
 	}

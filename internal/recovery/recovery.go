@@ -58,13 +58,15 @@ type lineRef struct {
 	next int // the next record of its chain, -1 at the end
 }
 
-// scratch is a recovery run's working memory: the transactions it found, in
-// order of discovery (log order within a thread), their index by key, and
-// the line references their chains run through. Runs recycle it through a
-// pool, so recovering many images reuses one set of slices: crash
-// exploration recovers every judged image twice, and fresh slices per run
-// cost it half again its allocated bytes.
+// scratch is a recovery run's working memory: the log registry's handles,
+// the transactions it found, in order of discovery (log order within a
+// thread), their index by key, and the line references their chains run
+// through. Runs recycle it through a pool, so recovering many images reuses
+// one set of handles and slices: crash exploration recovers every judged
+// image twice, and fresh slices per run cost it half again its allocated
+// bytes.
 type scratch struct {
+	reg   wal.Registry
 	txs   []txImage
 	index map[TxKey]int
 	refs  []lineRef
@@ -110,17 +112,17 @@ func (r *Report) String() string {
 // writing it back could change a line recovery has yet to read), makes the
 // image corrupt: Recover returns an error before it writes anything.
 func Recover(store *memdev.Store) (*Report, error) {
-	reg, err := wal.LoadRegistry(store)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{}
 	sc := scratchPool.Get().(*scratch)
 	defer func() {
 		sc.txs, sc.refs = sc.txs[:0], sc.refs[:0]
 		clear(sc.index)
 		scratchPool.Put(sc)
 	}()
+	reg := &sc.reg
+	if err := reg.Load(store); err != nil {
+		return nil, err
+	}
+	rep := &Report{}
 
 	for t := 0; t < reg.Threads(); t++ {
 		// A bad record is reported only once the whole log decoded: a log

@@ -348,18 +348,21 @@ func (rs *ResultSet) Elapsed() time.Duration {
 	return d
 }
 
-// ForEach runs fn(i) for every i in [0, n) on a pool of workers goroutines
-// (<= 0 means GOMAXPROCS) and returns when all calls have finished. It is the
+// ForEach runs fn(w, i) for every i in [0, n) on a pool of workers
+// goroutines (<= 0 means GOMAXPROCS, and never more than n) and returns when
+// all calls have finished. w in [0, workers) names the goroutine a call runs
+// on: calls of one w never overlap, and the indices each w sees ascend, so a
+// worker may keep state across its calls that only moves forward. It is the
 // raw fan-out primitive under Run; other sweep-shaped subsystems (the
 // crash-point explorer) reuse it to scale across host cores. fn must be safe
-// to call concurrently for distinct indices.
+// to call concurrently for distinct workers.
 //
 // Cancelling ctx stops the dispatch of further indices; calls already in
 // flight run to completion (a simulation cell cannot be interrupted
 // mid-run), so ForEach still returns only when every started call has
 // finished. It reports the number of indices dispatched — n unless the
 // context was cancelled.
-func ForEach(ctx context.Context, n, workers int, fn func(i int)) int {
+func ForEach(ctx context.Context, n, workers int, fn func(w, i int)) int {
 	if n <= 0 {
 		return 0
 	}
@@ -376,7 +379,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int)) int {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -427,7 +430,7 @@ func run(ctx context.Context, plan Plan, exec ExecFunc, opts Options, memo *Memo
 		mu   sync.Mutex // serializes Progress and the done counter
 		done int
 	)
-	dispatched := ForEach(ctx, len(plan.Cells), opts.Parallel, func(i int) {
+	dispatched := ForEach(ctx, len(plan.Cells), opts.Parallel, func(_, i int) {
 		cell := seeded(plan.Cells[i], opts.Seed)
 		start := time.Now()
 		var res Result

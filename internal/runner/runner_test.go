@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -218,12 +220,38 @@ func TestResultStatsAreSnapshotted(t *testing.T) {
 
 // TestForEachCoversEveryIndexConcurrently checks the raw fan-out primitive:
 // every index runs exactly once, at any worker-pool size (including larger
-// than n and the GOMAXPROCS default), and an empty range is a no-op.
+// than n and the GOMAXPROCS default), each on a worker in range whose calls
+// never overlap and whose indices ascend, and an empty range is a no-op.
+// The first call of every worker waits for all of them, so they overlap.
 func TestForEachCoversEveryIndexConcurrently(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		var hits [37]int32
-		ForEach(context.Background(), len(hits), workers, func(i int) {
+		pool := workers
+		if pool <= 0 {
+			pool = runtime.GOMAXPROCS(0)
+		}
+		pool = min(pool, len(hits))
+		last, busy := make([]int, pool), make([]atomic.Bool, pool)
+		for w := range last {
+			last[w] = -1
+		}
+		var first sync.WaitGroup
+		first.Add(pool)
+		ForEach(context.Background(), len(hits), workers, func(w, i int) {
 			atomic.AddInt32(&hits[i], 1)
+			ok := w < pool && !busy[w].Swap(true) && i > last[w]
+			if ok {
+				last[w] = i
+			} else {
+				t.Errorf("workers=%d: index %d on worker %d, out of range, busy or not ascending", workers, i, w)
+			}
+			if i < pool {
+				first.Done()
+				first.Wait()
+			}
+			if ok {
+				busy[w].Store(false)
+			}
 		})
 		for i, n := range hits {
 			if n != 1 {
@@ -231,7 +259,7 @@ func TestForEachCoversEveryIndexConcurrently(t *testing.T) {
 			}
 		}
 	}
-	ForEach(context.Background(), 0, 4, func(int) { t.Fatalf("fn called for an empty range") })
+	ForEach(context.Background(), 0, 4, func(int, int) { t.Fatalf("fn called for an empty range") })
 }
 
 // TestRunCancellation checks clean cancellation: in-flight cells finish and
@@ -276,7 +304,7 @@ func TestRunCancellation(t *testing.T) {
 func TestForEachStopsDispatchOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	dispatched := ForEach(ctx, 1000, 1, func(i int) {
+	dispatched := ForEach(ctx, 1000, 1, func(int, int) {
 		if ran.Add(1) == 3 {
 			cancel()
 		}

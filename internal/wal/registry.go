@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dhtm/internal/memdev"
 )
@@ -135,17 +136,33 @@ func NewRegistry(ctl *memdev.Controller, n int, logBytes, ovEntries int) *Regist
 }
 
 // LoadRegistry reconstructs registry handles from a persistent-memory image
-// (the recovery manager's entry point after a crash).
+// (the recovery manager's entry point after a crash) into a new Registry.
 func LoadRegistry(store *memdev.Store) (*Registry, error) {
+	r := &Registry{}
+	if err := r.Load(store); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Load refills r with the registry handles of a persistent-memory image,
+// reusing the ThreadLog and OverflowList handles r already holds, so a
+// caller that recovers many images allocates them once. The handles have
+// no controller: they read the image and append nothing.
+func (r *Registry) Load(store *memdev.Store) error {
 	if store.ReadWord(RegistryTableAddr) != registryMagic {
-		return nil, fmt.Errorf("wal: no log registry found at %#x", RegistryTableAddr)
+		return fmt.Errorf("wal: no log registry found at %#x", RegistryTableAddr)
 	}
 	n := int(store.ReadWord(RegistryTableAddr + 8))
 	if n <= 0 || n > 256 {
-		return nil, fmt.Errorf("wal: implausible registered thread count %d", n)
+		return fmt.Errorf("wal: implausible registered thread count %d", n)
 	}
-	r := &Registry{}
-	for t := 0; t < n; t++ {
+	r.ctl = nil
+	r.logs, r.lists = slices.Grow(r.logs[:0], n)[:n], slices.Grow(r.lists[:0], n)[:n]
+	for t := range n {
+		if r.logs[t] == nil {
+			r.logs[t], r.lists[t] = new(ThreadLog), new(OverflowList)
+		}
 		entry := RegistryTableAddr + uint64((registryHeaderWords+t*registryEntryWords)*8)
 		logBase := store.ReadWord(entry + 0*8)
 		sizeWords := int(store.ReadWord(entry + 1*8))
@@ -153,13 +170,13 @@ func LoadRegistry(store *memdev.Store) (*Registry, error) {
 		ovBase := store.ReadWord(entry + 3*8)
 		ovCap := int(store.ReadWord(entry + 4*8))
 		ovCountAddr := store.ReadWord(entry + 5*8)
-		r.logs = append(r.logs, attachThreadLog(store, t, logBase, sizeWords, metaAddr))
-		r.lists = append(r.lists, &OverflowList{
+		r.logs[t].attach(store, t, logBase, sizeWords, metaAddr)
+		*r.lists[t] = OverflowList{
 			Thread: t, Base: ovBase, Capacity: ovCap, CountAddr: ovCountAddr,
 			count: int(store.ReadWord(ovCountAddr)),
-		})
+		}
 	}
-	return r, nil
+	return nil
 }
 
 // Threads returns the number of registered threads.

@@ -69,10 +69,10 @@ func newThreadLog(ctl *memdev.Controller, thread int, base uint64, sizeWords, ma
 	return l
 }
 
-// attachThreadLog reconstructs a ThreadLog handle from persisted metadata
-// (used by the recovery manager, which has no in-memory state).
-func attachThreadLog(store *memdev.Store, thread int, base uint64, sizeWords int, metaAddr uint64) *ThreadLog {
-	return &ThreadLog{
+// attach makes l the handle of a log from persisted metadata (used by the
+// recovery manager, which has no in-memory state).
+func (l *ThreadLog) attach(store *memdev.Store, thread int, base uint64, sizeWords int, metaAddr uint64) {
+	*l = ThreadLog{
 		Thread:    thread,
 		Base:      base,
 		SizeWords: sizeWords,

@@ -3,7 +3,9 @@ package wal
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -262,6 +264,48 @@ func TestRegistryReload(t *testing.T) {
 	}
 	if len(recs) != 2 || recs[1].Type != RecCommit {
 		t.Fatalf("reloaded log contents wrong: %+v", recs)
+	}
+}
+
+// TestRegistryLoadReusesHandles checks that Registry.Load refills the
+// handles a registry already holds: loading images of 3, 2 and again 3
+// threads into one registry keeps every handle it had, reads each image as
+// LoadRegistry does, and stops at a bad image without touching the handles.
+func TestRegistryLoadReusesHandles(t *testing.T) {
+	images := make([]*memdev.Store, 0, 3)
+	for i, n := range []int{3, 2, 3} {
+		ctl := newTestController()
+		reg := NewRegistry(ctl, n, (i+1)*1024, 16*(i+1))
+		ov := reg.Overflow(n - 1)
+		if _, err := ov.Append(0x40, 0); err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, ctl.Store())
+	}
+	var r Registry
+	var held []*ThreadLog
+	for i, st := range images {
+		if err := r.Load(st); err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		want, err := LoadRegistry(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&r, want) {
+			t.Fatalf("image %d: Load gave %+v, LoadRegistry %+v", i, r, want)
+		}
+		if held == nil {
+			held = slices.Clone(r.logs)
+		}
+		for th := range r.Threads() {
+			if r.Log(th) != held[th] {
+				t.Fatalf("image %d: thread %d's log handle was reallocated", i, th)
+			}
+		}
+	}
+	if err := r.Load(memdev.NewStore()); err == nil || r.Threads() != 3 || r.Log(0) != held[0] {
+		t.Fatalf("Load of an image without a registry: err %v, %d threads", err, r.Threads())
 	}
 }
 
