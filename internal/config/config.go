@@ -202,9 +202,6 @@ func (c Config) L1Sets() int { return c.L1Size / (c.LineSize * c.L1Ways) }
 // LLCSets returns the number of sets in the shared LLC.
 func (c Config) LLCSets() int { return c.LLCSize / (c.LineSize * c.LLCWays) }
 
-// L1Lines returns the number of lines each L1 can hold.
-func (c Config) L1Lines() int { return c.L1Size / c.LineSize }
-
 // LineAddr returns the line-aligned address containing addr.
 func (c Config) LineAddr(addr uint64) uint64 {
 	return addr &^ uint64(c.LineSize-1)

@@ -78,8 +78,8 @@ func TestGeometryDerivations(t *testing.T) {
 	if got := cfg.L1Sets(); got != 128 {
 		t.Errorf("L1Sets = %d, want 128 (32 KB / 64 B / 4 ways)", got)
 	}
-	if got := cfg.L1Lines(); got != 512 {
-		t.Errorf("L1Lines = %d, want 512", got)
+	if got := cfg.L1Size / cfg.LineSize; got != 512 {
+		t.Errorf("L1 holds %d lines, want 512", got)
 	}
 	if got := cfg.LLCSets(); got != 8192 {
 		t.Errorf("LLCSets = %d, want 8192 (8 MB / 64 B / 16 ways)", got)

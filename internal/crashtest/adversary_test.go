@@ -199,11 +199,11 @@ func TestPanicHardening(t *testing.T) {
 	if group == nil {
 		t.Fatal("no point fans out into several images")
 	}
-	pre := run.newCursor(false, 0).preImage(group[0].wStart)
+	pre := run.newCursor().preImage(group[0].wStart)
 	out := make([]PointResult, len(group))
 	judged := 0
 	arena := new(memdev.Arena)
-	c.judgePoint(runSeed, run, pre, &panicVerify{Workload: run.w, at: 1}, group, nil, arena, out, func() { judged++ })
+	c.judgePoint(runSeed, run, pre, &panicVerify{Workload: run.prep.Workload, at: 1}, group, nil, arena, out, func() { judged++ })
 	if judged != len(group) {
 		t.Fatalf("%d of %d images judged", judged, len(group))
 	}
@@ -220,7 +220,7 @@ func TestPanicHardening(t *testing.T) {
 	// the arena must judge on as well.
 	for _, a := range []*memdev.Arena{new(memdev.Arena), arena} {
 		want := make([]PointResult, len(group)-1)
-		c.judgePoint(runSeed, run, pre, run.w, group[1:], nil, a, want, func() {})
+		c.judgePoint(runSeed, run, pre, run.prep.Workload, group[1:], nil, a, want, func() {})
 		if !reflect.DeepEqual(out[1:], want) {
 			t.Fatalf("images judged after a panic in their arena: %+v, want %+v", out[1:], want)
 		}

@@ -15,7 +15,7 @@
 // instant leaves behind, with all volatile state and not-yet-persisted
 // writes dropped. For each point it
 // optionally tears the in-flight write by applying a prefix of its words,
-// runs recovery.Recover on the snapshot, and checks three oracles:
+// runs recovery.Recover on the snapshot, and checks the oracles:
 //
 //  1. invariants — the workload's own Verify holds on the recovered image;
 //  2. prefix consistency — the recovered image equals a reference image
@@ -24,7 +24,10 @@
 //     redo effects applied (in global persist order), every uncommitted
 //     undo-logged transaction is rolled back, and nothing else changed;
 //  3. idempotency — running recovery a second time replays and rolls back
-//     nothing and leaves the image bit-identical.
+//     nothing and leaves the image bit-identical;
+//  4. differential (Config.Differential) — the recovered heap equals a serial
+//     re-execution of exactly the transactions whose commit records
+//     persisted, built once per exploration before judging starts.
 //
 // Judging fans the points out across the internal/runner worker pool;
 // seeds derive from the configuration content exactly as experiment cells do,
@@ -173,9 +176,10 @@ type Config struct {
 	Adversary AdversaryConfig `json:"adversary,omitzero"`
 	// Differential enables the cross-design oracle: each recovered image must
 	// match a serial re-execution of the committed transaction sequence, and
-	// the report carries per-commit-sequence heap digests so CrossCheck can
-	// compare designs. The run seed then derives without the design name, so
-	// every design drives the identical transaction stream.
+	// the report carries that design-independent re-execution's heap digest
+	// per committed sequence, for CrossCheck. The run seed then derives
+	// without the design name, so every design drives the identical
+	// transaction stream.
 	Differential bool `json:"differential,omitempty"`
 	// Points selects the crash points to explore.
 	Points Selection `json:"points"`
@@ -337,9 +341,10 @@ type PointResult struct {
 	// Err names the violated oracle; empty when every oracle passed.
 	Err string `json:"error,omitempty"`
 
-	// commitKey and digest feed the report's differential digest table.
-	commitKey string
-	digest    uint64
+	// commits, for a passing image in differential mode, is how many
+	// transactions of the run's committed sequence it recovered to; it picks
+	// the image's row of the report's digest table.
+	commits int
 }
 
 // Report aggregates one exploration.
@@ -386,10 +391,11 @@ type Report struct {
 	FirstFailure *PointResult  `json:"first_failure,omitempty"`
 	Repro        string        `json:"repro,omitempty"`
 
-	// CommitDigests, in differential mode, maps each observed committed
-	// transaction sequence (canonical "thread:txid,..." activation order) to
-	// the recovered heap digest all of its crash images produced — the table
-	// CrossCheck compares across designs.
+	// CommitDigests, in differential mode, maps each committed transaction
+	// sequence a passing crash image recovered to (canonical
+	// "thread:txid,..." activation order) to the heap digest of its
+	// design-independent serial replay, which every such image matched —
+	// the table CrossCheck compares across designs.
 	CommitDigests map[string]string `json:"commit_digests,omitempty"`
 
 	ElapsedNS int64 `json:"elapsed_ns"`
@@ -424,7 +430,7 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	var dc *diffCtx
 	if cfg.Differential {
-		if dc, err = cfg.newDiffCtx(runSeed, run); err != nil {
+		if dc, err = cfg.newDiffCtx(run); err != nil {
 			return nil, err
 		}
 	}
@@ -435,7 +441,7 @@ func Explore(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	metricPoints.Add(uint64(len(points)))
 	metricImages.Add(uint64(len(tasks)))
-	rep := cfg.report(runSeed, trace, len(points), results)
+	rep := cfg.report(runSeed, trace, len(points), results, dc)
 	rep.ElapsedNS = time.Since(start).Nanoseconds()
 	return rep, nil
 }
@@ -470,10 +476,6 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, task
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var startDigest uint64
-	if dc != nil {
-		startDigest = heapDigest(run.start)
-	}
 	type judgeWorker struct {
 		cur   *cursor
 		arena *memdev.Arena
@@ -483,17 +485,18 @@ func (c Config) exploreTasks(ctx context.Context, runSeed int64, run *pass, task
 		lo, hi := starts[g], starts[g+1]
 		jw := &ws[w]
 		if jw.cur == nil {
-			jw.cur, jw.arena = run.newCursor(dc != nil, startDigest), new(memdev.Arena)
+			jw.cur, jw.arena = run.newCursor(), new(memdev.Arena)
 		}
 		pre := jw.cur.preImage(tasks[lo].wStart)
-		c.judgePoint(runSeed, run, pre, run.w, tasks[lo:hi], dc, jw.arena, results[lo:hi], progress)
+		c.judgePoint(runSeed, run, pre, run.prep.Workload, tasks[lo:hi], dc, jw.arena, results[lo:hi], progress)
 	})
 	return results
 }
 
 // report aggregates the per-image results of an exploration of points crash
-// points (ElapsedNS is left to the caller).
-func (c Config) report(runSeed int64, trace []traceEvent, points int, results []PointResult) *Report {
+// points, reading the digest table from dc in differential mode (ElapsedNS
+// is left to the caller).
+func (c Config) report(runSeed int64, trace []traceEvent, points int, results []PointResult, dc *diffCtx) *Report {
 	rep := &Report{
 		Design: c.Design, Workload: c.Workload, Cores: c.Cores,
 		TxPerCore: c.TxPerCore, OpsPerTx: c.OpsPerTx,
@@ -509,7 +512,7 @@ func (c Config) report(runSeed int64, trace []traceEvent, points int, results []
 	if c.Adversary.Window > 0 {
 		rep.Tasks = len(results)
 	}
-	if c.Differential {
+	if dc != nil {
 		rep.CommitDigests = make(map[string]string)
 	}
 	for _, ev := range trace {
@@ -528,8 +531,8 @@ func (c Config) report(runSeed int64, trace []traceEvent, points int, results []
 		}
 		rep.ReplayHist[r.Replayed]++
 		rep.RollbackHist[r.RolledBack]++
-		if rep.CommitDigests != nil && r.commitKey != "" {
-			rep.CommitDigests[r.commitKey] = fmt.Sprintf("%016x", r.digest)
+		if dc != nil {
+			rep.CommitDigests[dc.keys[r.commits]] = fmt.Sprintf("%016x", dc.digests[r.commits])
 		}
 	}
 	if len(rep.Failures) > 0 {

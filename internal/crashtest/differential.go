@@ -3,11 +3,9 @@ package crashtest
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"dhtm/internal/memdev"
 	"dhtm/internal/runner"
-	"dhtm/internal/snapshot"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
 	"dhtm/internal/workloads"
@@ -33,41 +31,33 @@ import (
 //
 // Disagreement with the replay is a durability bug even when the workload's
 // own Verify passes — Verify checks structural invariants, which stale but
-// self-consistent data satisfies. Reports additionally carry a digest of the
-// recovered heap per committed sequence, so CrossCheck can compare designs
-// against each other directly: differential runs derive their seed without
-// the design name, giving every design the identical transaction stream.
+// self-consistent data satisfies. Reports additionally carry the replay's
+// heap digest for every committed sequence their passing images recovered
+// to, the table CrossCheck compares across designs: differential runs derive
+// their seed without the design name, giving every design the identical
+// transaction stream.
 
-// diffCtx is the per-exploration state of the differential oracle: the
-// prepared workload snapshot, the re-generated transaction streams and the
-// serial re-executions of the committed sequence's prefixes.
+// diffCtx is the differential oracle's ground truth for one exploration: the
+// serial re-execution of the run's whole committed sequence, frozen after
+// every commit. Every crash point's committed sequence is a prefix of the
+// run's, so replays[m], the image after the first m commits, is the
+// reference of every point that holds m of them; digests[m] is its
+// heapDigest and keys[m] the canonical "thread:txid,..." form of those m
+// commits, the report's digest table key. It is built before judging starts
+// and read-only after.
 type diffCtx struct {
-	prep *snapshot.Prepared
-	gen  [][]*txn.Transaction // [core][rank]
-	// replays[m] re-executes the first m commits of the whole trace, once,
-	// on first use, into a frozen image: every crash point's committed
-	// sequence is a prefix of the whole trace's, so points sharing a commit
-	// count share the replay.
-	replays []func() (*memdev.Store, error)
+	replays []*memdev.Store
+	digests []uint64
+	keys    []string
 }
 
-// newDiffCtx regenerates the workload's transaction streams and checks the
-// full trace of run satisfies the oracle's preconditions: every generated
-// transaction committed, per thread in ascending txid order. A design or
-// workload that aborts transactions for good would need a rank mapping the
-// trace alone cannot provide.
-func (c Config) newDiffCtx(runSeed int64, run *pass) (*diffCtx, error) {
-	_, prep, err := c.prepare(runSeed)
-	if err != nil {
-		return nil, err
-	}
-	dc := &diffCtx{prep: prep, gen: make([][]*txn.Transaction, c.Cores)}
-	for core := 0; core < c.Cores; core++ {
-		next := workloads.Stream(prep.Workload, prep.Params, core)
-		for i := 0; i < c.TxPerCore; i++ {
-			dc.gen[core] = append(dc.gen[core], next())
-		}
-	}
+// newDiffCtx re-executes run's committed sequence serially, in
+// commit-marker activation order, on a clone of the post-setup store, and
+// checks the oracle's preconditions on the way: every generated transaction
+// committed, per thread in ascending txid order. A design or workload that
+// aborts transactions for good would need a rank mapping the trace alone
+// cannot provide.
+func (c Config) newDiffCtx(run *pass) (*diffCtx, error) {
 	info, err := run.txs.prefix(len(run.trace))
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: differential oracle: %w", err)
@@ -82,62 +72,49 @@ func (c Config) newDiffCtx(runSeed int64, run *pass) (*diffCtx, error) {
 				core, counts[core], c.TxPerCore)
 		}
 	}
-	dc.replays = make([]func() (*memdev.Store, error), len(info.commits)+1)
-	for m := range dc.replays {
-		dc.replays[m] = sync.OnceValues(func() (*memdev.Store, error) {
-			st, err := dc.replay(info.commits[:m])
-			if err == nil {
-				st.Freeze()
-			}
-			return st, err
-		})
+	// streams[core] yields the core's transactions in the order the drive
+	// loop generated them, so its r-th call is rank r.
+	streams := make([]func() *txn.Transaction, c.Cores)
+	for core := range streams {
+		streams[core] = workloads.Stream(run.prep.Workload, run.prep.Params, core)
 	}
-	if _, err := dc.replays[len(info.commits)](); err != nil {
-		return nil, fmt.Errorf("crashtest: differential oracle: full trace fails preconditions: %w", err)
+	st := run.prep.NewStore()
+	dc := &diffCtx{
+		replays: []*memdev.Store{frozenClone(st)},
+		digests: []uint64{heapDigest(st)},
+		keys:    []string{"-"},
 	}
-	return dc, nil
-}
-
-// replay serially re-executes the committed sequence on a fresh copy of the
-// post-setup store and returns the resulting image.
-func (d *diffCtx) replay(commits []txKey) (*memdev.Store, error) {
 	next := make(map[int]int)
 	last := make(map[int]uint64)
-	st := d.prep.NewStore()
 	dtx := txn.DirectTx{Store: st}
-	for _, k := range commits {
+	var key strings.Builder
+	fail := func(format string, a ...any) error {
+		return fmt.Errorf("crashtest: differential oracle: full trace fails preconditions: "+format, a...)
+	}
+	for _, k := range info.commits {
 		if id, ok := last[k.thread]; ok && k.txid <= id {
-			return nil, fmt.Errorf("thread %d commit activations out of txid order (%d after %d)", k.thread, k.txid, id)
+			return nil, fail("thread %d commit activations out of txid order (%d after %d)", k.thread, k.txid, id)
 		}
 		last[k.thread] = k.txid
 		r := next[k.thread]
 		next[k.thread]++
-		if k.thread < 0 || k.thread >= len(d.gen) || r >= len(d.gen[k.thread]) {
-			return nil, fmt.Errorf("thread %d committed more transactions than the drive loop generates", k.thread)
+		if k.thread < 0 || k.thread >= c.Cores || r >= c.TxPerCore {
+			return nil, fail("thread %d committed more transactions than the drive loop generates", k.thread)
 		}
-		if err := d.gen[k.thread][r].Body(dtx); err != nil {
-			return nil, fmt.Errorf("serial re-execution of thread %d rank %d failed: %w", k.thread, r, err)
+		if err := streams[k.thread]().Body(dtx); err != nil {
+			return nil, fail("serial re-execution of thread %d rank %d failed: %w", k.thread, r, err)
 		}
-	}
-	return st, nil
-}
-
-// commitKey canonicalizes a committed sequence for the report's digest table:
-// "thread:txid" pairs in commit-marker activation order. Distinct designs are
-// only comparable where these keys coincide — the same transactions committed
-// in the same serialization order.
-func commitKey(commits []txKey) string {
-	if len(commits) == 0 {
-		return "-"
-	}
-	var b strings.Builder
-	for i, k := range commits {
-		if i > 0 {
-			b.WriteByte(',')
+		img := frozenClone(st)
+		dg := advanceDigest(dc.digests[len(dc.digests)-1], dc.replays[len(dc.replays)-1], img)
+		if key.Len() > 0 {
+			key.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d:%d", k.thread, k.txid)
+		fmt.Fprintf(&key, "%d:%d", k.thread, k.txid)
+		dc.replays = append(dc.replays, img)
+		dc.digests = append(dc.digests, dg)
+		dc.keys = append(dc.keys, key.String())
 	}
-	return b.String()
+	return dc, nil
 }
 
 // heapDigest summarizes the workload-visible heap (lines at or above
@@ -151,15 +128,12 @@ func heapDigest(st *memdev.Store) uint64 {
 	return d
 }
 
-// digestOf returns heapDigest(st) for an image cloned from the pre-image,
-// incrementally: the digest is an XOR of per-line mixes, so st's digest is
-// the pre-image's with the mixes of every heap line the two images hold
-// differently swapped out (the pre-image's side) and in (st's side). Lines
-// the two hold alike cancel exactly, so the cost is what the crash image and
-// its recovery changed.
-func (p preImage) digestOf(st *memdev.Store) uint64 {
-	dg := p.digest
-	st.Diff(p.st, wal.HeapBase, func(addr uint64, mine, theirs *memdev.Line, _ bool) bool {
+// advanceDigest returns img's heapDigest given dg, the heapDigest of prev.
+// The digest is an XOR of per-line mixes, so the lines the two images hold
+// differently swap prev's mixes out and img's in; lines they share cost
+// nothing.
+func advanceDigest(dg uint64, prev, img *memdev.Store) uint64 {
+	img.Diff(prev, wal.HeapBase, func(addr uint64, mine, theirs *memdev.Line, _ bool) bool {
 		dg ^= lineMix(addr, mine) ^ lineMix(addr, theirs)
 		return true
 	})
@@ -180,11 +154,12 @@ func lineMix(addr uint64, data *memdev.Line) uint64 {
 }
 
 // CrossCheck compares differential reports across designs: runs that share a
-// workload shape and run seed must produce the same recovered heap digest for
-// every committed sequence they both observed. It is the cross-design half of
-// the differential oracle — the per-point replay check catches a design
-// diverging from ground truth; this catches two designs diverging from each
-// other even if both sweeps were sampled at different points.
+// workload shape and run seed must carry the same heap digest for every
+// committed sequence they both observed. The digests are those of the
+// design-independent serial replay, which every passing image matched, so
+// within one run seed a disagreement can only come from the replay itself
+// (a nondeterministic workload); CrossCheck restates the per-image oracle
+// across reports rather than adding a check of its own.
 func CrossCheck(reports []*Report) error {
 	type origin struct {
 		design string

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dhtm/internal/memdev"
 	"dhtm/internal/recovery"
+	"dhtm/internal/txn"
 	"dhtm/internal/wal"
+	"dhtm/internal/workloads"
 )
 
 // incrementalConfigs are a redo-logging (DHTM) and an undo-logging (ATOM)
@@ -49,18 +52,27 @@ func testTasks(t *testing.T, cfg Config) (Config, int64, *pass, []task) {
 }
 
 // forEachCrashImage calls f with every crash image, unrecovered, that an
-// exploration of cfg judges, together with its point's context, whose
-// pre-image a cursor built with its incrementally maintained heap digest.
-// The image and every clone f makes of it live until f returns.
+// exploration of cfg judges, together with its point's context: the
+// pre-image a cursor built, the decoding of the point's trace prefix and, in
+// differential mode, the exploration's differential context. The image and
+// every clone f makes of it live until f returns.
 func forEachCrashImage(t *testing.T, cfg Config, f func(pt *pointCtx, img *memdev.Store)) {
 	t.Helper()
 	c, runSeed, run, tasks := testTasks(t, cfg)
-	cur := run.newCursor(true, heapDigest(run.start))
+	var dc *diffCtx
+	if c.Differential {
+		var err error
+		if dc, err = c.newDiffCtx(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := run.newCursor()
 	arena := new(memdev.Arena)
 	var pt *pointCtx
 	for _, tk := range tasks {
 		if pt == nil || pt.point != tk.point {
-			pt = &pointCtx{trace: run.trace, point: tk.point, pre: cur.preImage(tk.wStart), arena: arena}
+			pt = &pointCtx{trace: run.trace, point: tk.point, pre: cur.preImage(tk.wStart), dc: dc, arena: arena}
+			pt.info, pt.infoErr = run.txs.prefix(tk.point)
 		}
 		f(pt, pt.crashImage(tk, c.tornWords(runSeed, run.trace, tk.point)))
 		arena.Reset()
@@ -83,11 +95,11 @@ func lines(st *memdev.Store) []writtenLine {
 }
 
 // TestCursorPreImagesMatchSerialReplay checks every pre-image a judging
-// worker's cursor freezes — store and heap digest — against a serial replay
-// of the trace, at every window start of a W=2 exhaustive exploration: for
-// one cursor taking every point, for cursors taking every second or third
-// point as the workers of a pool do, and for one sent back to an earlier
-// window start, which replays from the start image again.
+// worker's cursor freezes against a serial replay of the trace, at every
+// window start of a W=2 exhaustive exploration: for one cursor taking every
+// point, for cursors taking every second or third point as the workers of a
+// pool do, and for one sent back to an earlier window start, which replays
+// from the start image again.
 func TestCursorPreImagesMatchSerialReplay(t *testing.T) {
 	for _, cfg := range incrementalConfigs {
 		_, _, run, tasks := testTasks(t, cfg)
@@ -109,24 +121,19 @@ func TestCursorPreImagesMatchSerialReplay(t *testing.T) {
 		}
 		check := func(cur *cursor, wStart uint64) {
 			t.Helper()
-			pre := cur.preImage(wStart)
-			want := serial[wStart]
-			if !slices.Equal(lines(pre.st), lines(want)) {
+			if !slices.Equal(lines(cur.preImage(wStart)), lines(serial[wStart])) {
 				t.Fatalf("%s: pre-image at window start %d differs from the serial replay", cfg.Design, wStart)
-			}
-			if got, want := pre.digest, heapDigest(want); got != want {
-				t.Fatalf("%s: pre-image digest at window start %d is %016x, serial replay %016x", cfg.Design, wStart, got, want)
 			}
 		}
 		for workers := 1; workers <= 3; workers++ {
 			for w := range workers {
-				cur := run.newCursor(true, heapDigest(run.start))
+				cur := run.newCursor()
 				for g := w; g < len(starts); g += workers {
 					check(cur, starts[g])
 				}
 			}
 		}
-		cur := run.newCursor(true, heapDigest(run.start))
+		cur := run.newCursor()
 		check(cur, starts[len(starts)-1])
 		check(cur, starts[1])
 	}
@@ -197,31 +204,102 @@ func TestTracePrefixViewMatchesDirectDecode(t *testing.T) {
 	}
 }
 
-// TestPreImageDigestsMatchHeapDigest checks the differential digest on every
-// judged image: each pre-image's digest, kept current across the trace
-// replay, and each crash image's digest relative to its pre-image, before
-// and after recovery, equal a full heapDigest walk.
+// serialReplay re-executes the first m commits of run's committed sequence
+// from scratch, each thread's j-th commit as the j-th transaction its stream
+// generates, on a fresh clone of the post-setup store.
+func serialReplay(t *testing.T, c Config, run *pass, commits []txKey) *memdev.Store {
+	t.Helper()
+	gen := make([][]*txn.Transaction, c.Cores)
+	for core := range gen {
+		next := workloads.Stream(run.prep.Workload, run.prep.Params, core)
+		for range c.TxPerCore {
+			gen[core] = append(gen[core], next())
+		}
+	}
+	st := run.prep.NewStore()
+	rank := make(map[int]int)
+	for _, k := range commits {
+		if err := gen[k.thread][rank[k.thread]].Body(txn.DirectTx{Store: st}); err != nil {
+			t.Fatal(err)
+		}
+		rank[k.thread]++
+	}
+	return st
+}
+
+// testDiffCtxOf builds the differential context of cfg's exploration and
+// checks it holds one replay, digest and key per committed prefix.
+func testDiffCtxOf(t *testing.T, cfg Config) (Config, *pass, *diffCtx) {
+	t.Helper()
+	cfg.Differential = true
+	c, _, run := testPass(t, cfg)
+	dc, err := c.newDiffCtx(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(run.txs.commits) + 1; len(dc.replays) != n || len(dc.digests) != n || len(dc.keys) != n {
+		t.Fatalf("%s: %d replays, %d digests, %d keys for %d commits", cfg.Design, len(dc.replays), len(dc.digests), len(dc.keys), n-1)
+	}
+	return c, run, dc
+}
+
+// TestDiffCtxMatchesSerialReplay checks the differential context against
+// ground truth: replays[m] equals a from-scratch serial re-execution of the
+// first m commits and keys[m] is the canonical form of those commits.
+func TestDiffCtxMatchesSerialReplay(t *testing.T) {
+	for _, cfg := range incrementalConfigs {
+		c, run, dc := testDiffCtxOf(t, cfg)
+		commits := run.txs.commits
+		var pairs []string
+		for m := range dc.replays {
+			key := "-"
+			if m > 0 {
+				pairs = append(pairs, fmt.Sprintf("%d:%d", commits[m-1].thread, commits[m-1].txid))
+				key = strings.Join(pairs, ",")
+			}
+			if !slices.Equal(lines(dc.replays[m]), lines(serialReplay(t, c, run, commits[:m]))) {
+				t.Fatalf("%s: replay of %d commits differs from a serial re-execution", cfg.Design, m)
+			}
+			if dc.keys[m] != key {
+				t.Fatalf("%s: key of %d commits %q, want %q", cfg.Design, m, dc.keys[m], key)
+			}
+		}
+	}
+}
+
+// TestPreImageDigestsMatchHeapDigest checks the differential digests on
+// every reference image and every judged image: each digests[m], kept
+// current across the commit-order replay, equals a full heapDigest walk of
+// replays[m], and every crash image that passes the differential oracle
+// recovers to a heap whose full walk is digests[m], the digest its report
+// row carries.
 func TestPreImageDigestsMatchHeapDigest(t *testing.T) {
 	for _, cfg := range incrementalConfigs {
-		images := 0
+		_, _, dc := testDiffCtxOf(t, cfg)
+		for m := range dc.replays {
+			if got, want := dc.digests[m], heapDigest(dc.replays[m]); got != want {
+				t.Fatalf("%s: digest of %d commits %016x, full walk %016x", cfg.Design, m, got, want)
+			}
+		}
+
+		cfg.Differential = true
+		passed := 0
 		forEachCrashImage(t, cfg, func(pt *pointCtx, img *memdev.Store) {
 			where := fmt.Sprintf("%s point %d", cfg.Design, pt.point)
-			if got, want := pt.pre.digest, heapDigest(pt.pre.st); got != want {
-				t.Fatalf("%s: pre-image digest %016x, full walk %016x", where, got, want)
-			}
-			if got, want := pt.pre.digestOf(img), heapDigest(img); got != want {
-				t.Fatalf("%s: crash image digest %016x, full walk %016x", where, got, want)
-			}
 			if _, err := recovery.Recover(img); err != nil {
 				t.Fatalf("%s: %v", where, err)
 			}
-			if got, want := pt.pre.digestOf(img), heapDigest(img); got != want {
-				t.Fatalf("%s: recovered image digest %016x, full walk %016x", where, got, want)
+			m := len(pt.info.commits)
+			if diffHeap(img, pt.dc.replays[m]) != "" {
+				return
 			}
-			images++
+			if got, want := heapDigest(img), pt.dc.digests[m]; got != want {
+				t.Fatalf("%s: recovered image digest %016x, digests[%d] %016x", where, got, m, want)
+			}
+			passed++
 		})
-		if images == 0 {
-			t.Fatalf("%s: no crash image judged", cfg.Design)
+		if passed == 0 {
+			t.Fatalf("%s: no crash image passed the differential oracle", cfg.Design)
 		}
 	}
 }

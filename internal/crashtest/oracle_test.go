@@ -77,38 +77,29 @@ func heapLines(st *memdev.Store) []uint64 {
 	return out
 }
 
-// testDiffCtx builds the differential context of a small hash exploration
-// and a frozen copy of its post-setup image.
-func testDiffCtx(t *testing.T) (*diffCtx, *memdev.Store) {
+// testSetupImage returns a frozen copy of the post-setup image of a small
+// differential hash exploration.
+func testSetupImage(t *testing.T) *memdev.Store {
 	t.Helper()
-	cfg := Config{Design: "DHTM", Workload: "hash", Cores: 2, TxPerCore: 2, OpsPerTx: 4, Differential: true}.withDefaults()
-	runSeed := cfg.RunSeed()
-	run, err := cfg.countPass(runSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, err := cfg.newDiffCtx(runSeed, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dc, frozenClone(dc.prep.NewStore())
+	_, _, run := testPass(t, Config{Design: "DHTM", Workload: "hash", Cores: 2, TxPerCore: 2, OpsPerTx: 4, Differential: true})
+	return frozenClone(run.prep.NewStore())
 }
 
-// TestIncrementalDigestMatchesHeapDigest checks the differential oracle's
-// incremental digest against a full heapDigest walk, for clones of the
-// post-setup snapshot, clones of clones, images sharing nothing with it and
-// a real serial re-execution.
+// TestIncrementalDigestMatchesHeapDigest checks advanceDigest, the step
+// that keeps the differential context's digests current, against a full
+// heapDigest walk, for clones of the post-setup snapshot, clones of clones,
+// images sharing nothing with it and a real serial re-execution.
 func TestIncrementalDigestMatchesHeapDigest(t *testing.T) {
-	dc, base := testDiffCtx(t)
+	base := testSetupImage(t)
 	hot := heapLines(base)
 	if len(hot) == 0 {
 		t.Fatal("post-setup image has no heap lines")
 	}
-	from := preImage{st: base, digest: heapDigest(base)}
+	from := heapDigest(base)
 	rng := rand.New(rand.NewSource(1))
 	check := func(name string, st *memdev.Store) {
 		t.Helper()
-		if got, want := from.digestOf(st), heapDigest(st); got != want {
+		if got, want := advanceDigest(from, base, st), heapDigest(st); got != want {
 			t.Fatalf("%s: incremental digest %016x, full walk %016x", name, got, want)
 		}
 	}
@@ -132,11 +123,10 @@ func TestIncrementalDigestMatchesHeapDigest(t *testing.T) {
 		}
 		check(fmt.Sprintf("round %d reloaded", round), unshared)
 	}
-	replay, err := dc.replay(nil)
-	if err != nil {
-		t.Fatal(err)
+	_, _, dc := testDiffCtxOf(t, Config{Design: "DHTM", Workload: "hash", Cores: 2, TxPerCore: 2, OpsPerTx: 4})
+	for m, replay := range dc.replays {
+		check(fmt.Sprintf("replay of %d commits", m), replay)
 	}
-	check("empty replay", replay)
 }
 
 // TestDiffHeapMatchesNaive checks the shared-leaf-skipping diffHeap reports
@@ -145,7 +135,7 @@ func TestIncrementalDigestMatchesHeapDigest(t *testing.T) {
 // lower address than a mismatch on a line got populated must still lose to
 // the got-side one, because got's pass runs first.
 func TestDiffHeapMatchesNaive(t *testing.T) {
-	_, base := testDiffCtx(t)
+	base := testSetupImage(t)
 	hot := heapLines(base)
 	rng := rand.New(rand.NewSource(2))
 	mismatches := 0

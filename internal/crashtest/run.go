@@ -44,7 +44,7 @@ func (r *recorder) PersistWrite(_ uint64, ev memdev.PersistEvent) {
 // replayed onto start ends at final (countPass checks it), so it is the
 // complete record of durable writes.
 type pass struct {
-	w     workloads.Workload // the run's workload object
+	prep  *snapshot.Prepared // the run's post-setup snapshot and workload
 	trace []traceEvent
 	txs   *traceTxs     // the trace's transaction-level decoding
 	start *memdev.Store // frozen: the image the first recorded write applies to
@@ -97,7 +97,7 @@ func (c Config) countPass(seed int64) (*pass, error) {
 	}
 	rec := &recorder{}
 	env.Ctl.SetPersistObserver(rec)
-	p := &pass{w: prep.Workload, start: frozenClone(env.Store())}
+	p := &pass{prep: prep, start: frozenClone(env.Store())}
 	var panicked string
 	func() {
 		defer catchPanic(&panicked)
@@ -117,7 +117,7 @@ func (c Config) countPass(seed int64) (*pass, error) {
 	if _, err := recovery.Recover(img); err != nil {
 		return nil, fmt.Errorf("crashtest: baseline recovery of the uncrashed image failed: %w", err)
 	}
-	if err := p.w.Verify(img); err != nil {
+	if err := prep.Workload.Verify(img); err != nil {
 		return nil, fmt.Errorf("crashtest: baseline image violates workload invariants without any crash: %w", err)
 	}
 	replay := p.start.Clone()
@@ -137,39 +137,26 @@ func frozenClone(st *memdev.Store) *memdev.Store {
 	return img
 }
 
-// preImage is a frozen crash pre-image — writes [0, wStart) durable, nothing
-// later — and, when asked for, its heap digest.
-type preImage struct {
-	st     *memdev.Store
-	digest uint64
-}
-
 // cursor replays a pass's trace forward on a store of its own, so a
 // judging worker can build the pre-image of each point it takes without
 // anyone keeping the pre-images of the others: at is how many writes st
-// holds, and digest, when kept, is st's heapDigest, moved across each write
-// by swapping out and in the mixes of the lines it touches.
+// holds.
 type cursor struct {
-	run     *pass
-	st      *memdev.Store
-	at      int
-	digests bool
-	digest  uint64
-	// startDigest is heapDigest(run.start), when the cursor keeps digests.
-	startDigest uint64
+	run *pass
+	st  *memdev.Store
+	at  int
 }
 
-// newCursor returns a cursor at the start of p's trace; startDigest is
-// heapDigest(p.start) when the cursor keeps digests.
-func (p *pass) newCursor(digests bool, startDigest uint64) *cursor {
-	c := &cursor{run: p, digests: digests, startDigest: startDigest}
+// newCursor returns a cursor at the start of p's trace.
+func (p *pass) newCursor() *cursor {
+	c := &cursor{run: p}
 	c.rewind()
 	return c
 }
 
 // rewind moves the cursor back to the start image.
 func (c *cursor) rewind() {
-	c.st, c.at, c.digest = c.run.start.Clone(), 0, c.startDigest
+	c.st, c.at = c.run.start.Clone(), 0
 }
 
 // preImage replays writes up to wStart and freezes a copy: the image in
@@ -178,21 +165,14 @@ func (c *cursor) rewind() {
 // takes points in ascending order, and a point's window never starts before
 // an earlier point's — so the replay only moves forward; a start behind the
 // cursor replays from the start image again.
-func (c *cursor) preImage(wStart uint64) preImage {
+func (c *cursor) preImage(wStart uint64) *memdev.Store {
 	if int(wStart) < c.at {
 		c.rewind()
 	}
 	for ; c.at < int(wStart); c.at++ {
-		ev := c.run.trace[c.at]
-		if c.digests {
-			c.digest ^= eventMix(c.st, ev)
-		}
-		applyEvent(c.st, ev)
-		if c.digests {
-			c.digest ^= eventMix(c.st, ev)
-		}
+		applyEvent(c.st, c.run.trace[c.at])
 	}
-	return preImage{st: frozenClone(c.st), digest: c.digest}
+	return frozenClone(c.st)
 }
 
 // judgePoint judges every crash image of one crash point — tasks, one per
@@ -203,7 +183,7 @@ func (c *cursor) preImage(wStart uint64) preImage {
 // (e.g. recovery walking a log the adversary corrupted) is recovered and
 // reported as that image's failure: one pathological crash image must not
 // kill the sweep.
-func (c Config) judgePoint(seed int64, run *pass, pre preImage, w workloads.Workload, tasks []task, dc *diffCtx, arena *memdev.Arena, out []PointResult, done func()) {
+func (c Config) judgePoint(seed int64, run *pass, pre *memdev.Store, w workloads.Workload, tasks []task, dc *diffCtx, arena *memdev.Arena, out []PointResult, done func()) {
 	k, trace := tasks[0].point, run.trace
 	torn := c.tornWords(seed, trace, k)
 	pt := &pointCtx{trace: trace, point: k, pre: pre, w: w, dc: dc, arena: arena}
@@ -251,7 +231,7 @@ func catchPanic(errStr *string) {
 type pointCtx struct {
 	trace   []traceEvent
 	point   int
-	pre     preImage
+	pre     *memdev.Store
 	w       workloads.Workload
 	dc      *diffCtx
 	arena   *memdev.Arena
@@ -269,7 +249,7 @@ type pointCtx struct {
 // of it.
 func (pt *pointCtx) crashImage(tk task, torn int) *memdev.Store {
 	k, trace := pt.point, pt.trace
-	pre := pt.arena.CloneIn(pt.pre.st)
+	pre := pt.arena.CloneIn(pt.pre)
 	for i := 0; i < k-int(tk.wStart); i++ {
 		if tk.mask>>uint(i)&1 == 1 {
 			applyEvent(pre, trace[int(tk.wStart)+i])
@@ -337,30 +317,13 @@ func (pt *pointCtx) judge(tk task, res *PointResult) {
 	// re-execution of exactly the committed transaction sequence, on a store
 	// that never saw this design's machinery — the cross-design ground truth.
 	if pt.dc != nil {
-		replay, err := pt.dc.replays[len(pt.info.commits)]()
-		if err != nil {
-			res.Err = "differential oracle: " + err.Error()
-			return
-		}
-		if diff := diffHeap(img, replay); diff != "" {
+		m := len(pt.info.commits)
+		if diff := diffHeap(img, pt.dc.replays[m]); diff != "" {
 			res.Err = "differential oracle: recovered image diverges from serial re-execution of the committed sequence: " + diff
 			return
 		}
-		res.commitKey = commitKey(pt.info.commits)
-		res.digest = pt.pre.digestOf(img)
+		res.commits = m
 	}
-}
-
-// eventMix is the XOR of the heap-digest mixes of the lines ev writes, as st
-// holds them: XOR-ing it into st's digest before and after ev applies moves
-// the digest across the write.
-func eventMix(st *memdev.Store, ev traceEvent) uint64 {
-	var dg uint64
-	for la := ev.addr &^ (memdev.LineBytes - 1); la < ev.addr+uint64(len(ev.words)*8); la += memdev.LineBytes {
-		l := st.ReadLine(la)
-		dg ^= lineMix(la, &l)
-	}
-	return dg
 }
 
 // applyEvent retires one recorded durable write into a crash image.

@@ -109,15 +109,6 @@ func (c *Clock) AdvanceTo(cycle uint64) {
 	c.e.handoff(c)
 }
 
-// Yield hands control back without changing the clock. Useful inside spin
-// loops that poll shared state at the same cycle.
-func (c *Clock) Yield() {
-	if c.ahead() {
-		return
-	}
-	c.e.handoff(c)
-}
-
 // Park puts a spinning core to sleep until another core calls Wake on it.
 // The caller has just polled and would otherwise AdvanceTo(next) and poll
 // again every period cycles; it promises that, until a Wake, every one of

@@ -15,6 +15,15 @@ type traceOp struct {
 	at   uint64
 }
 
+// Yield hands control back without changing the clock: a same-cycle spin
+// step for the parity programs and the scheduler benchmark.
+func (c *Clock) Yield() {
+	if c.ahead() {
+		return
+	}
+	c.e.handoff(c)
+}
+
 // clockOps is the op subset shared by Clock and tokenClock.
 type clockOps interface {
 	Core() int

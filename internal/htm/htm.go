@@ -97,9 +97,6 @@ func (s *Signature) Contains(lineAddr uint64) bool {
 	return s.bits[h1/64]&(1<<(h1%64)) != 0 && s.bits[h2/64]&(1<<(h2%64)) != 0
 }
 
-// Empty reports whether nothing has been added since the last Clear.
-func (s *Signature) Empty() bool { return s.count == 0 }
-
 // Clear resets the signature (flash clear at commit/abort).
 func (s *Signature) Clear() {
 	for i := range s.bits {

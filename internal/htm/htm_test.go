@@ -32,15 +32,15 @@ func TestSignatureNoFalseNegatives(t *testing.T) {
 // TestSignatureClearAndEmpty checks the flash-clear used at commit/abort.
 func TestSignatureClearAndEmpty(t *testing.T) {
 	s := NewSignature(1024)
-	if !s.Empty() {
+	if s.count != 0 {
 		t.Fatalf("fresh signature not empty")
 	}
 	s.Add(0x40)
-	if s.Empty() || !s.Contains(0x40) {
+	if s.count == 0 || !s.Contains(0x40) {
 		t.Fatalf("signature lost an added address")
 	}
 	s.Clear()
-	if !s.Empty() || s.Contains(0x40) {
+	if s.count != 0 || s.Contains(0x40) {
 		t.Fatalf("signature not cleared")
 	}
 }

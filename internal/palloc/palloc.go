@@ -57,9 +57,6 @@ func (h *Heap) AllocLines(n int) uint64 {
 	return h.Alloc(uint64(n)*memdev.LineBytes, memdev.LineBytes)
 }
 
-// Used reports the number of bytes allocated so far.
-func (h *Heap) Used() uint64 { return h.next - wal.HeapBase }
-
 // WriteWord initialises a word directly in persistent memory (untimed setup).
 func (h *Heap) WriteWord(addr, val uint64) { h.store.WriteWord(addr, val) }
 

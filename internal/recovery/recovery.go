@@ -14,9 +14,10 @@
 package recovery
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -287,10 +288,7 @@ func topoOrder(candidates []TxKey, dependsOn func(TxKey) []TxKey) ([]TxKey, erro
 
 // sortKeys orders keys deterministically (thread, then txid).
 func sortKeys(keys []TxKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Thread != keys[j].Thread {
-			return keys[i].Thread < keys[j].Thread
-		}
-		return keys[i].TxID < keys[j].TxID
+	slices.SortFunc(keys, func(a, b TxKey) int {
+		return cmp.Or(cmp.Compare(a.Thread, b.Thread), cmp.Compare(a.TxID, b.TxID))
 	})
 }

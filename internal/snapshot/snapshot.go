@@ -86,7 +86,7 @@ type Cache struct {
 	entries map[Key]*entry
 	order   []Key // insertion order, for eviction
 
-	// Counters live in an obs registry (private for NewCache, obs.Default for
+	// Counters live in an obs registry (the one NewCacheIn got; obs.Default for
 	// the package Default), so Metrics() and -metrics read the same series
 	// Prepare and NewStore increment.
 	hits         *obs.Counter
@@ -105,15 +105,10 @@ type entry struct {
 	err  error
 }
 
-// NewCache returns a cache bounded to maxEntries images (<= 0 means the
-// default bound of 32) with a private metrics registry — independent caches
-// (and tests asserting exact counts) never share counters.
-func NewCache(maxEntries int) *Cache {
-	return NewCacheIn(obs.NewRegistry(), maxEntries)
-}
-
-// NewCacheIn is NewCache with the registry that receives the cache's
-// dhtm_snapshot_* metric families.
+// NewCacheIn returns a cache bounded to maxEntries images (<= 0 means the
+// default bound of 32) whose dhtm_snapshot_* metric families land in reg; a
+// private registry (obs.NewRegistry) keeps independent caches, and tests
+// asserting exact counts, from sharing counters.
 func NewCacheIn(reg *obs.Registry, maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 32

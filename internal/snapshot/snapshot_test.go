@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dhtm/internal/config"
+	"dhtm/internal/obs"
 	"dhtm/internal/registry"
 	"dhtm/internal/snapshot"
 	"dhtm/internal/txn"
@@ -20,7 +21,7 @@ func testConfig() config.Config {
 // TestPrepareCachesAndCounts checks the cache contract: one Setup per key,
 // shared Prepared entries, independent clones, and accurate counters.
 func TestPrepareCachesAndCounts(t *testing.T) {
-	c := snapshot.NewCache(4)
+	c := snapshot.NewCacheIn(obs.NewRegistry(), 4)
 	cfg := testConfig()
 	p := workloads.Params{Seed: 7}
 
@@ -125,7 +126,7 @@ func TestSnapshotRunMatchesFreshSetup(t *testing.T) {
 
 	for _, design := range []string{"DHTM", "SO"} {
 		refRes, refEnv := runFresh(t, cfg, design, p, txPerCore)
-		cache := snapshot.NewCache(4)
+		cache := snapshot.NewCacheIn(obs.NewRegistry(), 4)
 		for pass := 0; pass < 3; pass++ {
 			res, env := runSnapshotted(t, cache, cfg, design, p, txPerCore)
 			if !reflect.DeepEqual(refRes.Stats, res.Stats) {
@@ -146,7 +147,7 @@ func TestSnapshotRunMatchesFreshSetup(t *testing.T) {
 
 // TestCacheEviction checks the entry bound holds.
 func TestCacheEviction(t *testing.T) {
-	c := snapshot.NewCache(2)
+	c := snapshot.NewCacheIn(obs.NewRegistry(), 2)
 	cfg := testConfig()
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, err := c.Prepare(cfg, "queue", workloads.Params{Seed: seed}); err != nil {
