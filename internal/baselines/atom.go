@@ -58,8 +58,3 @@ func (a *ATOM) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 	a.finish(core, c, &res, ptx)
 	return res
 }
-
-// Finish implements txn.Runtime.
-func (a *ATOM) Finish(core int, c txn.Clock) {
-	a.env.Stats.Core(core).FinalCycle = c.Now()
-}

@@ -52,3 +52,8 @@ func (b *lockBase) finish(core int, c txn.Clock, res *txn.ExecResult, t *htm.Pla
 	res.End = c.Now()
 	res.Committed = true
 }
+
+// Finish implements txn.Runtime.
+func (b *lockBase) Finish(core int, c txn.Clock) {
+	b.env.Stats.Core(core).FinalCycle = c.Now()
+}

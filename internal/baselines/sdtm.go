@@ -1,9 +1,10 @@
 package baselines
 
 import (
+	"slices"
+
 	"dhtm/internal/htm"
 	"dhtm/internal/txn"
-	"dhtm/internal/wal"
 )
 
 // SdTM is the "software durability + hardware transactional memory" baseline
@@ -20,15 +21,18 @@ type SdTM struct {
 	// entries are 16 bytes so every fourth entry starts a new cache line that
 	// becomes part of the transaction's write set.
 	softCursor []uint64
+	// dataLines is the per-core scratch list of the committing write set's
+	// data lines (its lines outside the software log area).
+	dataLines [][]uint64
 }
 
 // NewSdTM builds the sdTM runtime and installs its arbiter.
 func NewSdTM(env *txn.Env) *SdTM {
-	s := &SdTM{htmBase: newHTMBase(env, false)}
+	s := &SdTM{htmBase: newHTMBase(env, false), dataLines: make([][]uint64, env.Cfg.NumCores)}
 	for i := 0; i < env.Cfg.NumCores; i++ {
 		s.softCursor = append(s.softCursor, softLogBase+uint64(i)*softLogBytesPerCore)
 	}
-	s.Hooks = htm.Hooks{Write: s.write, Commit: s.commitDurable, Persist: s.persistFallback}
+	s.Hooks = htm.Hooks{Write: s.write, Commit: s.commitDurable, Persist: s.PersistRedo}
 	return s
 }
 
@@ -62,70 +66,23 @@ func (s *SdTM) nextEntryAddr(core int) uint64 {
 }
 
 // commitDurable performs the HTM commit for visibility and then, on the
-// critical path, makes the transaction durable: the software log entries are
-// flushed (modelled as durable-log appends of the dirty lines), a fence
-// drains them, and the commit record is persisted. Only then may the core
-// move on.
+// critical path, makes the transaction durable: the software log entries of
+// its data lines are flushed (the redo records), a fence drains them, and
+// the commit record is persisted. Only then may the core move on.
 func (s *SdTM) commitDurable(core int, c txn.Clock) bool {
-	ctx := s.Ctxs[core]
 	log := s.Env.Registry.Log(core)
 	s.commitVisibility(core)
 
 	txid := log.BeginTx()
-	persist := c.Now()
-	for _, la := range ctx.WriteLines.Keys() {
-		if s.isSoftLogLine(la) {
-			continue
-		}
-		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: s.H.LineSnapshot(core, la)}
-		if done, err := log.Append(rec, c.Now()); err == nil {
-			s.Env.Stats.LogRecords++
-			if done > persist {
-				persist = done
-			}
-		}
-		c.Advance(s.Cfg.FlushIssueLatency)
-	}
-	c.AdvanceTo(persist)
-	c.Advance(s.Cfg.FenceLatency)
-	if done, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(done)
-	}
+	lines := slices.DeleteFunc(append(s.dataLines[core][:0], s.Ctxs[core].WriteLines.Keys()...), s.isSoftLogLine)
+	s.dataLines[core] = lines
+	redo := htm.NewRedoLog(s.Env, core)
+	redo.Record(c, txid, lines...)
+	redo.Commit(c, txid)
 	// In-place data persists lazily via evictions (Mnemosyne defers log
 	// truncation); the measured window treats the log space as ample.
 	log.EndTx(txid)
 	return true
-}
-
-// persistFallback is sdTM's fallback persist sequence: Mnemosyne-style redo
-// records for every dirty line, a fence, the commit record, in-place flushes
-// so the log can be truncated, and the complete record.
-func (s *SdTM) persistFallback(core int, c txn.Clock, txid uint64, dirty *htm.LineSet) {
-	log := s.Env.Registry.Log(core)
-	persist := c.Now()
-	for _, la := range dirty.Keys() {
-		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: s.H.LineSnapshot(core, la)}
-		if done, err := log.Append(rec, c.Now()); err == nil && done > persist {
-			persist = done
-		}
-		c.Advance(s.Cfg.FlushIssueLatency)
-	}
-	c.AdvanceTo(persist)
-	c.Advance(s.Cfg.FenceLatency)
-	if done, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(done)
-	}
-	flushed := c.Now()
-	for _, la := range dirty.Keys() {
-		if done := s.H.FlushLine(core, la, c.Now()); done > flushed {
-			flushed = done
-		}
-	}
-	c.AdvanceTo(flushed)
-	if done, err := log.Append(&wal.Record{Type: wal.RecComplete, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(done)
-	}
-	log.EndTx(txid)
 }
 
 // isSoftLogLine reports whether a line belongs to the in-cache software log

@@ -1,8 +1,8 @@
 package baselines
 
 import (
+	"dhtm/internal/htm"
 	"dhtm/internal/txn"
-	"dhtm/internal/wal"
 )
 
 // SO is the software-only baseline: locks provide atomic visibility and a
@@ -32,21 +32,9 @@ func (s *SO) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 
 	held := s.acquire(core, c, t)
 
-	var persistAt uint64
+	redo := htm.NewRedoLog(s.env, core)
 	pending := uint64(0)
 	havePending := false
-	emit := func(la uint64) {
-		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: s.h.LineSnapshot(core, la)}
-		if done, err := log.Append(rec, c.Now()); err == nil {
-			s.env.Stats.LogRecords++
-			if done > persistAt {
-				persistAt = done
-			}
-		}
-		// Constructing and issuing the flush for the entry is program work.
-		c.Advance(s.cfg.FlushIssueLatency)
-	}
-
 	ptx := s.txs[core]
 	ptx.Begin(c, func(la uint64, _ bool) {
 		// Composing the word-granular log entry (address + value into the
@@ -56,7 +44,7 @@ func (s *SO) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 		// written; once the program writes a different line, the previous
 		// line's entry is final and is flushed to the log.
 		if havePending && pending != la {
-			emit(pending)
+			redo.Record(c, txid, pending)
 		}
 		pending = la
 		havePending = true
@@ -69,13 +57,9 @@ func (s *SO) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 	// Commit: flush the last pending entry, drain all log writes (sfence),
 	// persist the commit record, then publish by releasing the locks.
 	if havePending {
-		emit(pending)
+		redo.Record(c, txid, pending)
 	}
-	c.AdvanceTo(persistAt)
-	c.Advance(s.cfg.FenceLatency)
-	if done, err := log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(done)
-	}
+	redo.Commit(c, txid)
 	s.release(core, c, held)
 	// In-place data reaches persistent memory lazily (deferred, amortised log
 	// truncation); the log regions are sized so truncation pressure never
@@ -84,9 +68,4 @@ func (s *SO) Run(core int, c txn.Clock, t *txn.Transaction) txn.ExecResult {
 
 	s.finish(core, c, &res, ptx)
 	return res
-}
-
-// Finish implements txn.Runtime.
-func (s *SO) Finish(core int, c txn.Clock) {
-	s.env.Stats.Core(core).FinalCycle = c.Now()
 }

@@ -28,8 +28,10 @@ type Options struct {
 	// DisableLogBuffer bypasses the coalescing log buffer and emits one
 	// redo record per store (Figure 2b's strawman).
 	DisableLogBuffer bool
-	// InstantPersist makes log and data writes take zero time while keeping
-	// them functionally correct; used for the §VI.D idealised-DHTM ablation.
+	// InstantPersist makes the hardware path's log and data writes take zero
+	// time while keeping them functionally correct; used for the §VI.D
+	// idealised-DHTM ablation. The software fallback's persist
+	// (htm.Runtime.PersistRedo) still charges its log writes and flushes.
 	InstantPersist bool
 }
 
@@ -103,7 +105,7 @@ func New(env *txn.Env, opt Options) *DHTM {
 		Write:    d.write,
 		Commit:   d.commit,
 		Abort:    d.abortLog,
-		Persist:  d.persistFallback,
+		Persist:  d.PersistRedo,
 		GrowLog:  true,
 	}
 	env.Hier.SetArbiter(d)
@@ -505,43 +507,4 @@ func (d *DHTM) persistEarly(core int, la, at uint64) {
 	} else {
 		d.H.PersistLineInPlace(la, data, at)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Software fallback path
-// ---------------------------------------------------------------------------
-
-// persistFallback makes a fallback transaction durable with Mnemosyne-style
-// software logging (the paper's fallback provides visibility via the global
-// lock and durability via software logging): log every dirty line, fence,
-// commit record, then flush data in place so the log can be truncated
-// immediately. Each redo record and each flush pays the issue cost.
-func (d *DHTM) persistFallback(core int, c txn.Clock, txid uint64, dirty *htm.LineSet) {
-	cs := d.cores[core]
-	at := c.Now()
-	persist := at
-	for _, la := range dirty.Keys() {
-		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: d.H.LineSnapshot(core, la)}
-		if done, err := cs.log.Append(rec, at); err == nil && done > persist {
-			persist = done
-		}
-		c.Advance(d.Cfg.FlushIssueLatency)
-	}
-	c.AdvanceTo(persist)
-	c.Advance(d.Cfg.FenceLatency)
-	if done, err := cs.log.Append(&wal.Record{Type: wal.RecCommit, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(done)
-	}
-	flushed := c.Now()
-	for _, la := range dirty.Keys() {
-		if done := d.H.FlushLine(core, la, c.Now()); done > flushed {
-			flushed = done
-		}
-		c.Advance(d.Cfg.FlushIssueLatency)
-	}
-	c.AdvanceTo(flushed)
-	if done, err := cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: txid}, c.Now()); err == nil {
-		c.AdvanceTo(done)
-	}
-	cs.log.EndTx(txid)
 }

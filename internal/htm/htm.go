@@ -5,7 +5,9 @@
 // conflict-resolution policies (first-writer-wins and requester-wins), and
 // the Runtime that executes transactions on them — begin, transactional
 // accesses, the abort sweep, the retry loop and the software fallback —
-// calling each design's Hooks for what it logs, commits and aborts.
+// calling each design's Hooks for what it logs, commits and aborts. It also
+// holds the software redo-log sequence (RedoLog) that SO, sdTM and the
+// fallback share.
 package htm
 
 import (

@@ -7,7 +7,7 @@
 // deterministic and compared on every host, ns/op only when the baseline was
 // recorded on the same CPU (wall-clock across different machines is noise,
 // not signal). The tolerance is 15%, except a zero-alloc baseline, which
-// must stay at exactly zero.
+// must stay at exactly zero. Repeated runs (-count) compare by median ns/op.
 //
 // Usage: benchjson [-baseline BENCH_n.json] [bench-output-file]
 //
@@ -16,11 +16,13 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -143,11 +145,13 @@ func baseName(name string) string {
 
 // compare pairs benchmarks by name and reports every metric that regressed
 // beyond the tolerance. Benchmarks present on only one side are skipped —
-// the baseline pins the benchmarks it records, nothing more.
+// the baseline pins the benchmarks it records, nothing more. A benchmark run
+// several times (-count) is judged by every run's B/op and allocs/op and by
+// its median ns/op, which host noise moves far less than any single run.
 func compare(base, cur document) []string {
-	current := make(map[string]result, len(cur.Results))
+	current := make(map[string][]result, len(cur.Results))
 	for _, r := range cur.Results {
-		current[baseName(r.Name)] = r
+		current[baseName(r.Name)] = append(current[baseName(r.Name)], r)
 	}
 	sameCPU := base.CPU != "" && base.CPU == cur.CPU
 	if !sameCPU {
@@ -155,23 +159,26 @@ func compare(base, cur document) []string {
 	}
 	var failures []string
 	for _, b := range base.Results {
-		c, ok := current[baseName(b.Name)]
-		if !ok {
-			continue
-		}
 		name := baseName(b.Name)
-		if b.AllocsPerOp != nil && c.AllocsPerOp != nil {
-			switch {
-			case *b.AllocsPerOp == 0 && *c.AllocsPerOp != 0:
-				failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f, baseline is allocation-free", name, *c.AllocsPerOp))
-			case *c.AllocsPerOp > *b.AllocsPerOp*regressionTolerance:
-				failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f vs baseline %.0f (>15%%)", name, *c.AllocsPerOp, *b.AllocsPerOp))
+		runs := current[name]
+		for _, c := range runs {
+			if b.AllocsPerOp != nil && c.AllocsPerOp != nil {
+				switch {
+				case *b.AllocsPerOp == 0 && *c.AllocsPerOp != 0:
+					failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f, baseline is allocation-free", name, *c.AllocsPerOp))
+				case *c.AllocsPerOp > *b.AllocsPerOp*regressionTolerance:
+					failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f vs baseline %.0f (>15%%)", name, *c.AllocsPerOp, *b.AllocsPerOp))
+				}
+			}
+			if b.BytesPerOp != nil && c.BytesPerOp != nil && *c.BytesPerOp > *b.BytesPerOp*regressionTolerance {
+				failures = append(failures, fmt.Sprintf("%s: B/op %.0f vs baseline %.0f (>15%%)", name, *c.BytesPerOp, *b.BytesPerOp))
 			}
 		}
-		if b.BytesPerOp != nil && c.BytesPerOp != nil && *c.BytesPerOp > *b.BytesPerOp*regressionTolerance {
-			failures = append(failures, fmt.Sprintf("%s: B/op %.0f vs baseline %.0f (>15%%)", name, *c.BytesPerOp, *b.BytesPerOp))
+		if len(runs) == 0 {
+			continue
 		}
-		if sameCPU && c.NsPerOp > b.NsPerOp*regressionTolerance {
+		slices.SortFunc(runs, func(x, y result) int { return cmp.Compare(x.NsPerOp, y.NsPerOp) })
+		if c := runs[len(runs)/2]; sameCPU && c.NsPerOp > b.NsPerOp*regressionTolerance {
 			failures = append(failures, fmt.Sprintf("%s: ns/op %.0f vs baseline %.0f (>15%%)", name, c.NsPerOp, b.NsPerOp))
 		}
 	}
