@@ -54,7 +54,8 @@ func TestDesignSetCannotDrift(t *testing.T) {
 
 // TestNewSystemAcceptsEveryDesign builds a system for every design the
 // public API lists — NewSystem resolves through the registry, so a listed
-// design that fails to construct would be a catalog bug.
+// design that fails to construct would be a catalog bug — and checks that
+// its runtime reports the design's own name (results and timelines carry it).
 func TestNewSystemAcceptsEveryDesign(t *testing.T) {
 	for _, d := range dhtm.Designs() {
 		sys, err := dhtm.NewSystem(dhtm.Config{Design: d, Cores: 2})
@@ -63,6 +64,9 @@ func TestNewSystemAcceptsEveryDesign(t *testing.T) {
 		}
 		if sys.Design() != d {
 			t.Fatalf("system reports design %q, want %q", sys.Design(), d)
+		}
+		if name := sys.Runtime().Name(); name != string(d) {
+			t.Errorf("runtime of design %q names itself %q", d, name)
 		}
 	}
 	if _, err := dhtm.NewSystem(dhtm.Config{Design: "NOPE"}); err == nil {

@@ -115,9 +115,7 @@ func (l *LogTMATOM) abortUndo(core int, at uint64, _ int) {
 		if at+cost > l.Ctxs[core].CompletionAt {
 			l.Ctxs[core].CompletionAt = at + cost
 		}
-		if _, err := log.Append(&wal.Record{Type: wal.RecAbort, TxID: l.Ctxs[core].TxID}, at); err == nil {
-			l.Env.Stats.LogRecords++
-		}
+		log.Append(&wal.Record{Type: wal.RecAbort, TxID: l.Ctxs[core].TxID}, at)
 	}
 	// Release the attempt's log reservation even when it logged nothing: an
 	// attempt that aborted before its first write still holds a live-list

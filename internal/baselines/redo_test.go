@@ -15,8 +15,8 @@ import (
 
 // TestSdTMFallbackCountsRedoRecords runs sdTM with every transaction
 // aborting its one hardware attempt, so each commits on the software
-// fallback. The fallback persist logs one redo record per written line, and
-// each must count as a log record.
+// fallback. The fallback persist logs one redo record per written line, then
+// a commit and a complete record, and each must count as a log record.
 func TestSdTMFallbackCountsRedoRecords(t *testing.T) {
 	const cores, perCore, writes = 2, 3, 4
 	cfg := config.Default()
@@ -54,8 +54,8 @@ func TestSdTMFallbackCountsRedoRecords(t *testing.T) {
 	if fallbacks != cores*perCore || lines != cores*perCore*writes {
 		t.Fatalf("%d fallbacks writing %d lines, want %d and %d", fallbacks, lines, cores*perCore, cores*perCore*writes)
 	}
-	if env.Stats.LogRecords != lines {
-		t.Errorf("log records %d, want one per fallback-written line (%d)", env.Stats.LogRecords, lines)
+	if want := lines + 2*fallbacks; env.Stats.LogRecords != want {
+		t.Errorf("log records %d, want one per fallback-written line plus a commit and a complete record per fallback (%d)", env.Stats.LogRecords, want)
 	}
 }
 

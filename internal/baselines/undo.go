@@ -31,7 +31,6 @@ func (u *undoLog) record(txid, la uint64, pre memdev.Line, at uint64) error {
 	if err != nil {
 		return err
 	}
-	u.env.Stats.LogRecords++
 	u.records++
 	u.persistAt = max(u.persistAt, done)
 	return nil

@@ -119,6 +119,8 @@ func (d *DHTM) Name() string {
 		return "DHTM-instant"
 	case d.opt.DisableOverflow:
 		return "DHTM-L1"
+	case d.opt.DisableLogBuffer:
+		return "DHTM-nobuf"
 	default:
 		return "DHTM"
 	}
@@ -176,7 +178,6 @@ func (d *DHTM) appendLog(core int, rec *wal.Record, at uint64) error {
 	if err != nil {
 		return err
 	}
-	d.Env.Stats.LogRecords++
 	if !d.opt.InstantPersist && done > cs.logPersistAt {
 		cs.logPersistAt = done
 	}
@@ -238,13 +239,9 @@ func (d *DHTM) commit(core int, c txn.Clock) bool {
 				completionAt = done
 			}
 		}
-		if n := cs.ctx.Overflowed.Len(); n > 0 {
-			// The memory controller reads the overflow list back to find the
-			// overflowed lines before writing them in place.
-			if _, rdone := d.Env.Ctl.ReadWords(cs.ov.Base, n, commitAt); rdone > completionAt {
-				completionAt = rdone
-			}
-		}
+		// The memory controller reads the overflow list back to find the
+		// overflowed lines before writing them in place.
+		completionAt = max(completionAt, d.Env.Ctl.ReserveRead(cs.ctx.Overflowed.Len()*8, commitAt))
 	}
 	if completionAt > cs.ctx.CompletionAt {
 		cs.ctx.CompletionAt = completionAt
@@ -265,7 +262,7 @@ func (d *DHTM) completePrevious(core int, c txn.Clock) {
 		// The write-backs' timing was reserved at the commit point; here the
 		// completion phase finishes, so apply the functional effect.
 		done := max(cs.ctx.CompletionAt, c.Now())
-		if cdone, _ := d.retire(core, done); !d.opt.InstantPersist && cdone > done {
+		if cdone := d.retire(core, done); !d.opt.InstantPersist && cdone > done {
 			done = cdone
 		}
 		if done > cs.ctx.CompletionAt {
@@ -282,11 +279,8 @@ func (d *DHTM) completePrevious(core int, c txn.Clock) {
 // reserved at commit is left untouched, so the owning core still waits for
 // CompletionAt before its next transaction.
 func (d *DHTM) forceComplete(core int, at uint64) {
-	if d.cores[core].ctx.State != htm.Committed {
-		return
-	}
-	if _, ok := d.retire(core, at); ok {
-		d.Env.Stats.LogRecords++
+	if d.cores[core].ctx.State == htm.Committed {
+		d.retire(core, at)
 	}
 }
 
@@ -298,9 +292,8 @@ func (d *DHTM) forceComplete(core int, at uint64) {
 // this one depends on (sentinels) has not completed yet: a crash would then
 // skip this transaction's replay while still replaying the dependency,
 // regressing the lines handed over during the conflict window, so the
-// truncation is deferred. It reports when the complete record is durable
-// and whether one was appended.
-func (d *DHTM) retire(core int, at uint64) (uint64, bool) {
+// truncation is deferred. It reports when the complete record is durable.
+func (d *DHTM) retire(core int, at uint64) uint64 {
 	cs := d.cores[core]
 	for _, la := range cs.pendingWB {
 		if d.H.CompleteL1Line(core, la) {
@@ -310,11 +303,9 @@ func (d *DHTM) retire(core int, at uint64) (uint64, bool) {
 			d.H.CompleteLLCLine(la)
 		}
 	}
-	done, ok := at, false
+	done := at
 	if d.depsCompleted(cs.deps) {
-		var err error
-		done, err = cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: cs.ctx.TxID}, at)
-		ok = err == nil
+		done, _ = cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: cs.ctx.TxID}, at)
 		cs.log.EndTx(cs.ctx.TxID)
 	} else {
 		cs.deferredTrunc = append(cs.deferredTrunc, deferredTruncation{txid: cs.ctx.TxID, deps: append([]txDep(nil), cs.deps...)})
@@ -324,7 +315,7 @@ func (d *DHTM) retire(core int, at uint64) (uint64, bool) {
 	cs.ctx.Overflowed.Clear()
 	cs.pendingWB = cs.pendingWB[:0]
 	cs.ctx.State = htm.Idle
-	return done, ok
+	return done
 }
 
 // depsCompleted reports whether every listed dependency has finished its
@@ -353,9 +344,7 @@ func (d *DHTM) truncateSatisfied(core int, at uint64) {
 	remaining := cs.deferredTrunc[:0]
 	for _, dt := range cs.deferredTrunc {
 		if d.depsCompleted(dt.deps) {
-			if _, err := cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: dt.txid}, at); err == nil {
-				d.Env.Stats.LogRecords++
-			}
+			cs.log.Append(&wal.Record{Type: wal.RecComplete, TxID: dt.txid}, at)
 			cs.log.EndTx(dt.txid)
 			continue
 		}
@@ -372,14 +361,8 @@ func (d *DHTM) truncateSatisfied(core int, at uint64) {
 // line); the next transaction on this core waits for it.
 func (d *DHTM) abortLog(core int, at uint64, n int) {
 	cs := d.cores[core]
-	if _, err := cs.log.Append(&wal.Record{Type: wal.RecAbort, TxID: cs.ctx.TxID}, at); err == nil {
-		d.Env.Stats.LogRecords++
-	}
-	done := at
-	if n > 0 {
-		_, rdone := d.Env.Ctl.ReadWords(cs.ov.Base, n, at)
-		done = rdone + uint64(n)*d.Cfg.LLCLatency
-	}
+	cs.log.Append(&wal.Record{Type: wal.RecAbort, TxID: cs.ctx.TxID}, at)
+	done := d.Env.Ctl.ReserveRead(n*8, at) + uint64(n)*d.Cfg.LLCLatency
 	cs.ov.Clear()
 	cs.buf.Clear()
 	cs.log.EndTx(cs.ctx.TxID)
@@ -440,15 +423,11 @@ func (d *DHTM) writeSentinels(requester, owner int, requesterTx bool, at uint64)
 	if requesterTx && d.cores[requester].ctx.State == htm.Active {
 		rcs := d.cores[requester]
 		dep := &wal.Record{Type: wal.RecSentinel, TxID: rcs.ctx.TxID, DepThread: owner, DepTxID: ocs.ctx.TxID}
-		if _, err := rcs.log.Append(dep, at); err == nil {
-			d.Env.Stats.SentinelRecords++
-		}
+		rcs.log.Append(dep, at)
 		rcs.deps = append(rcs.deps, txDep{thread: owner, txid: ocs.ctx.TxID})
 	}
 	own := &wal.Record{Type: wal.RecSentinel, TxID: ocs.ctx.TxID, DepThread: requester, DepTxID: 0}
-	if _, err := ocs.log.Append(own, at); err == nil {
-		d.Env.Stats.SentinelRecords++
-	}
+	ocs.log.Append(own, at)
 }
 
 // OnWriteSetEviction implements hier.Arbiter: an L1 write-set line is being

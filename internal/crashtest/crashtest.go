@@ -206,9 +206,9 @@ func Supported() []string {
 }
 
 // Validate rejects selections that could never resolve against any
-// persist-event space — the pre-run subset of pickPoints' checks, so
-// scenario compilation can fail fast instead of starting an exploration
-// that dies after its counting pass.
+// persist-event space, so scenario compilation can fail fast instead of
+// starting an exploration that dies after its counting pass; pickPoints
+// makes only the checks that need the space's size.
 func (s Selection) Validate() error {
 	switch s.Mode {
 	case "", "all":
@@ -626,29 +626,17 @@ func (c Config) reproCommand(p PointResult) string {
 	return cmd
 }
 
-// pickPoints resolves a Selection against a persist-event space of n points
-// into a sorted, deduplicated index list.
+// pickPoints resolves a Selection, which Validate has accepted, against a
+// persist-event space of n points into a sorted, deduplicated index list.
 func pickPoints(n int, sel Selection, runSeed int64) ([]int, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("crashtest: the run produced no persist events")
 	}
 	switch sel.Mode {
-	case "", "all":
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out, nil
 	case "stride":
 		stride := sel.Stride
 		if stride <= 0 {
-			if sel.Samples <= 0 {
-				return nil, fmt.Errorf("crashtest: stride selection needs Stride or Samples")
-			}
 			stride = (n + sel.Samples - 1) / sel.Samples
-			if stride < 1 {
-				stride = 1
-			}
 		}
 		var out []int
 		for i := 0; i < n; i += stride {
@@ -656,9 +644,6 @@ func pickPoints(n int, sel Selection, runSeed int64) ([]int, error) {
 		}
 		return out, nil
 	case "random":
-		if sel.Samples <= 0 {
-			return nil, fmt.Errorf("crashtest: random selection needs Samples > 0")
-		}
 		if sel.Samples >= n {
 			return pickPoints(n, Selection{Mode: "all"}, runSeed)
 		}
@@ -680,7 +665,11 @@ func pickPoints(n int, sel Selection, runSeed int64) ([]int, error) {
 			return nil, fmt.Errorf("crashtest: point %d outside the persist-event space [0,%d)", sel.Point, n)
 		}
 		return []int{sel.Point}, nil
-	default:
-		return nil, fmt.Errorf("crashtest: unknown selection mode %q (all, stride, random, point)", sel.Mode)
+	default: // "" or "all"
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out, nil
 	}
 }

@@ -42,8 +42,11 @@ func TestPickPoints(t *testing.T) {
 	if _, err := pickPoints(10, Selection{Mode: "point", Point: 10}, 1); err == nil {
 		t.Fatalf("out-of-range point accepted")
 	}
-	if _, err := pickPoints(10, Selection{Mode: "bogus"}, 1); err == nil {
-		t.Fatalf("unknown mode accepted")
+	// Selections no event space can resolve are Validate's to reject.
+	for _, bad := range []Selection{{Mode: "bogus"}, {Mode: "stride"}, {Mode: "random"}, {Mode: "point", Point: -1}} {
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("%+v accepted", bad)
+		}
 	}
 	if _, err := pickPoints(0, Selection{Mode: "all"}, 1); err == nil {
 		t.Fatalf("empty event space accepted")

@@ -35,7 +35,9 @@ func TestFig5CellGolden(t *testing.T) {
 	check("LogBytes", s.LogBytes, 162032)
 	check("DataWriteBytes", s.DataWriteBytes, 116352)
 	check("DataReadBytes", s.DataReadBytes, 195264)
-	check("LogRecords", s.LogRecords, 1882)
+	// 1,818 redo records, then a commit and a complete record for each of
+	// the 64 commits.
+	check("LogRecords", s.LogRecords, 1946)
 	check("SentinelRecords", s.SentinelRecords, 0)
 
 	wantFinal := []uint64{323114, 298000, 288220, 294730, 314042, 307280, 301027, 318854}

@@ -26,7 +26,6 @@ func (r *RedoLog) Record(c txn.Clock, txid uint64, lines ...uint64) {
 	for _, la := range lines {
 		rec := &wal.Record{Type: wal.RecRedo, TxID: txid, LineAddr: la, Data: r.env.Hier.LineSnapshot(r.core, la)}
 		if done, err := log.Append(rec, at); err == nil {
-			r.env.Stats.LogRecords++
 			r.persistAt = max(r.persistAt, done)
 		}
 		c.Advance(r.env.Cfg.FlushIssueLatency)

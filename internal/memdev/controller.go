@@ -245,20 +245,32 @@ func (c *Controller) ReserveWrite(n int, at uint64, class TrafficClass) uint64 {
 	return start + c.cfg.NVMWriteLatency
 }
 
-// ReadWords reads count words starting at addr, charging bandwidth.
-func (c *Controller) ReadWords(addr uint64, count int, at uint64) ([]uint64, uint64) {
-	if count <= 0 {
-		return nil, at
+// ReserveRead reserves channel occupancy and device read latency for n
+// bytes without a functional read, counting them as data reads. DHTM's
+// commit and abort read their overflow list back with it: the simulator
+// already holds the overflowed lines, so only the read's cost is modelled.
+func (c *Controller) ReserveRead(n int, at uint64) uint64 {
+	if n <= 0 {
+		return at
 	}
-	start := c.occupy(count*8, at)
-	out := make([]uint64, count)
-	for i := range out {
-		out[i] = c.store.ReadWord(addr + uint64(i*8))
-	}
+	start := c.occupy(n, at)
 	if c.st != nil {
-		c.st.DataReadBytes += uint64(count * 8)
+		c.st.DataReadBytes += uint64(n)
 	}
-	return out, start + c.cfg.NVMReadLatency
+	return start + c.cfg.NVMReadLatency
+}
+
+// CountRecord counts one log record appended to a durable log. It is the
+// one place log records are counted (wal.ThreadLog.Append calls it), so
+// every design's LogRecords means the same thing.
+func (c *Controller) CountRecord(class TrafficClass) {
+	if c.st == nil {
+		return
+	}
+	c.st.LogRecords++
+	if class == TrafficLogSentinel {
+		c.st.SentinelRecords++
+	}
 }
 
 // account records write traffic in the global statistics.

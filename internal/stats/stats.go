@@ -80,10 +80,17 @@ type Stats struct {
 	Cores []CoreStats `json:"cores"`
 
 	// Memory traffic in bytes, by cause.
-	LogBytes        uint64 `json:"log_bytes"`        // redo/undo/commit/abort records and overflow-list entries
-	DataWriteBytes  uint64 `json:"data_write_bytes"` // in-place data writes to NVM
-	DataReadBytes   uint64 `json:"data_read_bytes"`  // line fills from NVM
-	LogRecords      uint64 `json:"log_records"`
+	LogBytes       uint64 `json:"log_bytes"`        // log records of every type, overflow-list entries and charged log metadata
+	DataWriteBytes uint64 `json:"data_write_bytes"` // in-place data writes to NVM
+	DataReadBytes  uint64 `json:"data_read_bytes"`  // line fills and overflow-list read-backs from NVM
+
+	// LogRecords counts the records appended to the durable thread logs,
+	// of every type (redo, undo, commit, complete, abort, sentinel), on
+	// every path a design commits or aborts through. A record refused
+	// because the log was full is not counted.
+	LogRecords uint64 `json:"log_records"`
+	// SentinelRecords counts the sentinel records among LogRecords: DHTM's
+	// replay dependencies on committed-but-incomplete transactions.
 	SentinelRecords uint64 `json:"sentinel_records"`
 	OverflowedLines uint64 `json:"overflowed_lines"` // write-set lines that overflowed L1 -> LLC
 }

@@ -145,7 +145,9 @@ func (l *ThreadLog) Free() int { return l.SizeWords - 1 - l.used() }
 // Append serialises rec into the log's reused scratch buffer, writes it to
 // persistent memory at the log head and returns the cycle at which the record
 // is durable. The write is charged to the memory-channel bandwidth model,
-// plus one metadata word for persisting the head pointer.
+// plus one metadata word for persisting the head pointer. Each appended
+// record counts as one log record (a sentinel also as one sentinel record),
+// whether or not it wraps; a record refused with ErrLogFull counts nothing.
 //
 // Metadata accounting: each append changes exactly one metadata word — the
 // head offset — and that word's persist is charged to the bandwidth model
@@ -161,7 +163,7 @@ func (l *ThreadLog) Append(rec *Record, at uint64) (uint64, error) {
 	if len(words) > l.Free() {
 		return at, ErrLogFull
 	}
-	done := at
+	done, class := at, rec.Type.TrafficClass()
 	// The record may wrap around the end of the circular buffer; issue up to
 	// two contiguous writes.
 	remaining := words
@@ -171,7 +173,7 @@ func (l *ThreadLog) Append(rec *Record, at uint64) (uint64, error) {
 		if off+len(chunk) > l.SizeWords {
 			chunk = remaining[:l.SizeWords-off]
 		}
-		d := l.ctl.WriteWords(l.Base+uint64(off*8), chunk, at, rec.Type.TrafficClass())
+		d := l.ctl.WriteWords(l.Base+uint64(off*8), chunk, at, class)
 		if d > done {
 			done = d
 		}
@@ -184,6 +186,7 @@ func (l *ThreadLog) Append(rec *Record, at uint64) (uint64, error) {
 	if d > done {
 		done = d
 	}
+	l.ctl.CountRecord(class)
 	return done, nil
 }
 

@@ -241,6 +241,52 @@ func TestThreadLogFullAndGrow(t *testing.T) {
 	}
 }
 
+// TestAppendCountsRecords checks that each successful Append counts one
+// log record, whatever its type and whether or not it wraps the end of the
+// buffer, that a sentinel also counts one sentinel record, and that a record
+// refused with ErrLogFull counts nothing.
+func TestAppendCountsRecords(t *testing.T) {
+	cfg := config.Default()
+	st := stats.New(cfg.NumCores)
+	reg := NewRegistry(memdev.NewController(cfg, memdev.NewStore(), st), 1, 512, 64) // 64 words usable
+	log := reg.Log(0)
+	var records, sentinels uint64
+	appendRec := func(rec Record, wantErr error) {
+		t.Helper()
+		if _, err := log.Append(&rec, 0); !errors.Is(err, wantErr) {
+			t.Fatalf("append %v: error %v, want %v", rec.Type, err, wantErr)
+		}
+		if wantErr == nil {
+			records++
+			if rec.Type == RecSentinel {
+				sentinels++
+			}
+		}
+		if st.LogRecords != records || st.SentinelRecords != sentinels {
+			t.Fatalf("after a %v append: %d log records and %d sentinel records, want %d and %d",
+				rec.Type, st.LogRecords, st.SentinelRecords, records, sentinels)
+		}
+	}
+	txid := log.BeginTx()
+	for i := 0; i < 6; i++ { // 60 of the 63 free words
+		appendRec(Record{Type: RecRedo, TxID: txid, LineAddr: uint64(i)}, nil)
+	}
+	appendRec(Record{Type: RecRedo, TxID: txid, LineAddr: 6}, ErrLogFull)
+	appendRec(Record{Type: RecSentinel, TxID: txid, DepThread: 1, DepTxID: 1}, nil)
+	appendRec(Record{Type: RecCommit, TxID: txid}, ErrLogFull)
+	log.EndTx(txid)
+
+	txid = log.BeginTx()
+	head := log.head
+	appendRec(Record{Type: RecUndo, TxID: txid, LineAddr: 7}, nil)
+	if log.head >= head {
+		t.Fatalf("head moved from %d to %d: the record did not wrap", head, log.head)
+	}
+	for _, typ := range []RecordType{RecCommit, RecComplete, RecAbort} {
+		appendRec(Record{Type: typ, TxID: txid}, nil)
+	}
+}
+
 // TestRegistryReload checks that LoadRegistry reconstructs the same geometry
 // from the persistent image alone.
 func TestRegistryReload(t *testing.T) {
