@@ -88,6 +88,9 @@ func main() {
 	if *bw == 0 {
 		misuse("bandwidth scale must be positive, got 0")
 	}
+	if *tx < 1 {
+		misuse("transactions per core must be positive, got %d", *tx)
+	}
 	pol, err := config.ParseConflictPolicy(*policy)
 	if err != nil {
 		misuse("%v", err)
@@ -125,7 +128,7 @@ func runSingle(cell runner.Cell, cfg config.Config, crash bool, image string, re
 		env.Probe = harness.TraceRecorder(tc, env, rt, cell)
 	}
 
-	p := workloads.Params{Cores: cfg.NumCores, Seed: cell.Seed, OpsPerTx: cell.OpsPerTx}
+	p := workloads.Params{Seed: cell.Seed, OpsPerTx: cell.OpsPerTx}
 	res, err := workloads.Run(env, rt, w, p, cell.TxPerCore, !crash)
 	if err != nil {
 		fail("running workload: %v", err)

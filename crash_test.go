@@ -100,7 +100,7 @@ func TestCrashRecoveryWorkloads(t *testing.T) {
 			if name == "tatp" {
 				perCore = 2
 			}
-			if _, err := workloads.Run(env, rt, w, workloads.Params{Cores: cfg.NumCores}, perCore, false); err != nil {
+			if _, err := workloads.Run(env, rt, w, workloads.Params{}, perCore, false); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			env.Hier.Crash()

@@ -8,6 +8,7 @@ import (
 	"dhtm/internal/htm"
 	"dhtm/internal/memdev"
 	"dhtm/internal/palloc"
+	"dhtm/internal/stats"
 	"dhtm/internal/txn"
 	"dhtm/internal/workloads"
 )
@@ -111,7 +112,7 @@ func TestDesignsKeepWorkloadInvariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := workloads.Run(env, d.new(env), w, workloads.Params{Cores: cores, Seed: 5}, perCore, true)
+				res, err := workloads.Run(env, d.new(env), w, workloads.Params{Seed: 5}, perCore, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -231,5 +232,49 @@ func TestLogTMATOMCommitSurvivesFallbackLock(t *testing.T) {
 	}
 	if got := env.Store().ReadWord(line); got != 7 {
 		t.Errorf("durable value %d, want 7", got)
+	}
+}
+
+// TestLLCEvictionAbortsHTMBaselines: on a direct-mapped 64-set LLC, a
+// write set of two lines 4 KB apart cannot stay in the LLC, so every
+// hardware attempt of the RTM-like NP and the overflowing LogTM-ATOM aborts
+// with AbortLLCCapacity, and the software fallback commits the writes.
+func TestLLCEvictionAbortsHTMBaselines(t *testing.T) {
+	for _, d := range designs {
+		if d.name != "NP" && d.name != "LogTM-ATOM" {
+			continue
+		}
+		t.Run(d.name, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.NumCores = 1
+			cfg.LLCSize, cfg.LLCWays = 64*cfg.LineSize, 1
+			env, err := txn.NewEnv(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := palloc.New(env.Store()).AllocLines(1)
+			b := a + uint64(64*cfg.LineSize) // a's LLC set
+			rt := d.new(env)
+			var res txn.ExecResult
+			engine.New(1).Run(func(core int, c *engine.Clock) {
+				res = rt.Run(core, c, &txn.Transaction{Body: func(tx txn.Tx) error {
+					tx.Write(a, 1)
+					tx.Write(b, 2)
+					return nil
+				}})
+				rt.Finish(core, c)
+			})
+			cs := env.Stats.Core(0)
+			if !res.Committed || cs.Fallbacks != 1 {
+				t.Fatalf("committed %v with %d fallbacks, want a fallback commit", res.Committed, cs.Fallbacks)
+			}
+			if got := cs.AbortsByReason[stats.AbortLLCCapacity]; got != uint64(cfg.MaxRetries) {
+				t.Errorf("%d LLC-capacity aborts, want one per hardware attempt (%d); by reason %v", got, cfg.MaxRetries, cs.AbortsByReason)
+			}
+			env.Hier.DrainClean()
+			if env.Store().ReadWord(a) != 1 || env.Store().ReadWord(b) != 2 {
+				t.Errorf("fallback lost a write")
+			}
+		})
 	}
 }

@@ -467,14 +467,13 @@ func (d *DHTM) OnWriteSetEviction(core int, addr uint64, at uint64) bool {
 
 // OnLLCTxEviction implements hier.Arbiter: losing an LLC line that still
 // carries transactional state aborts an active transaction (the LLC is
-// DHTM's capacity limit); for a committed transaction the line is simply
-// persisted in place, completing it early.
+// DHTM's capacity limit). A committed transaction's line is dirty, so the
+// hierarchy's write-back of the victim persists it in place, completing it
+// early; writing it here as well would persist the line twice.
 func (d *DHTM) OnLLCTxEviction(core int, addr uint64, at uint64) {
-	if d.cores[core].ctx.State == htm.Committed {
-		d.persistEarly(core, d.H.Align(addr), at)
-		return
+	if d.cores[core].ctx.State != htm.Committed {
+		d.Abort(core, stats.AbortLLCCapacity, at)
 	}
-	d.Abort(core, stats.AbortLLCCapacity, at)
 }
 
 // persistEarly writes a committed-but-incomplete transaction's line in place

@@ -7,6 +7,7 @@ import (
 	"dhtm/internal/engine"
 	"dhtm/internal/htm"
 	"dhtm/internal/recovery"
+	"dhtm/internal/stats"
 	"dhtm/internal/txn"
 	"dhtm/internal/wal"
 )
@@ -248,4 +249,84 @@ func TestStateMachine(t *testing.T) {
 			t.Errorf("state after Finish = %v, want Idle", d.cores[0].ctx.State)
 		}
 	})
+}
+
+// newSmallLLC builds a DHTM machine whose LLC is direct mapped with 64 sets,
+// so lines 4 KB apart share its one way and a fill of one evicts the other.
+func newSmallLLC(t *testing.T, cores int) (*txn.Env, *DHTM) {
+	t.Helper()
+	cfg := config.Default()
+	cfg.NumCores = cores
+	cfg.LLCSize, cfg.LLCWays = 64*cfg.LineSize, 1
+	env, err := txn.NewEnv(cfg)
+	if err != nil {
+		t.Fatalf("NewEnv: %v", err)
+	}
+	return env, New(env, Options{})
+}
+
+// TestLLCEvictionPersistsCommittedLine: another core's fill evicts a line
+// of a committed-but-incomplete transaction from the LLC. The line is
+// persisted in place once, ahead of completion, and a crash before
+// completion still recovers the committed state.
+func TestLLCEvictionPersistsCommittedLine(t *testing.T) {
+	env, d := newSmallLLC(t, 2)
+	a, b := wal.HeapBase, wal.HeapBase+64*64 // one LLC set
+	engine.New(2).Run(func(core int, c *engine.Clock) {
+		if core == 0 {
+			d.Run(0, c, &txn.Transaction{Body: func(tx txn.Tx) error {
+				tx.Write(a, 7)
+				return nil
+			}})
+		}
+		// No Finish: the transaction is committed but not complete.
+	})
+	if d.cores[0].ctx.State != htm.Committed {
+		t.Fatalf("state %v, want Committed", d.cores[0].ctx.State)
+	}
+	before := env.Stats.DataWriteBytes
+	if _, res := env.Hier.Load(1, b, 0, false); res.Aborted {
+		t.Fatalf("core 1's fill aborted: %+v", res)
+	}
+	if got := env.Store().ReadWord(a); got != 7 {
+		t.Fatalf("durable value %d after the eviction, want the committed 7", got)
+	}
+	if got := env.Stats.DataWriteBytes - before; got != 64 {
+		t.Errorf("the eviction wrote %d data bytes, want one line (64)", got)
+	}
+	env.Hier.Crash()
+	if _, err := recovery.Recover(env.Store()); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got := env.Store().ReadWord(a); got != 7 {
+		t.Fatalf("recovered value %d, want the committed 7", got)
+	}
+}
+
+// TestLLCEvictionAbortsActiveTransaction: a transaction whose write set
+// does not fit the LLC aborts with AbortLLCCapacity on every hardware
+// attempt and then commits on the software fallback.
+func TestLLCEvictionAbortsActiveTransaction(t *testing.T) {
+	env, d := newSmallLLC(t, 1)
+	a, b := wal.HeapBase, wal.HeapBase+64*64 // one LLC set
+	var res txn.ExecResult
+	engine.New(1).Run(func(core int, c *engine.Clock) {
+		res = d.Run(0, c, &txn.Transaction{Body: func(tx txn.Tx) error {
+			tx.Write(a, 1)
+			tx.Write(b, 2)
+			return nil
+		}})
+		d.Finish(0, c)
+	})
+	cs := env.Stats.Core(0)
+	if !res.Committed || cs.Fallbacks != 1 {
+		t.Fatalf("committed %v with %d fallbacks, want a fallback commit", res.Committed, cs.Fallbacks)
+	}
+	if got, want := cs.AbortsByReason[stats.AbortLLCCapacity], uint64(d.Cfg.MaxRetries); got != want {
+		t.Errorf("%d LLC-capacity aborts, want one per hardware attempt (%d); by reason %v", got, want, cs.AbortsByReason)
+	}
+	env.Hier.DrainClean()
+	if env.Store().ReadWord(a) != 1 || env.Store().ReadWord(b) != 2 {
+		t.Errorf("fallback lost a write")
+	}
 }

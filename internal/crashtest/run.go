@@ -58,7 +58,7 @@ func (c Config) prepare(seed int64) (config.Config, *snapshot.Prepared, error) {
 	if err != nil {
 		return config.Config{}, nil, err
 	}
-	p := workloads.Params{Cores: c.Cores, OpsPerTx: c.OpsPerTx, Seed: seed}
+	p := workloads.Params{OpsPerTx: c.OpsPerTx, Seed: seed}
 	prep, err := snapshot.Default.Prepare(hw, c.Workload, p)
 	return hw, prep, err
 }

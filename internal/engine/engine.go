@@ -286,9 +286,6 @@ func (e *Engine) wake(core int) {
 	}
 }
 
-// Cores returns the number of cores managed by the engine.
-func (e *Engine) Cores() int { return len(e.clocks) }
-
 // Run executes body(core, clock) once per core, interleaved so that the core
 // with the smallest clock always runs first. It returns when every body has
 // returned, and reports the final per-core clocks.

@@ -26,8 +26,8 @@ import (
 	"dhtm/internal/workloads"
 )
 
-// Design names accepted by NewRuntime, re-exported from the registry (the
-// single source of truth for the design catalog).
+// Design names accepted by registry.NewRuntime, re-exported from the
+// registry (the single source of truth for the design catalog).
 const (
 	DesignSO          = registry.DesignSO
 	DesignSdTM        = registry.DesignSdTM
@@ -42,12 +42,6 @@ const (
 
 // Designs lists every runnable design name, straight from the registry.
 func Designs() []string { return registry.DesignNames() }
-
-// NewRuntime constructs the named design over a fresh environment by
-// resolving it through the registry.
-func NewRuntime(env *txn.Env, design string) (txn.Runtime, error) {
-	return registry.NewRuntime(env, design)
-}
 
 // Execute is the cell-runner callback: it builds a fully isolated machine
 // for the cell (runner.Cell.Config: Table III plus the cell's core count
@@ -69,7 +63,7 @@ func execute(cell runner.Cell, tc probe.Config) (workloads.RunResult, error) {
 	if err != nil {
 		return workloads.RunResult{}, err
 	}
-	p := workloads.Params{Cores: cfg.NumCores, Seed: cell.Seed, OpsPerTx: cell.OpsPerTx}
+	p := workloads.Params{Seed: cell.Seed, OpsPerTx: cell.OpsPerTx}
 	start := time.Now()
 	prep, err := snapshot.Default.Prepare(cfg, cell.Workload, p)
 	trace.Add(obs.PhaseSetup, time.Since(start))
@@ -82,7 +76,7 @@ func execute(cell runner.Cell, tc probe.Config) (workloads.RunResult, error) {
 		return workloads.RunResult{}, err
 	}
 	defer env.Release()
-	rt, err := NewRuntime(env, cell.Design)
+	rt, err := registry.NewRuntime(env, cell.Design)
 	trace.Add(obs.PhaseClone, time.Since(start))
 	if err != nil {
 		return workloads.RunResult{}, err

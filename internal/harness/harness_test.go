@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dhtm/internal/config"
+	"dhtm/internal/registry"
 	"dhtm/internal/runner"
 	"dhtm/internal/txn"
 )
@@ -19,7 +20,7 @@ func TestNewRuntimeKnowsEveryDesign(t *testing.T) {
 		if err != nil {
 			t.Fatalf("env: %v", err)
 		}
-		rt, err := NewRuntime(env, d)
+		rt, err := registry.NewRuntime(env, d)
 		if err != nil {
 			t.Fatalf("NewRuntime(%s): %v", d, err)
 		}
@@ -27,7 +28,7 @@ func TestNewRuntimeKnowsEveryDesign(t *testing.T) {
 			t.Errorf("design %s has an empty name", d)
 		}
 	}
-	if _, err := NewRuntime(nil, "nonsense"); err == nil {
+	if _, err := registry.NewRuntime(nil, "nonsense"); err == nil {
 		t.Errorf("unknown design accepted")
 	}
 }

@@ -70,7 +70,7 @@ func TestEngineCountersExported(t *testing.T) {
 		if err != nil {
 			return workloads.RunResult{}, err
 		}
-		rt, err := NewRuntime(env, cell.Design)
+		rt, err := registry.NewRuntime(env, cell.Design)
 		if err != nil {
 			return workloads.RunResult{}, err
 		}
@@ -78,7 +78,7 @@ func TestEngineCountersExported(t *testing.T) {
 		if err != nil {
 			return workloads.RunResult{}, err
 		}
-		p := workloads.Params{Cores: cfg.NumCores, Seed: cell.Seed}
+		p := workloads.Params{Seed: cell.Seed}
 		return workloads.Run(env, rt, w, p, cell.TxPerCore, true)
 	}
 	for _, run := range []struct {

@@ -55,7 +55,7 @@ func TestCellRerunsStandalone(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		p := workloads.Params{Cores: cfg.NumCores, Seed: cell.Seed, OpsPerTx: cell.OpsPerTx}
+		p := workloads.Params{Seed: cell.Seed, OpsPerTx: cell.OpsPerTx}
 		want, err := workloads.Run(env, rt, w, p, cell.TxPerCore, true)
 		if err != nil {
 			t.Fatalf("%s: standalone run: %v", tc.name, err)

@@ -85,10 +85,3 @@ func (b *Buffer) Drain() []uint64 {
 
 // Clear empties the buffer without returning entries (abort path).
 func (b *Buffer) Clear() { b.entries = b.entries[:0] }
-
-// Entries returns a copy of the tracked lines, oldest first (for tests).
-func (b *Buffer) Entries() []uint64 {
-	out := make([]uint64, len(b.entries))
-	copy(out, b.entries)
-	return out
-}

@@ -61,9 +61,6 @@ func NewPersistQueue(window int) *PersistQueue {
 	return &PersistQueue{window: window}
 }
 
-// Window returns the configured reordering window.
-func (q *PersistQueue) Window() int { return q.window }
-
 // WindowStart returns the first event index that may still be in flight when
 // event seq (of the given class) issues. Drain-class events always return
 // seq: the barrier retires everything earlier before the drain issues.

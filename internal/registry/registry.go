@@ -2,7 +2,7 @@
 // evaluated designs (§V of the paper) and benchmark workloads (Table IV).
 // Every entry is self-describing — name, one-line description, tags and a
 // factory — and every layer of the repo resolves names against this one
-// table: the public dhtm package (NewSystem), the harness (NewRuntime and
+// table: the public dhtm package (NewSystem), the harness (Execute and
 // the experiment grids), the scenario compiler, the CLIs' flag validation
 // and error listings, and dhtm.Catalog. Adding a design or
 // workload here is the only step required to make it runnable, listable and

@@ -134,7 +134,7 @@ func TestEveryDesignRunsCrashRecover(t *testing.T) {
 				t.Fatalf("NewWorkload: %v", err)
 			}
 			finish := !d.CrashSafe
-			res, err := workloads.Run(env, rt, w, workloads.Params{Cores: cfg.NumCores, Seed: 7}, 3, finish)
+			res, err := workloads.Run(env, rt, w, workloads.Params{Seed: 7}, 3, finish)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}

@@ -81,7 +81,7 @@ func TestNoStaleTxBitsAtAttemptStart(t *testing.T) {
 					t.Fatal(err)
 				}
 				rt := &bitCheckRuntime{Runtime: inner, env: env}
-				p := workloads.Params{Cores: cores, Seed: seed}
+				p := workloads.Params{Seed: seed}
 				if _, err := workloads.Run(env, rt, w, p, txPerCore, true); err != nil {
 					t.Fatal(err)
 				}

@@ -85,7 +85,10 @@ type Cell struct {
 	// OpsPerTx overrides the workload's per-transaction operation count when
 	// > 0 — the footprint axis of the scenario API. Zero keeps the
 	// workload's own default, and contributes nothing to the cell's identity
-	// key, so pre-existing cells keep their derived seeds.
+	// key, so pre-existing cells keep their derived seeds. OpsPerTx and Seed
+	// are the cell's whole workload parameter set (workloads.Params); the
+	// lock partitions, think time and data-set sizes are fixed per
+	// workload.
 	OpsPerTx int `json:"ops_per_tx,omitempty"`
 	// Seed is the workload generation seed. Zero means "derive": the runner
 	// fills it from the sweep's base seed and the cell's identity key.
@@ -99,11 +102,18 @@ type Cell struct {
 // mapping from a cell to its machine — harness.Execute, the crash-point
 // explorer, dhtm-sim and dhtm.NewSystem all build theirs here — so a cell
 // re-run under dhtm-sim simulates exactly what its sweep simulated. A
-// negative override or an unknown conflict policy is an error, never a
-// silent fallback to the default.
+// negative core count, transaction count, operation count or override, or
+// an unknown conflict policy, is an error, never a silent fallback to the
+// default.
 func (c Cell) Config() (config.Config, error) {
 	ov := c.Overrides
 	switch {
+	case c.Cores < 0:
+		return config.Config{}, fmt.Errorf("runner: core count %d is negative", c.Cores)
+	case c.TxPerCore < 0:
+		return config.Config{}, fmt.Errorf("runner: transactions per core %d is negative", c.TxPerCore)
+	case c.OpsPerTx < 0:
+		return config.Config{}, fmt.Errorf("runner: operations per transaction %d is negative", c.OpsPerTx)
 	case ov.LogBufferEntries < 0:
 		return config.Config{}, fmt.Errorf("runner: log-buffer entries override %d is negative", ov.LogBufferEntries)
 	case ov.BandwidthScale < 0:
@@ -336,16 +346,6 @@ func (rs *ResultSet) Err() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// Elapsed sums host time across cells (total simulation work, which under
-// parallelism exceeds wall-clock time).
-func (rs *ResultSet) Elapsed() time.Duration {
-	var d time.Duration
-	for _, r := range rs.Results {
-		d += r.Elapsed
-	}
-	return d
 }
 
 // ForEach runs fn(w, i) for every i in [0, n) on a pool of workers

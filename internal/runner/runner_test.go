@@ -319,7 +319,8 @@ func TestForEachStopsDispatchOnCancel(t *testing.T) {
 
 // TestCellConfig pins the one cell-to-machine mapping: Table III plus the
 // cell's core count and overrides, and an error — never a silent default —
-// for a negative override, an unknown conflict policy or an invalid machine.
+// for a negative cell field or override, an unknown conflict policy or an
+// invalid machine.
 func TestCellConfig(t *testing.T) {
 	def := config.Default()
 	with := func(edit func(*config.Config)) config.Config {
@@ -338,6 +339,9 @@ func TestCellConfig(t *testing.T) {
 		{"logbuf", Cell{Overrides: Overrides{LogBufferEntries: 16}}, with(func(c *config.Config) { c.LogBufferEntries = 16 }), ""},
 		{"bw", Cell{Overrides: Overrides{BandwidthScale: 2}}, with(func(c *config.Config) { c.BandwidthScale = 2 }), ""},
 		{"policy", Cell{Overrides: Overrides{ConflictPolicy: config.RequesterWins}}, with(func(c *config.Config) { c.ConflictPolicy = config.RequesterWins }), ""},
+		{"negative cores", Cell{Cores: -3}, config.Config{}, "core count -3 is negative"},
+		{"negative tx", Cell{TxPerCore: -5}, config.Config{}, "transactions per core -5 is negative"},
+		{"negative ops", Cell{OpsPerTx: -4}, config.Config{}, "operations per transaction -4 is negative"},
 		{"negative logbuf", Cell{Overrides: Overrides{LogBufferEntries: -3}}, config.Config{}, "log-buffer entries override -3 is negative"},
 		{"negative bw", Cell{Overrides: Overrides{BandwidthScale: -1}}, config.Config{}, "bandwidth scale override -1 is negative"},
 		{"unknown policy", Cell{Overrides: Overrides{ConflictPolicy: 7}}, config.Config{}, "unknown conflict policy 7"},

@@ -31,9 +31,10 @@ import (
 )
 
 // Key identifies one prepared setup image. Every field that influences the
-// post-setup store contents participates: the hardware configuration fixes
-// the log-registry layout, and the workload name plus the fully defaulted
-// parameters fix the heap contents Setup produces.
+// post-setup store contents participates: the hardware configuration (core
+// count included) fixes the log-registry layout, and the workload name plus
+// the defaulted parameters (ops per transaction and seed) fix the heap
+// contents Setup produces.
 type Key struct {
 	Cfg      config.Config
 	Workload string
@@ -138,15 +139,11 @@ func NewCacheIn(reg *obs.Registry, maxEntries int) *Cache {
 var Default = NewCacheIn(obs.Default, 0)
 
 // Prepare returns the prepared image for (cfg, workload, p), running the
-// workload's Setup at most once per key. The parameters are defaulted and
-// core-matched to cfg exactly as the run driver does, so a run on the clone
-// replays the byte-identical event sequence of a run on a freshly set-up
-// machine.
+// workload's Setup at most once per key. The parameters are defaulted
+// exactly as the run driver does, so a run on the clone replays the
+// byte-identical event sequence of a run on a freshly set-up machine.
 func (c *Cache) Prepare(cfg config.Config, workload string, p workloads.Params) (*Prepared, error) {
 	p = p.Defaults()
-	if p.Cores != cfg.NumCores {
-		p.Cores = cfg.NumCores
-	}
 	k := Key{Cfg: cfg, Workload: workload, Params: p}
 
 	c.mu.Lock()

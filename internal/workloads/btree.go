@@ -27,7 +27,6 @@ type btreeWL struct {
 	nodes    uint64
 	capacity int
 	opsPerTx int
-	parts    int
 	keySpace uint64
 }
 
@@ -49,13 +48,11 @@ const (
 
 // Setup implements Workload.
 func (b *btreeWL) Setup(heap *palloc.Heap, p Params) error {
-	p = p.Defaults()
 	b.capacity = 14 // 14 leaves x 256 B + root + meta; one transaction touches ~3 KB
 	b.opsPerTx = p.OpsPerTx
 	if b.opsPerTx <= 0 {
 		b.opsPerTx = 32
 	}
-	b.parts = p.Partitions
 	b.keySpace = 640
 	b.meta = heap.AllocLines(1)
 	b.root = heap.AllocLines(btreeNodeLines)
@@ -146,7 +143,7 @@ func (b *btreeWL) lockIDs(keys []uint64) []uint64 {
 	// always taken (conservative coarse locking, as in the paper's setup).
 	set[0] = struct{}{}
 	for _, k := range keys {
-		set[1+(k*uint64(b.parts))/(b.keySpace+2)] = struct{}{}
+		set[1+(k*partitions)/(b.keySpace+2)] = struct{}{}
 	}
 	out := make([]uint64, 0, len(set))
 	for id := range set {

@@ -71,9 +71,6 @@ func (r RunResult) Throughput() float64 {
 // tests want to exercise.
 func Run(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, finish bool) (RunResult, error) {
 	p = p.Defaults()
-	if p.Cores != env.Cfg.NumCores {
-		p.Cores = env.Cfg.NumCores
-	}
 	heap := palloc.New(env.Store())
 	if err := w.Setup(heap, p); err != nil {
 		return RunResult{}, fmt.Errorf("workloads: setting up %s: %w", w.Name(), err)
@@ -95,15 +92,9 @@ func Stream(w Workload, p Params, core int) func() *txn.Transaction {
 // snapshot): it skips Setup and goes straight to the measured run. w must be
 // the workload object that performed that Setup — workloads are read-only
 // after Setup, so a snapshot-cache entry shares one object across cells. p
-// must carry the same values the image was set up with; RunPrepared
-// re-defaults it, so passing the pre-default parameter set of an equal key is
-// fine.
+// must carry the seed the image was set up with; Stream defaults an unset
+// seed, so passing the pre-default parameter set of an equal key is fine.
 func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore int, finish bool) (RunResult, error) {
-	p = p.Defaults()
-	if p.Cores != env.Cfg.NumCores {
-		p.Cores = env.Cfg.NumCores
-	}
-
 	eng := engine.New(env.Cfg.NumCores)
 	if rec := env.Probe; rec != nil {
 		// Arm the cycle-domain probe plane: record the cycle-0 row now and
@@ -119,7 +110,7 @@ func RunPrepared(env *txn.Env, rt txn.Runtime, w Workload, p Params, txPerCore i
 			rt.Run(core, c, next())
 			// Non-transactional work between transactions (building the next
 			// request); background completion phases overlap with it.
-			c.Advance(p.ThinkCycles)
+			c.Advance(thinkCycles)
 		}
 		if finish {
 			rt.Finish(core, c)

@@ -53,7 +53,7 @@ func TestAllDesignsAllMicrobenchmarks(t *testing.T) {
 					t.Fatalf("New(%q): %v", wname, err)
 				}
 				const perCore = 6
-				res, err := workloads.Run(env, rt, w, workloads.Params{Cores: cfg.NumCores}, perCore, true)
+				res, err := workloads.Run(env, rt, w, workloads.Params{}, perCore, true)
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}
@@ -88,7 +88,7 @@ func TestOLTPWorkloadsOnKeyDesigns(t *testing.T) {
 					t.Fatalf("New(%q): %v", wname, err)
 				}
 				const perCore = 2
-				res, err := workloads.Run(env, rt, w, workloads.Params{Cores: cfg.NumCores}, perCore, true)
+				res, err := workloads.Run(env, rt, w, workloads.Params{}, perCore, true)
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}
@@ -116,7 +116,7 @@ func TestWriteSetFootprints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%q): %v", wname, err)
 		}
-		if _, err := workloads.Run(env, rt, w, workloads.Params{Cores: cfg.NumCores}, 3, true); err != nil {
+		if _, err := workloads.Run(env, rt, w, workloads.Params{}, 3, true); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return env.Stats.MeanWriteSetLines()

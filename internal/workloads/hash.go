@@ -27,12 +27,9 @@ import (
 // would serialise the HTM designs artificially; the per-bucket checksum still
 // catches torn inserts and deletes after a crash.
 type hashWL struct {
-	meta       uint64
-	buckets    uint64
-	opsPerTx   int
-	partitions int
-	// span is the number of buckets in one window of one partition.
-	span uint64
+	meta     uint64
+	buckets  uint64
+	opsPerTx int
 
 	// baseline is a frozen clone of the post-setup image, and baselineErr
 	// its bucket check, run once on first use. Verify skips every leaf an
@@ -70,16 +67,10 @@ const (
 // image, then writes each populated bucket with one line write: the same
 // memory image and written-line set as storing word by word.
 func (h *hashWL) Setup(heap *palloc.Heap, p Params) error {
-	p = p.Defaults()
 	h.opsPerTx = p.OpsPerTx
 	if h.opsPerTx <= 0 {
 		h.opsPerTx = 64
 	}
-	h.partitions = p.Partitions
-	if hashBuckets%h.partitions != 0 || hashBuckets/h.partitions%hashWindowsPerPartition != 0 {
-		return fmt.Errorf("hash: %d partitions of %d windows do not tile %d buckets", h.partitions, hashWindowsPerPartition, hashBuckets)
-	}
-	h.span = uint64(hashBuckets / h.partitions / hashWindowsPerPartition)
 	h.meta = heap.AllocLines(1)
 	h.buckets = heap.AllocLines(hashBuckets)
 
@@ -135,15 +126,19 @@ func (h *hashWL) bucketOf(key uint64) uint64 {
 // transaction's keys all fall into one window.
 const hashWindowsPerPartition = 8
 
-// windowKey maps i in [0, span·hashKeysPerBucket) one to one onto the keys
-// whose bucket falls inside the given partition and window. Partitions and
-// windows tile the table, so the window's buckets are the span indices from
-// lo, and every bucket b holds exactly hashKeysPerBucket keys: the residue
-// b·hashBucketInverse mod hashBuckets plus each multiple of hashBuckets, the
-// residue 0 standing in for the key hashKeySpace. i picks key
-// i%hashKeysPerBucket of bucket lo+i/hashKeysPerBucket.
-func (h *hashWL) windowKey(part, window, i uint64) uint64 {
-	lo := (part*hashWindowsPerPartition + window) * h.span
+// hashSpan is the number of buckets in one window of one partition.
+const hashSpan uint64 = hashBuckets / partitions / hashWindowsPerPartition
+
+// windowKey maps i in [0, hashSpan·hashKeysPerBucket) one to one onto the
+// keys whose bucket falls inside the given partition and window. The
+// partitions and windows tile the table, so the window's buckets are the
+// hashSpan indices from lo, and every bucket b holds exactly
+// hashKeysPerBucket keys: the residue b·hashBucketInverse mod hashBuckets
+// plus each multiple of hashBuckets, the residue 0 standing in for the key
+// hashKeySpace. i picks key i%hashKeysPerBucket of bucket
+// lo+i/hashKeysPerBucket.
+func windowKey(part, window, i uint64) uint64 {
+	lo := (part*hashWindowsPerPartition + window) * hashSpan
 	key := (lo+i/hashKeysPerBucket)*hashBucketInverse&hashBucketMask + i%hashKeysPerBucket*hashBuckets
 	if key == 0 {
 		return hashKeySpace
@@ -159,7 +154,7 @@ func (h *hashWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 	// detect conflicts at cache-line granularity, so they only conflict when
 	// two cores pick overlapping windows — the concurrency gap the paper
 	// attributes to coarse-grained locking (§VI-A).
-	part := uint64(rng.Intn(h.partitions))
+	part := uint64(rng.Intn(partitions))
 	window := rng.Uint64() % hashWindowsPerPartition
 	// One backing slice per transaction: the keys, then a bitmask of which
 	// ops are inserts. Transaction generation runs once per simulated
@@ -168,9 +163,9 @@ func (h *hashWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 	buf := make([]uint64, h.opsPerTx+maskWords)
 	keys, insertMask := buf[:h.opsPerTx], buf[h.opsPerTx:]
 	// One draw per key, uniform over the window's keys.
-	windowKeys := int64(h.span * hashKeysPerBucket)
+	windowKeys := int64(hashSpan * hashKeysPerBucket)
 	for i := range keys {
-		keys[i] = h.windowKey(part, window, uint64(rng.Int63n(windowKeys)))
+		keys[i] = windowKey(part, window, uint64(rng.Int63n(windowKeys)))
 		if rng.Intn(2) == 0 {
 			insertMask[i/64] |= 1 << (i % 64)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestWindowKeyIsBijection enumerates, for every (partition, window) of the
-// default geometry, i → windowKey over [0, span·hashKeysPerBucket) and
+// geometry, i → windowKey over [0, hashSpan·hashKeysPerBucket) and
 // requires it to be one to one onto exactly the keys in [1, hashKeySpace]
 // whose bucket lies in that window: Next's single draw per key is then
 // uniform over the window's keys. It also checks hashBucketInverse inverts
@@ -20,34 +20,30 @@ func TestWindowKeyIsBijection(t *testing.T) {
 	if m := uint64(hashBucketMultiplier); m*hashBucketInverse != 1 {
 		t.Fatalf("hashBucketMultiplier × hashBucketInverse = %#x, want 1", m*hashBucketInverse)
 	}
-	h := newHash()
-	if err := h.Setup(palloc.New(memdev.NewStore()), Params{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	parts := uint64(h.partitions)
-	if parts != 16 || h.span*parts*hashWindowsPerPartition != hashBuckets {
-		t.Fatalf("geometry %d partitions × %d windows × %d buckets, want 16 × %d tiling %d",
-			parts, hashWindowsPerPartition, h.span, hashWindowsPerPartition, hashBuckets)
+	const parts = uint64(partitions)
+	if hashSpan*parts*hashWindowsPerPartition != hashBuckets {
+		t.Fatalf("geometry %d partitions × %d windows × %d buckets does not tile %d",
+			parts, hashWindowsPerPartition, hashSpan, hashBuckets)
 	}
 	// The window (part·windows + window) of every key in the key space.
 	inWindow := make([]int, parts*hashWindowsPerPartition)
 	for key := uint64(1); key <= hashKeySpace; key++ {
-		inWindow[bucketIndex(key)/h.span]++
+		inWindow[bucketIndex(key)/hashSpan]++
 	}
 	seen := make([]bool, hashKeySpace+1)
 	for part := uint64(0); part < parts; part++ {
 		for window := uint64(0); window < hashWindowsPerPartition; window++ {
 			w := part*hashWindowsPerPartition + window
-			n := h.span * hashKeysPerBucket
+			n := hashSpan * hashKeysPerBucket
 			if uint64(inWindow[w]) != n {
 				t.Fatalf("window %d/%d holds %d keys, draws range over %d", part, window, inWindow[w], n)
 			}
 			for i := uint64(0); i < n; i++ {
-				key := h.windowKey(part, window, i)
+				key := windowKey(part, window, i)
 				if key < 1 || key > hashKeySpace {
 					t.Fatalf("window %d/%d: i=%d gives key %d outside [1, %d]", part, window, i, key, hashKeySpace)
 				}
-				if got := bucketIndex(key) / h.span; got != w {
+				if got := bucketIndex(key) / hashSpan; got != w {
 					t.Fatalf("window %d/%d: i=%d gives key %d in window %d", part, window, i, key, got)
 				}
 				if seen[key] {
@@ -55,16 +51,6 @@ func TestWindowKeyIsBijection(t *testing.T) {
 				}
 				seen[key] = true
 			}
-		}
-	}
-}
-
-// TestHashSetupRejectsUntiledPartitions: partition counts whose windows do
-// not tile the table are refused rather than drawn from a wrong window.
-func TestHashSetupRejectsUntiledPartitions(t *testing.T) {
-	for _, parts := range []int{3, 4096} {
-		if err := newHash().Setup(palloc.New(memdev.NewStore()), Params{Seed: 1, Partitions: parts}); err == nil {
-			t.Errorf("%d partitions accepted", parts)
 		}
 	}
 }
@@ -82,7 +68,7 @@ func TestHashSetupMatchesWordByWordBuild(t *testing.T) {
 
 		want := palloc.New(memdev.NewStore())
 		h := &hashWL{meta: want.AllocLines(1), buckets: want.AllocLines(hashBuckets)}
-		rng := rand.New(rand.NewSource(p.Defaults().Seed + 1))
+		rng := rand.New(rand.NewSource(seed + 1))
 		inserted := make(map[uint64]bool)
 		for total := 0; total < hashBuckets*hashSlotsPerBucket/2; {
 			key := rng.Uint64()%hashKeySpace + 1

@@ -34,7 +34,6 @@ const queueEntryLines = 2
 
 // Setup implements Workload.
 func (q *queueWL) Setup(heap *palloc.Heap, p Params) error {
-	p = p.Defaults()
 	q.capacity = 24 // 24 entries x 128 B ~= 3 KB
 	q.opsPerTx = p.OpsPerTx
 	if q.opsPerTx <= 0 {

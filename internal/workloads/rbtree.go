@@ -25,7 +25,6 @@ type rbtreeWL struct {
 	nodes    uint64
 	capacity int
 	opsPerTx int
-	parts    int
 	keySpace uint64
 }
 
@@ -48,13 +47,11 @@ const rbRed, rbBlack = uint64(1), uint64(0)
 
 // Setup implements Workload.
 func (r *rbtreeWL) Setup(heap *palloc.Heap, p Params) error {
-	p = p.Defaults()
 	r.capacity = 16384 // 1 MB of nodes; one transaction touches ~3 KB of them
 	r.opsPerTx = p.OpsPerTx
 	if r.opsPerTx <= 0 {
 		r.opsPerTx = 36
 	}
-	r.parts = p.Partitions
 	r.keySpace = uint64(r.capacity + r.capacity/2)
 	r.meta = heap.AllocLines(1)
 	r.nodes = heap.AllocLines(r.capacity)
@@ -277,8 +274,8 @@ func (r *rbtreeWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 	const windows = 8
 	keys := make([]uint64, r.opsPerTx)
 	inserts := make([]bool, r.opsPerTx)
-	part := uint64(rng.Intn(r.parts))
-	span := r.keySpace / uint64(r.parts)
+	part := uint64(rng.Intn(partitions))
+	span := r.keySpace / partitions
 	winSpan := span / windows
 	if winSpan == 0 {
 		winSpan = 1

@@ -19,11 +19,10 @@ import (
 //	meta line:  [edgeCount, vertices, 0...]
 //	vertex v:   one cache line: word 0 = degree, words 1..7 = neighbour+1
 type sdgWL struct {
-	meta       uint64
-	vertices   uint64
-	numVerts   int
-	opsPerTx   int
-	partitions int
+	meta     uint64
+	vertices uint64
+	numVerts int
+	opsPerTx int
 }
 
 func newSDG() *sdgWL { return &sdgWL{} }
@@ -35,13 +34,11 @@ const sdgMaxDegree = 7
 
 // Setup implements Workload.
 func (g *sdgWL) Setup(heap *palloc.Heap, p Params) error {
-	p = p.Defaults()
 	g.numVerts = 16384 // 1 MB adjacency store; one transaction touches ~3 KB
 	g.opsPerTx = p.OpsPerTx
 	if g.opsPerTx <= 0 {
 		g.opsPerTx = 44
 	}
-	g.partitions = p.Partitions
 	g.meta = heap.AllocLines(1)
 	g.vertices = heap.AllocLines(g.numVerts)
 
@@ -81,11 +78,6 @@ func (g *sdgWL) setupAddHalfEdge(heap *palloc.Heap, v, u int) {
 	heap.WriteWord(word(base, 0), deg+1)
 }
 
-// partitionOf maps a vertex to its lock partition.
-func (g *sdgWL) partitionOf(v int) uint64 {
-	return uint64(v * g.partitions / g.numVerts)
-}
-
 // Next implements Workload.
 func (g *sdgWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 	// Every edge of the batch connects vertices of one small window of one
@@ -97,8 +89,8 @@ func (g *sdgWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 		insert bool
 	}
 	const windows = 8
-	part := rng.Intn(g.partitions)
-	span := g.numVerts / g.partitions
+	part := rng.Intn(partitions)
+	span := g.numVerts / partitions
 	winSpan := span / windows
 	base := part*span + rng.Intn(windows)*winSpan
 	ops := make([]op, g.opsPerTx)

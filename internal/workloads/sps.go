@@ -19,11 +19,10 @@ import (
 //	meta line: [elements, sum, sumSquares, 0...]
 //	array:     elements consecutive 8-byte words
 type spsWL struct {
-	meta       uint64
-	array      uint64
-	elements   int
-	opsPerTx   int
-	partitions int
+	meta     uint64
+	array    uint64
+	elements int
+	opsPerTx int
 }
 
 func newSPS() *spsWL { return &spsWL{} }
@@ -33,13 +32,11 @@ func (s *spsWL) Name() string { return "sps" }
 
 // Setup implements Workload.
 func (s *spsWL) Setup(heap *palloc.Heap, p Params) error {
-	p = p.Defaults()
 	s.elements = 131072 // 1 MB array; one transaction swaps ~3 KB of it
 	s.opsPerTx = p.OpsPerTx
 	if s.opsPerTx <= 0 {
 		s.opsPerTx = 24
 	}
-	s.partitions = p.Partitions
 	s.meta = heap.AllocLines(1)
 	s.array = heap.AllocWords(s.elements)
 
@@ -57,11 +54,6 @@ func (s *spsWL) Setup(heap *palloc.Heap, p Params) error {
 	return nil
 }
 
-// partitionOf maps an element index to its lock partition.
-func (s *spsWL) partitionOf(idx int) uint64 {
-	return uint64(idx * s.partitions / s.elements)
-}
-
 // Next implements Workload.
 func (s *spsWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 	// All swaps of a transaction stay within one small window of the array
@@ -71,8 +63,8 @@ func (s *spsWL) Next(core int, rng *rand.Rand) *txn.Transaction {
 	// partition but different windows proceed concurrently.
 	type swap struct{ i, j int }
 	const windows = 8
-	part := rng.Intn(s.partitions)
-	span := s.elements / s.partitions
+	part := rng.Intn(partitions)
+	span := s.elements / partitions
 	winSpan := span / windows
 	base := part*span + rng.Intn(windows)*winSpan
 	swaps := make([]swap, s.opsPerTx)

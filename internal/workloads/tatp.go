@@ -56,8 +56,7 @@ const (
 
 // Setup implements Workload.
 func (t *tatpWL) Setup(heap *palloc.Heap, p Params) error {
-	p = p.Defaults()
-	t.numSubs = 1000 * p.Scale
+	t.numSubs = 1000
 	t.opsPerTx = p.OpsPerTx
 	if t.opsPerTx <= 0 {
 		t.opsPerTx = 110

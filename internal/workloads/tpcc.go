@@ -58,10 +58,9 @@ const (
 
 // Setup implements Workload.
 func (w *tpccWL) Setup(heap *palloc.Heap, p Params) error {
-	p = p.Defaults()
 	w.numDistricts = 10
-	w.custPerDist = 96 * p.Scale
-	w.numItems = 256 * p.Scale
+	w.custPerDist = 96
+	w.numItems = 256
 	w.orderSlots = 512
 	w.maxOLPerOrd = 15
 	w.opsPerTx = p.OpsPerTx

@@ -17,50 +17,38 @@ import (
 	"dhtm/internal/txn"
 )
 
-// Params configures a workload instance.
+// Params configures a workload instance: the two values a run varies.
 type Params struct {
-	// Cores is the number of simulated cores issuing transactions.
-	Cores int
 	// OpsPerTx is the number of data-structure operations batched into one
 	// ACID transaction; it is the knob that controls the write-set footprint
 	// and defaults to a per-workload value chosen to land in the same regime
 	// as Table IV.
 	OpsPerTx int
-	// Partitions is the number of coarse-grained lock partitions used by the
-	// lock-based designs on the micro-benchmarks (§V).
-	Partitions int
-	// Scale sizes the OLTP data sets (subscribers for TATP, rows per district
-	// for TPC-C); the micro-benchmark structures are sized so that one
-	// transaction operates on ~3 KB of data, as in the paper.
-	Scale int
-	// ThinkCycles is the non-transactional work (operand generation, request
-	// parsing) each core performs between transactions. DHTM's completion
-	// phase overlaps with it; designs that persist data inside the commit
-	// critical path cannot hide their write-backs behind it.
-	ThinkCycles uint64
 	// Seed makes transaction generation deterministic.
 	Seed int64
 }
 
-// Defaults fills unset fields with the workload-independent defaults.
+// Defaults fills an unset seed with the default one.
 func (p Params) Defaults() Params {
-	if p.Cores <= 0 {
-		p.Cores = 8
-	}
-	if p.Partitions <= 0 {
-		p.Partitions = 16
-	}
-	if p.Scale <= 0 {
-		p.Scale = 1
-	}
-	if p.ThinkCycles == 0 {
-		p.ThinkCycles = 10000
-	}
 	if p.Seed == 0 {
 		p.Seed = 42
 	}
 	return p
 }
+
+// The workload shapes every run shares. The micro-benchmark structures are
+// sized so that one transaction operates on ~3 KB of data, as in the paper;
+// the OLTP data sets are fixed in tatp.go and tpcc.go.
+const (
+	// partitions is the number of coarse-grained lock partitions used by the
+	// lock-based designs on the micro-benchmarks (§V).
+	partitions = 16
+	// thinkCycles is the non-transactional work (operand generation, request
+	// parsing) each core performs between transactions. DHTM's completion
+	// phase overlaps with it; designs that persist data inside the commit
+	// critical path cannot hide their write-backs behind it.
+	thinkCycles = 10000
+)
 
 // Workload is one benchmark.
 type Workload interface {
